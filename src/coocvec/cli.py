@@ -16,15 +16,10 @@ import sys
 import numpy as np
 
 from . import convex_model, evaluation, factorization, formats, regularization
-from .closed_form import (
-    LOSS_NAMES,
-    assemble_spmi_solution,
-    minimize_pair_numeric,
-    solve_pair,
-)
+from .closed_form import LOSS_NAMES, minimize_pair_numeric, solve_pairs
 from .corpus import WindowSpec, build_vocabulary, count_sharded, read_corpus
 from .errors import DomainError, FormatError, MixedProvenanceError, WorkbenchError
-from .pmi import VARIANTS, SparseMatrix, build_matrix, pmi_value
+from .pmi import VARIANTS, SparseMatrix, build_matrix, pmi_values
 from .vectors import Embedding
 
 
@@ -88,20 +83,12 @@ def cmd_pmi(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     stats = formats.read_cooc(args.cooc)
-    entries = {}
-    alphas = {}
-    for (w, c) in sorted(stats.pairs):
-        sol = solve_pair(
-            args.loss,
-            stats.count(w, c),
-            float(stats.row_marginal[w]),
-            float(stats.col_marginal[c]),
-            stats.total,
-            args.k,
-        )
-        entries[(w, c)] = sol.x_star
-        if sol.alpha is not None:
-            alphas[(w, c)] = sol.alpha
+    keys, rows, cols, joint = stats.columns()
+    sol = solve_pairs(
+        args.loss, joint, stats.row_marginal[rows], stats.col_marginal[cols], stats.total, args.k
+    )
+    entries = dict(zip(keys, sol.x_star.tolist()))
+    alphas = {} if sol.alpha is None else dict(zip(keys, sol.alpha.tolist()))
     implicit = None if args.loss == "logistic" else -1.0
     matrix = SparseMatrix(
         rows=stats.n_words, cols=stats.n_words, entries=entries, implicit_value=implicit
@@ -272,53 +259,41 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
 
     rng = np.random.default_rng(args.seed)
-    pair_keys = sorted(stats.pairs)
-    if len(pair_keys) > args.samples:
-        chosen = rng.choice(len(pair_keys), size=args.samples, replace=False)
-        pair_keys = [pair_keys[i] for i in sorted(chosen)]
-    tuples = [
-        (
-            stats.count(w, c),
-            float(stats.row_marginal[w]),
-            float(stats.col_marginal[c]),
-            stats.total,
-        )
-        for (w, c) in pair_keys
-    ]
+    _, rows, cols, joint = stats.columns()
+    if len(joint) > args.samples:
+        chosen = np.sort(rng.choice(len(joint), size=args.samples, replace=False))
+        rows, cols, joint = rows[chosen], cols[chosen], joint[chosen]
+    n_w, n_c = stats.row_marginal[rows], stats.col_marginal[cols]
+    pmi = pmi_values(stats, rows, cols, joint)
+    shifted = pmi - math.log(args.k)
+    counts = list(zip(joint.tolist(), n_w.tolist(), n_c.tolist()))
 
     lines = [formats.provenance_line(formats.make_provenance("report", _config_dict(args), provs))]
     for loss in LOSS_NAMES:
-        worst = 0.0
-        agree = True
-        for n_wc, n_w, n_c, total in tuples:
-            sol = solve_pair(loss, n_wc, n_w, n_c, total, args.k)
-            if sol.neg_inf:
-                continue
-            numeric = minimize_pair_numeric(loss, n_wc, n_w, n_c, total, args.k)
-            worst = max(worst, abs(sol.x_star - numeric))
-            shifted = math.log(n_wc * total / (n_w * n_c)) - math.log(args.k)
-            if loss == "hinge":
-                agree = agree and (sol.x_star > 0) == (shifted >= 0)
-            elif sol.x_star != 0.0 and shifted != 0.0:
-                agree = agree and (sol.x_star > 0) == (shifted > 0)
+        x = solve_pairs(loss, joint, n_w, n_c, stats.total, args.k).x_star
+        numeric = np.array([minimize_pair_numeric(loss, *t, stats.total, args.k) for t in counts])
+        worst = float(np.max(np.abs(x - numeric), initial=0.0))
+        if loss == "hinge":
+            agree = np.array_equal(x > 0, shifted >= 0)
+        else:
+            decided = (x != 0.0) & (shifted != 0.0)
+            agree = np.array_equal(x[decided] > 0, shifted[decided] > 0)
         lines.append(f"closed_form_max_abs_err[{loss}]\t{worst!r}")
         lines.append(f"sign_agreement[{loss}]\t{'yes' if agree else 'NO'}")
 
-    lam_grid = [0.01, 0.1, 1.0, 10.0]
     l1_worst = 0.0
     l2_worst = 0.0
-    for (w, c), (n_wc, n_w, n_c, total) in zip(pair_keys, tuples):
-        pmi = pmi_value(stats, w, c)
-        if pmi is None:
-            continue
-        for lam in lam_grid:
-            exact1 = regularization.solve_exact(pmi, args.k, lam, "l1")
-            l1_worst = max(l1_worst, abs(regularization.solve_l1(pmi, args.k, lam) - exact1))
-            if pmi - math.log(args.k) > 0.0:
-                exact2 = regularization.solve_exact(pmi, args.k, lam, "l2")
-                closed = regularization.solve_l2(pmi, args.k, lam)
-                if exact2 != 0.0:
-                    l2_worst = max(l2_worst, abs(closed - exact2) / abs(exact2))
+    for lam in (0.01, 0.1, 1.0, 10.0):
+        # the numeric references stay scalar: solve_exact bisects one pair at a time
+        exact1, exact2 = (
+            np.array([regularization.solve_exact(p, args.k, lam, kind) for p in pmi.tolist()])
+            for kind in ("l1", "l2")
+        )
+        l1_err = np.abs(regularization.l1_scores(pmi, args.k, lam) - exact1)
+        nonzero = exact2 != 0.0
+        l2_err = np.abs(regularization.l2_scores(pmi, args.k, lam) - exact2)[nonzero]
+        l1_worst = max(l1_worst, float(np.max(l1_err, initial=0.0)))
+        l2_worst = max(l2_worst, float(np.max(l2_err / np.abs(exact2[nonzero]), initial=0.0)))
     lines.append(f"l1_closed_form_max_abs_err\t{l1_worst!r}")
     lines.append(f"l2_closed_form_max_rel_err\t{l2_worst!r}")
 

@@ -33,22 +33,13 @@ from .corpus import CooccurrenceStats
 from .errors import (
     DegenerateMarginalError,
     DimensionMismatchError,
-    InvalidShiftError,
     MarkerContaminationError,
+    check_shift,
 )
 from .vectors import EmbeddingPair
 
 LOSS_NAMES = ("logistic", "squared", "squared_hinge", "hinge", "huber")
 QUADRATIC_FAMILY = ("squared", "squared_hinge", "huber")
-
-
-def _softplus(t: float) -> float:
-    # log(1 + e^t) without overflow
-    if t > 35.0:
-        return t + math.log1p(math.exp(-t))
-    if t < -35.0:
-        return math.exp(t)
-    return math.log1p(math.exp(t))
 
 
 def _sigmoid(t: float) -> float:
@@ -63,22 +54,23 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown loss {kind!r}, expected one of {LOSS_NAMES}")
 
 
-def loss_value(kind: str, x: float, y: float) -> float:
-    """L(x, y) for y in {+1, -1}."""
+def loss_value(kind: str, x, y: float):
+    """L(x, y) for y in {+1, -1}, elementwise over x; a scalar x gives a float."""
     _check_kind(kind)
+    x = np.asarray(x, dtype=float)
     yx = y * x
     if kind == "logistic":
-        return _softplus(-yx)
-    if kind == "squared":
-        return 0.5 * (x - y) ** 2
-    if kind == "squared_hinge":
-        return 0.5 * max(1.0 - yx, 0.0) ** 2
-    if kind == "hinge":
-        return max(1.0 - yx, 0.0)
-    # huber: quadratic near the margin, linear far on the wrong side
-    if yx >= -1.0:
-        return 0.5 * max(1.0 - yx, 0.0) ** 2
-    return -2.0 * yx
+        out = np.logaddexp(0.0, -yx)
+    elif kind == "squared":
+        out = 0.5 * (x - y) ** 2
+    elif kind == "squared_hinge":
+        out = 0.5 * np.maximum(1.0 - yx, 0.0) ** 2
+    elif kind == "hinge":
+        out = np.maximum(1.0 - yx, 0.0)
+    else:
+        # huber: quadratic near the margin, linear far on the wrong side
+        out = np.where(yx >= -1.0, 0.5 * np.maximum(1.0 - yx, 0.0) ** 2, -2.0 * yx)
+    return float(out) if out.ndim == 0 else out
 
 
 def loss_derivative(kind: str, x: float, y: float) -> float:
@@ -113,13 +105,12 @@ def loss_second_derivative(kind: str, x: float, y: float) -> float | None:
     return 1.0 if -1.0 < yx < 1.0 else 0.0
 
 
-def _check_counts(n_wc: float, n_w: float, n_c: float, total: float, k: float) -> None:
-    if n_wc < 0 or n_w < 0 or n_c < 0:
+def _check_counts(n_wc, n_w, n_c, total: float, k: float) -> None:
+    if any(np.any(np.less(a, 0)) for a in (n_wc, n_w, n_c)):
         raise ValueError("counts must be non-negative")
     if total <= 0:
         raise ValueError(f"total pair mass must be positive, got {total}")
-    if not (k >= 1.0 and math.isfinite(k)):
-        raise InvalidShiftError(f"shift k must be a finite real >= 1, got {k}")
+    check_shift(k)
 
 
 def pair_objective(
@@ -136,10 +127,11 @@ class PairSolution:
     """Minimizer of one pair objective plus its local curvature.
 
     neg_inf marks the logistic zero-count case whose score runs off to minus
-    infinity; x_star is meaningless there.  alpha is the second derivative of
+    infinity; x_star is -inf there.  alpha is the second derivative of
     the pair objective at the minimizer (None for hinge), delta the total
     pair weight #(w,c) + k #(w,.) #(.,c) / |D|, and pos_condition records
-    whether pmi strictly exceeds log k.
+    whether pmi strictly exceeds log k.  `solve_pairs` fills the fields with
+    arrays, `solve_pair` with scalars.
     """
 
     x_star: float
@@ -149,40 +141,46 @@ class PairSolution:
     pos_condition: bool
 
 
-def solve_pair(
-    kind: str, n_wc: float, n_w: float, n_c: float, total: float, k: float
-) -> PairSolution:
-    """Closed-form minimizer of the pair objective.
+def solve_pairs(kind: str, n_wc, n_w, n_c, total: float, k: float) -> PairSolution:
+    """Closed-form minimizers of many pair objectives, elementwise.
 
-    The curvature reported for the logistic loss is sigma(x*) sigma(-x*) delta,
-    which for positive counts equals #(w,c) times the expected negative mass
-    divided by delta; the squared family has constant curvature delta.
+    The count arguments broadcast against each other.  The curvature
+    reported for the logistic loss is sigma(x*) sigma(-x*) delta, which
+    equals #(w,c) times the expected negative mass divided by delta; the
+    squared family has constant curvature delta.  Zero counts need no branch:
+    they give the logistic score log 0 = -inf with alpha 0, and -1 for the
+    squared family and the hinge.
     """
     _check_kind(kind)
     _check_counts(n_wc, n_w, n_c, total, k)
-    if n_w == 0.0 or n_c == 0.0:
-        raise DegenerateMarginalError(
-            f"marginals must be positive to place a pair, got #(w,.)={n_w}, #(.,c)={n_c}"
-        )
+    n_wc, n_w, n_c = (np.asarray(a, dtype=float) for a in (n_wc, n_w, n_c))
+    if np.any(n_w == 0.0) or np.any(n_c == 0.0):
+        raise DegenerateMarginalError("marginals must be positive to place a pair")
     neg_mass = k * n_w * n_c / total
     delta = n_wc + neg_mass
-    pos_condition = n_wc * total > k * n_w * n_c
-
-    if n_wc == 0.0:
-        if kind == "logistic":
-            return PairSolution(-math.inf, True, 0.0, delta, False)
-        alpha = None if kind == "hinge" else delta
-        return PairSolution(-1.0, False, alpha, delta, False)
-
     if kind == "logistic":
-        x = math.log(n_wc / neg_mass)
-        alpha = n_wc * neg_mass / delta  # = sigma(x*) sigma(-x*) delta
-        return PairSolution(x, False, alpha, delta, pos_condition)
-    if kind == "hinge":
-        x = 1.0 if n_wc * total >= k * n_w * n_c else -1.0
-        return PairSolution(x, False, None, delta, pos_condition)
-    x = (n_wc - neg_mass) / (n_wc + neg_mass)
-    return PairSolution(x, False, delta, delta, pos_condition)
+        with np.errstate(divide="ignore"):
+            x = np.log(n_wc / neg_mass)
+        alpha = n_wc * neg_mass / delta
+    elif kind == "hinge":
+        x, alpha = np.where(n_wc * total >= k * n_w * n_c, 1.0, -1.0), None
+    else:
+        x, alpha = (n_wc - neg_mass) / delta, delta
+    return PairSolution(x, np.isneginf(x), alpha, delta, n_wc * total > k * n_w * n_c)
+
+
+def solve_pair(
+    kind: str, n_wc: float, n_w: float, n_c: float, total: float, k: float
+) -> PairSolution:
+    """Closed-form minimizer of one pair objective; see `solve_pairs`."""
+    sol = solve_pairs(kind, n_wc, n_w, n_c, total, k)
+    return PairSolution(
+        float(sol.x_star),
+        bool(sol.neg_inf),
+        None if sol.alpha is None else float(sol.alpha),
+        float(sol.delta),
+        bool(sol.pos_condition),
+    )
 
 
 def minimize_pair_numeric(
@@ -234,36 +232,12 @@ def assemble_spmi_solution(stats: CooccurrenceStats, kind: str, k: float) -> Emb
     exactly the shifted PMI matrix with markers at absent pairs.
     """
     n = stats.n_words
-    W = np.zeros((n, n))
-    mask = np.zeros((n, n), dtype=bool) if kind == "logistic" else None
-    for w in range(n):
-        for c in range(n):
-            sol = solve_pair(
-                kind,
-                stats.count(w, c),
-                float(stats.row_marginal[w]),
-                float(stats.col_marginal[c]),
-                stats.total,
-                k,
-            )
-            if sol.neg_inf:
-                mask[w, c] = True
-            else:
-                W[w, c] = sol.x_star
+    sol = solve_pairs(
+        kind, stats.to_dense(), stats.row_marginal[:, None], stats.col_marginal, stats.total, k
+    )
+    W = np.where(sol.neg_inf, 0.0, sol.x_star)
+    mask = sol.neg_inf if kind == "logistic" else None
     return EmbeddingPair(W=W, C=np.eye(n), W_neg_inf=mask)
-
-
-def _loss_matrix(kind: str, X: np.ndarray, y: float) -> np.ndarray:
-    yx = y * X
-    if kind == "logistic":
-        return np.logaddexp(0.0, -yx)
-    if kind == "squared":
-        return 0.5 * (X - y) ** 2
-    if kind == "squared_hinge":
-        return 0.5 * np.maximum(1.0 - yx, 0.0) ** 2
-    if kind == "hinge":
-        return np.maximum(1.0 - yx, 0.0)
-    return np.where(yx >= -1.0, 0.5 * np.maximum(1.0 - yx, 0.0) ** 2, -2.0 * yx)
 
 
 def objective_value(
@@ -282,8 +256,7 @@ def objective_value(
     not allowed, and masked absent pairs contribute the limit value zero.
     """
     _check_kind(kind)
-    if not (k >= 1.0 and math.isfinite(k)):
-        raise InvalidShiftError(f"shift k must be a finite real >= 1, got {k}")
+    check_shift(k)
     W = np.asarray(W, dtype=float)
     C = np.asarray(C, dtype=float)
     n = stats.n_words
@@ -301,15 +274,13 @@ def objective_value(
         )
 
     X = W @ C.T
-    pos = 0.0
-    for (w, c), joint in stats.pairs.items():
-        if neg_inf_mask is not None and neg_inf_mask[w, c]:
-            raise MarkerContaminationError(
-                f"stored pair {(w, c)} has a minus-infinity score"
-            )
-        pos += joint * loss_value(kind, float(X[w, c]), 1.0)
+    keys, rows, cols, joint = stats.columns()
+    if neg_inf_mask is not None and neg_inf_mask[rows, cols].any():
+        first = keys[int(np.argmax(neg_inf_mask[rows, cols]))]
+        raise MarkerContaminationError(f"stored pair {first} has a minus-infinity score")
+    pos = float(joint @ loss_value(kind, X[rows, cols], 1.0))
 
-    neg_losses = _loss_matrix(kind, X, -1.0)
+    neg_losses = loss_value(kind, X, -1.0)
     if neg_inf_mask is not None:
         # logistic L(x, -1) = log(1 + e^x) -> 0 as x -> -inf
         neg_losses = np.where(neg_inf_mask, 0.0, neg_losses)

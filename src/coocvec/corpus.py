@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyVocabularyError
+from .errors import DimensionMismatchError, EmptyVocabularyError, FormatError
 
 POSITIONAL_WEIGHTS = ("constant", "reciprocal")
 
@@ -160,6 +160,8 @@ class CooccurrenceStats:
         col = np.zeros(n_words)
         clean = {}
         for (w, c), v in pairs.items():
+            if not (v >= 0.0 and math.isfinite(v)):
+                raise FormatError(f"pair {(w, c)} has weight {v!r}, not a finite value >= 0")
             if v == 0.0:
                 continue
             if not (0 <= w < n_words and 0 <= c < n_words):
@@ -174,6 +176,13 @@ class CooccurrenceStats:
             col_marginal=col,
             total=float(row.sum()),
         )
+
+    def columns(self) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray]:
+        """Stored pairs in sorted key order: the keys, their rows, columns and weights."""
+        keys = sorted(self.pairs)
+        ij = np.array(keys, dtype=np.intp).reshape(-1, 2)
+        weights = np.fromiter(map(self.pairs.__getitem__, keys), dtype=float, count=len(keys))
+        return keys, ij[:, 0], ij[:, 1], weights
 
     def count(self, w: int, c: int) -> float:
         return self.pairs.get((w, c), 0.0)

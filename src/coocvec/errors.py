@@ -5,6 +5,8 @@ as a single machine-parseable line and exits nonzero.
 """
 from __future__ import annotations
 
+import math
+
 
 class WorkbenchError(Exception):
     """Base class for all package errors."""
@@ -20,6 +22,12 @@ class InvalidShiftError(WorkbenchError):
     """Shift parameter k outside [1, inf)."""
 
     category = "invalid-k"
+
+
+def check_shift(k: float) -> None:
+    """Raise InvalidShiftError unless k is a finite real >= 1."""
+    if not (k >= 1.0 and math.isfinite(k)):
+        raise InvalidShiftError(f"shift k must be a finite real >= 1, got {k}")
 
 
 class DegenerateMarginalError(WorkbenchError):

@@ -144,15 +144,19 @@ def _write_triplets_binary(path: str, header_lines: list[str], triplets: np.ndar
 
 def _read_triplets_binary(path: str) -> tuple[list[str], np.ndarray]:
     with open(path, "rb") as fh:
-        if fh.read(4) != BINARY_MAGIC:
-            raise FormatError(f"{path}: missing binary magic")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header_lines = fh.read(header_len).decode("utf-8").splitlines()
-        (n,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read(n * _TRIPLET_DTYPE.itemsize), dtype=_TRIPLET_DTYPE)
-        if len(data) != n:
-            raise FormatError(f"{path}: truncated binary triplet block")
-    return header_lines, data
+        blob = fh.read()
+    if blob[:4] != BINARY_MAGIC:
+        raise FormatError(f"{path}: missing binary magic")
+    try:
+        (header_len,) = struct.unpack_from("<I", blob, 4)
+        (n,) = struct.unpack_from("<Q", blob, 8 + header_len)
+        header_lines = blob[8 : 8 + header_len].decode("utf-8").splitlines()
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: truncated or garbled binary header") from exc
+    start = 16 + header_len
+    if len(blob) - start != n * _TRIPLET_DTYPE.itemsize:
+        raise FormatError(f"{path}: binary triplet block does not hold its {n} entries")
+    return header_lines, np.frombuffer(blob, dtype=_TRIPLET_DTYPE, offset=start)
 
 
 def _sorted_triplet_array(entries: dict[tuple[int, int], float]) -> np.ndarray:

@@ -13,13 +13,14 @@ minus infinity" (unclamped variants).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import CooccurrenceStats
-from .errors import InvalidShiftError, MarkerContaminationError
+from .errors import InvalidShiftError, MarkerContaminationError, check_shift
 
 VARIANTS = ("pmi", "ppmi", "spmi", "sppmi")
 
@@ -58,6 +59,13 @@ class SparseMatrix:
         return len(self.entries)
 
 
+def pmi_values(
+    stats: CooccurrenceStats, rows: np.ndarray, cols: np.ndarray, joint: np.ndarray
+) -> np.ndarray:
+    """PMI of the pairs (rows, cols) with positive joint weights, elementwise."""
+    return np.log(joint * stats.total / (stats.row_marginal[rows] * stats.col_marginal[cols]))
+
+
 def pmi_value(stats: CooccurrenceStats, w: int, c: int) -> float | None:
     """Pointwise mutual information of one pair, or None when undefined.
 
@@ -65,11 +73,9 @@ def pmi_value(stats: CooccurrenceStats, w: int, c: int) -> float | None:
     of the map, not an error.
     """
     joint = stats.count(w, c)
-    nw = float(stats.row_marginal[w])
-    nc = float(stats.col_marginal[c])
-    if joint == 0.0 or nw == 0.0 or nc == 0.0:
+    if joint == 0.0 or stats.row_marginal[w] == 0.0 or stats.col_marginal[c] == 0.0:
         return None
-    return math.log(joint * stats.total / (nw * nc))
+    return float(pmi_values(stats, w, c, joint))
 
 
 def build_matrix(stats: CooccurrenceStats, variant: str, k: float = 1.0) -> SparseMatrix:
@@ -80,24 +86,18 @@ def build_matrix(stats: CooccurrenceStats, variant: str, k: float = 1.0) -> Spar
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    if not (k >= 1.0 and math.isfinite(k)):
-        raise InvalidShiftError(f"shift k must be a finite real >= 1, got {k}")
+    check_shift(k)
     if variant in ("pmi", "ppmi") and k != 1.0:
         raise InvalidShiftError(f"variant {variant} fixes k = 1, got k = {k}")
 
     positive = variant in ("ppmi", "sppmi")
-    log_k = math.log(k)
-    entries: dict[tuple[int, int], float] = {}
-    for (w, c) in stats.pairs:
-        value = pmi_value(stats, w, c)
-        if value is None:
-            continue
-        value -= log_k
-        if positive:
-            if value > 0.0:
-                entries[(w, c)] = value
-        else:
-            entries[(w, c)] = value
+    keys, rows, cols, joint = stats.columns()
+    values = pmi_values(stats, rows, cols, joint) - math.log(k)
+    if positive:
+        keep = values > 0.0
+        entries = dict(zip(itertools.compress(keys, keep), values[keep].tolist()))
+    else:
+        entries = dict(zip(keys, values.tolist()))
     return SparseMatrix(
         rows=stats.n_words,
         cols=stats.n_words,

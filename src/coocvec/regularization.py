@@ -12,21 +12,28 @@ subgradient version of it (L1), where
 
 is strictly decreasing with x-intercept at pmi - log k.  The L2 closed form
 starts from the chord through (0, h(0)) and (pmi - log k, 0), which always
-overshoots the root because h is convex for x > 0, and then takes two
-Newton steps on the log form of the stationarity condition; the L1 case
-splits on the soft threshold at h(0).  Zero-count pairs are handled by
-letting e^pmi = 0, which keeps every regularized solution finite.
+overshoots the root because h is convex for x > 0, and then takes four
+Newton steps on the log form of the stationarity condition.  Below log k it
+uses the mirror identity: x = -x' turns the problem, divided by e^pmi, into
+the positive-side one with k' = 1, pmi' = log k - pmi and lam' = lam e^-pmi.
+The L1 case splits on the soft threshold at h(0).  Each closed form is one
+array expression over all pairs; the scalar functions are validating entry
+points to it.  Zero-count pairs are handled by letting e^pmi = 0, which
+keeps every regularized solution with lam > 0 finite.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import CooccurrenceStats
-from .errors import DomainError, InvalidShiftError
-from .pmi import SparseMatrix, pmi_value
+from .errors import DomainError, check_shift
+from .pmi import SparseMatrix, pmi_values
 
 REG_KINDS = ("l1", "l2")
+NEWTON_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -40,17 +47,19 @@ class RegSpec:
     def __post_init__(self) -> None:
         if self.kind not in REG_KINDS:
             raise ValueError(f"kind must be one of {REG_KINDS}, got {self.kind!r}")
-        if not (self.k >= 1.0 and math.isfinite(self.k)):
-            raise InvalidShiftError(f"shift k must be a finite real >= 1, got {self.k}")
-        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
-            raise ValueError(f"lam must be a finite real >= 0, got {self.lam}")
+        _check_params(self.k, self.lam)
 
 
 def _check_params(k: float, lam: float) -> None:
-    if not (k >= 1.0 and math.isfinite(k)):
-        raise InvalidShiftError(f"shift k must be a finite real >= 1, got {k}")
+    check_shift(k)
     if not (lam >= 0.0 and math.isfinite(lam)):
         raise ValueError(f"lam must be a finite real >= 0, got {lam}")
+
+
+def _check_positive_side(pmi: float, k: float, lam: float) -> None:
+    _check_params(k, lam)
+    if not pmi - math.log(k) > 0.0:
+        raise DomainError(f"needs pmi > log k, got pmi - log k = {pmi - math.log(k)!r}")
 
 
 def h_function(pmi: float, k: float, x: float) -> float:
@@ -58,6 +67,16 @@ def h_function(pmi: float, k: float, x: float) -> float:
     if x > 0.0:
         return (math.exp(pmi - x) - k) / (math.exp(-x) + 1.0)
     return (math.exp(pmi) - k * math.exp(x)) / (1.0 + math.exp(x))
+
+
+def _chord(pmi: np.ndarray, k: float, lam: float) -> np.ndarray:
+    """|A| |B| / (|A| + |B|), the chord crossing's distance from 0 on either side."""
+    gap = np.abs(pmi - math.log(k))
+    if lam == 0.0:
+        return gap
+    b = np.abs(np.exp(pmi) - k) / (2.0 * lam)
+    with np.errstate(invalid="ignore"):
+        return np.where(gap > 0.0, gap * b / (gap + b), 0.0)
 
 
 def l2_chord(pmi: float, k: float, lam: float) -> float:
@@ -68,64 +87,70 @@ def l2_chord(pmi: float, k: float, lam: float) -> float:
     of A and B, the root that tends to A as lam -> 0 and to 0 as lam -> inf.
     Only defined on the positive side pmi > log k.
     """
+    _check_positive_side(pmi, k, lam)
+    return float(_chord(np.float64(pmi), k, lam))
+
+
+def l2_scores(pmi: np.ndarray, k: float, lam: float) -> np.ndarray:
+    """Closed-form L2-regularized scores for finite pmi on either side of log k.
+
+    Starts from the chord and takes NEWTON_STEPS Newton steps on the log form
+    of lam * x = h(x), g(x) = log(e^pmi + k) - softplus(x) - log(k + lam * x),
+    each clamped to the bracket [0, pmi - log k]; plain Newton on lam * x -
+    h(x) overshoots far left of the root, the log form does not.  Exact at
+    lam = 0.  Below log k, x = -x' and division by e^pmi give the positive
+    side with k' = 1, pmi' = log k - pmi, lam' = lam e^-pmi: its chord is
+    the same |A| |B| / (|A| + |B|) and its g, with the log arguments scaled
+    by e^pmi, is g with e^pmi in place of k in the last term.
+    """
     _check_params(k, lam)
-    a = pmi - math.log(k)
-    if not a > 0.0:
-        raise DomainError(
-            f"chord form needs pmi > log k; got pmi - log k = {a!r} (use solve_exact)"
-        )
-    if lam == 0.0:
-        return a
-    b = (math.exp(pmi) - k) / (2.0 * lam)
-    return a * b / (a + b)
+    pmi = np.asarray(pmi, dtype=float)
+    mirror = pmi < math.log(k)
+    gap = np.abs(pmi - math.log(k))
+    t = _chord(pmi, k, lam)
+    if lam != 0.0:
+        log_top = np.logaddexp(pmi, math.log(k))
+        c = np.where(mirror, np.exp(pmi), k)
+        for _ in range(NEWTON_STEPS):
+            e = np.exp(-t)
+            d = c + lam * t
+            g = log_top - (t + np.log1p(e)) - np.log(d)
+            dg = -1.0 / (1.0 + e) - lam / d
+            t = np.clip(t - g / dg, 0.0, gap)
+    return np.where(mirror, -t, t)
 
 
 def solve_l2(pmi: float, k: float, lam: float) -> float:
-    """Closed-form L2-regularized score: the chord plus two Newton steps.
+    """Closed-form L2-regularized score of one pair on the positive side.
 
-    Starts from `l2_chord` and takes two Newton steps on the log form of
-    lam * x = h(x),
-
-        g(x) = log(e^pmi + k) - softplus(x) - log(k + lam * x),
-
-    each clamped to the root's bracket [0, pmi - log k].  Plain Newton on
-    lam * x - h(x) overshoots far left of the root from the chord; the log
-    form keeps every step close to it.  Exact at lam = 0 and only defined on
-    the positive side pmi > log k, like the chord.
+    A validating entry point to `l2_scores`; like the chord it accepts only
+    pmi > log k and raises DomainError otherwise.
     """
-    x = l2_chord(pmi, k, lam)
-    if lam == 0.0:
-        return x
-    a = pmi - math.log(k)
-    log_top = pmi + math.log1p(k * math.exp(-pmi))
-    for _ in range(2):
-        e = math.exp(-x)
-        d = k + lam * x
-        g = log_top - (x + math.log1p(e)) - math.log(d)
-        dg = -1.0 / (1.0 + e) - lam / d
-        x = min(max(x - g / dg, 0.0), a)
-    return x
+    _check_positive_side(pmi, k, lam)
+    return float(l2_scores(pmi, k, lam))
 
 
-def solve_l1(pmi: float, k: float, lam: float) -> float:
-    """Exact L1-regularized score via the soft threshold on h(0).
+def l1_scores(pmi: np.ndarray, k: float, lam: float) -> np.ndarray:
+    """Exact L1-regularized scores via the soft threshold on h(0).
 
     h0 = (e^pmi - k) / 2 decides the case: |h0| <= lam pins the score at 0;
     otherwise the stationarity equation h(x) = +/- lam has the closed-form
-    root below.  Accepts pmi = -inf (zero joint count) by e^pmi = 0.
+    root below.  The negative branch needs h0 < -lam, so lam < k / 2 there
+    and its denominator stays positive.  Accepts pmi = -inf (zero joint
+    count) by e^pmi = 0.
     """
     _check_params(k, lam)
-    e_p = math.exp(pmi)
+    e_p = np.exp(pmi)
     h0 = (e_p - k) / 2.0
-    if abs(h0) <= lam:
-        return 0.0
-    if h0 > lam:
-        return math.log((e_p - lam) / (k + lam))
-    if lam >= k:
-        raise DomainError(
-            f"negative-side formula needs lam < k, got lam = {lam}, k = {k}"
-        )
-    return math.log((e_p + lam) / (k - lam))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        up = np.log((e_p - lam) / (k + lam))
+        down = np.log((e_p + lam) / (k - lam))
+    return np.where(h0 > lam, up, np.where(h0 < -lam, down, 0.0))
+
+
+def solve_l1(pmi: float, k: float, lam: float) -> float:
+    """Exact L1-regularized score of one pair; see `l1_scores`."""
+    return float(l1_scores(pmi, k, lam))
 
 
 def _bisect_decreasing(g, lo: float, hi: float) -> float:
@@ -169,6 +194,8 @@ def solve_exact(pmi: float, k: float, lam: float, kind: str) -> float:
 
 def absent_pair_solution(spec: RegSpec) -> float:
     """Regularized score shared by every pair with zero joint count."""
+    if spec.lam == 0.0:
+        raise DomainError("absent pairs have no finite score without regularization (lam = 0)")
     if spec.kind == "l1":
         return solve_l1(-math.inf, spec.k, spec.lam)
     return solve_exact(-math.inf, spec.k, spec.lam, "l2")
@@ -179,24 +206,15 @@ def regularize_stats(stats: CooccurrenceStats, spec: RegSpec) -> SparseMatrix:
 
     The normalization by expected negative mass makes the effective strength
     the same lam for every pair, so absent pairs share one finite score; it
-    becomes the matrix's implicit value.  L2 falls back to the exact solver
-    on pairs where the closed form is undefined (pmi <= log k).
+    becomes the matrix's implicit value.  Both closed forms cover every
+    stored pair, on either side of log k.
     """
-    entries: dict[tuple[int, int], float] = {}
-    for (w, c) in stats.pairs:
-        pmi = pmi_value(stats, w, c)
-        if pmi is None:
-            continue
-        if spec.kind == "l1":
-            entries[(w, c)] = solve_l1(pmi, spec.k, spec.lam)
-        else:
-            if pmi - math.log(spec.k) > 0.0:
-                entries[(w, c)] = solve_l2(pmi, spec.k, spec.lam)
-            else:
-                entries[(w, c)] = solve_exact(pmi, spec.k, spec.lam, "l2")
+    keys, rows, cols, joint = stats.columns()
+    pmi = pmi_values(stats, rows, cols, joint)
+    scores = l1_scores if spec.kind == "l1" else l2_scores
     return SparseMatrix(
         rows=stats.n_words,
         cols=stats.n_words,
-        entries=entries,
+        entries=dict(zip(keys, scores(pmi, spec.k, spec.lam).tolist())),
         implicit_value=absent_pair_solution(spec),
     )

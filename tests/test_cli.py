@@ -135,6 +135,33 @@ class TestPmiAndSolve:
         assert norm(b) <= norm(a)
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("command", ["pmi", "regularize"])
+    @pytest.mark.parametrize("weight", ["nan", "-2.0"])
+    def test_bad_weight_is_one_format_error(self, tmp_path, capsys, command, weight):
+        counts = tmp_path / "counts.txt"
+        # the header total matches the entry sum for the negative weight
+        counts.write_text(f"2 3.0\n0 1 1.0\n1 0 {weight}\n1 1 4.0\n")
+        extra = ["--variant", "ppmi"] if command == "pmi" else ["--reg", "l2", "--lam", "0.5"]
+        code = run(command, "--cooc", str(counts), "--output", str(tmp_path / "m"), *extra)
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error bad-format:")
+
+    def test_truncated_binary_is_one_format_error(self, tmp_path, corpus_path, capsys):
+        full = counted(tmp_path, corpus_path, "--binary")
+        blob = open(full, "rb").read()
+        header_len = int.from_bytes(blob[4:8], "little")
+        # inside the header-length field, the header, the entry count and the payload
+        for cut in (6, 8 + header_len // 2, 8 + header_len + 4, len(blob) - 5):
+            cut_path = tmp_path / f"cut{cut}.bin"
+            cut_path.write_bytes(blob[:cut])
+            out = str(tmp_path / "m")
+            assert run("pmi", "--cooc", str(cut_path), "--output", out, "--variant", "pmi") == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error bad-format:"), (cut, err)
+
+
 class TestFactorizeTrainEval:
     def test_svd_factorize_then_neighbors(self, tmp_path, corpus_path, capsys):
         counts = counted(tmp_path, corpus_path)

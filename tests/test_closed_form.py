@@ -19,8 +19,11 @@ from coocvec import (
     minimize_pair_numeric,
     objective_value,
     pair_objective,
+    solve_l1,
     solve_pair,
 )
+from coocvec.closed_form import solve_pairs
+from coocvec.regularization import l1_scores
 from helpers import random_count_tuples, random_stats
 from oracles import minimize_rho, ref_rho
 
@@ -203,6 +206,29 @@ class TestSolvePair:
                     gap = rho(sol.x_star + dx) - base
                     quad = 0.5 * sol.alpha * dx * dx
                     assert gap == pytest.approx(quad, rel=0.05), (kind, dx)
+
+
+@pytest.mark.parametrize("kind", LOSS_NAMES + ("l1",))
+def test_array_closed_forms_equal_scalar_entry_points(kind, rng):
+    tuples = random_count_tuples(rng, 40, zero_fraction=0.25)
+    n_wc, n_w, n_c = (np.array(col) for col in list(zip(*tuples))[:3])
+    total, k = 40.0, 3.0
+    assert (n_wc == 0.0).any()
+    if kind == "l1":
+        with np.errstate(divide="ignore"):
+            pmi = np.log(n_wc * total / (n_w * n_c))
+        for lam in (0.0, 0.3, 2.5):
+            got = l1_scores(pmi, k, lam)
+            assert got.tolist() == [solve_l1(p, k, lam) for p in pmi.tolist()]
+        return
+    sol = solve_pairs(kind, n_wc, n_w, n_c, total, k)
+    for i, t in enumerate(zip(n_wc.tolist(), n_w.tolist(), n_c.tolist())):
+        one = solve_pair(kind, *t, total, k)
+        assert one.x_star == sol.x_star[i]
+        assert one.neg_inf == sol.neg_inf[i]
+        assert one.alpha == (None if sol.alpha is None else sol.alpha[i])
+        assert one.delta == sol.delta[i]
+        assert one.pos_condition == sol.pos_condition[i]
 
 
 class TestAssembleOneHot:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coocvec import (
+    CooccurrenceStats,
     DomainError,
     InvalidShiftError,
     RegSpec,
@@ -210,17 +211,29 @@ class TestRegularizeStats:
         assert mat.get(0, 1) == pytest.approx(solve_l1(math.log(2.0), 1.0, 0.1), rel=1e-12)
 
     def test_l2_used_where_chord_defined_else_exact(self, rng):
-        stats = random_stats(rng, n_words=5, density=0.6)
-        spec = RegSpec(kind="l2", k=2.0, lam=0.25)
-        mat = regularize_stats(stats, spec)
         from coocvec import pmi_value
 
-        for (w, c), got in mat.entries.items():
-            pmi = pmi_value(stats, w, c)
-            if pmi - math.log(2.0) > 0:
-                assert got == pytest.approx(solve_l2(pmi, 2.0, 0.25), rel=1e-12)
-            else:
-                assert got == pytest.approx(solve_exact(pmi, 2.0, 0.25, "l2"), abs=1e-10)
+        # unit diagonal plus off-diagonal weights down to e^-16.5 puts pmi as
+        # far as 15 below log k = log 2
+        off = iter(np.exp(-np.linspace(0.0, 16.5, 30)))
+        pairs = {(i, j): 1.0 if i == j else float(next(off)) for i in range(6) for j in range(6)}
+        far_below = CooccurrenceStats.from_pairs(pairs, 6)
+        assert min(pmi_value(far_below, w, c) for (w, c) in pairs) - math.log(2.0) < -15.0
+        near = random_stats(rng, n_words=5, density=0.6)
+        for stats, lam in ((near, 0.25), (far_below, 0.25), (far_below, 100.0)):
+            mat = regularize_stats(stats, RegSpec(kind="l2", k=2.0, lam=lam))
+            for (w, c), got in mat.entries.items():
+                pmi = pmi_value(stats, w, c)
+                if pmi - math.log(2.0) > 0:
+                    assert got == pytest.approx(solve_l2(pmi, 2.0, lam), rel=1e-12)
+                else:
+                    assert got == pytest.approx(solve_exact(pmi, 2.0, lam, "l2"), abs=1e-10)
+
+    def test_absent_pairs_need_positive_lambda(self, abab_stats):
+        # the unregularized zero-count score is -inf, never a finite implicit value
+        for kind in ("l1", "l2"):
+            with pytest.raises(DomainError):
+                regularize_stats(abab_stats, RegSpec(kind=kind, k=1.0, lam=0.0))
 
     def test_l1_sparsity_monotone_in_lambda(self, rng):
         stats = random_stats(rng, n_words=6, density=0.7)
