@@ -12,14 +12,21 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import convex_model, evaluation, factorization, formats, regularization
 from .closed_form import LOSS_NAMES, minimize_pair_numeric, solve_pairs
 from .corpus import WindowSpec, build_vocabulary, count_sharded, read_corpus
-from .errors import DomainError, FormatError, MixedProvenanceError, WorkbenchError
-from .pmi import VARIANTS, SparseMatrix, build_matrix, pmi_values
+from .errors import (
+    DimensionMismatchError,
+    DomainError,
+    FormatError,
+    MixedProvenanceError,
+    WorkbenchError,
+)
+from .pmi import VARIANTS, build_matrix, pmi_values
 from .vectors import Embedding
 
 
@@ -83,16 +90,12 @@ def cmd_pmi(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     stats = formats.read_cooc(args.cooc)
-    keys, rows, cols, joint = stats.columns()
+    c = stats.counts
     sol = solve_pairs(
-        args.loss, joint, stats.row_marginal[rows], stats.col_marginal[cols], stats.total, args.k
+        args.loss, c.v, stats.row_marginal[c.i], stats.col_marginal[c.j], stats.total, args.k
     )
-    entries = dict(zip(keys, sol.x_star.tolist()))
-    alphas = {} if sol.alpha is None else dict(zip(keys, sol.alpha.tolist()))
     implicit = None if args.loss == "logistic" else -1.0
-    matrix = SparseMatrix(
-        rows=stats.n_words, cols=stats.n_words, entries=entries, implicit_value=implicit
-    )
+    matrix = replace(c, v=sol.x_star, implicit_value=implicit)
     prov = formats.make_provenance(
         "solve", _config_dict(args), {"cooc": formats.read_provenance(args.cooc)}
     )
@@ -107,11 +110,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.alpha_out:
         if args.loss == "hinge":
             raise DomainError("hinge loss has no curvature weights to export")
-        alpha_matrix = SparseMatrix(
-            rows=stats.n_words, cols=stats.n_words, entries=alphas, implicit_value=0.0
-        )
         formats.write_matrix(
-            alpha_matrix,
+            replace(c, v=sol.alpha, implicit_value=0.0),
             args.alpha_out,
             tag=f"alpha:{args.loss}",
             k=args.k,
@@ -145,22 +145,25 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     words = None
     if args.vocab:
         words = formats.read_vocab(args.vocab).words
+        if len(words) != matrix.rows:
+            raise DimensionMismatchError(
+                f"{args.vocab} has {len(words)} words for {matrix.rows} matrix rows"
+            )
     upstream = {"matrix": formats.read_provenance(args.matrix)}
     if args.weighted:
         if not args.alpha:
             raise FormatError("--weighted needs --alpha with curvature weights")
         alpha_matrix, _ = formats.read_matrix(args.alpha)
         upstream["alpha"] = formats.read_provenance(args.alpha)
-        weights = {}
-        for key in matrix.entries:
-            if key not in alpha_matrix.entries:
-                raise FormatError(f"alpha file lacks weight for stored pair {key}")
-            weights[key] = alpha_matrix.entries[key]
+        if (alpha_matrix.rows, alpha_matrix.cols) != (matrix.rows, matrix.cols):
+            raise DimensionMismatchError(f"{args.alpha} and {args.matrix} differ in shape")
+        pos, found = alpha_matrix.find(matrix.i, matrix.j)
+        if not found.all():
+            first = matrix.pair(int(np.argmin(found)))
+            raise FormatError(f"alpha file lacks weight for stored pair {first}")
         problem = factorization.WeightedFactorizationProblem(
-            n_rows=matrix.rows,
-            n_cols=matrix.cols,
-            targets=dict(matrix.entries),
-            weights=weights,
+            targets=matrix,
+            weights=replace(matrix, v=alpha_matrix.v[pos]),
             dim=args.dim,
             epochs=args.epochs,
             ridge=args.ridge,
@@ -208,7 +211,6 @@ def cmd_train_convex(args: argparse.Namespace) -> int:
         noise=args.noise,
         epochs=args.epochs,
         step_initial=args.step,
-        step_decay=not args.no_decay,
         full_batch=args.full_batch,
         seed=args.seed,
     )
@@ -259,7 +261,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
 
     rng = np.random.default_rng(args.seed)
-    _, rows, cols, joint = stats.columns()
+    rows, cols, joint = stats.counts.i, stats.counts.j, stats.counts.v
     if len(joint) > args.samples:
         chosen = np.sort(rng.choice(len(joint), size=args.samples, replace=False))
         rows, cols, joint = rows[chosen], cols[chosen], joint[chosen]
@@ -394,7 +396,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--l1", type=float, default=0.0)
     p.add_argument("--epochs", type=int, default=1)
     p.add_argument("--step", type=float, default=0.025)
-    p.add_argument("--no-decay", action="store_true")
     p.add_argument("--full-batch", action="store_true")
     p.add_argument("--seed", type=int, default=0)
 

@@ -274,9 +274,10 @@ def objective_value(
         )
 
     X = W @ C.T
-    keys, rows, cols, joint = stats.columns()
+    counts = stats.counts
+    rows, cols, joint = counts.i, counts.j, counts.v
     if neg_inf_mask is not None and neg_inf_mask[rows, cols].any():
-        first = keys[int(np.argmax(neg_inf_mask[rows, cols]))]
+        first = counts.pair(int(np.argmax(neg_inf_mask[rows, cols])))
         raise MarkerContaminationError(f"stored pair {first} has a minus-infinity score")
     pos = float(joint @ loss_value(kind, X[rows, cols], 1.0))
 

@@ -135,7 +135,6 @@ class TrainConfig:
     noise: str = "unigram"
     epochs: int = 1
     step_initial: float = 0.025
-    step_decay: bool = True
     full_batch: bool = False
     seed: int = 0
 

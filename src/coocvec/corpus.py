@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyVocabularyError, FormatError
+from .vectors import SparseMatrix
 
 POSITIONAL_WEIGHTS = ("constant", "reciprocal")
 
@@ -143,64 +144,57 @@ class WindowSpec:
 class CooccurrenceStats:
     """Weighted pair counts with cached marginals.
 
-    pairs maps (word_id, context_id) to a strictly positive weight; zero
-    entries are simply absent.  total is the sum of all stored weights, the
-    |D| that normalizes PMI.
+    counts is an n_words x n_words SparseMatrix of strictly positive weights
+    (word_id, context_id); zero entries are simply absent.  total is the sum
+    of all stored weights, the |D| that normalizes PMI.
     """
 
-    n_words: int
-    pairs: dict[tuple[int, int], float]
+    counts: SparseMatrix
     row_marginal: np.ndarray
     col_marginal: np.ndarray
     total: float
 
     @classmethod
-    def from_pairs(cls, pairs: dict[tuple[int, int], float], n_words: int) -> "CooccurrenceStats":
-        row = np.zeros(n_words)
-        col = np.zeros(n_words)
-        clean = {}
-        for (w, c), v in pairs.items():
-            if not (v >= 0.0 and math.isfinite(v)):
-                raise FormatError(f"pair {(w, c)} has weight {v!r}, not a finite value >= 0")
-            if v == 0.0:
-                continue
-            if not (0 <= w < n_words and 0 <= c < n_words):
-                raise DimensionMismatchError(f"pair index {(w, c)} outside vocabulary of {n_words}")
-            clean[(w, c)] = float(v)
-            row[w] += v
-            col[c] += v
-        return cls(
-            n_words=n_words,
-            pairs=clean,
-            row_marginal=row,
-            col_marginal=col,
-            total=float(row.sum()),
-        )
+    def from_counts(cls, counts: SparseMatrix) -> "CooccurrenceStats":
+        """Stats of a count matrix: checks the weights, drops zeros, sums the marginals."""
+        bad = ~(np.isfinite(counts.v) & (counts.v >= 0.0))
+        if bad.any():
+            p = int(np.argmax(bad))
+            raise FormatError(
+                f"pair {counts.pair(p)} has weight {float(counts.v[p])!r}, not a finite value >= 0"
+            )
+        keep = counts.v != 0.0
+        counts = SparseMatrix(counts.rows, counts.cols, counts.i[keep], counts.j[keep], counts.v[keep])
+        row = np.bincount(counts.i, weights=counts.v, minlength=counts.rows)
+        col = np.bincount(counts.j, weights=counts.v, minlength=counts.cols)
+        return cls(counts, row, col, float(row.sum()))
 
-    def columns(self) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray]:
-        """Stored pairs in sorted key order: the keys, their rows, columns and weights."""
-        keys = sorted(self.pairs)
-        ij = np.array(keys, dtype=np.intp).reshape(-1, 2)
-        weights = np.fromiter(map(self.pairs.__getitem__, keys), dtype=float, count=len(keys))
-        return keys, ij[:, 0], ij[:, 1], weights
+    @classmethod
+    def from_pairs(cls, pairs: dict[tuple[int, int], float], n_words: int) -> "CooccurrenceStats":
+        return cls.from_counts(SparseMatrix.from_entries(n_words, n_words, pairs))
+
+    @property
+    def n_words(self) -> int:
+        return self.counts.rows
+
+    @property
+    def pairs(self) -> Mapping[tuple[int, int], float]:
+        """Read-only view of the stored weights keyed by (word_id, context_id)."""
+        return self.counts.entries
 
     def count(self, w: int, c: int) -> float:
-        return self.pairs.get((w, c), 0.0)
+        return self.counts.get(w, c)
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n_words, self.n_words))
-        for (w, c), v in self.pairs.items():
-            dense[w, c] = v
-        return dense
+        return self.counts.to_dense()
 
     def validate(self, rel_tol: float = 1e-9) -> None:
-        row = np.zeros(self.n_words)
-        col = np.zeros(self.n_words)
-        for (w, c), v in self.pairs.items():
-            if not v > 0:
-                raise ValueError(f"stored weight must be positive, got {v} at {(w, c)}")
-            row[w] += v
-            col[c] += v
+        c = self.counts
+        if not (c.v > 0).all():
+            p = int(np.argmin(c.v > 0))
+            raise ValueError(f"stored weight must be positive, got {c.v[p]} at {c.pair(p)}")
+        row = np.bincount(c.i, weights=c.v, minlength=c.rows)
+        col = np.bincount(c.j, weights=c.v, minlength=c.cols)
         for name, got, want in (
             ("row marginal", self.row_marginal, row),
             ("col marginal", self.col_marginal, col),
@@ -214,12 +208,12 @@ class CooccurrenceStats:
         """Combine counts from two shards of the same corpus split."""
         if self.n_words != other.n_words:
             raise DimensionMismatchError("shards disagree on vocabulary size")
-        pairs = dict(self.pairs)
-        for key, v in other.pairs.items():
-            pairs[key] = pairs.get(key, 0.0) + v
+        n = self.n_words
+        a, b = self.counts, other.counts
+        keys, slot = np.unique(np.concatenate([a.i * n + a.j, b.i * n + b.j]), return_inverse=True)
+        summed = np.bincount(slot, weights=np.concatenate([a.v, b.v]), minlength=len(keys))
         return CooccurrenceStats(
-            n_words=self.n_words,
-            pairs=pairs,
+            counts=SparseMatrix(n, n, keys // n, keys % n, summed),
             row_marginal=self.row_marginal + other.row_marginal,
             col_marginal=self.col_marginal + other.col_marginal,
             total=self.total + other.total,
@@ -293,8 +287,7 @@ def count_cooccurrences(
                 col[ct] += weight
 
     return CooccurrenceStats(
-        n_words=n,
-        pairs=pairs,
+        counts=SparseMatrix.from_entries(n, n, pairs),
         row_marginal=row,
         col_marginal=col,
         total=float(row.sum()),
@@ -330,19 +323,12 @@ def check_symmetry(stats: CooccurrenceStats, rel_tol: float = 1e-9) -> tuple[boo
 
     Returns (symmetric, largest absolute violation).
     """
-    worst = 0.0
-    ok = True
-    seen = set()
-    for (w, c), v in stats.pairs.items():
-        if (c, w) in seen:
-            continue
-        seen.add((w, c))
-        mirror = stats.count(c, w)
-        worst = max(worst, abs(v - mirror))
-        if not math.isclose(v, mirror, rel_tol=rel_tol, abs_tol=1e-12):
-            ok = False
-    for a, b in zip(stats.row_marginal, stats.col_marginal):
-        worst = max(worst, abs(a - b))
-        if not math.isclose(a, b, rel_tol=rel_tol, abs_tol=1e-12):
-            ok = False
-    return ok, worst
+    c = stats.counts
+    pos, found = c.find(c.j, c.i)
+    mirror = np.zeros(c.nnz)
+    mirror[found] = c.v[pos[found]]
+    a = np.concatenate([c.v, stats.row_marginal])
+    b = np.concatenate([mirror, stats.col_marginal])
+    gap = np.abs(a - b)
+    ok = np.all(gap <= np.maximum(rel_tol * np.maximum(np.abs(a), np.abs(b)), 1e-12))
+    return bool(ok), float(gap.max(initial=0.0))

@@ -10,14 +10,12 @@ over the stored support only, with per-pair curvature weights alpha.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatchError, DivergenceError, MarkerContaminationError
-from .pmi import SparseMatrix
-from .vectors import Embedding, EmbeddingPair
+from .vectors import Embedding, EmbeddingPair, SparseMatrix
 
 
 @dataclass
@@ -117,22 +115,22 @@ def consistency_report(M: SparseMatrix | np.ndarray, flavor: str) -> float:
 class WeightedFactorizationProblem:
     """Sparse weighted least-squares factorization instance.
 
-    targets and weights must share their support exactly; weights are
-    non-negative and targets finite (minus-infinity markers have no place
-    here and are rejected).
+    targets and weights must share their shape and support exactly; weights
+    are non-negative and targets finite (minus-infinity markers have no place
+    here and are rejected).  Absent entries of either matrix play no part.
     """
 
-    n_rows: int
-    n_cols: int
-    targets: dict[tuple[int, int], float]
-    weights: dict[tuple[int, int], float]
+    targets: SparseMatrix
+    weights: SparseMatrix
     dim: int
     epochs: int = 200
     ridge: float = 1e-8
     tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if set(self.targets) != set(self.weights):
+        t, w = self.targets, self.weights
+        same_support = np.array_equal(t.i, w.i) and np.array_equal(t.j, w.j)
+        if (t.rows, t.cols) != (w.rows, w.cols) or not same_support:
             raise DimensionMismatchError("targets and weights must share one support")
         if not 1 <= self.dim <= min(self.n_rows, self.n_cols):
             raise DimensionMismatchError(
@@ -140,19 +138,25 @@ class WeightedFactorizationProblem:
             )
         if self.ridge < 0:
             raise ValueError("ridge must be non-negative")
-        for key, x in self.targets.items():
-            if not math.isfinite(x):
-                raise MarkerContaminationError(f"non-finite target at {key}")
-            w = self.weights[key]
-            if not (math.isfinite(w) and w >= 0.0):
-                raise ValueError(f"weight at {key} must be finite and >= 0, got {w}")
+        if not np.isfinite(t.v).all():
+            p = int(np.argmin(np.isfinite(t.v)))
+            raise MarkerContaminationError(f"non-finite target at {t.pair(p)}")
+        good = np.isfinite(w.v) & (w.v >= 0.0)
+        if not good.all():
+            p = int(np.argmin(good))
+            raise ValueError(f"weight at {w.pair(p)} must be finite and >= 0, got {w.v[p]}")
+
+    @property
+    def n_rows(self) -> int:
+        return self.targets.rows
+
+    @property
+    def n_cols(self) -> int:
+        return self.targets.cols
 
     def is_uniform_dense(self) -> bool:
-        if len(self.targets) != self.n_rows * self.n_cols:
-            return False
-        values = iter(self.weights.values())
-        first = next(values, None)
-        return first is not None and all(v == first for v in values)
+        v = self.weights.v
+        return len(v) == self.n_rows * self.n_cols and bool(np.all(v == v[0]))
 
 
 @dataclass
@@ -163,9 +167,10 @@ class AlsResult:
     converged: bool = False
 
 
-def _objective(problem, W, C, keys, t_vals, w_vals) -> tuple[float, float]:
-    scores = np.einsum("ij,ij->i", W[keys[:, 0]], C[keys[:, 1]])
-    residual = 0.5 * float(np.sum(w_vals * (scores - t_vals) ** 2))
+def _objective(problem, W, C) -> tuple[float, float]:
+    t = problem.targets
+    scores = np.einsum("ij,ij->i", W[t.i], C[t.j])
+    residual = 0.5 * float(np.sum(problem.weights.v * (scores - t.v) ** 2))
     total = residual + problem.ridge * (float(np.sum(W * W)) + float(np.sum(C * C)))
     return total, residual
 
@@ -183,33 +188,31 @@ def weighted_factorize(problem: WeightedFactorizationProblem, seed: int = 0) -> 
     W = 0.1 * rng.standard_normal((problem.n_rows, d))
     C = 0.1 * rng.standard_normal((problem.n_cols, d))
 
-    keys = np.array(sorted(problem.targets), dtype=np.int64).reshape(-1, 2)
-    t_vals = np.array([problem.targets[(i, j)] for i, j in keys])
-    w_vals = np.array([problem.weights[(i, j)] for i, j in keys])
-
-    by_row: list[list[int]] = [[] for _ in range(problem.n_rows)]
-    by_col: list[list[int]] = [[] for _ in range(problem.n_cols)]
-    for pos, (i, j) in enumerate(keys):
-        by_row[i].append(pos)
-        by_col[j].append(pos)
+    targets = problem.targets
+    rows, cols, t_vals = targets.i, targets.j, targets.v
+    w_vals = problem.weights.v
+    # stored pairs are sorted by row, so each row is one run of positions;
+    # a stable sort by column keeps each column's positions in row order
+    by_row = np.arange(len(rows))
+    by_col = np.argsort(cols, kind="stable")
+    row_ptr = np.searchsorted(rows, np.arange(problem.n_rows + 1))
+    col_ptr = np.searchsorted(cols[by_col], np.arange(problem.n_cols + 1))
 
     uniform = problem.is_uniform_dense()
     if uniform:
-        alpha_u = next(iter(problem.weights.values()))
+        alpha_u = w_vals[0]
         T = np.zeros((problem.n_rows, problem.n_cols))
-        for (i, j), x in problem.targets.items():
-            T[i, j] = x
+        T[rows, cols] = t_vals
 
     eye = np.eye(d)
 
-    def solve_side(F_fixed, index_lists, own_axis) -> np.ndarray:
-        out = np.zeros((len(index_lists), d))
-        for r, positions in enumerate(index_lists):
-            if not positions:
+    def solve_side(F_fixed, order, ptr, other) -> np.ndarray:
+        out = np.zeros((len(ptr) - 1, d))
+        for r in range(len(ptr) - 1):
+            pos = order[ptr[r] : ptr[r + 1]]
+            if not len(pos):
                 continue
-            pos = np.array(positions)
-            other = keys[pos, 1 - own_axis]
-            Fo = F_fixed[other]
+            Fo = F_fixed[other[pos]]
             a = w_vals[pos]
             A = (Fo * a[:, None]).T @ Fo + 2.0 * problem.ridge * eye
             b = Fo.T @ (a * t_vals[pos])
@@ -217,7 +220,7 @@ def weighted_factorize(problem: WeightedFactorizationProblem, seed: int = 0) -> 
         return out
 
     result = AlsResult(pair=EmbeddingPair(W=W, C=C))
-    prev_total, prev_res = _objective(problem, W, C, keys, t_vals, w_vals)
+    prev_total, prev_res = _objective(problem, W, C)
     last_sweep_total = prev_total
 
     for _ in range(problem.epochs):
@@ -225,8 +228,8 @@ def weighted_factorize(problem: WeightedFactorizationProblem, seed: int = 0) -> 
             A = alpha_u * (C.T @ C) + 2.0 * problem.ridge * eye
             W = np.linalg.solve(A, alpha_u * C.T @ T.T).T
         else:
-            W = solve_side(C, by_row, own_axis=0)
-        total, res = _objective(problem, W, C, keys, t_vals, w_vals)
+            W = solve_side(C, by_row, row_ptr, cols)
+        total, res = _objective(problem, W, C)
         if total > prev_total + 1e-9:
             raise DivergenceError(
                 f"objective rose from {prev_total!r} to {total!r} after a row sweep"
@@ -239,8 +242,8 @@ def weighted_factorize(problem: WeightedFactorizationProblem, seed: int = 0) -> 
             A = alpha_u * (W.T @ W) + 2.0 * problem.ridge * eye
             C = np.linalg.solve(A, alpha_u * W.T @ T).T
         else:
-            C = solve_side(W, by_col, own_axis=1)
-        total, res = _objective(problem, W, C, keys, t_vals, w_vals)
+            C = solve_side(W, by_col, col_ptr, rows)
+        total, res = _objective(problem, W, C)
         if total > prev_total + 1e-9:
             raise DivergenceError(
                 f"objective rose from {prev_total!r} to {total!r} after a column sweep"

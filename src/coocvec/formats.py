@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import CooccurrenceStats, Vocabulary
-from .errors import FormatError
-from .pmi import SparseMatrix
-from .vectors import Embedding
+from .errors import FormatError, WorkbenchError
+from .vectors import Embedding, SparseMatrix
 
 BINARY_MAGIC = b"CWB1"
 NEG_INF_TOKEN = "NEG_INF"
@@ -130,19 +129,27 @@ def _is_binary(path: str) -> bool:
 
 
 _TRIPLET_DTYPE = np.dtype([("i", "<u4"), ("j", "<u4"), ("v", "<f8")])
+_TEXT_TRIPLET_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("v", float)])
 
 
-def _write_triplets_binary(path: str, header_lines: list[str], triplets: np.ndarray) -> None:
+def _write_triplets(path: str, header_lines: list[str], mat: SparseMatrix, binary: bool) -> None:
+    """Write the header lines and the stored (i, j, v) entries of mat in (i, j) order."""
+    if not binary:
+        rows = zip(mat.i.tolist(), mat.j.tolist(), mat.v.tolist())
+        _write_text(path, header_lines + [f"{i} {j} {v!r}" for i, j, v in rows])
+        return
+    triplets = np.empty(mat.nnz, dtype=_TRIPLET_DTYPE)
+    triplets["i"], triplets["j"], triplets["v"] = mat.i, mat.j, mat.v
     header_blob = ("\n".join(header_lines) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
         fh.write(struct.pack("<I", len(header_blob)))
         fh.write(header_blob)
         fh.write(struct.pack("<Q", len(triplets)))
-        fh.write(triplets.astype(_TRIPLET_DTYPE).tobytes())
+        fh.write(triplets.tobytes())
 
 
-def _read_triplets_binary(path: str) -> tuple[list[str], np.ndarray]:
+def _read_binary(path: str) -> tuple[list[str], np.ndarray]:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != BINARY_MAGIC:
@@ -159,11 +166,35 @@ def _read_triplets_binary(path: str) -> tuple[list[str], np.ndarray]:
     return header_lines, np.frombuffer(blob, dtype=_TRIPLET_DTYPE, offset=start)
 
 
-def _sorted_triplet_array(entries: dict[tuple[int, int], float]) -> np.ndarray:
-    out = np.empty(len(entries), dtype=_TRIPLET_DTYPE)
-    for pos, (i, j) in enumerate(sorted(entries)):
-        out[pos] = (i, j, entries[(i, j)])
-    return out
+def _read_triplets(path: str, parse_header) -> tuple[SparseMatrix, object]:
+    """Read a text or binary triplet file into a SparseMatrix.
+
+    parse_header turns the header line's fields into (rows, cols,
+    implicit_value, info); the info is returned beside the matrix.  Every
+    error names the file.
+    """
+    if _is_binary(path):
+        header_lines, data = _read_binary(path)
+        body, _, _ = _split_comments(header_lines)
+    else:
+        with open(path, encoding="utf-8") as fh:
+            body, _, _ = _split_comments(fh.read().splitlines())
+        data = np.empty(0, dtype=_TEXT_TRIPLET_DTYPE)
+        if len(body) > 1:  # loadtxt warns on an empty body
+            try:
+                data = np.loadtxt(body[1:], dtype=_TEXT_TRIPLET_DTYPE, comments=None, ndmin=1)
+            except ValueError as exc:
+                raise FormatError(f"{path}: entries must be 'i j value' lines: {exc}") from exc
+    if not body:
+        raise FormatError(f"{path}: missing header line")
+    try:
+        rows, cols, implicit, info = parse_header(body[0].split())
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad header {body[0]!r}: {exc}") from exc
+    try:
+        return SparseMatrix(rows, cols, data["i"], data["j"], data["v"], implicit), info
+    except WorkbenchError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- vocabulary
@@ -204,37 +235,22 @@ def write_cooc(
     binary: bool = False,
 ) -> None:
     header = [f"{stats.n_words} {float(stats.total)!r}"] + _comment_lines(prov)
-    if binary:
-        _write_triplets_binary(path, header, _sorted_triplet_array(stats.pairs))
-        return
-    lines = header + [
-        f"{w} {c} {float(stats.pairs[(w, c)])!r}" for (w, c) in sorted(stats.pairs)
-    ]
-    _write_text(path, lines)
+    _write_triplets(path, header, stats.counts, binary)
+
+
+def _cooc_header(fields: list[str]) -> tuple[int, int, float, float]:
+    if len(fields) != 2:
+        raise ValueError("expected 'num_words total_mass'")
+    n_words = int(fields[0])
+    return n_words, n_words, 0.0, float(fields[1])
 
 
 def read_cooc(path: str) -> CooccurrenceStats:
-    if _is_binary(path):
-        header_lines, data = _read_triplets_binary(path)
-        body, _, _ = _split_comments(header_lines)
-        entries = {(int(r["i"]), int(r["j"])): float(r["v"]) for r in data}
-    else:
-        with open(path, encoding="utf-8") as fh:
-            body, _, _ = _split_comments(fh.read().splitlines())
-        entries = {}
-        for line in body[1:]:
-            parts = line.split()
-            if len(parts) != 3:
-                raise FormatError(f"{path}: expected 'w c weight', got {line!r}")
-            entries[(int(parts[0]), int(parts[1]))] = float(parts[2])
-    if not body:
-        raise FormatError(f"{path}: missing co-occurrence header")
-    head = body[0].split()
-    if len(head) != 2:
-        raise FormatError(f"{path}: header must be 'num_words total_mass', got {body[0]!r}")
-    n_words = int(head[0])
-    total = float(head[1])
-    stats = CooccurrenceStats.from_pairs(entries, n_words)
+    counts, total = _read_triplets(path, _cooc_header)
+    try:
+        stats = CooccurrenceStats.from_counts(counts)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if abs(stats.total - total) > 1e-6 * max(1.0, abs(total)):
         raise FormatError(
             f"{path}: header total {total!r} disagrees with entry sum {stats.total!r}"
@@ -268,47 +284,23 @@ def write_matrix(
     if tag not in PMI_TAGS:
         implicit = "none" if mat.implicit_value is None else repr(float(mat.implicit_value))
         head += f" implicit={implicit}"
-    header = [head] + _comment_lines(prov)
-    if binary:
-        _write_triplets_binary(path, header, _sorted_triplet_array(mat.entries))
-        return
-    lines = header + [
-        f"{i} {j} {float(mat.entries[(i, j)])!r}" for (i, j) in sorted(mat.entries)
-    ]
-    _write_text(path, lines)
+    _write_triplets(path, [head] + _comment_lines(prov), mat, binary)
 
 
-def read_matrix(path: str) -> tuple[SparseMatrix, MatrixInfo]:
-    if _is_binary(path):
-        header_lines, data = _read_triplets_binary(path)
-        body, _, _ = _split_comments(header_lines)
-        entries = {(int(r["i"]), int(r["j"])): float(r["v"]) for r in data}
-    else:
-        with open(path, encoding="utf-8") as fh:
-            body, _, _ = _split_comments(fh.read().splitlines())
-        entries = {}
-        for line in body[1:]:
-            parts = line.split()
-            if len(parts) != 3:
-                raise FormatError(f"{path}: expected 'i j value', got {line!r}")
-            entries[(int(parts[0]), int(parts[1]))] = float(parts[2])
-    if not body:
-        raise FormatError(f"{path}: missing matrix header")
-    head = body[0].split()
-    if len(head) < 4:
-        raise FormatError(f"{path}: header must start 'rows cols tag k', got {body[0]!r}")
-    rows, cols, tag = int(head[0]), int(head[1]), head[2]
-    k = float(head[3])
+def _matrix_header(fields: list[str]) -> tuple[int, int, float | None, MatrixInfo]:
+    if len(fields) < 4:
+        raise ValueError("expected 'rows cols tag k' first")
+    rows, cols, tag, k = int(fields[0]), int(fields[1]), fields[2], float(fields[3])
     lam = None
     implicit_token = None
-    for extra in head[4:]:
+    for extra in fields[4:]:
         key, _, value = extra.partition("=")
         if key == "lambda":
             lam = float(value)
         elif key == "implicit":
             implicit_token = value
         else:
-            raise FormatError(f"{path}: unknown header field {extra!r}")
+            raise ValueError(f"unknown header field {extra!r}")
     if implicit_token is not None:
         implicit = None if implicit_token == "none" else float(implicit_token)
     elif tag in ("ppmi", "sppmi"):
@@ -316,9 +308,12 @@ def read_matrix(path: str) -> tuple[SparseMatrix, MatrixInfo]:
     elif tag in ("pmi", "spmi"):
         implicit = None
     else:
-        raise FormatError(f"{path}: tag {tag!r} needs an explicit implicit= field")
-    mat = SparseMatrix(rows=rows, cols=cols, entries=entries, implicit_value=implicit)
-    return mat, MatrixInfo(tag=tag, k=k, lam=lam)
+        raise ValueError(f"tag {tag!r} needs an explicit implicit= field")
+    return rows, cols, implicit, MatrixInfo(tag=tag, k=k, lam=lam)
+
+
+def read_matrix(path: str) -> tuple[SparseMatrix, MatrixInfo]:
+    return _read_triplets(path, _matrix_header)
 
 
 # ---------------------------------------------------------------- embeddings
@@ -393,8 +388,7 @@ def read_similarity(path: str) -> list[tuple[str, str, float]]:
 def read_provenance(path: str) -> Provenance | None:
     """Extract the provenance stamp from any workbench file, if present."""
     if _is_binary(path):
-        header_lines, _ = _read_triplets_binary(path)
-        lines = header_lines
+        lines, _ = _read_binary(path)
     else:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()

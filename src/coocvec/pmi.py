@@ -13,50 +13,16 @@ minus infinity" (unclamped variants).
 """
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from .corpus import CooccurrenceStats
-from .errors import InvalidShiftError, MarkerContaminationError, check_shift
+from .errors import InvalidShiftError, check_shift
+from .vectors import SparseMatrix
 
 VARIANTS = ("pmi", "ppmi", "spmi", "sppmi")
-
-
-@dataclass
-class SparseMatrix:
-    """Triplet-backed sparse matrix with an explicit meaning for absence.
-
-    implicit_value is the value of absent entries; None means absent entries
-    are undefined (the minus-infinity family) and must never reach dense
-    linear algebra.
-    """
-
-    rows: int
-    cols: int
-    entries: dict[tuple[int, int], float]
-    implicit_value: float | None = 0.0
-
-    def get(self, i: int, j: int) -> float | None:
-        if (i, j) in self.entries:
-            return self.entries[(i, j)]
-        return self.implicit_value
-
-    def to_dense(self) -> np.ndarray:
-        if self.implicit_value is None:
-            raise MarkerContaminationError(
-                "matrix has undefined absent entries; cannot densify"
-            )
-        dense = np.full((self.rows, self.cols), self.implicit_value)
-        for (i, j), v in self.entries.items():
-            dense[i, j] = v
-        return dense
-
-    @property
-    def nnz(self) -> int:
-        return len(self.entries)
 
 
 def pmi_values(
@@ -91,16 +57,9 @@ def build_matrix(stats: CooccurrenceStats, variant: str, k: float = 1.0) -> Spar
         raise InvalidShiftError(f"variant {variant} fixes k = 1, got k = {k}")
 
     positive = variant in ("ppmi", "sppmi")
-    keys, rows, cols, joint = stats.columns()
-    values = pmi_values(stats, rows, cols, joint) - math.log(k)
+    counts = stats.counts
+    values = pmi_values(stats, counts.i, counts.j, counts.v) - math.log(k)
     if positive:
         keep = values > 0.0
-        entries = dict(zip(itertools.compress(keys, keep), values[keep].tolist()))
-    else:
-        entries = dict(zip(keys, values.tolist()))
-    return SparseMatrix(
-        rows=stats.n_words,
-        cols=stats.n_words,
-        entries=entries,
-        implicit_value=0.0 if positive else None,
-    )
+        return SparseMatrix(counts.rows, counts.cols, counts.i[keep], counts.j[keep], values[keep])
+    return replace(counts, v=values, implicit_value=None)

@@ -24,13 +24,14 @@ keeps every regularized solution with lam > 0 finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .corpus import CooccurrenceStats
 from .errors import DomainError, check_shift
-from .pmi import SparseMatrix, pmi_values
+from .pmi import pmi_values
+from .vectors import SparseMatrix
 
 REG_KINDS = ("l1", "l2")
 NEWTON_STEPS = 4
@@ -209,12 +210,9 @@ def regularize_stats(stats: CooccurrenceStats, spec: RegSpec) -> SparseMatrix:
     becomes the matrix's implicit value.  Both closed forms cover every
     stored pair, on either side of log k.
     """
-    keys, rows, cols, joint = stats.columns()
-    pmi = pmi_values(stats, rows, cols, joint)
+    counts = stats.counts
+    pmi = pmi_values(stats, counts.i, counts.j, counts.v)
     scores = l1_scores if spec.kind == "l1" else l2_scores
-    return SparseMatrix(
-        rows=stats.n_words,
-        cols=stats.n_words,
-        entries=dict(zip(keys, scores(pmi, spec.k, spec.lam).tolist())),
-        implicit_value=absent_pair_solution(spec),
+    return replace(
+        counts, v=scores(pmi, spec.k, spec.lam), implicit_value=absent_pair_solution(spec)
     )

@@ -3,11 +3,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from coocvec import CooccurrenceStats
+from coocvec import CooccurrenceStats, SparseMatrix, WeightedFactorizationProblem
 
 
 def make_stats(pairs: dict[tuple[int, int], float], n_words: int) -> CooccurrenceStats:
     return CooccurrenceStats.from_pairs(pairs, n_words)
+
+
+def weighted_problem(
+    n_rows: int,
+    n_cols: int,
+    targets: dict[tuple[int, int], float],
+    weights: dict[tuple[int, int], float],
+    **settings,
+) -> WeightedFactorizationProblem:
+    """A weighted factorization problem from (i, j) -> value dicts."""
+    return WeightedFactorizationProblem(
+        SparseMatrix.from_entries(n_rows, n_cols, targets),
+        SparseMatrix.from_entries(n_rows, n_cols, weights),
+        **settings,
+    )
 
 
 def random_stats(

@@ -29,7 +29,6 @@ from coocvec import (
     solve_pair,
     train,
     weighted_factorize,
-    WeightedFactorizationProblem,
 )
 from coocvec.cli import main as cli_main
 from coocvec.convex_model import (
@@ -39,7 +38,7 @@ from coocvec.convex_model import (
     noise_distribution,
     softmax_loss_grad,
 )
-from helpers import random_count_tuples, random_stats
+from helpers import random_count_tuples, random_stats, weighted_problem
 from oracles import minimize_rho, reg_root
 
 VERDICTS: list[str] = []
@@ -252,8 +251,8 @@ def test_criterion_09_weighted_als_monotone_and_reaches_svd_optimum():
             targets[(0, 0)] = 1.0
             weights[(0, 0)] = 1.0
         dim = int(rng.integers(1, min(n_rows, n_cols) + 1))
-        problem = WeightedFactorizationProblem(
-            n_rows=n_rows, n_cols=n_cols, targets=targets, weights=weights,
+        problem = weighted_problem(
+            n_rows, n_cols, targets, weights,
             dim=dim, epochs=30,
         )
         result = weighted_factorize(problem, seed=int(rng.integers(0, 1000)))
@@ -265,8 +264,8 @@ def test_criterion_09_weighted_als_monotone_and_reaches_svd_optimum():
     A = np.random.default_rng(99).normal(size=(n, n))
     targets = {(i, j): float(A[i, j]) for i in range(n) for j in range(n)}
     weights = {key: 1.0 for key in targets}
-    problem = WeightedFactorizationProblem(
-        n_rows=n, n_cols=n, targets=targets, weights=weights, dim=d,
+    problem = weighted_problem(
+        n, n, targets, weights, dim=d,
         epochs=500, ridge=1e-12, tol=0.0,
     )
     result = weighted_factorize(problem, seed=0)

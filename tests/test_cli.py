@@ -162,6 +162,35 @@ class TestMalformedInput:
             assert len(err) == 1 and err[0].startswith("error bad-format:"), (cut, err)
 
 
+    @pytest.mark.parametrize("command", ["pmi", "factorize"])
+    @pytest.mark.parametrize(
+        "last_header_field, entries, category",
+        [
+            ("5.0", "-1 0 5.0", "dimension-mismatch"),
+            ("5.0", "20 0 5.0", "dimension-mismatch"),
+            ("5.0", "0 1 2.5\n0 1 2.5", "bad-format"),
+            ("5.0", "0 1 x", "bad-format"),
+            ("abc", "0 1 5.0", "bad-format"),
+        ],
+        ids=["negative-index", "index-past-size", "repeated-pair", "non-numeric-field",
+             "non-numeric-header"],
+    )
+    def test_malformed_triplet_file_is_one_error_line_naming_it(
+        self, tmp_path, capsys, command, last_header_field, entries, category
+    ):
+        path = tmp_path / "triplets.txt"
+        if command == "pmi":
+            path.write_text(f"9 {last_header_field}\n{entries}\n")
+            argv = ["pmi", "--cooc", str(path), "--variant", "pmi"]
+        else:
+            path.write_text(f"9 9 ppmi {last_header_field}\n{entries}\n")
+            argv = ["factorize", "--matrix", str(path), "--dim", "2"]
+        assert run(*argv, "--output", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error {category}:"), err
+        assert str(path) in err[0]
+
+
 class TestFactorizeTrainEval:
     def test_svd_factorize_then_neighbors(self, tmp_path, corpus_path, capsys):
         counts = counted(tmp_path, corpus_path)
@@ -215,6 +244,21 @@ class TestFactorizeTrainEval:
         ctx = read_embedding(ctx_path)
         assert emb.dim == ctx.dim == 2
         assert emb.words == ctx.words
+
+    def test_weighted_factorize_vocab_size_mismatch(self, tmp_path, corpus_path, capsys):
+        counts = counted(tmp_path, corpus_path)
+        sol = str(tmp_path / "sol.txt")
+        alpha = str(tmp_path / "alpha.txt")
+        run("solve", "--cooc", counts, "--output", sol, "--loss", "squared", "--alpha-out", alpha)
+        short_vocab = tmp_path / "short.vocab"
+        short_vocab.write_text("the\t4\nfox\t3\n")
+        code = run(
+            "factorize", "--matrix", sol, "--output", str(tmp_path / "e"), "--dim", "2",
+            "--weighted", "--alpha", alpha, "--vocab", str(short_vocab),
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error dimension-mismatch:")
 
     def test_train_convex_and_eval(self, tmp_path, corpus_path):
         emb_path = str(tmp_path / "conv.txt")

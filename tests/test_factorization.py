@@ -15,7 +15,7 @@ from coocvec import (
     weighted_factorize,
     word_vectors,
 )
-from helpers import random_stats
+from helpers import random_stats, weighted_problem
 
 
 def dense_matrix(values) -> np.ndarray:
@@ -63,12 +63,12 @@ class TestTruncatedSvd:
         assert np.array_equal(a.sigma, b.sigma)
 
     def test_refuses_undefined_absences(self):
-        mat = SparseMatrix(rows=3, cols=3, entries={(0, 1): 1.0}, implicit_value=None)
+        mat = SparseMatrix.from_entries(3, 3, {(0, 1): 1.0}, None)
         with pytest.raises(MarkerContaminationError):
             truncated_svd(mat, dim=1)
 
     def test_accepts_sparse_with_exact_zero_absences(self):
-        mat = SparseMatrix(rows=3, cols=3, entries={(0, 1): 2.0}, implicit_value=0.0)
+        mat = SparseMatrix.from_entries(3, 3, {(0, 1): 2.0}, 0.0)
         svd = truncated_svd(mat, dim=1)
         assert svd.sigma[0] == pytest.approx(2.0)
 
@@ -143,50 +143,47 @@ class TestConsistencyReport:
 class TestWeightedProblemValidation:
     def test_support_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            WeightedFactorizationProblem(
-                n_rows=2, n_cols=2, targets={(0, 0): 1.0}, weights={(0, 1): 1.0}, dim=1
+            weighted_problem(
+                2, 2, {(0, 0): 1.0}, {(0, 1): 1.0}, dim=1
             )
 
     def test_non_finite_target(self):
         with pytest.raises(MarkerContaminationError):
-            WeightedFactorizationProblem(
-                n_rows=2,
-                n_cols=2,
-                targets={(0, 0): -math.inf},
-                weights={(0, 0): 1.0},
+            weighted_problem(
+                2, 2, {(0, 0): -math.inf}, {(0, 0): 1.0},
                 dim=1,
             )
 
     def test_negative_weight(self):
         with pytest.raises(ValueError):
-            WeightedFactorizationProblem(
-                n_rows=2, n_cols=2, targets={(0, 0): 1.0}, weights={(0, 0): -1.0}, dim=1
+            weighted_problem(
+                2, 2, {(0, 0): 1.0}, {(0, 0): -1.0}, dim=1
             )
 
     def test_dim_bound(self):
         with pytest.raises(DimensionMismatchError):
-            WeightedFactorizationProblem(
-                n_rows=2, n_cols=3, targets={(0, 0): 1.0}, weights={(0, 0): 1.0}, dim=3
+            weighted_problem(
+                2, 3, {(0, 0): 1.0}, {(0, 0): 1.0}, dim=3
             )
 
     def test_uniform_dense_detection(self):
         dense = {(i, j): 1.0 for i in range(2) for j in range(2)}
-        p = WeightedFactorizationProblem(
-            n_rows=2, n_cols=2, targets=dict(dense), weights=dict(dense), dim=1
+        p = weighted_problem(
+            2, 2, dict(dense), dict(dense), dim=1
         )
         assert p.is_uniform_dense()
         varied = dict(dense)
         varied[(1, 1)] = 2.0
-        q = WeightedFactorizationProblem(
-            n_rows=2, n_cols=2, targets=dict(dense), weights=varied, dim=1
+        q = weighted_problem(
+            2, 2, dict(dense), varied, dim=1
         )
         assert not q.is_uniform_dense()
 
 
 class TestWeightedFactorize:
     def test_single_pair_reaches_zero_objective(self):
-        problem = WeightedFactorizationProblem(
-            n_rows=1, n_cols=1, targets={(0, 0): 2.0}, weights={(0, 0): 5.0}, dim=1,
+        problem = weighted_problem(
+            1, 1, {(0, 0): 2.0}, {(0, 0): 5.0}, dim=1,
             ridge=0.0,
         )
         result = weighted_factorize(problem, seed=0)
@@ -202,8 +199,8 @@ class TestWeightedFactorize:
                 if rng.random() < 0.6:
                     targets[(i, j)] = float(rng.normal())
                     weights[(i, j)] = float(rng.uniform(0.1, 3.0))
-        problem = WeightedFactorizationProblem(
-            n_rows=n, n_cols=n, targets=targets, weights=weights, dim=3, epochs=40
+        problem = weighted_problem(
+            n, n, targets, weights, dim=3, epochs=40
         )
         result = weighted_factorize(problem, seed=2)
         hist = result.objective_history
@@ -217,8 +214,8 @@ class TestWeightedFactorize:
             for j in range(n):
                 targets[(i, j)] = float(rng.normal())
                 weights[(i, j)] = float(rng.uniform(0.5, 2.0))
-        problem = WeightedFactorizationProblem(
-            n_rows=n, n_cols=n, targets=targets, weights=weights, dim=n,
+        problem = weighted_problem(
+            n, n, targets, weights, dim=n,
             epochs=300, ridge=1e-9, tol=1e-14,
         )
         result = weighted_factorize(problem, seed=1)
@@ -229,8 +226,8 @@ class TestWeightedFactorize:
         A = rng.normal(size=(n, n))
         targets = {(i, j): float(A[i, j]) for i in range(n) for j in range(n)}
         weights = {key: 1.0 for key in targets}
-        problem = WeightedFactorizationProblem(
-            n_rows=n, n_cols=n, targets=targets, weights=weights, dim=d,
+        problem = weighted_problem(
+            n, n, targets, weights, dim=d,
             epochs=3000, ridge=1e-12, tol=0.0,
         )
         result = weighted_factorize(problem, seed=3)
@@ -243,8 +240,8 @@ class TestWeightedFactorize:
         A = rng.normal(size=(n, n))
         targets = {(i, j): float(A[i, j]) for i in range(n) for j in range(n)}
         weights = {key: 1.7 for key in targets}
-        make = lambda: WeightedFactorizationProblem(
-            n_rows=n, n_cols=n, targets=dict(targets), weights=dict(weights), dim=d,
+        make = lambda: weighted_problem(
+            n, n, dict(targets), dict(weights), dim=d,
             epochs=50, tol=1e-14,
         )
         fast = weighted_factorize(make(), seed=4)
@@ -259,9 +256,8 @@ class TestWeightedFactorize:
         assert np.allclose(fast.pair.W, slow.pair.W, atol=1e-8)
 
     def test_row_without_support_stays_zero(self):
-        problem = WeightedFactorizationProblem(
-            n_rows=3, n_cols=2, targets={(0, 0): 1.0, (2, 1): 2.0},
-            weights={(0, 0): 1.0, (2, 1): 1.0}, dim=1, epochs=10,
+        problem = weighted_problem(
+            3, 2, {(0, 0): 1.0, (2, 1): 2.0}, {(0, 0): 1.0, (2, 1): 1.0}, dim=1, epochs=10,
         )
         result = weighted_factorize(problem, seed=0)
         assert np.allclose(result.pair.W[1], 0.0)
@@ -269,8 +265,8 @@ class TestWeightedFactorize:
     def test_convergence_flag_set_when_stalled(self, rng):
         targets = {(0, 0): 1.0, (1, 1): 2.0}
         weights = {(0, 0): 1.0, (1, 1): 1.0}
-        problem = WeightedFactorizationProblem(
-            n_rows=2, n_cols=2, targets=targets, weights=weights, dim=2, epochs=500
+        problem = weighted_problem(
+            2, 2, targets, weights, dim=2, epochs=500
         )
         result = weighted_factorize(problem, seed=0)
         assert result.converged

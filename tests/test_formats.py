@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coocvec import (
@@ -133,7 +134,7 @@ class TestCoocFiles:
 
 class TestMatrixFiles:
     def test_pmi_tag_infers_undefined_absences(self, tmp_path):
-        mat = SparseMatrix(rows=2, cols=2, entries={(0, 1): 0.7}, implicit_value=None)
+        mat = SparseMatrix.from_entries(2, 2, {(0, 1): 0.7}, None)
         path = str(tmp_path / "m.txt")
         write_matrix(mat, path, tag="pmi", k=1.0)
         back, info = read_matrix(path)
@@ -146,7 +147,7 @@ class TestMatrixFiles:
         assert len(header) == 4
 
     def test_clamped_tags_infer_zero(self, tmp_path):
-        mat = SparseMatrix(rows=2, cols=2, entries={(0, 1): 0.7}, implicit_value=0.0)
+        mat = SparseMatrix.from_entries(2, 2, {(0, 1): 0.7}, 0.0)
         for tag in ("ppmi", "sppmi"):
             path = str(tmp_path / f"{tag}.txt")
             write_matrix(mat, path, tag=tag, k=2.0)
@@ -155,7 +156,7 @@ class TestMatrixFiles:
             assert info.k == 2.0
 
     def test_other_tags_record_implicit_explicitly(self, tmp_path):
-        mat = SparseMatrix(rows=2, cols=2, entries={(0, 0): 0.4}, implicit_value=-1.0)
+        mat = SparseMatrix.from_entries(2, 2, {(0, 0): 0.4}, -1.0)
         path = str(tmp_path / "m.txt")
         write_matrix(mat, path, tag="solution:squared", k=1.0)
         assert "implicit=-1.0" in open(path).readline()
@@ -164,7 +165,7 @@ class TestMatrixFiles:
         assert info.tag == "solution:squared"
 
     def test_marker_implicit_serializes_as_none(self, tmp_path):
-        mat = SparseMatrix(rows=2, cols=2, entries={(0, 0): 0.4}, implicit_value=None)
+        mat = SparseMatrix.from_entries(2, 2, {(0, 0): 0.4}, None)
         path = str(tmp_path / "m.txt")
         write_matrix(mat, path, tag="solution:logistic", k=1.5)
         assert "implicit=none" in open(path).readline()
@@ -178,7 +179,7 @@ class TestMatrixFiles:
             read_matrix(str(path))
 
     def test_lambda_field_round_trips(self, tmp_path):
-        mat = SparseMatrix(rows=1, cols=1, entries={(0, 0): 0.25}, implicit_value=0.0)
+        mat = SparseMatrix.from_entries(1, 1, {(0, 0): 0.25}, 0.0)
         path = str(tmp_path / "m.txt")
         write_matrix(mat, path, tag="reg:l1", k=1.0, lam=0.125)
         _, info = read_matrix(path)
@@ -192,7 +193,7 @@ class TestMatrixFiles:
 
     def test_binary_matrix_round_trip(self, tmp_path, prov):
         entries = {(0, 1): -0.5, (3, 2): 1.75}
-        mat = SparseMatrix(rows=4, cols=4, entries=entries, implicit_value=None)
+        mat = SparseMatrix.from_entries(4, 4, entries, None)
         path = str(tmp_path / "m.bin")
         write_matrix(mat, path, tag="spmi", k=3.0, prov=prov, binary=True)
         back, info = read_matrix(path)
@@ -202,7 +203,7 @@ class TestMatrixFiles:
         assert read_provenance(path).hash() == prov.hash()
 
     def test_empty_matrix_round_trips(self, tmp_path):
-        mat = SparseMatrix(rows=3, cols=3, entries={}, implicit_value=0.0)
+        mat = SparseMatrix.from_entries(3, 3, {}, 0.0)
         path = str(tmp_path / "m.txt")
         write_matrix(mat, path, tag="sppmi", k=5.0)
         back, _ = read_matrix(path)
@@ -356,3 +357,46 @@ class TestFloatSerialization:
         text = open(path).read()
         assert "float64" not in text
         assert read_cooc(path).total == pytest.approx(2.5)
+
+
+@st.composite
+def shuffled_triplets(draw):
+    """A shape, unique (i, j) -> value entries inside it, and those entries in a random order."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    entries = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+            st.floats(allow_nan=False, allow_infinity=False),
+            max_size=rows * cols,
+        )
+    )
+    order = draw(st.permutations(list(entries.items())))
+    return rows, cols, entries, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=shuffled_triplets())
+def test_property_sparse_matrix_sorts_and_round_trips(tmp_path_factory, case):
+    rows, cols, entries, order = case
+    i = [key[0] for key, _ in order]
+    j = [key[1] for key, _ in order]
+    v = [value for _, value in order]
+    mat = SparseMatrix(rows, cols, i, j, v, None)
+    assert list(zip(mat.i.tolist(), mat.j.tolist())) == sorted(entries)
+    assert mat.entries == entries
+
+    work = tmp_path_factory.mktemp("triplets")
+    for binary in (False, True):
+        path = str(work / f"m{int(binary)}")
+        write_matrix(mat, path, tag="solution:logistic", k=1.0, binary=binary)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back, _ = read_matrix(path)
+        assert (back.rows, back.cols) == (rows, cols)
+        for name in ("i", "j", "v"):
+            assert np.array_equal(getattr(back, name), getattr(mat, name))
+
+    if order:
+        with pytest.raises(FormatError):
+            SparseMatrix(rows, cols, i + i[:1], j + j[:1], v + v[:1], None)

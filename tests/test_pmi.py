@@ -89,18 +89,18 @@ class TestBuildMatrix:
 
 class TestSparseMatrixMarkers:
     def test_get_returns_implicit_for_absent(self):
-        mat = SparseMatrix(rows=2, cols=2, entries={(0, 1): 1.5}, implicit_value=0.0)
+        mat = SparseMatrix.from_entries(2, 2, {(0, 1): 1.5}, 0.0)
         assert mat.get(0, 0) == 0.0
         assert mat.get(0, 1) == 1.5
 
     def test_undefined_absence_blocks_densify(self):
-        mat = SparseMatrix(rows=2, cols=2, entries={(0, 1): 1.5}, implicit_value=None)
+        mat = SparseMatrix.from_entries(2, 2, {(0, 1): 1.5}, None)
         assert mat.get(0, 0) is None
         with pytest.raises(MarkerContaminationError):
             mat.to_dense()
 
     def test_dense_fills_implicit(self):
-        mat = SparseMatrix(rows=2, cols=2, entries={(1, 0): 2.0}, implicit_value=-1.0)
+        mat = SparseMatrix.from_entries(2, 2, {(1, 0): 2.0}, -1.0)
         assert mat.to_dense().tolist() == [[-1.0, -1.0], [2.0, -1.0]]
 
 

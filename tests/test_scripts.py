@@ -1,0 +1,31 @@
+"""Smoke tests: the example scripts run end to end."""
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_demo_pipeline_runs(tmp_path):
+    done = run_script("demo_pipeline.py", "--workdir", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+
+
+def test_chord_error_grid_prints_worst_case():
+    done = run_script("chord_error_grid.py")
+    assert done.returncode == 0, done.stderr
+    assert "58.5%" in done.stdout
