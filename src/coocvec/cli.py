@@ -339,7 +339,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--context-subsample-threshold", type=float, default=None)
     p.add_argument("--stochastic", action="store_true", help="sampled drops instead of weights")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None, help="record shards (default COOC_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=None, help="record shards, counted one after "
+                   "another: same pairs, values equal up to rounding order (default COOC_THREADS or 1)")
     p.add_argument("--binary", action="store_true")
 
     p = sub("pmi", cmd_pmi, "build a PMI-family matrix")

@@ -17,7 +17,6 @@ block per window slot (positional).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -163,102 +162,133 @@ def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
-def _softplus_vec(t: np.ndarray) -> np.ndarray:
+def _softplus(t: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, t)
 
 
-def _sigmoid_vec(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+def _sigmoid(t: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
-def _scores(W: np.ndarray, ex: Example) -> np.ndarray:
-    return W[:, ex.idx] @ ex.val
+def _softmax_kernel(
+    S: np.ndarray, count: np.ndarray, t_row: np.ndarray, t_col: np.ndarray, t_count: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Softmax cross-entropy over score columns S (vocabulary x B) and dLoss/dS.
+
+    Column b scores an input seen count[b] times, t_count[p] of them with
+    target t_row[p] in column t_col[p] (each pair once).  dLoss/dS is count
+    times each column's softmax, minus t_count at the targets.
+    """
+    if S.shape[0] > SOFTMAX_MAX_VOCAB:
+        raise DimensionMismatchError(
+            f"softmax objective is limited to {SOFTMAX_MAX_VOCAB} words, got {S.shape[0]}"
+        )
+    lse = S.max(axis=0)
+    lse += np.log(np.exp(S - lse).sum(axis=0))
+    coef = count * np.exp(S - lse)
+    coef[t_row, t_col] -= t_count
+    return float(count @ lse - t_count @ S[t_row, t_col]), coef
+
+
+def _ns_kernel(
+    s_pos: np.ndarray, pos_count: np.ndarray, s_neg: np.ndarray, neg_weight: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Negative-sampling loss and its derivatives in s_pos and s_neg.
+
+    Target score s_pos[p] occurs pos_count[p] times; negative scores count
+    neg_weight times (SGD: draw counts; full batch: k * noise * occurrences).
+    The derivatives are -pos_count * sigmoid(-s_pos) and neg_weight * sigmoid(s_neg).
+    """
+    loss = pos_count @ _softplus(-s_pos) + np.sum(neg_weight * _softplus(s_neg))
+    return float(loss), -pos_count * _sigmoid(-s_pos), neg_weight * _sigmoid(s_neg)
+
+
+def _example_coef(
+    W: np.ndarray, ex: Example, negatives: np.ndarray | None = None
+) -> tuple[float, slice | np.ndarray, np.ndarray]:
+    """Loss of one example and its gradient outer(coef, ex.val) at W[rows, ex.idx].
+
+    negatives=None means softmax, whose gradient touches every row (rows is
+    a full slice); negative sampling touches the target and the drawn rows
+    (rows is a column of row ids), each drawn row weighted by its draw count.
+    """
+    one = np.ones(1)
+    if negatives is None:
+        S = (W[:, ex.idx] @ ex.val)[:, None]
+        loss, coef = _softmax_kernel(S, one, np.array([ex.target]), np.array([0]), one)
+        return loss, slice(None), coef[:, 0]
+    rows, at = np.unique(np.append(np.int64(ex.target), negatives), return_inverse=True)
+    rows = rows[:, None]
+    s = W[rows, ex.idx] @ ex.val
+    draws = np.bincount(at[1:], minlength=len(rows)).astype(float)
+    loss, c_pos, coef = _ns_kernel(s[at[:1]], one, s, draws)
+    coef[at[0]] += c_pos[0]
+    return loss, rows, coef
+
+
+def _example_grad(W: np.ndarray, ex: Example, negatives) -> tuple[float, np.ndarray]:
+    loss, rows, coef = _example_coef(W, ex, negatives)
+    grad = np.zeros_like(W)
+    grad[rows, ex.idx] = np.outer(coef, ex.val)
+    return loss, grad
 
 
 def softmax_loss_grad(W: np.ndarray, ex: Example) -> tuple[float, np.ndarray]:
     """Cross-entropy of the target under softmax scores, with its W-gradient."""
-    if W.shape[0] > SOFTMAX_MAX_VOCAB:
-        raise DimensionMismatchError(
-            f"softmax objective is limited to {SOFTMAX_MAX_VOCAB} words, got {W.shape[0]}"
-        )
-    s = _scores(W, ex)
-    m = float(s.max())
-    lse = m + math.log(float(np.exp(s - m).sum()))
-    loss = lse - float(s[ex.target])
-    p = np.exp(s - lse)
-    p[ex.target] -= 1.0
-    grad = np.zeros_like(W)
-    grad[:, ex.idx] = np.outer(p, ex.val)
-    return loss, grad
+    return _example_grad(W, ex, None)
 
 
 def negative_sampling_loss_grad(
     W: np.ndarray, ex: Example, negatives: Sequence[int]
 ) -> tuple[float, np.ndarray]:
     """Negative-sampling objective for one example and fixed negative draws."""
-    s_t = float(W[ex.target, ex.idx] @ ex.val)
-    loss = float(np.logaddexp(0.0, -s_t))
-    coef: dict[int, float] = {ex.target: -_sigmoid_scalar(-s_t)}
-    for j in negatives:
-        s_j = float(W[j, ex.idx] @ ex.val)
-        loss += float(np.logaddexp(0.0, s_j))
-        coef[j] = coef.get(j, 0.0) + _sigmoid_scalar(s_j)
-    grad = np.zeros_like(W)
-    for row, c in coef.items():
-        grad[row, ex.idx] += c * ex.val
-    return loss, grad
-
-
-def _sigmoid_scalar(t: float) -> float:
-    if t >= 0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
+    return _example_grad(W, ex, np.asarray(negatives, dtype=np.int64))
 
 
 @dataclass
 class _Aggregate:
-    """Examples grouped by context input, for deterministic full batches."""
+    """Examples grouped by context input, for deterministic full batches.
 
-    z_idx: list[np.ndarray]
-    z_val: list[np.ndarray]
+    Group g's input (z_idx[g], z_val[g], padded with (0, 0.0)) occurs z_count[g]
+    times; target t_row[p] occurs t_count[p] times in group t_group[p], sorted.
+    """
+
+    z_idx: np.ndarray
+    z_val: np.ndarray
     z_count: np.ndarray
-    pos_rows: list[np.ndarray]
-    pos_counts: list[np.ndarray]
+    t_group: np.ndarray
+    t_row: np.ndarray
+    t_count: np.ndarray
     n_examples: int
 
 
 def _aggregate(examples: list[Example]) -> _Aggregate:
-    keyed: dict[tuple, int] = {}
-    z_idx: list[np.ndarray] = []
-    z_val: list[np.ndarray] = []
-    counts: list[float] = []
-    pos: list[dict[int, float]] = []
-    for ex in examples:
-        key = (tuple(ex.idx.tolist()), tuple(ex.val.tolist()))
-        g = keyed.get(key)
-        if g is None:
-            g = len(z_idx)
-            keyed[key] = g
-            z_idx.append(ex.idx)
-            z_val.append(ex.val)
-            counts.append(0.0)
-            pos.append({})
-        counts[g] += 1.0
-        pos[g][ex.target] = pos[g].get(ex.target, 0.0) + 1.0
+    lens = np.array([len(ex.idx) for ex in examples])
+    filled = np.arange(lens.max()) < lens[:, None]
+    idx = np.zeros(filled.shape, dtype=np.int64)
+    val = np.zeros(filled.shape)
+    idx[filled] = np.concatenate([ex.idx for ex in examples])
+    val[filled] = np.concatenate([ex.val for ex in examples])
+    keys = np.concatenate([idx, val.view(np.int64)], axis=1)
+    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    group = group.reshape(-1)
+    targets = np.array([ex.target for ex in examples], dtype=np.int64)
+    pairs, t_count = np.unique(np.stack([group, targets], axis=1), axis=0, return_counts=True)
     return _Aggregate(
-        z_idx=z_idx,
-        z_val=z_val,
-        z_count=np.array(counts),
-        pos_rows=[np.array(sorted(p), dtype=np.int64) for p in pos],
-        pos_counts=[np.array([p[r] for r in sorted(p)]) for p in pos],
+        z_idx=idx[first],
+        z_val=val[first],
+        z_count=np.bincount(group, minlength=len(first)).astype(float),
+        t_group=pairs[:, 0],
+        t_row=pairs[:, 1],
+        t_count=t_count.astype(float),
         n_examples=len(examples),
     )
+
+
+# Context groups per full-batch block: the block's products stay small
+# single-threaded BLAS calls and its arrays stay small at any vocabulary.
+BLOCK_GROUPS = 32
 
 
 def full_batch_smooth(
@@ -268,31 +298,32 @@ def full_batch_smooth(
 
     For negative sampling the per-example negative draws are replaced by
     their expectation under the noise distribution, which turns the batch
-    into one deterministic weighted sum per distinct context input.
+    into one deterministic weighted sum per distinct context input.  Groups
+    are taken BLOCK_GROUPS at a time: with Z the block's inputs as a dense
+    matrix over the coordinates they touch, S = W Z^T scores them and
+    G += coef Z collects the gradient.
     """
     G = np.zeros_like(W)
     loss = 0.0
-    for g in range(len(agg.z_idx)):
-        idx, val = agg.z_idx[g], agg.z_val[g]
-        s = W[:, idx] @ val
-        rows, row_counts = agg.pos_rows[g], agg.pos_counts[g]
+    n_groups = len(agg.z_count)
+    starts = range(0, n_groups, BLOCK_GROUPS)
+    edges = np.searchsorted(agg.t_group, np.append(starts, n_groups))
+    for a, lo, hi in zip(starts, edges, edges[1:]):
+        idx, val = agg.z_idx[a : a + BLOCK_GROUPS], agg.z_val[a : a + BLOCK_GROUPS]
+        cols, at = np.unique(idx, return_inverse=True)
+        Z = np.zeros((len(idx), len(cols)))
+        np.add.at(Z, (np.arange(len(idx))[:, None], at.reshape(idx.shape)), val)
+        S = W[:, cols] @ Z.T
+        count = agg.z_count[a : a + BLOCK_GROUPS]
+        rows, group, t_count = agg.t_row[lo:hi], agg.t_group[lo:hi] - a, agg.t_count[lo:hi]
         if cfg.objective == "softmax":
-            if W.shape[0] > SOFTMAX_MAX_VOCAB:
-                raise DimensionMismatchError(
-                    f"softmax objective is limited to {SOFTMAX_MAX_VOCAB} words"
-                )
-            m = float(s.max())
-            lse = m + math.log(float(np.exp(s - m).sum()))
-            p = np.exp(s - lse)
-            coef = agg.z_count[g] * p
-            np.add.at(coef, rows, -row_counts)
-            loss += float(agg.z_count[g] * lse - row_counts @ s[rows])
+            part, coef = _softmax_kernel(S, count, rows, group, t_count)
         else:
-            loss += float(row_counts @ _softplus_vec(-s[rows]))
-            loss += float(cfg.k_neg * agg.z_count[g] * (noise @ _softplus_vec(s)))
-            coef = cfg.k_neg * agg.z_count[g] * noise * _sigmoid_vec(s)
-            np.add.at(coef, rows, -row_counts * _sigmoid_vec(-s[rows]))
-        G[:, idx] += np.outer(coef, val)
+            neg_weight = cfg.k_neg * count * noise[:, None]
+            part, c_pos, coef = _ns_kernel(S[rows, group], t_count, S, neg_weight)
+            coef[rows, group] += c_pos
+        loss += part
+        G[:, cols] += coef @ Z
     scale = 1.0 / agg.n_examples
     return loss * scale, G * scale
 
@@ -321,18 +352,13 @@ def train(
     at constant step_initial with the full proximal map.  Single-threaded
     and reproducible for a fixed config and seed.
     """
-    if cfg.objective == "softmax" and len(vocab) > SOFTMAX_MAX_VOCAB:
-        raise DimensionMismatchError(
-            f"softmax objective is limited to {SOFTMAX_MAX_VOCAB} words, got {len(vocab)}"
-        )
     n = len(vocab)
-    m = context_dim(spec, n)
-    W = np.zeros((n, m))
+    W = np.zeros((n, context_dim(spec, n)))
     examples = build_examples(records, vocab, spec)
     noise = noise_distribution(vocab, cfg.noise)
     rng = np.random.default_rng(cfg.seed)
 
-    if cfg.full_batch:
+    if cfg.full_batch and examples:
         agg = _aggregate(examples)
         eta = cfg.step_initial
         for _ in range(cfg.epochs):
@@ -350,26 +376,13 @@ def train(
                 step += 1
                 if eta <= 0.0:
                     continue
-                if cfg.objective == "softmax":
-                    s = _scores(W, ex)
-                    mx = float(s.max())
-                    lse = mx + math.log(float(np.exp(s - mx).sum()))
-                    coef = np.exp(s - lse)
-                    coef[ex.target] -= 1.0
-                    W[:, ex.idx] -= eta * np.outer(coef, ex.val)
-                    W[:, ex.idx] = soft_threshold(W[:, ex.idx], eta * cfg.l1)
-                else:
-                    draws = np.searchsorted(noise_cdf, rng.random(cfg.k_neg), side="right")
-                    coef: dict[int, float] = {}
-                    s_t = float(W[ex.target, ex.idx] @ ex.val)
-                    coef[ex.target] = -_sigmoid_scalar(-s_t)
-                    for j in draws:
-                        s_j = float(W[j, ex.idx] @ ex.val)
-                        coef[j] = coef.get(j, 0.0) + _sigmoid_scalar(s_j)
-                    for row, c in coef.items():
-                        W[row, ex.idx] = soft_threshold(
-                            W[row, ex.idx] - eta * c * ex.val, eta * cfg.l1
-                        )
+                negatives = None
+                if cfg.objective == "negative_sampling":
+                    negatives = np.searchsorted(noise_cdf, rng.random(cfg.k_neg), side="right")
+                _, rows, coef = _example_coef(W, ex, negatives)
+                W[rows, ex.idx] = soft_threshold(
+                    W[rows, ex.idx] - eta * np.outer(coef, ex.val), eta * cfg.l1
+                )
     return Embedding(
         words=list(vocab.words),
         vectors=W,

@@ -231,15 +231,16 @@ def count_cooccurrences(
     vocab: Vocabulary,
     win: WindowSpec,
     seed: int = 0,
+    first_record: int = 0,
 ) -> CooccurrenceStats:
     """Accumulate weighted co-occurrence counts over all records.
 
     Out-of-vocabulary tokens are dropped from each record before windowing.
     In stochastic mode, retained occurrences are then dropped independently
     with probability 1 - min(1, sqrt(tau / f_rel)); windows are formed on the
-    surviving stream, so both roles of an occurrence vanish together.
+    surviving stream, so both roles of an occurrence vanish together.  records[p]
+    draws from a generator keyed by (seed, first_record + p): shards drop as the whole does.
     """
-    rng = np.random.default_rng(seed) if win.stochastic_subsample else None
     n = len(vocab)
     pairs: dict[tuple[int, int], float] = {}
     row = np.zeros(n)
@@ -262,10 +263,10 @@ def count_cooccurrences(
             [_down_weight(tau_t, vocab.relative_frequency(wid)) for wid in range(n)]
         )
 
-    for record in records:
+    for r, record in enumerate(records, start=first_record):
         ids = [vocab.index[t] for t in record if t in vocab.index]
         if keep_prob is not None and ids:
-            draws = rng.random(len(ids))
+            draws = np.random.default_rng([seed, r]).random(len(ids))
             ids = [wid for wid, u in zip(ids, draws) if u < keep_prob[wid]]
         m = len(ids)
         for t in range(m):
@@ -301,17 +302,17 @@ def count_sharded(
     seed: int = 0,
     shards: int = 1,
 ) -> CooccurrenceStats:
-    """Count contiguous record shards separately and merge the results.
+    """Count contiguous record shards one after another and merge the results.
 
-    Merging is an associative sum, so the shard layout only affects floating
-    point rounding order, never which pairs are counted.
+    Merging is an associative sum and stochastic drops are keyed by record index,
+    so the shard layout only affects rounding order, never which pairs are counted.
     """
     if shards <= 1 or len(records) <= 1:
         return count_cooccurrences(records, vocab, win, seed=seed)
     chunk = (len(records) + shards - 1) // shards
     parts = []
     for s in range(0, len(records), chunk):
-        parts.append(count_cooccurrences(records[s : s + chunk], vocab, win, seed=seed + s))
+        parts.append(count_cooccurrences(records[s : s + chunk], vocab, win, seed, first_record=s))
     merged = parts[0]
     for part in parts[1:]:
         merged = merged.merge(part)

@@ -154,10 +154,6 @@ class WeightedFactorizationProblem:
     def n_cols(self) -> int:
         return self.targets.cols
 
-    def is_uniform_dense(self) -> bool:
-        v = self.weights.v
-        return len(v) == self.n_rows * self.n_cols and bool(np.all(v == v[0]))
-
 
 @dataclass
 class AlsResult:
@@ -198,12 +194,6 @@ def weighted_factorize(problem: WeightedFactorizationProblem, seed: int = 0) -> 
     row_ptr = np.searchsorted(rows, np.arange(problem.n_rows + 1))
     col_ptr = np.searchsorted(cols[by_col], np.arange(problem.n_cols + 1))
 
-    uniform = problem.is_uniform_dense()
-    if uniform:
-        alpha_u = w_vals[0]
-        T = np.zeros((problem.n_rows, problem.n_cols))
-        T[rows, cols] = t_vals
-
     eye = np.eye(d)
 
     def solve_side(F_fixed, order, ptr, other) -> np.ndarray:
@@ -224,11 +214,7 @@ def weighted_factorize(problem: WeightedFactorizationProblem, seed: int = 0) -> 
     last_sweep_total = prev_total
 
     for _ in range(problem.epochs):
-        if uniform:
-            A = alpha_u * (C.T @ C) + 2.0 * problem.ridge * eye
-            W = np.linalg.solve(A, alpha_u * C.T @ T.T).T
-        else:
-            W = solve_side(C, by_row, row_ptr, cols)
+        W = solve_side(C, by_row, row_ptr, cols)
         total, res = _objective(problem, W, C)
         if total > prev_total + 1e-9:
             raise DivergenceError(
@@ -238,11 +224,7 @@ def weighted_factorize(problem: WeightedFactorizationProblem, seed: int = 0) -> 
         result.residual_history.append(res)
         prev_total = total
 
-        if uniform:
-            A = alpha_u * (W.T @ W) + 2.0 * problem.ridge * eye
-            C = np.linalg.solve(A, alpha_u * W.T @ T).T
-        else:
-            C = solve_side(W, by_col, col_ptr, rows)
+        C = solve_side(W, by_col, col_ptr, rows)
         total, res = _objective(problem, W, C)
         if total > prev_total + 1e-9:
             raise DivergenceError(

@@ -14,6 +14,7 @@ from coocvec import (
     train,
 )
 from coocvec.convex_model import (
+    BLOCK_GROUPS,
     Example,
     _aggregate,
     build_context,
@@ -194,6 +195,67 @@ class TestGradients:
             num = numeric_grad(lambda M: full_batch_smooth(M, agg, cfg, noise)[0], W)
             assert np.abs(G - num).max() < 1e-6
 
+    @pytest.mark.parametrize("mode", ["single", "positional"])
+    def test_full_batch_equals_mean_of_per_example_losses(self, mode):
+        rng = np.random.default_rng(77)
+        words = [f"w{i}" for i in range(50)]
+        records = [[words[int(i)] for i in rng.integers(0, 50, size=12)] for _ in range(25)]
+        vocab = build_vocabulary(records)
+        spec = spec11(mode)
+        exs = build_examples(records, vocab, spec)
+        agg = _aggregate(exs)
+        assert len(agg.z_count) > BLOCK_GROUPS
+        noise = noise_distribution(vocab, "unigram")
+        W = rng.normal(size=(len(vocab), context_dim(spec, len(vocab)))) * 0.5
+        k = 3
+
+        def softplus(t):
+            return np.logaddexp(0.0, t)
+
+        def sigmoid(t):
+            return 0.5 * (1.0 + np.tanh(0.5 * t))
+
+        want = {"softmax": [0.0, np.zeros_like(W)], "negative_sampling": [0.0, np.zeros_like(W)]}
+        for ex in exs:
+            loss, grad = softmax_loss_grad(W, ex)
+            want["softmax"][0] += loss / len(exs)
+            want["softmax"][1] += grad / len(exs)
+            s = W[:, ex.idx] @ ex.val
+            coef = k * noise * sigmoid(s)
+            coef[ex.target] -= sigmoid(-s[ex.target])
+            want["negative_sampling"][0] += (
+                softplus(-s[ex.target]) + k * noise @ softplus(s)
+            ) / len(exs)
+            want["negative_sampling"][1][:, ex.idx] += np.outer(coef, ex.val) / len(exs)
+        for objective, (loss, grad) in want.items():
+            got_loss, got_grad = full_batch_smooth(
+                W, agg, TrainConfig(objective=objective, k_neg=k), noise
+            )
+            assert got_loss == pytest.approx(loss, rel=1e-12)
+            np.testing.assert_allclose(got_grad, grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max())
+
+    @pytest.mark.parametrize("objective", ["softmax", "negative_sampling"])
+    def test_one_sgd_step_is_prox_of_public_gradient(self, objective):
+        vocab = build_vocabulary([["a", "b", "c", "d", "a", "b", "a"]])
+        records = [["c", "a"]]
+        spec = ContextSpec(mode="bag", window=WindowSpec(left=1, right=0))
+        (ex,) = build_examples(records, vocab, spec)
+        cfg = TrainConfig(objective=objective, k_neg=4, l1=0.05, step_initial=0.5, seed=3)
+        rng = np.random.default_rng(cfg.seed)
+        rng.permutation(1)
+        W0 = np.zeros((len(vocab), len(vocab)))
+        if objective == "softmax":
+            _, grad = softmax_loss_grad(W0, ex)
+        else:
+            cdf = np.cumsum(noise_distribution(vocab, cfg.noise))
+            cdf[-1] = 1.0
+            draws = np.searchsorted(cdf, rng.random(cfg.k_neg), side="right")
+            _, grad = negative_sampling_loss_grad(W0, ex, draws)
+        want = soft_threshold(W0 - cfg.step_initial * grad, cfg.step_initial * cfg.l1)
+        got = train(records, vocab, spec, cfg).vectors
+        assert np.count_nonzero(want) > 0
+        np.testing.assert_array_equal(got, want)
+
     def test_softmax_guard_on_large_vocab(self):
         W = np.zeros((2001, 2))
         ex = Example(target=0, idx=np.array([0], dtype=np.int64), val=np.array([1.0]))
@@ -270,6 +332,13 @@ class TestFullBatchTraining:
                 cfg.k_neg,
             )
             assert emb.vectors[w, c] == pytest.approx(sol.x_star, abs=1e-3)
+
+    def test_corpus_without_contexts_keeps_zero_weights(self):
+        records = [["a"], ["b"], ["a"]]
+        vocab = build_vocabulary(records)
+        cfg = TrainConfig(full_batch=True, epochs=3)
+        emb = train(records, vocab, spec11("bag"), cfg)
+        assert np.array_equal(emb.vectors, np.zeros((2, 2)))
 
     def test_softmax_full_batch_descends(self):
         records = [["a", "b", "a", "c", "a", "b"]]

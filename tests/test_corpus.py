@@ -256,6 +256,23 @@ class TestSharding:
         ).pairs
 
 
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
+    def test_stochastic_shards_drop_what_the_whole_drops(self, shards):
+        rng = np.random.default_rng(5)
+        records = [
+            [str(int(t)) for t in rng.integers(0, 8, size=int(rng.integers(2, 12)))]
+            for _ in range(30)
+        ]
+        vocab = build_vocabulary(records)
+        win = WindowSpec(left=2, right=2, subsample_threshold=0.05, stochastic_subsample=True)
+        whole = count_cooccurrences(records, vocab, win, seed=3)
+        sharded = count_sharded(records, vocab, win, seed=3, shards=shards)
+        assert whole.total < count_cooccurrences(records, vocab, WindowSpec(2, 2)).total
+        assert np.array_equal(sharded.counts.i, whole.counts.i)
+        assert np.array_equal(sharded.counts.j, whole.counts.j)
+        np.testing.assert_allclose(sharded.counts.v, whole.counts.v, rtol=1e-12)
+
+
 class TestSymmetryCheck:
     def test_symmetric_and_asymmetric_examples(self, abab_stats, abab_left_stats):
         ok, worst = check_symmetry(abab_stats)

@@ -7,7 +7,6 @@ from coocvec import (
     DimensionMismatchError,
     MarkerContaminationError,
     SparseMatrix,
-    WeightedFactorizationProblem,
     build_matrix,
     consistency_report,
     solve_pair,
@@ -166,19 +165,6 @@ class TestWeightedProblemValidation:
                 2, 3, {(0, 0): 1.0}, {(0, 0): 1.0}, dim=3
             )
 
-    def test_uniform_dense_detection(self):
-        dense = {(i, j): 1.0 for i in range(2) for j in range(2)}
-        p = weighted_problem(
-            2, 2, dict(dense), dict(dense), dim=1
-        )
-        assert p.is_uniform_dense()
-        varied = dict(dense)
-        varied[(1, 1)] = 2.0
-        q = weighted_problem(
-            2, 2, dict(dense), varied, dim=1
-        )
-        assert not q.is_uniform_dense()
-
 
 class TestWeightedFactorize:
     def test_single_pair_reaches_zero_objective(self):
@@ -234,26 +220,6 @@ class TestWeightedFactorize:
         s = np.linalg.svd(A, compute_uv=False)
         best = 0.5 * float(np.sum(s[d:] ** 2))
         assert result.residual_history[-1] <= best + 1e-6
-
-    def test_uniform_fast_path_agrees_with_generic_path(self, rng, monkeypatch):
-        n, d = 6, 2
-        A = rng.normal(size=(n, n))
-        targets = {(i, j): float(A[i, j]) for i in range(n) for j in range(n)}
-        weights = {key: 1.7 for key in targets}
-        make = lambda: weighted_problem(
-            n, n, dict(targets), dict(weights), dim=d,
-            epochs=50, tol=1e-14,
-        )
-        fast = weighted_factorize(make(), seed=4)
-        slow_problem = make()
-        monkeypatch.setattr(
-            WeightedFactorizationProblem, "is_uniform_dense", lambda self: False
-        )
-        slow = weighted_factorize(slow_problem, seed=4)
-        assert fast.objective_history[-1] == pytest.approx(
-            slow.objective_history[-1], rel=1e-9
-        )
-        assert np.allclose(fast.pair.W, slow.pair.W, atol=1e-8)
 
     def test_row_without_support_stays_zero(self):
         problem = weighted_problem(
