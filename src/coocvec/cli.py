@@ -23,8 +23,10 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     FormatError,
+    InvalidOptionError,
     MixedProvenanceError,
     WorkbenchError,
+    check_seed,
 )
 from .pmi import VARIANTS, build_matrix, pmi_values
 from .vectors import Embedding
@@ -201,8 +203,7 @@ def cmd_train_convex(args: argparse.Namespace) -> int:
     vocab = build_vocabulary(records, min_count=args.min_count)
     spec = convex_model.ContextSpec(
         mode=args.mode,
-        window=WindowSpec(left=args.left, right=args.right),
-        weighting=args.weighting,
+        window=WindowSpec(left=args.left, right=args.right, positional_weight=args.weighting),
     )
     cfg = convex_model.TrainConfig(
         l1=args.l1,
@@ -260,6 +261,9 @@ def cmd_report(args: argparse.Namespace) -> int:
             "inputs carry different provenance roots; rerun the pipeline end to end"
         )
 
+    if args.samples < 0:
+        raise InvalidOptionError(f"--samples must be >= 0, got {args.samples}")
+    check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     rows, cols, joint = stats.counts.i, stats.counts.j, stats.counts.v
     if len(joint) > args.samples:

@@ -22,9 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Vocabulary, WindowSpec
-from .errors import DimensionMismatchError
-from .vectors import Embedding
+from .corpus import Vocabulary, WindowSpec, encode, window_pairs
+from .errors import DimensionMismatchError, InvalidOptionError, check_seed
+from .vectors import Embedding, SparseMatrix
 
 CONTEXT_MODES = ("single", "bag", "positional")
 OBJECTIVES = ("softmax", "negative_sampling")
@@ -34,20 +34,18 @@ SOFTMAX_MAX_VOCAB = 2000
 
 @dataclass(frozen=True)
 class ContextSpec:
-    """How window contents are turned into context input vectors."""
+    """How window contents are turned into context input vectors.
+
+    A context word at offset off counts window.positional(off): 1, or 1/|off|
+    with reciprocal positional weighting.
+    """
 
     mode: str = "bag"
     window: WindowSpec = WindowSpec(left=2, right=2)
-    weighting: str = "constant"
 
     def __post_init__(self) -> None:
         if self.mode not in CONTEXT_MODES:
-            raise ValueError(f"mode must be one of {CONTEXT_MODES}, got {self.mode!r}")
-        if self.weighting not in ("constant", "reciprocal"):
-            raise ValueError(f"weighting must be constant or reciprocal, got {self.weighting!r}")
-
-    def rho(self, offset: int) -> float:
-        return 1.0 / abs(offset) if self.weighting == "reciprocal" else 1.0
+            raise InvalidOptionError(f"mode must be one of {CONTEXT_MODES}, got {self.mode!r}")
 
 
 def context_dim(spec: ContextSpec, n_words: int) -> int:
@@ -66,34 +64,6 @@ def feature_names(spec: ContextSpec, words: Sequence[str]) -> list[str]:
     return names
 
 
-def build_context(ids: Sequence[int], t: int, spec: ContextSpec, n_words: int) -> list[dict[int, float]]:
-    """Context input vectors for position t of one record.
-
-    single:     one sparse indicator e_c per in-window context occurrence
-    bag:        one vector summing rho(offset) into coordinate c
-    positional: one vector with rho(offset) at (slot block, c); slot blocks
-                follow window order, leftmost offset first
-
-    Returns an empty list when the window around t is empty.
-    """
-    window = spec.window
-    occupied: list[tuple[int, int]] = []
-    for slot, off in enumerate(window.offsets()):
-        s = t + off
-        if 0 <= s < len(ids):
-            occupied.append((slot, off))
-    if not occupied:
-        return []
-    if spec.mode == "single":
-        return [{ids[t + off]: 1.0} for _, off in occupied]
-    z: dict[int, float] = {}
-    for slot, off in occupied:
-        c = ids[t + off]
-        coord = slot * n_words + c if spec.mode == "positional" else c
-        z[coord] = z.get(coord, 0.0) + spec.rho(off)
-    return [z]
-
-
 @dataclass
 class Example:
     target: int
@@ -101,27 +71,36 @@ class Example:
     val: np.ndarray
 
 
-def _to_example(target: int, z: dict[int, float]) -> Example:
-    items = sorted(z.items())
-    return Example(
-        target=target,
-        idx=np.array([i for i, _ in items], dtype=np.int64),
-        val=np.array([v for _, v in items]),
-    )
-
-
 def build_examples(
     records: Iterable[Sequence[str]], vocab: Vocabulary, spec: ContextSpec
 ) -> list[Example]:
-    """Expand a corpus into (target, context input) training examples."""
+    """Expand a corpus into (target, context input) training examples, in corpus order.
+
+    single:     one indicator e_c per in-window context occurrence, in window order
+    bag:        per position, positional(offset) summed into coordinate c
+    positional: per position, positional(offset) at (slot block, c); slot blocks
+                follow window order, leftmost offset first
+
+    Positions whose window holds no in-vocabulary word give no example.
+    """
     n = len(vocab)
-    out: list[Example] = []
-    for record in records:
-        ids = [vocab.index[t] for t in record if t in vocab.index]
-        for t in range(len(ids)):
-            for z in build_context(ids, t, spec, n):
-                out.append(_to_example(ids[t], z))
-    return out
+    win = spec.window
+    width = len(win.offsets())
+    m = context_dim(spec, n)
+    single = spec.mode == "single"
+    ids, rec = encode(records, vocab)
+    # Z has one row per (position, slot) and one column per input coordinate;
+    # bag and positional inputs sum all slots of a position into its slot-0 row
+    keys, vals = [], []
+    for slot, (off, t, c) in enumerate(window_pairs(rec, win.offsets())):
+        coord = ids[c] + slot * n if spec.mode == "positional" else ids[c]
+        keys.append((t * width + (slot if single else 0)) * m + coord)
+        vals.append(np.full(len(t), 1.0 if single else win.positional(off)))
+    Z = SparseMatrix.summed(len(ids) * width, m, np.concatenate(keys), np.concatenate(vals))
+    starts = np.flatnonzero(np.diff(Z.i, prepend=-1))
+    targets = ids[Z.i[starts] // width].tolist()
+    cuts = starts[1:]
+    return [Example(t, i, v) for t, i, v in zip(targets, np.split(Z.j, cuts), np.split(Z.v, cuts))]
 
 
 @dataclass(frozen=True)
@@ -139,15 +118,16 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
+            raise InvalidOptionError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if self.noise not in NOISE_KINDS:
-            raise ValueError(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
+            raise InvalidOptionError(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
         if self.l1 < 0:
-            raise ValueError("l1 strength must be non-negative")
+            raise InvalidOptionError(f"l1 strength must be non-negative, got {self.l1}")
         if self.k_neg < 1 and self.objective == "negative_sampling":
-            raise ValueError("negative sampling needs k_neg >= 1")
+            raise InvalidOptionError(f"negative sampling needs k_neg >= 1, got {self.k_neg}")
         if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
+            raise InvalidOptionError(f"epochs must be non-negative, got {self.epochs}")
+        check_seed(self.seed)
 
 
 def noise_distribution(vocab: Vocabulary, kind: str) -> np.ndarray:
@@ -331,9 +311,11 @@ def full_batch_smooth(
 def corpus_objective(
     W: np.ndarray, examples: list[Example], cfg: TrainConfig, noise: np.ndarray
 ) -> float:
-    """Full objective: mean smooth loss (expected negatives) plus L1 term."""
-    agg = _aggregate(examples)
-    smooth, _ = full_batch_smooth(W, agg, cfg, noise)
+    """Full objective: mean smooth loss (expected negatives) plus L1 term.
+
+    Without examples the smooth part is 0, so only the L1 term is left.
+    """
+    smooth = full_batch_smooth(W, _aggregate(examples), cfg, noise)[0] if examples else 0.0
     return smooth + cfg.l1 * float(np.abs(W).sum())
 
 
@@ -390,7 +372,7 @@ def train(
             "mode": spec.mode,
             "left": str(spec.window.left),
             "right": str(spec.window.right),
-            "weighting": spec.weighting,
+            "weighting": spec.window.positional_weight,
         },
     )
 

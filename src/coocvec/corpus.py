@@ -17,11 +17,18 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyVocabularyError, FormatError
+from .errors import (
+    DimensionMismatchError,
+    EmptyVocabularyError,
+    FormatError,
+    InvalidOptionError,
+    check_seed,
+)
 from .vectors import SparseMatrix
 
 POSITIONAL_WEIGHTS = ("constant", "reciprocal")
@@ -105,12 +112,14 @@ class WindowSpec:
 
     def __post_init__(self) -> None:
         if self.left < 0 or self.right < 0 or self.left + self.right == 0:
-            raise ValueError("window needs left >= 0, right >= 0, left + right >= 1")
+            raise InvalidOptionError(
+                f"window needs left, right >= 0 and left + right >= 1, got {self.left}, {self.right}"
+            )
         if self.positional_weight not in POSITIONAL_WEIGHTS:
-            raise ValueError(f"positional_weight must be one of {POSITIONAL_WEIGHTS}")
+            raise InvalidOptionError(f"positional_weight must be one of {POSITIONAL_WEIGHTS}")
         for tau in (self.subsample_threshold, self.context_subsample_threshold):
             if tau is not None and not tau > 0:
-                raise ValueError("subsample thresholds must be positive")
+                raise InvalidOptionError(f"subsample thresholds must be positive, got {tau}")
 
     def offsets(self) -> list[int]:
         return list(range(-self.left, 0)) + list(range(1, self.right + 1))
@@ -210,20 +219,50 @@ class CooccurrenceStats:
             raise DimensionMismatchError("shards disagree on vocabulary size")
         n = self.n_words
         a, b = self.counts, other.counts
-        keys, slot = np.unique(np.concatenate([a.i * n + a.j, b.i * n + b.j]), return_inverse=True)
-        summed = np.bincount(slot, weights=np.concatenate([a.v, b.v]), minlength=len(keys))
+        keys = np.concatenate([a.i * n + a.j, b.i * n + b.j])
         return CooccurrenceStats(
-            counts=SparseMatrix(n, n, keys // n, keys % n, summed),
+            counts=SparseMatrix.summed(n, n, keys, np.concatenate([a.v, b.v])),
             row_marginal=self.row_marginal + other.row_marginal,
             col_marginal=self.col_marginal + other.col_marginal,
             total=self.total + other.total,
         )
 
 
-def _down_weight(tau: float | None, f_rel: float) -> float:
+def encode(records: Iterable[Sequence[str]], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """In-vocabulary ids of all records, concatenated, and the record of each token.
+
+    Out-of-vocabulary tokens are dropped before any window is formed; a record
+    keeps its index even when none of its tokens is kept.
+    """
+    records = list(records)
+    lengths = np.fromiter(map(len, records), dtype=np.int64, count=len(records))
+    tokens = chain.from_iterable(records)
+    ids = np.fromiter(map(vocab.index.get, tokens, repeat(-1)), dtype=np.int64, count=lengths.sum())
+    rec = np.repeat(np.arange(len(records)), lengths)
+    kept = ids >= 0
+    return ids[kept], rec[kept]
+
+
+def window_pairs(
+    rec: np.ndarray, offsets: Iterable[int]
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The window walk: for each offset, (offset, targets t, contexts t + offset).
+
+    t runs ascending over the positions of rec (the token records from encode)
+    whose context position lies in the same record.
+    """
+    n = len(rec)
+    for off in offsets:
+        t = np.arange(max(0, -off), min(n, n - off))
+        t = t[rec[t] == rec[t + off]]
+        yield off, t, t + off
+
+
+def _down_weight(tau: float | None, vocab: Vocabulary) -> np.ndarray:
+    """min(1, sqrt(tau / f_rel)) for every word; all ones without a threshold."""
     if tau is None:
-        return 1.0
-    return min(1.0, math.sqrt(tau / f_rel))
+        return np.ones(len(vocab))
+    return np.minimum(1.0, np.sqrt(tau / (vocab.freq / vocab.total_tokens)))
 
 
 def count_cooccurrences(
@@ -240,59 +279,33 @@ def count_cooccurrences(
     with probability 1 - min(1, sqrt(tau / f_rel)); windows are formed on the
     surviving stream, so both roles of an occurrence vanish together.  records[p]
     draws from a generator keyed by (seed, first_record + p): shards drop as the whole does.
+    Each offset's pairs are weighted as arrays and summed on the key w * V + c.
     """
     n = len(vocab)
-    pairs: dict[tuple[int, int], float] = {}
-    row = np.zeros(n)
-    col = np.zeros(n)
-    offsets = win.offsets()
-    pos_w = [win.positional(i) for i in offsets]
-    tau_t = win.subsample_threshold
-    tau_c = win.context_threshold()
-
-    target_w = np.ones(n)
-    context_w = np.ones(n)
+    ids, rec = encode(records, vocab)
+    target_w = context_w = np.ones(n)
     if not win.stochastic_subsample:
-        for wid in range(n):
-            f_rel = vocab.relative_frequency(wid)
-            target_w[wid] = _down_weight(tau_t, f_rel)
-            context_w[wid] = _down_weight(tau_c, f_rel)
-    keep_prob = None
-    if win.stochastic_subsample and tau_t is not None:
-        keep_prob = np.array(
-            [_down_weight(tau_t, vocab.relative_frequency(wid)) for wid in range(n)]
-        )
+        target_w = _down_weight(win.subsample_threshold, vocab)
+        context_w = _down_weight(win.context_threshold(), vocab)
+    elif win.subsample_threshold is not None:
+        check_seed(seed)
+        keep_prob = _down_weight(win.subsample_threshold, vocab)
+        draws = [
+            np.random.default_rng([seed, first_record + r]).random(m)
+            for r, m in enumerate(np.bincount(rec).tolist())
+            if m
+        ]
+        keep = np.concatenate([np.empty(0), *draws]) < keep_prob[ids]
+        ids, rec = ids[keep], rec[keep]
 
-    for r, record in enumerate(records, start=first_record):
-        ids = [vocab.index[t] for t in record if t in vocab.index]
-        if keep_prob is not None and ids:
-            draws = np.random.default_rng([seed, r]).random(len(ids))
-            ids = [wid for wid, u in zip(ids, draws) if u < keep_prob[wid]]
-        m = len(ids)
-        for t in range(m):
-            wt = ids[t]
-            pw = target_w[wt]
-            if pw == 0.0:
-                continue
-            for off, p3 in zip(offsets, pos_w):
-                s = t + off
-                if s < 0 or s >= m:
-                    continue
-                ct = ids[s]
-                weight = pw * context_w[ct] * p3
-                if weight == 0.0:
-                    continue
-                key = (wt, ct)
-                pairs[key] = pairs.get(key, 0.0) + weight
-                row[wt] += weight
-                col[ct] += weight
-
-    return CooccurrenceStats(
-        counts=SparseMatrix.from_entries(n, n, pairs),
-        row_marginal=row,
-        col_marginal=col,
-        total=float(row.sum()),
-    )
+    keys, weights = [], []
+    for off, t, c in window_pairs(rec, win.offsets()):
+        t, c = ids[t], ids[c]
+        keys.append(t * n + c)
+        weights.append(target_w[t] * context_w[c] * win.positional(off))
+    key, weight = np.concatenate(keys), np.concatenate(weights)
+    del keys, weights  # free the per-offset pieces before the sort
+    return CooccurrenceStats.from_counts(SparseMatrix.summed(n, n, key, weight))
 
 
 def count_sharded(

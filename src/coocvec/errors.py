@@ -18,6 +18,18 @@ class EmptyVocabularyError(WorkbenchError):
     category = "empty-vocabulary"
 
 
+class InvalidOptionError(WorkbenchError, ValueError):
+    """An option or setting outside its valid range (also a ValueError)."""
+
+    category = "invalid-option"
+
+
+def check_seed(seed: int) -> None:
+    """Raise InvalidOptionError unless seed is a valid generator seed (>= 0)."""
+    if seed < 0:
+        raise InvalidOptionError(f"seed must be >= 0, got {seed}")
+
+
 class InvalidShiftError(WorkbenchError):
     """Shift parameter k outside [1, inf)."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientPairsError
+from .errors import InsufficientPairsError, InvalidOptionError
 from .vectors import Embedding
 
 METRICS = ("cosine", "dot")
@@ -20,7 +20,7 @@ METRICS = ("cosine", "dot")
 
 def _check_metric(metric: str) -> None:
     if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+        raise InvalidOptionError(f"metric must be one of {METRICS}, got {metric!r}")
 
 
 def _similarities(emb: Embedding, q: np.ndarray, metric: str) -> np.ndarray | None:
@@ -46,7 +46,7 @@ def neighbors(emb: Embedding, word: str, n: int, metric: str = "cosine") -> list
     """
     _check_metric(metric)
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise InvalidOptionError(f"n must be non-negative, got {n}")
     qi = emb.index(word)
     sims = _similarities(emb, emb.vectors[qi], metric)
     if sims is None:

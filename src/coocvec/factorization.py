@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DivergenceError, MarkerContaminationError
+from .errors import (
+    DimensionMismatchError,
+    DivergenceError,
+    InvalidOptionError,
+    MarkerContaminationError,
+    check_seed,
+)
 from .vectors import Embedding, EmbeddingPair, SparseMatrix
 
 
@@ -59,6 +65,9 @@ def truncated_svd(
         raise DimensionMismatchError(
             f"dim must lie in [1, {min(n_rows, n_cols)}], got {dim}"
         )
+    if oversample < 0:
+        raise InvalidOptionError(f"oversample must be >= 0, got {oversample}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     sketch = min(dim + oversample, min(n_rows, n_cols))
     G = rng.standard_normal((n_cols, sketch))
@@ -137,7 +146,7 @@ class WeightedFactorizationProblem:
                 f"dim must lie in [1, {min(self.n_rows, self.n_cols)}], got {self.dim}"
             )
         if self.ridge < 0:
-            raise ValueError("ridge must be non-negative")
+            raise InvalidOptionError(f"ridge must be non-negative, got {self.ridge}")
         if not np.isfinite(t.v).all():
             p = int(np.argmin(np.isfinite(t.v)))
             raise MarkerContaminationError(f"non-finite target at {t.pair(p)}")
@@ -179,6 +188,7 @@ def weighted_factorize(problem: WeightedFactorizationProblem, seed: int = 0) -> 
     divergence.  Stops after `epochs` sweeps or when one sweep improves the
     objective by less than `tol` relative.
     """
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     d = problem.dim
     W = 0.1 * rng.standard_normal((problem.n_rows, d))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import CooccurrenceStats
-from .errors import DomainError, check_shift
+from .errors import DomainError, InvalidOptionError, check_shift
 from .pmi import pmi_values
 from .vectors import SparseMatrix
 
@@ -47,14 +47,14 @@ class RegSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in REG_KINDS:
-            raise ValueError(f"kind must be one of {REG_KINDS}, got {self.kind!r}")
+            raise InvalidOptionError(f"kind must be one of {REG_KINDS}, got {self.kind!r}")
         _check_params(self.k, self.lam)
 
 
 def _check_params(k: float, lam: float) -> None:
     check_shift(k)
     if not (lam >= 0.0 and math.isfinite(lam)):
-        raise ValueError(f"lam must be a finite real >= 0, got {lam}")
+        raise InvalidOptionError(f"lam must be a finite real >= 0, got {lam}")
 
 
 def _check_positive_side(pmi: float, k: float, lam: float) -> None:

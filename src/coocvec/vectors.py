@@ -65,6 +65,13 @@ class SparseMatrix:
         v = np.fromiter(entries.values(), dtype=float, count=len(entries))
         return cls(rows, cols, ij[:, 0], ij[:, 1], v, implicit_value)
 
+    @classmethod
+    def summed(cls, rows: int, cols: int, key: np.ndarray, v: np.ndarray) -> "SparseMatrix":
+        """Matrix whose entry (i, j) is the sum of v over key == i * cols + j, in input order."""
+        key, slot = np.unique(key, return_inverse=True)
+        v = np.bincount(slot, weights=v, minlength=len(key))
+        return cls(rows, cols, key // cols, key % cols, v)
+
     @property
     def entries(self) -> Mapping[tuple[int, int], float]:
         """Read-only view of the stored entries keyed by (i, j), built on each access."""

@@ -149,6 +149,32 @@ def brute_count_dense(
     return dense
 
 
+def brute_examples(
+    records: list[list[str]], index: dict[str, int], mode: str, left: int, right: int,
+    reciprocal: bool = False,
+) -> list[tuple[int, list[tuple[int, float]]]]:
+    """Convex-model examples as (target, sorted context items), one position at a time."""
+    n_words = len(index)
+    offsets = [off for off in range(-left, right + 1) if off != 0]
+    out = []
+    for record in records:
+        ids = [index[t] for t in record if t in index]
+        for t, w in enumerate(ids):
+            z: dict[int, float] = {}
+            for slot, off in enumerate(offsets):
+                s = t + off
+                if not 0 <= s < len(ids):
+                    continue
+                if mode == "single":
+                    out.append((w, [(ids[s], 1.0)]))
+                    continue
+                coord = slot * n_words + ids[s] if mode == "positional" else ids[s]
+                z[coord] = z.get(coord, 0.0) + ((1.0 / abs(off)) if reciprocal else 1.0)
+            if z:
+                out.append((w, sorted(z.items())))
+    return out
+
+
 def brute_neighbors(vectors: np.ndarray, words: list[str], qi: int, metric: str):
     """All words ranked against the query by brute-force similarity."""
     q = vectors[qi]

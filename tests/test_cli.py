@@ -191,6 +191,45 @@ class TestMalformedInput:
         assert str(path) in err[0]
 
 
+class TestOptionErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--stochastic", "--subsample", "1e-4", "--seed", "-1"],
+            ["train-convex", "--seed", "-1"],
+            ["count", "--left", "-1"],
+            ["count", "--subsample", "0"],
+            ["train-convex", "--l1", "-1"],
+            ["train-convex", "--epochs", "-1"],
+            ["regularize", "--lam", "-1"],
+            ["factorize", "--weighted", "--ridge", "-1"],
+            ["factorize", "--oversample", "-20"],
+            ["neighbors", "--n", "-1"],
+            ["report", "--samples", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_out_of_range_option_is_one_error_line(self, tmp_path, corpus_path, capsys, argv):
+        counts = counted(tmp_path, corpus_path)
+        sol, alpha, emb = (str(tmp_path / name) for name in ("sol.txt", "alpha.txt", "emb.txt"))
+        run("solve", "--cooc", counts, "--output", sol, "--loss", "squared", "--alpha-out", alpha)
+        run("factorize", "--matrix", sol, "--output", emb, "--dim", "2", "--vocab", counts + ".vocab")
+        out = str(tmp_path / "out")
+        inputs = {
+            "count": ["--input", corpus_path, "--output", out],
+            "train-convex": ["--input", corpus_path, "--output", out],
+            "regularize": ["--cooc", counts, "--output", out, "--reg", "l2"],
+            "factorize": ["--matrix", sol, "--alpha", alpha, "--output", out, "--dim", "2"],
+            "neighbors": ["--embedding", emb, "--word", "fox"],
+            "report": ["--cooc", counts],
+        }
+        capsys.readouterr()
+        assert run(*argv, *inputs[argv[0]]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error invalid-option:"), err
+        assert not os.path.exists(out)
+
+
 class TestFactorizeTrainEval:
     def test_svd_factorize_then_neighbors(self, tmp_path, corpus_path, capsys):
         counts = counted(tmp_path, corpus_path)

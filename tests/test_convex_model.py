@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coocvec import (
     ContextSpec,
@@ -15,9 +17,9 @@ from coocvec import (
 )
 from coocvec.convex_model import (
     BLOCK_GROUPS,
+    CONTEXT_MODES,
     Example,
     _aggregate,
-    build_context,
     context_dim,
     corpus_objective,
     feature_names,
@@ -27,6 +29,7 @@ from coocvec.convex_model import (
     soft_threshold,
     softmax_loss_grad,
 )
+from oracles import brute_examples
 
 
 def spec11(mode: str) -> ContextSpec:
@@ -36,40 +39,46 @@ def spec11(mode: str) -> ContextSpec:
 TWO_BLOCK = [["red", "blue"] * 10, ["hot", "cold"] * 10] * 3
 
 
+def contexts(record: list[str], spec: ContextSpec) -> list[tuple[str, dict[int, float]]]:
+    """(target word, context input as a dict) of each example of a one-record corpus."""
+    vocab = build_vocabulary([record])
+    return [
+        (vocab.words[ex.target], dict(zip(ex.idx.tolist(), ex.val.tolist())))
+        for ex in build_examples([record], vocab, spec)
+    ]
+
+
 class TestContextConstruction:
+    # the vocabulary of ["a", "b", "a"] is a=0, b=1; the middle position is b
     def test_bag_sums_window_occurrences(self):
-        ids = [0, 1, 0]
-        out = build_context(ids, 1, spec11("bag"), n_words=2)
-        assert out == [{0: 2.0}]
+        out = contexts(["a", "b", "a"], spec11("bag"))
+        assert out[1] == ("b", {0: 2.0})
 
     def test_single_emits_one_example_per_occurrence(self):
-        ids = [0, 1, 0]
-        out = build_context(ids, 1, spec11("single"), n_words=2)
-        assert out == [{0: 1.0}, {0: 1.0}]
+        out = contexts(["a", "b", "a"], spec11("single"))
+        assert [z for word, z in out if word == "b"] == [{0: 1.0}, {0: 1.0}]
 
     def test_positional_uses_slot_blocks(self):
-        ids = [0, 1, 0]
-        out = build_context(ids, 1, spec11("positional"), n_words=2)
-        assert out == [{0: 1.0, 2 + 0: 1.0}]
+        out = contexts(["a", "b", "a"], spec11("positional"))
+        assert out[1] == ("b", {0: 1.0, 2 + 0: 1.0})
 
     def test_reciprocal_weighting(self):
-        spec = ContextSpec(mode="bag", window=WindowSpec(left=2, right=0), weighting="reciprocal")
-        out = build_context([0, 1, 2], 2, spec, n_words=3)
-        assert out == [{0: 0.5, 1: 1.0}]
+        window = WindowSpec(left=2, right=0, positional_weight="reciprocal")
+        spec = ContextSpec(mode="bag", window=window)
+        out = contexts(["a", "b", "c"], spec)
+        assert out[-1] == ("c", {0: 0.5, 1: 1.0})
 
     def test_lone_token_has_no_context(self):
-        assert build_context([0], 0, spec11("bag"), n_words=1) == []
+        assert contexts(["a"], spec11("bag")) == []
 
     def test_edge_positions_truncate(self):
-        ids = [0, 1]
-        assert build_context(ids, 0, spec11("bag"), n_words=2) == [{1: 1.0}]
-        assert build_context(ids, 1, spec11("bag"), n_words=2) == [{0: 1.0}]
+        assert contexts(["a", "b"], spec11("bag")) == [("a", {1: 1.0}), ("b", {0: 1.0})]
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             ContextSpec(mode="pile")
         with pytest.raises(ValueError):
-            ContextSpec(weighting="linear")
+            ContextSpec(window=WindowSpec(positional_weight="linear"))
 
     def test_context_dim_by_mode(self):
         assert context_dim(spec11("single"), 7) == 7
@@ -107,6 +116,25 @@ class TestContextConstruction:
         exs = build_examples([["a", "b", "a"]], vocab, spec11("bag"))
         assert len(exs) == 2
         assert all(e.target == vocab.id_of("a") for e in exs)
+
+
+@pytest.mark.parametrize("mode", CONTEXT_MODES)
+@pytest.mark.parametrize("weighting", ["constant", "reciprocal"])
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.lists(st.lists(st.sampled_from("abcdef"), max_size=10), max_size=8),
+    left=st.integers(min_value=0, max_value=3),
+    right=st.integers(min_value=0, max_value=3),
+)
+def test_property_build_examples_matches_per_position_oracle(mode, weighting, data, left, right):
+    assume(left + right > 0)
+    # min_count 2 leaves the rarer letters out of vocabulary; records may be empty
+    vocab = build_vocabulary(data + [["a", "a"]], min_count=2)
+    spec = ContextSpec(mode=mode, window=WindowSpec(left, right, positional_weight=weighting))
+    exs = build_examples(data, vocab, spec)
+    assert all(type(ex.target) is int and ex.idx.dtype == np.int64 for ex in exs)
+    got = [(ex.target, list(zip(ex.idx.tolist(), ex.val.tolist()))) for ex in exs]
+    assert got == brute_examples(data, vocab.index, mode, left, right, weighting == "reciprocal")
 
 
 class TestConfigAndHelpers:
@@ -339,6 +367,14 @@ class TestFullBatchTraining:
         cfg = TrainConfig(full_batch=True, epochs=3)
         emb = train(records, vocab, spec11("bag"), cfg)
         assert np.array_equal(emb.vectors, np.zeros((2, 2)))
+
+    def test_objective_without_examples_is_the_l1_term(self):
+        W = np.array([[0.5, -1.0], [0.0, 2.0]])
+        noise = np.full(2, 0.5)
+        for objective in ("softmax", "negative_sampling"):
+            cfg = TrainConfig(objective=objective, l1=0.25)
+            assert corpus_objective(W, [], cfg, noise) == 0.25 * 3.5
+            assert corpus_objective(np.zeros((2, 2)), [], cfg, noise) == 0.0
 
     def test_softmax_full_batch_descends(self):
         records = [["a", "b", "a", "c", "a", "b"]]

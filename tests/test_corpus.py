@@ -211,6 +211,30 @@ class TestCounting:
         assert stats.total < plain.total
 
 
+    @pytest.mark.parametrize("seed, first_record", [(3, 0), (3, 7), (11, 2)])
+    def test_stochastic_drops_follow_per_record_draws(self, seed, first_record):
+        # all-OOV ("x", "y q") and empty records still take up a record index
+        records = [
+            ["a", "b", "a", "c", "a"], ["x"], [], ["b", "a", "a", "b", "c", "a", "a"],
+            ["y", "q"], ["a", "b", "c", "a", "b", "a", "a", "b"], ["c", "a", "b", "a"],
+        ]
+        vocab = build_vocabulary(records, min_count=2)
+        tau = 0.05
+        win = WindowSpec(left=2, right=1, positional_weight="reciprocal",
+                         subsample_threshold=tau, stochastic_subsample=True)
+        kept = []
+        for p, record in enumerate(records):
+            ids = [vocab.id_of(t) for t in record if t in vocab]
+            draws = np.random.default_rng([seed, first_record + p]).random(len(ids))
+            keep = [min(1.0, math.sqrt(tau / vocab.relative_frequency(w))) for w in ids]
+            kept.append([w for w, u, k in zip(ids, draws, keep) if u < k])
+        assert 0 < sum(map(len, kept)) < vocab.total_tokens
+        want = brute_count_dense(kept, len(vocab), 2, 1, reciprocal=True)
+        got = count_cooccurrences(records, vocab, win, seed=seed, first_record=first_record)
+        np.testing.assert_array_equal(got.to_dense() != 0, want != 0)
+        np.testing.assert_allclose(got.to_dense(), want, rtol=1e-12)
+
+
 class TestStatsInvariants:
     def test_from_pairs_drops_zeros_and_checks_bounds(self):
         stats = CooccurrenceStats.from_pairs({(0, 1): 2.0, (1, 0): 0.0}, 2)
