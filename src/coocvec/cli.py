@@ -18,7 +18,7 @@ import numpy as np
 
 from . import convex_model, evaluation, factorization, formats, regularization
 from .closed_form import LOSS_NAMES, minimize_pair_numeric, solve_pairs
-from .corpus import WindowSpec, build_vocabulary, count_sharded, read_corpus
+from .corpus import WindowSpec, build_vocabulary, count_sharded
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -57,7 +57,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     threads = args.threads
     if threads is None:
         threads = int(os.environ.get("COOC_THREADS", "1"))
-    records = read_corpus(args.input)
+    records = formats.read_corpus(args.input)
     vocab = build_vocabulary(records, min_count=args.min_count)
     win = WindowSpec(
         left=args.left,
@@ -199,7 +199,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def cmd_train_convex(args: argparse.Namespace) -> int:
-    records = read_corpus(args.input)
+    records = formats.read_corpus(args.input)
     vocab = build_vocabulary(records, min_count=args.min_count)
     spec = convex_model.ContextSpec(
         mode=args.mode,
@@ -444,26 +444,27 @@ def _apply_config_file(argv: list[str], subs: dict[str, argparse.ArgumentParser]
     actions = {a.dest: a for a in sub._actions}
     overrides = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise FormatError(f"config line needs key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                dest = key.strip().replace("-", "_")
-                if dest not in actions or dest in ("config", "func", "command"):
-                    raise FormatError(f"unknown config key {key.strip()!r} for {command}")
-                action = actions[dest]
-                if isinstance(action, argparse._StoreTrueAction):
-                    overrides[dest] = value.strip().lower() in ("1", "true", "yes", "on")
-                elif action.type is not None:
-                    overrides[dest] = action.type(value.strip())
-                else:
-                    overrides[dest] = value.strip()
+        text = formats.read_text(path)
     except OSError as exc:
         raise FormatError(f"cannot read config file {path}: {exc}") from exc
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path}: config line needs key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        dest = key.strip().replace("-", "_")
+        if dest not in actions or dest in ("config", "func", "command"):
+            raise FormatError(f"{path}: unknown config key {key.strip()!r} for {command}")
+        action, value = actions[dest], value.strip()
+        if isinstance(action, argparse._StoreTrueAction):
+            overrides[dest] = value.lower() in ("1", "true", "yes", "on")
+            continue
+        try:
+            overrides[dest] = action.type(value) if action.type else value
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad value for {key.strip()!r}: {exc}") from exc
     sub.set_defaults(**overrides)
 
 
@@ -479,6 +480,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as err:
         print(f"error io: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"error out-of-memory: {err}", file=sys.stderr)
         return 1
 
 

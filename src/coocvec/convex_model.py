@@ -127,6 +127,8 @@ class TrainConfig:
             raise InvalidOptionError(f"negative sampling needs k_neg >= 1, got {self.k_neg}")
         if self.epochs < 0:
             raise InvalidOptionError(f"epochs must be non-negative, got {self.epochs}")
+        if not 0.0 < self.step_initial < np.inf:
+            raise InvalidOptionError(f"step must be a finite number > 0, got {self.step_initial}")
         check_seed(self.seed)
 
 

@@ -65,11 +65,6 @@ def tokenize(text: str) -> list[list[str]]:
     return [line.split() for line in text.splitlines() if line.split()]
 
 
-def read_corpus(path: str) -> list[list[str]]:
-    with open(path, encoding="utf-8") as fh:
-        return tokenize(fh.read())
-
-
 def build_vocabulary(records: Iterable[Sequence[str]], min_count: int = 1) -> Vocabulary:
     """Count tokens across all records and keep those with count >= min_count.
 

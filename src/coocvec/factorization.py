@@ -38,9 +38,7 @@ class SvdResult:
 
 
 def _as_dense(M: SparseMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(M, SparseMatrix):
-        return M.to_dense()
-    A = np.asarray(M, dtype=float)
+    A = M.to_dense() if isinstance(M, SparseMatrix) else np.asarray(M, dtype=float)
     if not np.isfinite(A).all():
         raise MarkerContaminationError("matrix contains non-finite entries")
     return A
@@ -67,6 +65,8 @@ def truncated_svd(
         )
     if oversample < 0:
         raise InvalidOptionError(f"oversample must be >= 0, got {oversample}")
+    if power_iters < 0:
+        raise InvalidOptionError(f"power_iters must be >= 0, got {power_iters}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     sketch = min(dim + oversample, min(n_rows, n_cols))
@@ -76,7 +76,10 @@ def truncated_svd(
         Z, _ = np.linalg.qr(A.T @ Q)
         Q, _ = np.linalg.qr(A @ Z)
     B = Q.T @ A
-    Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
+    try:
+        Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
+    except np.linalg.LinAlgError as exc:  # entries so large that the products overflow
+        raise DivergenceError(f"randomized SVD failed: {exc}") from exc
     U = Q @ Ub
     return SvdResult(U=U[:, :dim], sigma=s[:dim], V=Vt[:dim].T)
 
@@ -88,7 +91,7 @@ def word_vectors(svd: SvdResult, flavor: str, words: list[str] | None = None) ->
     symmetric: U diag(sqrt(sigma))  (splits the spectrum with the context side)
     """
     if flavor not in ("plain", "symmetric"):
-        raise ValueError(f"flavor must be plain or symmetric, got {flavor!r}")
+        raise InvalidOptionError(f"flavor must be plain or symmetric, got {flavor!r}")
     scale = svd.sigma if flavor == "plain" else np.sqrt(svd.sigma)
     vectors = svd.U * scale
     if words is None:
@@ -147,6 +150,8 @@ class WeightedFactorizationProblem:
             )
         if self.ridge < 0:
             raise InvalidOptionError(f"ridge must be non-negative, got {self.ridge}")
+        if self.epochs < 0:
+            raise InvalidOptionError(f"epochs must be non-negative, got {self.epochs}")
         if not np.isfinite(t.v).all():
             p = int(np.argmin(np.isfinite(t.v)))
             raise MarkerContaminationError(f"non-finite target at {t.pair(p)}")

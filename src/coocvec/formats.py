@@ -1,6 +1,6 @@
 """Text and binary file formats, with embedded run provenance.
 
-Every writer can stamp the file with a provenance comment line recording the
+Every writer can stamp the file with a provenance line recording the
 command, its configuration, and hashes of its inputs' provenance, so any
 artifact can be traced to the run that made it.  Floats are serialized with
 repr, which round-trips exactly and keeps identical runs byte-identical.
@@ -8,22 +8,29 @@ repr, which round-trips exactly and keeps identical runs byte-identical.
 Triplet files (co-occurrence counts, matrices) also exist in a little-endian
 binary form starting with the magic CWB1, holding the same header text and
 (uint32, uint32, float64) entries.
+
+Every reader opens its file once, decodes it as UTF-8, takes the header line
+and the leading block of stamps, and parses the body rows with one array
+parser; any malformed content ends in one error that names the file.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import re
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import CooccurrenceStats, Vocabulary
+from .corpus import CooccurrenceStats, Vocabulary, tokenize
 from .errors import FormatError, WorkbenchError
 from .vectors import Embedding, SparseMatrix
 
 BINARY_MAGIC = b"CWB1"
 NEG_INF_TOKEN = "NEG_INF"
+STAMPS = ("# provenance ", "# meta ")
 
 PMI_TAGS = ("pmi", "ppmi", "spmi", "sppmi")
 
@@ -77,14 +84,17 @@ def parse_provenance_line(line: str) -> Provenance:
         _, _, rest = line.partition("# provenance ")
         _, _, blob = rest.partition(" ")
         body = json.loads(blob)
-        return Provenance(
+        prov = Provenance(
             command=body["command"],
             config=body["config"],
             inputs=body["inputs"],
             root=body.get("root"),
         )
-    except (ValueError, KeyError) as exc:
+        if not isinstance(prov.root, (str, type(None))):
+            raise TypeError("root must be a string or null")
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise FormatError(f"unreadable provenance line: {line[:80]!r}") from exc
+    return prov
 
 
 def _comment_lines(prov: Provenance | None, meta: dict[str, str] | None = None) -> list[str]:
@@ -97,39 +107,100 @@ def _comment_lines(prov: Provenance | None, meta: dict[str, str] | None = None) 
     return lines
 
 
-def _split_comments(raw_lines: list[str]) -> tuple[list[str], Provenance | None, dict[str, str]]:
-    body = []
-    prov = None
-    meta: dict[str, str] = {}
-    for line in raw_lines:
+# ------------------------------------------------------------------- reading
+
+
+def _reader(read):
+    """Name the file in the one error read raises for malformed content."""
+
+    @functools.wraps(read)
+    def named(path: str, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except WorkbenchError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
+        except (ValueError, OverflowError) as exc:  # UnicodeDecodeError is a ValueError
+            raise FormatError(f"{path}: {exc}") from exc
+
+    return named
+
+
+_TRIPLET_DTYPE = np.dtype([("i", "<u4"), ("j", "<u4"), ("v", "<f8")])
+_TEXT_TRIPLET_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("v", float)])
+_VOCAB_DTYPE = np.dtype([("word", object), ("count", np.int64)])
+_SIMILARITY_DTYPE = np.dtype([("a", object), ("b", object), ("score", float)])
+
+
+def _read(path: str, header: bool = True, stamps=STAMPS, magic: bool = False):
+    """Open path once; return its header line, provenance, meta and body.
+
+    The header line comes first unless the file opens with a stamp; the
+    stamps follow it.  The body is the decoded text after them or, with
+    magic set and a file that starts with BINARY_MAGIC, the binary entries.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    body = None
+    if magic and blob[:4] == BINARY_MAGIC:
+        try:
+            (header_len,) = struct.unpack_from("<I", blob, 4)
+            (n,) = struct.unpack_from("<Q", blob, 8 + header_len)
+        except struct.error as exc:
+            raise FormatError("truncated or garbled binary header") from exc
+        start = 16 + header_len
+        if len(blob) - start != n * _TRIPLET_DTYPE.itemsize:
+            raise FormatError(f"binary triplet block does not hold its {n} entries")
+        body = np.frombuffer(blob, dtype=_TRIPLET_DTYPE, offset=start)
+        blob = blob[8 : 8 + header_len]
+    text, head, prov, meta = str(blob, "utf-8"), "", None, {}
+    if header and not text.startswith(STAMPS):
+        head, _, text = text.partition("\n")
+    while text.startswith(stamps):
+        line, _, text = text.partition("\n")
         if line.startswith("# provenance "):
             prov = parse_provenance_line(line)
         elif line.startswith("# meta "):
-            for pair in line[len("# meta ") :].split():
-                key, _, value = pair.partition("=")
-                meta[key] = value
-        elif line.startswith("#"):
-            continue
-        elif line.strip():
-            body.append(line)
-    return body, prov, meta
+            meta.update(pair.partition("=")[::2] for pair in line[len("# meta ") :].split())
+    return head, prov, meta, text if body is None else body
 
 
-# ------------------------------------------------------------------- helpers
+def _table(body: str, dtype: np.dtype, layout: str, delimiter=None) -> np.ndarray:
+    """Parse the body rows straight into a structured array of dtype.
+
+    Blank lines are skipped; an empty body gives an empty table.
+    """
+    if not body or body.isspace():
+        return np.empty(0, dtype=dtype)
+    try:
+        return np.loadtxt(body.splitlines(), dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
+    except ValueError as exc:
+        reason = str(exc).split("; use `usecols`")[0]
+        raise FormatError(f"rows must be {layout!r}: {reason}") from exc
+
+
+@_reader
+def read_text(path: str) -> str:
+    """A whole text file (a corpus, a config file) decoded as UTF-8."""
+    return _read(path, header=False, stamps=())[3]
+
+
+def read_corpus(path: str) -> list[list[str]]:
+    """Records of whitespace tokens, one per non-blank line of a UTF-8 corpus."""
+    return tokenize(read_text(path))
+
+
+@_reader
+def read_provenance(path: str) -> Provenance | None:
+    """The provenance stamp of any workbench file, if present."""
+    return _read(path, magic=True)[1]
+
+
+# ------------------------------------------------------------------- writing
 
 
 def _write_text(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _is_binary(path: str) -> bool:
-    with open(path, "rb") as fh:
-        return fh.read(4) == BINARY_MAGIC
-
-
-_TRIPLET_DTYPE = np.dtype([("i", "<u4"), ("j", "<u4"), ("v", "<f8")])
-_TEXT_TRIPLET_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("v", float)])
 
 
 def _write_triplets(path: str, header_lines: list[str], mat: SparseMatrix, binary: bool) -> None:
@@ -149,52 +220,20 @@ def _write_triplets(path: str, header_lines: list[str], mat: SparseMatrix, binar
         fh.write(triplets.tobytes())
 
 
-def _read_binary(path: str) -> tuple[list[str], np.ndarray]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != BINARY_MAGIC:
-        raise FormatError(f"{path}: missing binary magic")
-    try:
-        (header_len,) = struct.unpack_from("<I", blob, 4)
-        (n,) = struct.unpack_from("<Q", blob, 8 + header_len)
-        header_lines = blob[8 : 8 + header_len].decode("utf-8").splitlines()
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise FormatError(f"{path}: truncated or garbled binary header") from exc
-    start = 16 + header_len
-    if len(blob) - start != n * _TRIPLET_DTYPE.itemsize:
-        raise FormatError(f"{path}: binary triplet block does not hold its {n} entries")
-    return header_lines, np.frombuffer(blob, dtype=_TRIPLET_DTYPE, offset=start)
-
-
 def _read_triplets(path: str, parse_header) -> tuple[SparseMatrix, object]:
     """Read a text or binary triplet file into a SparseMatrix.
 
     parse_header turns the header line's fields into (rows, cols,
-    implicit_value, info); the info is returned beside the matrix.  Every
-    error names the file.
+    implicit_value, info); the info is returned beside the matrix.
     """
-    if _is_binary(path):
-        header_lines, data = _read_binary(path)
-        body, _, _ = _split_comments(header_lines)
-    else:
-        with open(path, encoding="utf-8") as fh:
-            body, _, _ = _split_comments(fh.read().splitlines())
-        data = np.empty(0, dtype=_TEXT_TRIPLET_DTYPE)
-        if len(body) > 1:  # loadtxt warns on an empty body
-            try:
-                data = np.loadtxt(body[1:], dtype=_TEXT_TRIPLET_DTYPE, comments=None, ndmin=1)
-            except ValueError as exc:
-                raise FormatError(f"{path}: entries must be 'i j value' lines: {exc}") from exc
-    if not body:
-        raise FormatError(f"{path}: missing header line")
+    head, _, _, body = _read(path, magic=True)
     try:
-        rows, cols, implicit, info = parse_header(body[0].split())
+        rows, cols, implicit, info = parse_header(head.split())
     except ValueError as exc:
-        raise FormatError(f"{path}: bad header {body[0]!r}: {exc}") from exc
-    try:
-        return SparseMatrix(rows, cols, data["i"], data["j"], data["v"], implicit), info
-    except WorkbenchError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        raise FormatError(f"bad header {head!r}: {exc}") from exc
+    if isinstance(body, str):
+        body = _table(body, _TEXT_TRIPLET_DTYPE, "i j value")
+    return SparseMatrix(rows, cols, body["i"], body["j"], body["v"], implicit), info
 
 
 # ---------------------------------------------------------------- vocabulary
@@ -206,23 +245,14 @@ def write_vocab(vocab: Vocabulary, path: str, prov: Provenance | None = None) ->
     _write_text(path, lines)
 
 
+@_reader
 def read_vocab(path: str) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
-        body, _, _ = _split_comments(fh.read().splitlines())
-    words = []
-    freq = []
-    for line in body:
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError(f"{path}: expected 'word<TAB>count', got {line!r}")
-        words.append(parts[0])
-        try:
-            freq.append(int(parts[1]))
-        except ValueError as exc:
-            raise FormatError(f"{path}: bad count in {line!r}") from exc
-    if not words:
-        raise FormatError(f"{path}: empty vocabulary file")
-    return Vocabulary(words=words, freq=np.array(freq, dtype=np.int64), total_tokens=int(sum(freq)))
+    _, _, _, body = _read(path, header=False)
+    table = _table(body, _VOCAB_DTYPE, "word<TAB>count", "\t")
+    if not len(table):
+        raise FormatError("empty vocabulary file")
+    freq = table["count"]
+    return Vocabulary(words=table["word"].tolist(), freq=freq, total_tokens=int(freq.sum()))
 
 
 # ------------------------------------------------------------- co-occurrence
@@ -245,16 +275,12 @@ def _cooc_header(fields: list[str]) -> tuple[int, int, float, float]:
     return n_words, n_words, 0.0, float(fields[1])
 
 
+@_reader
 def read_cooc(path: str) -> CooccurrenceStats:
     counts, total = _read_triplets(path, _cooc_header)
-    try:
-        stats = CooccurrenceStats.from_counts(counts)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    stats = CooccurrenceStats.from_counts(counts)
     if abs(stats.total - total) > 1e-6 * max(1.0, abs(total)):
-        raise FormatError(
-            f"{path}: header total {total!r} disagrees with entry sum {stats.total!r}"
-        )
+        raise FormatError(f"header total {total!r} disagrees with entry sum {stats.total!r}")
     stats.total = total
     return stats
 
@@ -312,6 +338,7 @@ def _matrix_header(fields: list[str]) -> tuple[int, int, float | None, MatrixInf
     return rows, cols, implicit, MatrixInfo(tag=tag, k=k, lam=lam)
 
 
+@_reader
 def read_matrix(path: str) -> tuple[SparseMatrix, MatrixInfo]:
     return _read_triplets(path, _matrix_header)
 
@@ -320,46 +347,43 @@ def read_matrix(path: str) -> tuple[SparseMatrix, MatrixInfo]:
 
 
 def write_embedding(emb: Embedding, path: str, prov: Provenance | None = None) -> None:
+    cells = emb.vectors.astype(object)  # Python floats, whose str is their repr
+    if emb.neg_inf_mask is not None:
+        cells[emb.neg_inf_mask] = NEG_INF_TOKEN
     lines = [f"{len(emb.words)} {emb.dim}"] + _comment_lines(prov, emb.meta)
-    for r, word in enumerate(emb.words):
-        cells = []
-        for c in range(emb.dim):
-            if emb.neg_inf_mask is not None and emb.neg_inf_mask[r, c]:
-                cells.append(NEG_INF_TOKEN)
-            else:
-                cells.append(repr(float(emb.vectors[r, c])))
-        lines.append(word + " " + " ".join(cells))
+    lines += [" ".join([word, *map(str, row)]) for word, row in zip(emb.words, cells.tolist())]
     _write_text(path, lines)
 
 
+# a NEG_INF cell: after a separator, so a row's word is never taken for one
+_NEG_INF_CELL = re.compile(rf"(?<=[ \t]){NEG_INF_TOKEN}(?!\S)")
+
+
+@_reader
 def read_embedding(path: str) -> Embedding:
-    with open(path, encoding="utf-8") as fh:
-        body, _, meta = _split_comments(fh.read().splitlines())
-    if not body:
-        raise FormatError(f"{path}: missing embedding header")
-    head = body[0].split()
-    if len(head) != 2:
-        raise FormatError(f"{path}: header must be 'num_words dim', got {body[0]!r}")
-    n, dim = int(head[0]), int(head[1])
-    if len(body) - 1 != n:
-        raise FormatError(f"{path}: header promises {n} rows, found {len(body) - 1}")
-    words = []
-    vectors = np.zeros((n, dim))
-    mask = np.zeros((n, dim), dtype=bool)
-    for r, line in enumerate(body[1:]):
-        parts = line.split()
-        if len(parts) != dim + 1:
-            raise FormatError(f"{path}: row {r} has {len(parts) - 1} values, expected {dim}")
-        words.append(parts[0])
-        for c, cell in enumerate(parts[1:]):
-            if cell == NEG_INF_TOKEN:
-                mask[r, c] = True
-            else:
-                vectors[r, c] = float(cell)
+    head, _, meta, body = _read(path)
+    fields = head.split()
+    if len(fields) != 2 or not all(f.isdigit() for f in fields):
+        raise FormatError(f"header must be 'num_words dim' (two integers >= 0), got {head!r}")
+    n, dim = int(fields[0]), int(fields[1])
+    if n and 2 * dim + 1 > len(body):  # a row spells at least a word and dim cells
+        raise FormatError(f"header promises rows of {dim} values; the file is too short")
+    markers = 0
+    if NEG_INF_TOKEN in body:
+        body, markers = _NEG_INF_CELL.subn("-inf", body)
+    dtype = np.dtype([("word", object), ("cells", float, (dim,))])
+    table = _table(body, dtype, f"word and {dim} values")
+    if len(table) != n:
+        raise FormatError(f"header promises {n} rows, found {len(table)}")
+    vectors = np.ascontiguousarray(table["cells"])
+    mask = vectors == -np.inf
+    if np.count_nonzero(mask) != markers or not np.isfinite(vectors[~mask]).all():
+        raise FormatError(f"cells must be finite numbers or {NEG_INF_TOKEN}")
+    vectors[mask] = 0.0
     return Embedding(
-        words=words,
+        words=table["word"].tolist(),
         vectors=vectors,
-        neg_inf_mask=mask if mask.any() else None,
+        neg_inf_mask=mask if markers else None,
         meta=meta,
     )
 
@@ -367,32 +391,9 @@ def read_embedding(path: str) -> Embedding:
 # ------------------------------------------------------------------ datasets
 
 
+@_reader
 def read_similarity(path: str) -> list[tuple[str, str, float]]:
-    with open(path, encoding="utf-8") as fh:
-        body, _, _ = _split_comments(fh.read().splitlines())
-    out = []
-    for line in body:
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise FormatError(f"{path}: expected 'word1<TAB>word2<TAB>score', got {line!r}")
-        try:
-            out.append((parts[0], parts[1], float(parts[2])))
-        except ValueError as exc:
-            raise FormatError(f"{path}: bad score in {line!r}") from exc
-    return out
-
-
-# ---------------------------------------------------------------- provenance scan
-
-
-def read_provenance(path: str) -> Provenance | None:
-    """Extract the provenance stamp from any workbench file, if present."""
-    if _is_binary(path):
-        lines, _ = _read_binary(path)
-    else:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    for line in lines:
-        if line.startswith("# provenance "):
-            return parse_provenance_line(line)
-    return None
+    """Scored word pairs; a dataset, which no command writes, may open with `# ` comments."""
+    _, _, _, body = _read(path, header=False, stamps="# ")
+    table = _table(body, _SIMILARITY_DTYPE, "word1<TAB>word2<TAB>score", "\t")
+    return list(zip(table["a"].tolist(), table["b"].tolist(), table["score"].tolist()))

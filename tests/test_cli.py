@@ -191,6 +191,65 @@ class TestMalformedInput:
         assert str(path) in err[0]
 
 
+    @pytest.mark.parametrize(
+        "kind, content, category",
+        [
+            ("embedding", b"2 2\nfox x 1.0\ncat 1.0 2.0\n", "bad-format"),
+            ("embedding", b"2 2\nfox nan 1.0\ncat 1.0 2.0\n", "bad-format"),
+            ("embedding", b"2 2\nfox inf 1.0\ncat 1.0 2.0\n", "bad-format"),
+            ("embedding", b"seven 2\nfox 0.5 1.0\n", "bad-format"),
+            ("embedding", b"0 -5\n", "bad-format"),
+            ("corpus", b"the fox \xff saw\n", "bad-format"),
+            ("cooc", b"2 3.0\n0 1 3.0 \xfe\n", "bad-format"),
+            ("embedding", b"1 2\nf\xc3x 0.5 1.0\n", "bad-format"),
+            ("config", b"left=1\nright=\xff\n", "bad-format"),
+            ("cooc", b'2 3.0\n# provenance abc ["x"]\n0 1 3.0\n', "bad-format"),
+            ("cooc", b"99999999999999 4\n0 1 4.0\n", "out-of-memory"),
+        ],
+        ids=["cell-x", "cell-nan", "cell-inf", "header-word", "header-negative",
+             "corpus-not-utf8", "cooc-not-utf8", "embedding-not-utf8", "config-not-utf8",
+             "provenance-not-object", "cooc-header-huge"],
+    )
+    def test_malformed_file_is_one_error_line_naming_it(
+        self, tmp_path, corpus_path, capsys, kind, content, category
+    ):
+        path = tmp_path / f"malformed.{kind}"
+        path.write_bytes(content)
+        out = str(tmp_path / "out")
+        argv = {
+            "corpus": ["count", "--input", str(path), "--output", out],
+            "config": ["count", "--input", corpus_path, "--output", out, "--config", str(path)],
+            "cooc": ["pmi", "--cooc", str(path), "--output", out, "--variant", "pmi"],
+            "embedding": ["neighbors", "--embedding", str(path), "--word", "fox"],
+        }[kind]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error {category}:"), err
+        if category != "out-of-memory":  # numpy's refusal names the allocation instead
+            assert str(path) in err[0]
+
+
+class TestHashTokens:
+    def test_hash_tokens_survive_every_file_kind(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("#tag the fox # saw\nthe # fox saw #tag\n#tag saw the # fox\n")
+        counts, ppmi, svd, conv = (str(tmp_path / n) for n in ("c.txt", "m.txt", "e.txt", "v.txt"))
+        assert run("count", "--input", str(corpus), "--output", counts) == 0
+        assert run("pmi", "--cooc", counts, "--output", ppmi, "--variant", "ppmi") == 0
+        assert run(
+            "factorize", "--matrix", ppmi, "--output", svd, "--dim", "2",
+            "--vocab", counts + ".vocab",
+        ) == 0
+        assert run("train-convex", "--input", str(corpus), "--output", conv, "--vocab-out",
+                   str(tmp_path / "v.vocab")) == 0
+        for emb in (svd, conv):
+            assert set(read_embedding(emb).words) == {"#tag", "#", "the", "fox", "saw"}
+            assert run("neighbors", "--embedding", emb, "--word", "#", "--n", "2") == 0
+            assert run("neighbors", "--embedding", emb, "--word", "#tag", "--n", "2") == 0
+        assert read_vocab(counts + ".vocab").words == read_vocab(str(tmp_path / "v.vocab")).words
+        assert capsys.readouterr().err == ""
+
+
 class TestOptionErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -206,6 +265,12 @@ class TestOptionErrors:
             ["factorize", "--oversample", "-20"],
             ["neighbors", "--n", "-1"],
             ["report", "--samples", "-1"],
+            ["train-convex", "--step", "0"],
+            ["train-convex", "--step", "nan"],
+            ["train-convex", "--step", "inf"],
+            ["train-convex", "--full-batch", "--step", "-1"],
+            ["factorize", "--weighted", "--epochs", "-1"],
+            ["factorize", "--power-iters", "-1"],
         ],
         ids=lambda argv: " ".join(argv),
     )

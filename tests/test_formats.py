@@ -240,6 +240,23 @@ class TestEmbeddingFiles:
         assert np.array_equal(back.neg_inf_mask, mask)
         assert back.vectors[0, 1] == 0.0
 
+    def test_words_that_look_like_stamps_or_cells_round_trip(self, tmp_path, prov):
+        words = ["#", "#tag", "NEG_INF", "nan", "1.5", "#meta"]
+        mask = np.zeros((len(words), 2), dtype=bool)
+        mask[[0, 2], [0, 1]] = True
+        vectors = np.where(mask, 0.0, np.arange(12.0).reshape(6, 2))
+        emb = Embedding(words=words, vectors=vectors, neg_inf_mask=mask, meta={"flavor": "plain"})
+        path = str(tmp_path / "e.txt")
+        write_embedding(emb, path, prov=prov)
+        back = read_embedding(path)
+        assert back.words == words
+        assert np.array_equal(back.vectors, emb.vectors)
+        assert np.array_equal(back.neg_inf_mask, mask)
+        vocab = Vocabulary(words=words, freq=np.arange(6, 0, -1), total_tokens=21)
+        write_vocab(vocab, path, prov=prov)
+        assert read_vocab(path).words == words
+        assert read_provenance(path).hash() == prov.hash()
+
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("2 2\na 1.0 2.0\n")
