@@ -5,7 +5,8 @@ regularization strength, printing the relative error of the chord formula at
 each grid point plus the overall worst case.  The chord interpolates between
 the unregularized solution and the origin, so it is exact in the lam -> 0
 limit and degrades as lam grows toward the curvature scale of the objective.
-This is the raw chord `l2_chord`, the starting point that `solve_l2` polishes.
+This is the raw chord `l2_chord`, the starting point that `solve_l2` polishes;
+the exact solutions come from one elementwise `solve_exact` call over the grid.
 """
 import argparse
 import math
@@ -27,14 +28,14 @@ def main() -> None:
 
     header = "gap\\lam " + " ".join(f"{lam:8.3g}" for lam in lams)
     print(header)
+    pmis = math.log(args.k) + gaps
+    exact = solve_exact(pmis[:, None], args.k, lams, "l2")
     worst = (0.0, 0.0, 0.0)
-    for gap in gaps:
-        pmi = math.log(args.k) + float(gap)
+    for gap, pmi, exact_row in zip(gaps, pmis, exact):
         cells = []
-        for lam in lams:
-            chord = l2_chord(pmi, args.k, float(lam))
-            exact = solve_exact(pmi, args.k, float(lam), "l2")
-            rel = abs(chord - exact) / abs(exact)
+        for lam, ex in zip(lams, exact_row):
+            chord = l2_chord(float(pmi), args.k, float(lam))
+            rel = abs(chord - ex) / abs(ex)
             cells.append(f"{rel:8.1%}")
             if rel > worst[0]:
                 worst = (rel, float(gap), float(lam))

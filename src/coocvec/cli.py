@@ -163,9 +163,14 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         if not found.all():
             first = matrix.pair(int(np.argmin(found)))
             raise FormatError(f"alpha file lacks weight for stored pair {first}")
+        weights = alpha_matrix.v[pos]
+        bad = ~(np.isfinite(weights) & (weights >= 0.0))
+        if bad.any():
+            p = int(np.argmax(bad))
+            raise FormatError(f"{args.alpha}: weight {weights[p]} at {matrix.pair(p)} must be >= 0")
         problem = factorization.WeightedFactorizationProblem(
             targets=matrix,
-            weights=replace(matrix, v=alpha_matrix.v[pos]),
+            weights=replace(matrix, v=weights),
             dim=args.dim,
             epochs=args.epochs,
             ridge=args.ridge,
@@ -272,12 +277,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     n_w, n_c = stats.row_marginal[rows], stats.col_marginal[cols]
     pmi = pmi_values(stats, rows, cols, joint)
     shifted = pmi - math.log(args.k)
-    counts = list(zip(joint.tolist(), n_w.tolist(), n_c.tolist()))
 
     lines = [formats.provenance_line(formats.make_provenance("report", _config_dict(args), provs))]
     for loss in LOSS_NAMES:
         x = solve_pairs(loss, joint, n_w, n_c, stats.total, args.k).x_star
-        numeric = np.array([minimize_pair_numeric(loss, *t, stats.total, args.k) for t in counts])
+        numeric = minimize_pair_numeric(loss, joint, n_w, n_c, stats.total, args.k)
         worst = float(np.max(np.abs(x - numeric), initial=0.0))
         if loss == "hinge":
             agree = np.array_equal(x > 0, shifted >= 0)
@@ -290,10 +294,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     l1_worst = 0.0
     l2_worst = 0.0
     for lam in (0.01, 0.1, 1.0, 10.0):
-        # the numeric references stay scalar: solve_exact bisects one pair at a time
         exact1, exact2 = (
-            np.array([regularization.solve_exact(p, args.k, lam, kind) for p in pmi.tolist()])
-            for kind in ("l1", "l2")
+            regularization.solve_exact(pmi, args.k, lam, kind) for kind in ("l1", "l2")
         )
         l1_err = np.abs(regularization.l1_scores(pmi, args.k, lam) - exact1)
         nonzero = exact2 != 0.0

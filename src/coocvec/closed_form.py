@@ -20,11 +20,12 @@ and the shift k:
 The squared family (squared, squared hinge, huber) shares one formula because
 the three losses agree on the interval where the minimizer lands.  A pair
 with #(w,c) = 0 drives the logistic score to minus infinity; that is reported
-as a marker, never as a float infinity inside a matrix.
+as a marker, never as a float infinity inside a matrix.  Every function is
+elementwise, the numeric reference `minimize_pair_numeric` included: it
+bisects all pairs at once with `bisect_decreasing`, as `solve_exact` does.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +43,15 @@ LOSS_NAMES = ("logistic", "squared", "squared_hinge", "hinge", "huber")
 QUADRATIC_FAMILY = ("squared", "squared_hinge", "huber")
 
 
-def _sigmoid(t: float) -> float:
-    if t >= 0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
+def _sigmoid(t):
+    """1 / (1 + e^-t), elementwise, without overflow for large |t|."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+
+
+def _float_if_scalar(a):
+    """A 0-d result as a float; arrays pass through."""
+    return float(a) if np.ndim(a) == 0 else a
 
 
 def _check_kind(kind: str) -> None:
@@ -70,46 +75,49 @@ def loss_value(kind: str, x, y: float):
     else:
         # huber: quadratic near the margin, linear far on the wrong side
         out = np.where(yx >= -1.0, 0.5 * np.maximum(1.0 - yx, 0.0) ** 2, -2.0 * yx)
-    return float(out) if out.ndim == 0 else out
+    return _float_if_scalar(out)
 
 
-def loss_derivative(kind: str, x: float, y: float) -> float:
-    """dL/dx at (x, y)."""
+def loss_derivative(kind: str, x, y: float):
+    """dL/dx at (x, y), elementwise over x; a scalar x gives a float."""
     _check_kind(kind)
+    x = np.asarray(x, dtype=float)
     yx = y * x
     if kind == "logistic":
-        return -y * _sigmoid(-yx)
-    if kind == "squared":
-        return x - y
-    if kind == "squared_hinge":
-        return -y * max(1.0 - yx, 0.0)
-    if kind == "hinge":
-        return -y if yx < 1.0 else 0.0
-    if yx < -1.0:
-        return -2.0 * y
-    return -y * (1.0 - yx) if yx <= 1.0 else 0.0
+        out = -y * _sigmoid(-yx)
+    elif kind == "squared":
+        out = x - y
+    elif kind == "squared_hinge":
+        out = -y * np.maximum(1.0 - yx, 0.0)
+    elif kind == "hinge":
+        out = np.where(yx < 1.0, -y, 0.0)
+    else:  # huber
+        out = np.where(yx < -1.0, -2.0 * y, np.where(yx <= 1.0, -y * (1.0 - yx), 0.0))
+    return _float_if_scalar(out)
 
 
-def loss_second_derivative(kind: str, x: float, y: float) -> float | None:
-    """d2L/dx2 at (x, y); None for the hinge, whose curvature is nowhere defined."""
+def loss_second_derivative(kind: str, x, y: float):
+    """d2L/dx2 at (x, y), elementwise over x; None for the hinge (no curvature)."""
     _check_kind(kind)
-    yx = y * x
-    if kind == "logistic":
-        return _sigmoid(yx) * _sigmoid(-yx)
-    if kind == "squared":
-        return 1.0
-    if kind == "squared_hinge":
-        return 1.0 if yx < 1.0 else 0.0
     if kind == "hinge":
         return None
-    return 1.0 if -1.0 < yx < 1.0 else 0.0
+    yx = y * np.asarray(x, dtype=float)
+    if kind == "logistic":
+        out = _sigmoid(yx) * _sigmoid(-yx)
+    elif kind == "squared":
+        out = np.ones_like(yx)
+    elif kind == "squared_hinge":
+        out = np.where(yx < 1.0, 1.0, 0.0)
+    else:
+        out = np.where((-1.0 < yx) & (yx < 1.0), 1.0, 0.0)
+    return _float_if_scalar(out)
 
 
 def _check_counts(n_wc, n_w, n_c, total: float, k: float) -> None:
     if any(np.any(np.less(a, 0)) for a in (n_wc, n_w, n_c)):
         raise ValueError("counts must be non-negative")
     if total <= 0:
-        raise ValueError(f"total pair mass must be positive, got {total}")
+        raise DegenerateMarginalError(f"total pair mass must be positive, got {total}")
     check_shift(k)
 
 
@@ -183,45 +191,47 @@ def solve_pair(
     )
 
 
-def minimize_pair_numeric(
-    kind: str,
-    n_wc: float,
-    n_w: float,
-    n_c: float,
-    total: float,
-    k: float,
-    lo: float = -60.0,
-    hi: float = 60.0,
-) -> float:
-    """Minimize the pair objective numerically, without the closed forms.
+def bisect_decreasing(g, lo, hi):
+    """Roots of a decreasing elementwise g, one bracket [lo, hi] per element.
+
+    An element with g(lo) <= 0 gives lo, one with g(hi) >= 0 gives hi; any
+    other is halved (at most 200 times) until its bracket is below 1e-15
+    relative and gives the midpoint.  Scalar brackets and g give a float.
+    """
+    lo, hi, g_lo, g_hi = np.broadcast_arrays(lo, hi, g(lo), g(hi))
+    at_lo = g_lo <= 0.0
+    at_hi = ~at_lo & (g_hi >= 0.0)
+    active = ~(at_lo | at_hi)
+    for _ in range(200):
+        if not active.any():
+            break
+        mid = 0.5 * (lo + hi)
+        up = g(mid) > 0.0
+        lo = np.where(active & up, mid, lo)
+        hi = np.where(active & ~up, mid, hi)
+        active &= ~(hi - lo < 1e-15 * np.maximum(1.0, np.abs(lo)))
+    return _float_if_scalar(np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi))))
+
+
+def minimize_pair_numeric(kind: str, n_wc, n_w, n_c, total: float, k: float, lo=-60.0, hi=60.0):
+    """Minimize pair objectives numerically, elementwise, without the closed forms.
 
     Hinge objectives are piecewise linear with the optimum at a margin vertex,
-    so those are compared directly; the smooth losses are solved by bisecting
-    the sign change of the first derivative, which every convex member has.
+    so those are compared directly (a tie picks -1); the smooth losses are
+    solved by bisecting the sign change of the first derivative, which every
+    convex member has.  The counts and the bracket broadcast together.
     """
     _check_kind(kind)
     if kind == "hinge":
-        return min((-1.0, 1.0), key=lambda v: pair_objective(kind, n_wc, n_w, n_c, total, k, v))
+        up, down = (pair_objective(kind, n_wc, n_w, n_c, total, k, x) for x in (1.0, -1.0))
+        return _float_if_scalar(np.where(up < down, 1.0, -1.0))
     neg_mass = k * n_w * n_c / total
 
-    def slope(x: float) -> float:
-        return n_wc * loss_derivative(kind, x, 1.0) + neg_mass * loss_derivative(kind, x, -1.0)
+    def falling(x):
+        # minus the slope of the objective, which rises through its minimum
+        return -(n_wc * loss_derivative(kind, x, 1.0) + neg_mass * loss_derivative(kind, x, -1.0))
 
-    a, b = lo, hi
-    fa = slope(a)
-    if fa >= 0.0:
-        return a
-    if slope(b) <= 0.0:
-        return b
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if slope(mid) < 0.0:
-            a = mid
-        else:
-            b = mid
-        if b - a < 1e-15 * max(1.0, abs(a)):
-            break
-    return 0.5 * (a + b)
+    return bisect_decreasing(falling, lo, hi)
 
 
 def assemble_spmi_solution(stats: CooccurrenceStats, kind: str, k: float) -> EmbeddingPair:

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .closed_form import _sigmoid
 from .corpus import Vocabulary, WindowSpec, encode, window_pairs
 from .errors import DimensionMismatchError, InvalidOptionError, check_seed
 from .vectors import Embedding, SparseMatrix
@@ -146,11 +147,6 @@ def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
 
 def _softplus(t: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, t)
-
-
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softmax_kernel(

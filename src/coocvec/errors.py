@@ -42,8 +42,8 @@ def check_shift(k: float) -> None:
         raise InvalidShiftError(f"shift k must be a finite real >= 1, got {k}")
 
 
-class DegenerateMarginalError(WorkbenchError):
-    """A word or context with zero marginal count where a positive one is required."""
+class DegenerateMarginalError(WorkbenchError, ValueError):
+    """A zero marginal or total pair mass where a positive one is needed (also a ValueError)."""
 
     category = "degenerate-marginal"
 

@@ -23,6 +23,12 @@ def _check_metric(metric: str) -> None:
         raise InvalidOptionError(f"metric must be one of {METRICS}, got {metric!r}")
 
 
+def _cosine(dots: np.ndarray, norms: np.ndarray, other_norms) -> np.ndarray:
+    """dots / (norms * other_norms), and 0 wherever either norm is 0."""
+    nz = (norms > 0.0) & (other_norms > 0.0)
+    return np.divide(dots, norms * other_norms, out=np.zeros(dots.shape), where=nz)
+
+
 def _similarities(emb: Embedding, q: np.ndarray, metric: str) -> np.ndarray | None:
     """Similarity of q against every row; None when undefined for the query."""
     scores = emb.vectors @ q
@@ -31,11 +37,7 @@ def _similarities(emb: Embedding, q: np.ndarray, metric: str) -> np.ndarray | No
     qn = float(np.linalg.norm(q))
     if qn == 0.0:
         return None
-    norms = np.linalg.norm(emb.vectors, axis=1)
-    out = np.zeros(len(emb.words))
-    nz = norms > 0.0
-    out[nz] = scores[nz] / (norms[nz] * qn)
-    return out
+    return _cosine(scores, np.linalg.norm(emb.vectors, axis=1), qn)
 
 
 def neighbors(emb: Embedding, word: str, n: int, metric: str = "cosine") -> list[tuple[str, float]]:
@@ -51,23 +53,19 @@ def neighbors(emb: Embedding, word: str, n: int, metric: str = "cosine") -> list
     sims = _similarities(emb, emb.vectors[qi], metric)
     if sims is None:
         return []
-    order = sorted((i for i in range(len(emb.words)) if i != qi), key=lambda i: (-sims[i], i))
-    return [(emb.words[i], float(sims[i])) for i in order[:n]]
+    order = np.lexsort((np.arange(len(sims)), -sims))
+    top = order[order != qi][:n].tolist()
+    return list(zip(map(emb.words.__getitem__, top), sims[top].tolist()))
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with tied values sharing the mean of their positions."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; ties at sorted positions i..j share (i + j) / 2 + 1, NaNs never tie."""
+    _, inverse, counts = np.unique(
+        np.asarray(values, dtype=float), return_inverse=True, return_counts=True, equal_nan=False
+    )
+    end = np.cumsum(counts)
+    start = end - counts
+    return (0.5 * (start + end - 1) + 1.0)[inverse]
 
 
 @dataclass
@@ -91,33 +89,27 @@ def spearman(
     _check_metric(metric)
     if not dataset:
         raise InsufficientPairsError("similarity dataset is empty")
-    model_sims = []
-    human = []
-    for w1, w2, score in dataset:
-        if w1 not in emb or w2 not in emb:
-            continue
-        v1 = emb.vector(w1)
-        v2 = emb.vector(w2)
-        if metric == "dot":
-            s = float(v1 @ v2)
-        else:
-            n1 = float(np.linalg.norm(v1))
-            n2 = float(np.linalg.norm(v2))
-            s = float(v1 @ v2) / (n1 * n2) if n1 > 0.0 and n2 > 0.0 else 0.0
-        model_sims.append(s)
-        human.append(score)
-    if len(model_sims) < 2:
+    first, second, human = zip(*dataset)
+    rows = np.stack([emb.indices(first), emb.indices(second)])
+    scored = (rows >= 0).all(axis=0)
+    n_scored = int(scored.sum())
+    if n_scored < 2:
         raise InsufficientPairsError(
-            f"need at least 2 scorable pairs, found {len(model_sims)} of {len(dataset)}"
+            f"need at least 2 scorable pairs, found {n_scored} of {len(dataset)}"
         )
-    r_model = average_ranks(np.array(model_sims))
-    r_human = average_ranks(np.array(human))
+    a, b = rows[:, scored]
+    model_sims = np.einsum("ij,ij->i", emb.vectors[a], emb.vectors[b])
+    if metric == "cosine":
+        norms = np.linalg.norm(emb.vectors, axis=1)
+        model_sims = _cosine(model_sims, norms[a], norms[b])
+    r_model = average_ranks(model_sims)
+    r_human = average_ranks(np.array(human)[scored])
     dm = r_model - r_model.mean()
     dh = r_human - r_human.mean()
     denom = math.sqrt(float(dm @ dm) * float(dh @ dh))
     rho = float(dm @ dh) / denom if denom > 0.0 else 0.0
     return SpearmanReport(
         coefficient=rho,
-        coverage=len(model_sims) / len(dataset),
-        n_scored=len(model_sims),
+        coverage=n_scored / len(dataset),
+        n_scored=n_scored,
     )

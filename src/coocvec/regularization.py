@@ -18,8 +18,10 @@ uses the mirror identity: x = -x' turns the problem, divided by e^pmi, into
 the positive-side one with k' = 1, pmi' = log k - pmi and lam' = lam e^-pmi.
 The L1 case splits on the soft threshold at h(0).  Each closed form is one
 array expression over all pairs; the scalar functions are validating entry
-points to it.  Zero-count pairs are handled by letting e^pmi = 0, which
-keeps every regularized solution with lam > 0 finite.
+points to it.  The reference `solve_exact` is one elementwise bisection of
+the stationarity condition, independent of the closed forms.  Zero-count
+pairs are handled by letting e^pmi = 0, which keeps every regularized
+solution with lam > 0 finite.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .closed_form import _float_if_scalar, bisect_decreasing
 from .corpus import CooccurrenceStats
 from .errors import DomainError, InvalidOptionError, check_shift
 from .pmi import pmi_values
@@ -51,9 +54,9 @@ class RegSpec:
         _check_params(self.k, self.lam)
 
 
-def _check_params(k: float, lam: float) -> None:
+def _check_params(k: float, lam) -> None:
     check_shift(k)
-    if not (lam >= 0.0 and math.isfinite(lam)):
+    if not np.all((np.asarray(lam) >= 0.0) & np.isfinite(lam)):
         raise InvalidOptionError(f"lam must be a finite real >= 0, got {lam}")
 
 
@@ -63,11 +66,16 @@ def _check_positive_side(pmi: float, k: float, lam: float) -> None:
         raise DomainError(f"needs pmi > log k, got pmi - log k = {pmi - math.log(k)!r}")
 
 
-def h_function(pmi: float, k: float, x: float) -> float:
-    """(e^pmi - k e^x) / (1 + e^x), computed without overflow for large |x|."""
-    if x > 0.0:
-        return (math.exp(pmi - x) - k) / (math.exp(-x) + 1.0)
-    return (math.exp(pmi) - k * math.exp(x)) / (1.0 + math.exp(x))
+def h_function(pmi, k: float, x):
+    """(e^pmi - k e^x) / (1 + e^x), elementwise, without overflow for large |x|.
+
+    Above 0 the numerator and denominator are divided by e^x, so only
+    e^(pmi - max(x, 0)) and e^-|x| are ever taken; scalar inputs give a float.
+    """
+    x = np.asarray(x, dtype=float)
+    e = np.exp(-np.abs(x))
+    top = np.exp(pmi - np.maximum(x, 0.0)) - k * np.where(x > 0.0, 1.0, e)
+    return _float_if_scalar(top / (1.0 + e))
 
 
 def _chord(pmi: np.ndarray, k: float, lam: float) -> np.ndarray:
@@ -154,43 +162,27 @@ def solve_l1(pmi: float, k: float, lam: float) -> float:
     return float(l1_scores(pmi, k, lam))
 
 
-def _bisect_decreasing(g, lo: float, hi: float) -> float:
-    """Root of a strictly decreasing g on [lo, hi], clamped at the ends."""
-    g_lo = g(lo)
-    if g_lo <= 0.0:
-        return lo
-    if g(hi) >= 0.0:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, abs(lo)):
-            break
-    return 0.5 * (lo + hi)
-
-
-def solve_exact(pmi: float, k: float, lam: float, kind: str) -> float:
-    """Solve the regularized stationarity condition by bisection.
+def solve_exact(pmi, k: float, lam, kind: str):
+    """Solve the regularized stationarity condition by bisection, elementwise.
 
     Serves as the ground-truth companion to the closed forms: the residual of
-    the returned root is below 1e-12 on desk-scale inputs, and the bracket
-    [-50, 50] covers every root those inputs can produce.
+    each returned root is below 1e-12 on desk-scale inputs, and the bracket
+    [-50, 50] covers every root those inputs can produce.  pmi and lam
+    broadcast together.  L1 picks each bracket from h(0): [0, 50] above lam,
+    [-50, 0] below -lam, and [0, 0] (the score 0) in between.
     """
     if kind not in REG_KINDS:
         raise ValueError(f"kind must be one of {REG_KINDS}, got {kind!r}")
     _check_params(k, lam)
     if kind == "l2":
-        # lam*x - h(x) is strictly increasing; negate for the decreasing helper
-        return _bisect_decreasing(lambda x: h_function(pmi, k, x) - lam * x, -50.0, 50.0)
+        # lam*x - h(x) is strictly increasing; its negation is decreasing
+        return bisect_decreasing(lambda x: h_function(pmi, k, x) - lam * x, -50.0, 50.0)
     h0 = h_function(pmi, k, 0.0)
-    if abs(h0) <= lam:
-        return 0.0
-    if h0 > lam:
-        return _bisect_decreasing(lambda x: h_function(pmi, k, x) - lam, 0.0, 50.0)
-    return _bisect_decreasing(lambda x: h_function(pmi, k, x) + lam, -50.0, 0.0)
+    up = h0 > lam
+    shift = np.where(up, lam, -lam)
+    lo = np.where(up | (np.abs(h0) <= lam), 0.0, -50.0)
+    hi = np.where(up, 50.0, 0.0)
+    return bisect_decreasing(lambda x: h_function(pmi, k, x) - shift, lo, hi)
 
 
 def absent_pair_solution(spec: RegSpec) -> float:

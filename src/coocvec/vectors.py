@@ -9,6 +9,7 @@ cannot silently absorb them.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -148,6 +149,11 @@ class Embedding:
 
     def vector(self, word: str) -> np.ndarray:
         return self.vectors[self.index(word)]
+
+    def indices(self, words) -> np.ndarray:
+        """Row of each word, or -1 for a word not in the embedding."""
+        found = map(self._index.get, words, itertools.repeat(-1))
+        return np.fromiter(found, dtype=np.int64, count=len(words))
 
 
 @dataclass

@@ -148,6 +148,43 @@ class TestMalformedInput:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error bad-format:")
 
+    @pytest.mark.parametrize("command", ["pmi", "regularize", "solve", "report"])
+    def test_cooc_file_without_entries(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("3 0.0\n")
+        extra = {
+            "pmi": ["--variant", "ppmi", "--output", str(tmp_path / "m")],
+            "regularize": ["--reg", "l2", "--lam", "0.5", "--output", str(tmp_path / "m")],
+            "solve": ["--loss", "logistic", "--output", str(tmp_path / "m")],
+            "report": [],
+        }[command]
+        code = run(command, "--cooc", str(empty), *extra)
+        err = capsys.readouterr().err.splitlines()
+        if command in ("pmi", "regularize"):
+            assert code == 0 and err == []
+        else:
+            assert code == 1
+            assert len(err) == 1 and err[0].startswith("error degenerate-marginal:"), err
+
+    @pytest.mark.parametrize("weight", ["-1.0", "nan"])
+    def test_bad_alpha_weight_is_one_format_error_naming_the_file(
+        self, tmp_path, corpus_path, capsys, weight
+    ):
+        counts = counted(tmp_path, corpus_path)
+        sol, alpha = str(tmp_path / "sol.txt"), tmp_path / "alpha.txt"
+        assert run("solve", "--cooc", counts, "--output", sol, "--loss", "squared",
+                   "--alpha-out", str(alpha)) == 0
+        lines = alpha.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if i > 0 and not line.startswith("#"))
+        lines[at] = " ".join(lines[at].split()[:2] + [weight])
+        alpha.write_text("\n".join(lines) + "\n")
+        code = run("factorize", "--weighted", "--matrix", sol, "--alpha", str(alpha),
+                   "--output", str(tmp_path / "emb"), "--dim", "2", "--epochs", "2")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error bad-format:"), err
+        assert str(alpha) in err[0]
+
     def test_truncated_binary_is_one_format_error(self, tmp_path, corpus_path, capsys):
         full = counted(tmp_path, corpus_path, "--binary")
         blob = open(full, "rb").read()

@@ -355,3 +355,41 @@ def test_property_quadratic_family_identical(seed):
     ((n_wc, n_w, n_c, total, k),) = random_count_tuples(rng, 1)
     results = [solve_pair(kind, n_wc, n_w, n_c, total, k).x_star for kind in QUADRATIC]
     assert max(results) - min(results) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.lists(
+        st.tuples(st.floats(0.0, 50.0), st.floats(0.1, 50.0), st.floats(0.1, 50.0)),
+        min_size=1,
+        max_size=8,
+    ),
+    total=st.floats(50.0, 1000.0),
+    k=st.floats(1.0, 10.0),
+    xs=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=8),
+)
+def test_property_array_references_equal_stacked_scalar_calls(counts, total, k, xs):
+    """Array calls give the scalar calls' results bit for bit, and the references
+    agree with an independent root finder."""
+    n_wc, n_w, n_c = (np.array(col) for col in zip(*counts))
+    neg_mass = k * n_w * n_c / total
+    x = np.array(xs)
+    for kind in LOSS_NAMES:
+        got = minimize_pair_numeric(kind, n_wc, n_w, n_c, total, k)
+        stacked = [minimize_pair_numeric(kind, *t, total, k) for t in counts]
+        assert got.tobytes() == np.array(stacked).tobytes(), kind
+        reference = np.array([minimize_rho(kind, *t, total, k) for t in counts])
+        # the hinge's two vertices tie at n_wc = neg_mass, where each side picks its own
+        decided = np.abs(n_wc - neg_mass) > 1e-9 * np.maximum(n_wc, neg_mass)
+        if kind != "hinge":
+            decided[:] = True
+        assert np.allclose(got[decided], reference[decided], rtol=0.0, atol=1e-7), kind
+        for y in (1.0, -1.0):
+            slope = loss_derivative(kind, x, y)
+            assert slope.tobytes() == np.array([loss_derivative(kind, v, y) for v in xs]).tobytes()
+            curve = loss_second_derivative(kind, x, y)
+            if kind == "hinge":
+                assert curve is None
+            else:
+                stacked = [loss_second_derivative(kind, v, y) for v in xs]
+                assert curve.tobytes() == np.array(stacked).tobytes()

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coocvec import (
     Embedding,
@@ -100,6 +103,16 @@ class TestAverageRanks:
 
     def test_all_equal(self):
         assert np.allclose(average_ranks(np.array([2.0, 2.0, 2.0, 2.0])), 2.5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0]) | st.floats(-5.0, 5.0), max_size=40
+        )
+    )
+    def test_matches_scipy_average_rankdata(self, values):
+        want = scipy.stats.rankdata(values, method="average")
+        assert average_ranks(np.array(values)).tobytes() == want.astype(float).tobytes()
 
 
 class TestSpearman:

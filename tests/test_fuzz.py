@@ -51,6 +51,9 @@ def written(tmp_path_factory):
     for key, binary in (("ppmi_txt", []), ("ppmi_bin", ["--binary"])):
         assert cli("pmi", "--cooc", p["counts_txt"], "--output", p[key], "--variant", "ppmi",
                    *binary)[0] == 0
+    p["sol"], p["alpha"] = str(d / "sol.txt"), str(d / "alpha.txt")
+    assert cli("solve", "--cooc", p["counts_txt"], "--output", p["sol"], "--loss", "squared",
+               "--alpha-out", p["alpha"])[0] == 0
     p["vocab"] = p["counts_txt"] + ".vocab"
     assert cli("factorize", "--matrix", p["ppmi_txt"], "--output", p["emb"], "--dim", "3",
                "--vocab", p["vocab"])[0] == 0
@@ -66,6 +69,8 @@ def written(tmp_path_factory):
 # kind -> (the written file it starts from, whether its first line is a sized
 # header, the consuming command with {} for the damaged file)
 KINDS = {
+    "alpha": ("alpha", True,
+              "factorize --weighted --matrix {sol} --alpha {} --output {out} --dim 2 --epochs 2"),
     "cooc-text": ("counts_txt", True, "pmi --cooc {} --output {out} --variant ppmi"),
     "cooc-binary": ("counts_bin", True, "pmi --cooc {} --output {out} --variant ppmi"),
     "matrix-text": ("ppmi_txt", True, "factorize --matrix {} --output {out} --dim 2"),

@@ -266,3 +266,25 @@ def test_property_l2_chord_stays_in_range_and_shrinks(gap, k, lam):
     x = solve_l2(pmi, k, lam)
     assert 0.0 < x < gap
     assert solve_l2(pmi, k, lam * 2.0) < x
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pmis=st.lists(st.floats(-5.0, 5.0) | st.just(-math.inf), min_size=1, max_size=8),
+    k=st.floats(1.0, 8.0),
+    lam=st.floats(1e-3, 10.0),
+    xs=st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=8),
+)
+def test_property_array_references_equal_stacked_scalar_calls(pmis, k, lam, xs):
+    """Array calls give the scalar calls' results bit for bit, and the
+    bisection agrees with an independent root finder."""
+    pmi = np.array(pmis)
+    for kind in ("l1", "l2"):
+        got = solve_exact(pmi, k, lam, kind)
+        stacked = [solve_exact(p, k, lam, kind) for p in pmis]
+        assert got.tobytes() == np.array(stacked).tobytes(), kind
+        reference = [reg_root(p, k, lam, kind) for p in pmis]
+        assert np.allclose(got, reference, rtol=0.0, atol=1e-10), kind
+    h = h_function(pmi[:, None], k, np.array(xs))
+    stacked = [[h_function(p, k, x) for x in xs] for p in pmis]
+    assert h.tobytes() == np.array(stacked).tobytes()
