@@ -18,7 +18,7 @@ import numpy as np
 
 from . import convex_model, evaluation, factorization, formats, regularization
 from .closed_form import LOSS_NAMES, minimize_pair_numeric, solve_pairs
-from .corpus import WindowSpec, build_vocabulary, count_sharded
+from .corpus import WindowSpec, build_vocabulary, count_cooccurrences
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -56,7 +56,11 @@ def _emit(lines: list[str], path: str | None) -> None:
 def cmd_count(args: argparse.Namespace) -> int:
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("COOC_THREADS", "1"))
+        env = os.environ.get("COOC_THREADS", "1")
+        try:
+            threads = int(env)
+        except ValueError:
+            raise InvalidOptionError(f"COOC_THREADS must be an integer, got {env!r}") from None
     records = formats.read_corpus(args.input)
     vocab = build_vocabulary(records, min_count=args.min_count)
     win = WindowSpec(
@@ -68,7 +72,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         context_subsample_threshold=args.context_subsample_threshold,
         stochastic_subsample=args.stochastic,
     )
-    stats = count_sharded(records, vocab, win, seed=args.seed, shards=threads)
+    stats = count_cooccurrences(records, vocab, win, seed=args.seed, shards=threads)
     config = _config_dict(args)
     config["threads"] = threads
     prov = formats.make_provenance("count", config)
@@ -345,8 +349,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--context-subsample-threshold", type=float, default=None)
     p.add_argument("--stochastic", action="store_true", help="sampled drops instead of weights")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None, help="record shards, counted one after "
-                   "another: same pairs, values equal up to rounding order (default COOC_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=None, help="record shards (>= 1), counted one "
+                   "after another: same pairs, values equal up to rounding order (default COOC_THREADS or 1)")
     p.add_argument("--binary", action="store_true")
 
     p = sub("pmi", cmd_pmi, "build a PMI-family matrix")
@@ -430,6 +434,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, subs
 
 
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
+
+
 def _apply_config_file(argv: list[str], subs: dict[str, argparse.ArgumentParser]) -> None:
     command = next((a for a in argv if not a.startswith("-")), None)
     if command not in subs:
@@ -461,7 +469,12 @@ def _apply_config_file(argv: list[str], subs: dict[str, argparse.ArgumentParser]
             raise FormatError(f"{path}: unknown config key {key.strip()!r} for {command}")
         action, value = actions[dest], value.strip()
         if isinstance(action, argparse._StoreTrueAction):
-            overrides[dest] = value.lower() in ("1", "true", "yes", "on")
+            word = value.lower()
+            if word not in _TRUE_WORDS + _FALSE_WORDS:
+                raise FormatError(
+                    f"{path}: {key.strip()!r} takes 1/true/yes/on or 0/false/no/off, got {value!r}"
+                )
+            overrides[dest] = word in _TRUE_WORDS
             continue
         try:
             overrides[dest] = action.type(value) if action.type else value

@@ -22,14 +22,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyVocabularyError,
-    FormatError,
-    InvalidOptionError,
-    check_seed,
-)
-from .vectors import SparseMatrix
+from .errors import EmptyVocabularyError, FormatError, InvalidOptionError, check_seed
+from .vectors import SparseMatrix, sum_by_key
 
 POSITIONAL_WEIGHTS = ("constant", "reciprocal")
 
@@ -208,20 +202,6 @@ class CooccurrenceStats:
         if not math.isclose(self.total, float(row.sum()), rel_tol=rel_tol, abs_tol=1e-12):
             raise ValueError("total inconsistent with stored pairs")
 
-    def merge(self, other: "CooccurrenceStats") -> "CooccurrenceStats":
-        """Combine counts from two shards of the same corpus split."""
-        if self.n_words != other.n_words:
-            raise DimensionMismatchError("shards disagree on vocabulary size")
-        n = self.n_words
-        a, b = self.counts, other.counts
-        keys = np.concatenate([a.i * n + a.j, b.i * n + b.j])
-        return CooccurrenceStats(
-            counts=SparseMatrix.summed(n, n, keys, np.concatenate([a.v, b.v])),
-            row_marginal=self.row_marginal + other.row_marginal,
-            col_marginal=self.col_marginal + other.col_marginal,
-            total=self.total + other.total,
-        )
-
 
 def encode(records: Iterable[Sequence[str]], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     """In-vocabulary ids of all records, concatenated, and the record of each token.
@@ -265,7 +245,7 @@ def count_cooccurrences(
     vocab: Vocabulary,
     win: WindowSpec,
     seed: int = 0,
-    first_record: int = 0,
+    shards: int = 1,
 ) -> CooccurrenceStats:
     """Accumulate weighted co-occurrence counts over all records.
 
@@ -273,58 +253,53 @@ def count_cooccurrences(
     In stochastic mode, retained occurrences are then dropped independently
     with probability 1 - min(1, sqrt(tau / f_rel)); windows are formed on the
     surviving stream, so both roles of an occurrence vanish together.  records[p]
-    draws from a generator keyed by (seed, first_record + p): shards drop as the whole does.
-    Each offset's pairs are weighted as arrays and summed on the key w * V + c.
+    draws from a generator keyed by (seed, p), so any shard count drops the same tokens.
+
+    The records are walked in `shards` contiguous chunks, one after another.
+    Each offset's pairs are weighted as arrays and each chunk's are summed on
+    the key w * V + c; one more sum over the chunk sums, in chunk order, gives
+    the stored values.  Only that order of addition depends on the shard count.
     """
+    if shards < 1:
+        raise InvalidOptionError(f"shard count must be >= 1, got {shards}")
     n = len(vocab)
-    ids, rec = encode(records, vocab)
     target_w = context_w = np.ones(n)
+    keep_prob = None
     if not win.stochastic_subsample:
         target_w = _down_weight(win.subsample_threshold, vocab)
         context_w = _down_weight(win.context_threshold(), vocab)
     elif win.subsample_threshold is not None:
         check_seed(seed)
         keep_prob = _down_weight(win.subsample_threshold, vocab)
-        draws = [
-            np.random.default_rng([seed, first_record + r]).random(m)
-            for r, m in enumerate(np.bincount(rec).tolist())
-            if m
-        ]
-        keep = np.concatenate([np.empty(0), *draws]) < keep_prob[ids]
-        ids, rec = ids[keep], rec[keep]
-
-    keys, weights = [], []
-    for off, t, c in window_pairs(rec, win.offsets()):
-        t, c = ids[t], ids[c]
-        keys.append(t * n + c)
-        weights.append(target_w[t] * context_w[c] * win.positional(off))
-    key, weight = np.concatenate(keys), np.concatenate(weights)
-    del keys, weights  # free the per-offset pieces before the sort
-    return CooccurrenceStats.from_counts(SparseMatrix.summed(n, n, key, weight))
-
-
-def count_sharded(
-    records: Sequence[Sequence[str]],
-    vocab: Vocabulary,
-    win: WindowSpec,
-    seed: int = 0,
-    shards: int = 1,
-) -> CooccurrenceStats:
-    """Count contiguous record shards one after another and merge the results.
-
-    Merging is an associative sum and stochastic drops are keyed by record index,
-    so the shard layout only affects rounding order, never which pairs are counted.
-    """
-    if shards <= 1 or len(records) <= 1:
-        return count_cooccurrences(records, vocab, win, seed=seed)
-    chunk = (len(records) + shards - 1) // shards
+    records = list(records)
+    chunk = max(1, -(-len(records) // shards))
     parts = []
-    for s in range(0, len(records), chunk):
-        parts.append(count_cooccurrences(records[s : s + chunk], vocab, win, seed, first_record=s))
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = merged.merge(part)
-    return merged
+    for start in range(0, max(len(records), 1), chunk):
+        ids, rec = encode(records[start : start + chunk], vocab)
+        if keep_prob is not None:
+            draws = [
+                np.random.default_rng([seed, start + r]).random(m)
+                for r, m in enumerate(np.bincount(rec).tolist())
+                if m
+            ]
+            keep = np.concatenate([np.empty(0), *draws]) < keep_prob[ids]
+            ids, rec = ids[keep], rec[keep]
+        keys, weights = [], []
+        for off, t, c in window_pairs(rec, win.offsets()):
+            t, c = ids[t], ids[c]
+            keys.append(t * n + c)
+            weights.append(target_w[t] * context_w[c] * win.positional(off))
+        key, weight = np.concatenate(keys), np.concatenate(weights)
+        del keys, weights  # free the per-offset pieces before the sort
+        parts.append(sum_by_key(key, weight))
+        del key, weight
+    if len(parts) == 1:
+        key, v = parts.pop()
+    else:
+        key, v = map(np.concatenate, zip(*parts))
+        parts.clear()  # free the chunk sums before the sort
+        key, v = sum_by_key(key, v)
+    return CooccurrenceStats.from_counts(SparseMatrix(n, n, key // n, key % n, v))
 
 
 def check_symmetry(stats: CooccurrenceStats, rel_tol: float = 1e-9) -> tuple[bool, float]:

@@ -396,4 +396,8 @@ def read_similarity(path: str) -> list[tuple[str, str, float]]:
     """Scored word pairs; a dataset, which no command writes, may open with `# ` comments."""
     _, _, _, body = _read(path, header=False, stamps="# ")
     table = _table(body, _SIMILARITY_DTYPE, "word1<TAB>word2<TAB>score", "\t")
+    bad = ~np.isfinite(table["score"])
+    if bad.any():
+        a, b, score = table[int(np.argmax(bad))]
+        raise FormatError(f"pair {a!r}, {b!r} has score {score!r}, not a finite number")
     return list(zip(table["a"].tolist(), table["b"].tolist(), table["score"].tolist()))

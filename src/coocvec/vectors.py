@@ -19,6 +19,12 @@ import numpy as np
 from .errors import DimensionMismatchError, FormatError, MarkerContaminationError, UnknownWordError
 
 
+def sum_by_key(key: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the sum of v over each, added in input order."""
+    key, slot = np.unique(key, return_inverse=True)
+    return key, np.bincount(slot, weights=v, minlength=len(key))
+
+
 @dataclass
 class SparseMatrix:
     """Sparse matrix as index and value columns, with an explicit meaning for absence.
@@ -69,8 +75,7 @@ class SparseMatrix:
     @classmethod
     def summed(cls, rows: int, cols: int, key: np.ndarray, v: np.ndarray) -> "SparseMatrix":
         """Matrix whose entry (i, j) is the sum of v over key == i * cols + j, in input order."""
-        key, slot = np.unique(key, return_inverse=True)
-        v = np.bincount(slot, weights=v, minlength=len(key))
+        key, v = sum_by_key(key, v)
         return cls(rows, cols, key // cols, key % cols, v)
 
     @property

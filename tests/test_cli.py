@@ -66,6 +66,16 @@ class TestCount:
         prov = read_provenance(out)
         assert prov.config["threads"] == 3
 
+    def test_non_integer_threads_environment_is_one_error_line(
+        self, tmp_path, corpus_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("COOC_THREADS", "abc")
+        out = str(tmp_path / "c.txt")
+        assert run("count", "--input", corpus_path, "--output", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error invalid-option:"), err
+        assert "COOC_THREADS" in err[0] and not os.path.exists(out)
+
     def test_missing_input_prints_one_error_line(self, tmp_path, capsys):
         code = run("count", "--input", str(tmp_path / "nope.txt"), "--output", str(tmp_path / "o"))
         assert code == 1
@@ -308,6 +318,8 @@ class TestOptionErrors:
             ["train-convex", "--full-batch", "--step", "-1"],
             ["factorize", "--weighted", "--epochs", "-1"],
             ["factorize", "--power-iters", "-1"],
+            ["count", "--threads", "0"],
+            ["count", "--threads", "-3"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -422,6 +434,20 @@ class TestFactorizeTrainEval:
         assert lines["pairs_scored"] == "3"
         assert float(lines["coverage"]) == pytest.approx(0.75)
 
+    @pytest.mark.parametrize("score", ["nan", "inf"])
+    def test_non_finite_similarity_score_is_one_format_error(
+        self, tmp_path, corpus_path, capsys, score
+    ):
+        emb_path = str(tmp_path / "conv.txt")
+        run("train-convex", "--input", corpus_path, "--output", emb_path, "--epochs", "1")
+        dataset = tmp_path / "sim.tsv"
+        dataset.write_text(f"fox\tcat\t7.0\nthe\tslow\t1.0\nquick\tsaw\t4.0\nfox\tthe\t{score}\n")
+        capsys.readouterr()
+        assert run("eval", "--embedding", emb_path, "--dataset", str(dataset)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error bad-format:"), err
+        assert str(dataset) in err[0]
+
     def test_eval_insufficient_pairs_category(self, tmp_path, corpus_path, capsys):
         emb_path = str(tmp_path / "conv.txt")
         run("train-convex", "--input", corpus_path, "--output", emb_path, "--epochs", "1")
@@ -488,6 +514,19 @@ class TestConfigFile:
         assert run("count", "--input", corpus_path, "--output", out, "--config", str(cfg)) == 0
         assert open(out, "rb").read(4) == b"CWB1"
         assert read_provenance(out).config["seed"] == 9
+
+    @pytest.mark.parametrize("word, stochastic", [("TRUE", True), ("Off", False), ("ture", None)])
+    def test_config_boolean_words(self, tmp_path, corpus_path, capsys, word, stochastic):
+        cfg = tmp_path / "count.cfg"
+        cfg.write_text(f"stochastic={word}\n")
+        out = str(tmp_path / "c.txt")
+        code = run("count", "--input", corpus_path, "--output", out, "--config", str(cfg))
+        if stochastic is not None:
+            assert code == 0 and read_provenance(out).config["stochastic"] is stochastic
+            return
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1 and len(err) == 1 and err[0].startswith("error bad-format:"), err
+        assert str(cfg) in err[0] and "stochastic" in err[0]
 
     def test_unknown_config_key(self, tmp_path, corpus_path, capsys):
         cfg = tmp_path / "count.cfg"

@@ -9,11 +9,11 @@ from coocvec import (
     CooccurrenceStats,
     DimensionMismatchError,
     EmptyVocabularyError,
+    InvalidOptionError,
     WindowSpec,
     build_vocabulary,
     check_symmetry,
     count_cooccurrences,
-    count_sharded,
     tokenize,
 )
 from oracles import brute_count_dense
@@ -211,10 +211,10 @@ class TestCounting:
         assert stats.total < plain.total
 
 
-    @pytest.mark.parametrize("seed, first_record", [(3, 0), (3, 7), (11, 2)])
-    def test_stochastic_drops_follow_per_record_draws(self, seed, first_record):
-        # all-OOV ("x", "y q") and empty records still take up a record index
-        records = [
+    @pytest.mark.parametrize("seed, lead", [(3, 0), (3, 7), (11, 2)])
+    def test_stochastic_drops_follow_per_record_draws(self, seed, lead):
+        # all-OOV ("x", "y q") and empty records, the lead ones too, still take up a record index
+        records = [[]] * lead + [
             ["a", "b", "a", "c", "a"], ["x"], [], ["b", "a", "a", "b", "c", "a", "a"],
             ["y", "q"], ["a", "b", "c", "a", "b", "a", "a", "b"], ["c", "a", "b", "a"],
         ]
@@ -225,12 +225,12 @@ class TestCounting:
         kept = []
         for p, record in enumerate(records):
             ids = [vocab.id_of(t) for t in record if t in vocab]
-            draws = np.random.default_rng([seed, first_record + p]).random(len(ids))
+            draws = np.random.default_rng([seed, p]).random(len(ids))
             keep = [min(1.0, math.sqrt(tau / vocab.relative_frequency(w))) for w in ids]
             kept.append([w for w, u, k in zip(ids, draws, keep) if u < k])
         assert 0 < sum(map(len, kept)) < vocab.total_tokens
         want = brute_count_dense(kept, len(vocab), 2, 1, reciprocal=True)
-        got = count_cooccurrences(records, vocab, win, seed=seed, first_record=first_record)
+        got = count_cooccurrences(records, vocab, win, seed=seed)
         np.testing.assert_array_equal(got.to_dense() != 0, want != 0)
         np.testing.assert_allclose(got.to_dense(), want, rtol=1e-12)
 
@@ -250,12 +250,6 @@ class TestStatsInvariants:
         with pytest.raises(ValueError):
             abab_stats.validate()
 
-    def test_merge_sums_everything(self, abab_stats):
-        merged = abab_stats.merge(abab_stats)
-        assert merged.count(0, 1) == 6.0
-        assert merged.total == 12.0
-        merged.validate()
-
 
 class TestSharding:
     def test_shard_merge_equals_whole_exactly(self, rng):
@@ -267,7 +261,7 @@ class TestSharding:
         win = WindowSpec(left=2, right=2)
         whole = count_cooccurrences(records, vocab, win)
         for shards in (2, 3, 7):
-            sharded = count_sharded(records, vocab, win, shards=shards)
+            sharded = count_cooccurrences(records, vocab, win, shards=shards)
             assert sharded.pairs == whole.pairs
             assert sharded.total == whole.total
 
@@ -275,7 +269,7 @@ class TestSharding:
         records = [["a", "b", "c"], ["b", "a"]]
         vocab = build_vocabulary(records)
         win = WindowSpec(left=1, right=1)
-        assert count_sharded(records, vocab, win, shards=1).pairs == count_cooccurrences(
+        assert count_cooccurrences(records, vocab, win, shards=1).pairs == count_cooccurrences(
             records, vocab, win
         ).pairs
 
@@ -290,11 +284,40 @@ class TestSharding:
         vocab = build_vocabulary(records)
         win = WindowSpec(left=2, right=2, subsample_threshold=0.05, stochastic_subsample=True)
         whole = count_cooccurrences(records, vocab, win, seed=3)
-        sharded = count_sharded(records, vocab, win, seed=3, shards=shards)
+        sharded = count_cooccurrences(records, vocab, win, seed=3, shards=shards)
         assert whole.total < count_cooccurrences(records, vocab, WindowSpec(2, 2)).total
         assert np.array_equal(sharded.counts.i, whole.counts.i)
         assert np.array_equal(sharded.counts.j, whole.counts.j)
         np.testing.assert_allclose(sharded.counts.v, whole.counts.v, rtol=1e-12)
+
+
+    @pytest.mark.parametrize("shards", [2, 3, 4, 5])
+    def test_shard_values_are_chunk_sums_in_chunk_order(self, rng, shards):
+        records = [
+            [str(int(t)) for t in rng.zipf(1.6, size=int(rng.integers(1, 15))) % 12]
+            for _ in range(29)
+        ]
+        vocab = build_vocabulary(records)
+        win = WindowSpec(left=3, right=2, positional_weight="reciprocal",
+                         subsample_threshold=0.02, context_subsample=True)
+        chunk = -(-len(records) // shards)
+        want = {}
+        for start in range(0, len(records), chunk):
+            alone = count_cooccurrences(records[start : start + chunk], vocab, win)
+            for pair, v in alone.pairs.items():
+                want[pair] = want.get(pair, 0.0) + v
+        got = count_cooccurrences(records, vocab, win, shards=shards)
+        assert not np.all(got.counts.v == np.round(got.counts.v))
+        assert got.pairs == want
+        c, n = got.counts, len(vocab)
+        row = np.bincount(c.i, weights=c.v, minlength=n)
+        np.testing.assert_array_equal(got.row_marginal, row)
+        np.testing.assert_array_equal(got.col_marginal, np.bincount(c.j, weights=c.v, minlength=n))
+        assert got.total == float(row.sum())
+
+    def test_shard_count_below_one_is_invalid(self):
+        with pytest.raises(InvalidOptionError):
+            count_cooccurrences(ABAB, build_vocabulary(ABAB), WindowSpec(1, 1), shards=0)
 
 
 class TestSymmetryCheck:
@@ -338,7 +361,7 @@ def test_property_shard_merge_is_exact(data, shards):
     vocab = build_vocabulary(data)
     win = WindowSpec(left=1, right=2)
     whole = count_cooccurrences(data, vocab, win)
-    sharded = count_sharded(data, vocab, win, shards=shards)
+    sharded = count_cooccurrences(data, vocab, win, shards=shards)
     assert whole.pairs == sharded.pairs
 
 

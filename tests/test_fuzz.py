@@ -1,7 +1,8 @@
 """Fuzzing every file kind the workbench reads, through the command line.
 
-Each example starts from a file the program wrote, damages it with byte
-edits, token swaps and truncations, and runs the command that consumes it in
+Each example starts from a file the program wrote (the config file and the
+similarity dataset are written by the fixture), damages it with byte edits,
+token swaps and truncations, and runs the command that consumes it in
 process.  The command must succeed or print exactly one `error <category>:`
 line; an uncaught exception fails the test.
 """
@@ -45,7 +46,8 @@ def written(tmp_path_factory):
     corpus.write_text(CORPUS)
     p = {key: str(d / name) for key, name in (
         ("counts_txt", "counts.txt"), ("counts_bin", "counts.bin"), ("ppmi_txt", "ppmi.txt"),
-        ("ppmi_bin", "ppmi.bin"), ("emb", "emb.txt"), ("sim", "sim.tsv"))}
+        ("ppmi_bin", "ppmi.bin"), ("emb", "emb.txt"), ("sim", "sim.tsv"), ("config", "count.cfg"),
+        ("corpus", "corpus.txt"))}
     assert cli("count", "--input", str(corpus), "--output", p["counts_txt"])[0] == 0
     assert cli("count", "--input", str(corpus), "--output", p["counts_bin"], "--binary")[0] == 0
     for key, binary in (("ppmi_txt", []), ("ppmi_bin", ["--binary"])):
@@ -63,6 +65,10 @@ def written(tmp_path_factory):
     write_embedding(emb, p["emb"])
     with open(p["sim"], "w") as fh:
         fh.write("fox\tcat\t7.0\n#tag\t#\t2.5\nthe\tslow\t1.0\nquick\tsaw\t4.0\n")
+    with open(p["config"], "w") as fh:
+        fh.write("left=1\nright=2\nmin_count=1\nstochastic=false\nsubsample=0.01\n")
+    assert cli("count", "--config", p["config"], "--input", p["corpus"],
+               "--output", str(d / "configured.txt"))[0] == 0
     return p
 
 
@@ -71,6 +77,7 @@ def written(tmp_path_factory):
 KINDS = {
     "alpha": ("alpha", True,
               "factorize --weighted --matrix {sol} --alpha {} --output {out} --dim 2 --epochs 2"),
+    "config": ("config", False, "count --config {} --input {corpus} --output {out}"),
     "cooc-text": ("counts_txt", True, "pmi --cooc {} --output {out} --variant ppmi"),
     "cooc-binary": ("counts_bin", True, "pmi --cooc {} --output {out} --variant ppmi"),
     "matrix-text": ("ppmi_txt", True, "factorize --matrix {} --output {out} --dim 2"),
