@@ -27,6 +27,7 @@ from .errors import (
     MixedProvenanceError,
     WorkbenchError,
     check_seed,
+    check_shift,
 )
 from .pmi import VARIANTS, build_matrix, pmi_values
 from .vectors import Embedding
@@ -83,11 +84,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_pmi(args: argparse.Namespace) -> int:
-    stats = formats.read_cooc(args.cooc)
+    stats, cooc_prov = formats.read_cooc(args.cooc)
     matrix = build_matrix(stats, args.variant, k=args.k)
-    prov = formats.make_provenance(
-        "pmi", _config_dict(args), {"cooc": formats.read_provenance(args.cooc)}
-    )
+    prov = formats.make_provenance("pmi", _config_dict(args), {"cooc": cooc_prov})
     formats.write_matrix(
         matrix, args.output, tag=args.variant, k=args.k, prov=prov, binary=args.binary
     )
@@ -95,16 +94,14 @@ def cmd_pmi(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    stats = formats.read_cooc(args.cooc)
+    stats, cooc_prov = formats.read_cooc(args.cooc)
     c = stats.counts
     sol = solve_pairs(
         args.loss, c.v, stats.row_marginal[c.i], stats.col_marginal[c.j], stats.total, args.k
     )
     implicit = None if args.loss == "logistic" else -1.0
     matrix = replace(c, v=sol.x_star, implicit_value=implicit)
-    prov = formats.make_provenance(
-        "solve", _config_dict(args), {"cooc": formats.read_provenance(args.cooc)}
-    )
+    prov = formats.make_provenance("solve", _config_dict(args), {"cooc": cooc_prov})
     formats.write_matrix(
         matrix,
         args.output,
@@ -128,12 +125,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_regularize(args: argparse.Namespace) -> int:
-    stats = formats.read_cooc(args.cooc)
+    stats, cooc_prov = formats.read_cooc(args.cooc)
     spec = regularization.RegSpec(kind=args.reg, k=args.k, lam=args.lam)
     matrix = regularization.regularize_stats(stats, spec)
-    prov = formats.make_provenance(
-        "regularize", _config_dict(args), {"cooc": formats.read_provenance(args.cooc)}
-    )
+    prov = formats.make_provenance("regularize", _config_dict(args), {"cooc": cooc_prov})
     formats.write_matrix(
         matrix,
         args.output,
@@ -147,7 +142,8 @@ def cmd_regularize(args: argparse.Namespace) -> int:
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
-    matrix, _ = formats.read_matrix(args.matrix)
+    matrix, info = formats.read_matrix(args.matrix)
+    upstream = {"matrix": info.prov}
     words = None
     if args.vocab:
         words = formats.read_vocab(args.vocab).words
@@ -155,12 +151,15 @@ def cmd_factorize(args: argparse.Namespace) -> int:
             raise DimensionMismatchError(
                 f"{args.vocab} has {len(words)} words for {matrix.rows} matrix rows"
             )
-    upstream = {"matrix": formats.read_provenance(args.matrix)}
+        if args.weighted and args.context_out and len(words) != matrix.cols:
+            raise DimensionMismatchError(
+                f"{args.vocab} has {len(words)} words for {matrix.cols} context rows"
+            )
     if args.weighted:
         if not args.alpha:
             raise FormatError("--weighted needs --alpha with curvature weights")
-        alpha_matrix, _ = formats.read_matrix(args.alpha)
-        upstream["alpha"] = formats.read_provenance(args.alpha)
+        alpha_matrix, alpha_info = formats.read_matrix(args.alpha)
+        upstream["alpha"] = alpha_info.prov
         if (alpha_matrix.rows, alpha_matrix.cols) != (matrix.rows, matrix.cols):
             raise DimensionMismatchError(f"{args.alpha} and {args.matrix} differ in shape")
         pos, found = alpha_matrix.find(matrix.i, matrix.j)
@@ -233,12 +232,10 @@ def cmd_train_convex(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    emb = formats.read_embedding(args.embedding)
+    emb, emb_prov = formats.read_embedding(args.embedding)
     dataset = formats.read_similarity(args.dataset)
     report = evaluation.spearman(emb, dataset, metric=args.metric)
-    prov = formats.make_provenance(
-        "eval", _config_dict(args), {"embedding": formats.read_provenance(args.embedding)}
-    )
+    prov = formats.make_provenance("eval", _config_dict(args), {"embedding": emb_prov})
     lines = [
         formats.provenance_line(prov),
         f"spearman\t{report.coefficient!r}",
@@ -250,7 +247,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_neighbors(args: argparse.Namespace) -> int:
-    emb = formats.read_embedding(args.embedding)
+    emb, _ = formats.read_embedding(args.embedding)
     hits = evaluation.neighbors(emb, args.word, args.n, metric=args.metric)
     lines = [f"{w}\t{s!r}" for w, s in hits]
     _emit(lines, args.output)
@@ -258,14 +255,14 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    provs = {"cooc": formats.read_provenance(args.cooc)}
-    stats = formats.read_cooc(args.cooc)
+    stats, cooc_prov = formats.read_cooc(args.cooc)
+    upstream = {"cooc": cooc_prov}
     matrix = None
     if args.matrix:
-        matrix, _ = formats.read_matrix(args.matrix)
-        provs["matrix"] = formats.read_provenance(args.matrix)
-    roots = [p.root for p in provs.values() if p is not None]
-    if any(r is None for r in roots) or len(set(roots)) > 1:
+        matrix, info = formats.read_matrix(args.matrix)
+        upstream["matrix"] = info.prov
+    prov = formats.make_provenance("report", _config_dict(args), upstream)
+    if prov.root is None:
         raise MixedProvenanceError(
             "inputs carry different provenance roots; rerun the pipeline end to end"
         )
@@ -273,6 +270,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.samples < 0:
         raise InvalidOptionError(f"--samples must be >= 0, got {args.samples}")
     check_seed(args.seed)
+    check_shift(args.k)
     rng = np.random.default_rng(args.seed)
     rows, cols, joint = stats.counts.i, stats.counts.j, stats.counts.v
     if len(joint) > args.samples:
@@ -282,7 +280,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     pmi = pmi_values(stats, rows, cols, joint)
     shifted = pmi - math.log(args.k)
 
-    lines = [formats.provenance_line(formats.make_provenance("report", _config_dict(args), provs))]
+    lines = [formats.provenance_line(prov)]
     for loss in LOSS_NAMES:
         x = solve_pairs(loss, joint, n_w, n_c, stats.total, args.k).x_star
         numeric = minimize_pair_numeric(loss, joint, n_w, n_c, stats.total, args.k)
@@ -480,6 +478,12 @@ def _apply_config_file(argv: list[str], subs: dict[str, argparse.ArgumentParser]
             overrides[dest] = action.type(value) if action.type else value
         except ValueError as exc:
             raise FormatError(f"{path}: bad value for {key.strip()!r}: {exc}") from exc
+        if action.choices is not None and overrides[dest] not in action.choices:
+            raise FormatError(
+                f"{path}: {key.strip()!r} takes one of {action.choices}, got {value!r}"
+            )
+    for dest in overrides:
+        actions[dest].required = False  # the file supplies it
     sub.set_defaults(**overrides)
 
 

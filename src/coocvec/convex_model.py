@@ -86,14 +86,14 @@ def build_examples(
     """
     n = len(vocab)
     win = spec.window
-    width = len(win.offsets())
+    width = win.left + win.right
     m = context_dim(spec, n)
     single = spec.mode == "single"
     ids, rec = encode(records, vocab)
     # Z has one row per (position, slot) and one column per input coordinate;
     # bag and positional inputs sum all slots of a position into its slot-0 row
-    keys, vals = [], []
-    for slot, (off, t, c) in enumerate(window_pairs(rec, win.offsets())):
+    keys, vals = [np.empty(0, np.int64)], [np.empty(0)]
+    for slot, off, t, c in window_pairs(rec, win):
         coord = ids[c] + slot * n if spec.mode == "positional" else ids[c]
         keys.append((t * width + (slot if single else 0)) * m + coord)
         vals.append(np.full(len(t), 1.0 if single else win.positional(off)))
@@ -122,8 +122,8 @@ class TrainConfig:
             raise InvalidOptionError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if self.noise not in NOISE_KINDS:
             raise InvalidOptionError(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
-        if self.l1 < 0:
-            raise InvalidOptionError(f"l1 strength must be non-negative, got {self.l1}")
+        if not 0.0 <= self.l1 < np.inf:
+            raise InvalidOptionError(f"l1 strength must be a finite number >= 0, got {self.l1}")
         if self.k_neg < 1 and self.objective == "negative_sampling":
             raise InvalidOptionError(f"negative sampling needs k_neg >= 1, got {self.k_neg}")
         if self.epochs < 0:

@@ -219,18 +219,22 @@ def encode(records: Iterable[Sequence[str]], vocab: Vocabulary) -> tuple[np.ndar
 
 
 def window_pairs(
-    rec: np.ndarray, offsets: Iterable[int]
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The window walk: for each offset, (offset, targets t, contexts t + offset).
+    rec: np.ndarray, win: WindowSpec
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The window walk: per offset, (slot, offset, targets t, contexts t + offset).
 
-    t runs ascending over the positions of rec (the token records from encode)
-    whose context position lies in the same record.
+    slot is the offset's index in win.offsets().  t runs ascending over the
+    positions of rec (the token records from encode) whose context position
+    lies in the same record; offsets as long as the longest record hold no
+    such position and are skipped.
     """
     n = len(rec)
-    for off in offsets:
-        t = np.arange(max(0, -off), min(n, n - off))
-        t = t[rec[t] == rec[t + off]]
-        yield off, t, t + off
+    reach = int(np.bincount(rec).max(initial=0)) - 1
+    for off in range(-min(win.left, reach), min(win.right, reach) + 1):
+        if off:
+            t = np.arange(max(0, -off), min(n, n - off))
+            t = t[rec[t] == rec[t + off]]
+            yield off + win.left - (off > 0), off, t, t + off
 
 
 def _down_weight(tau: float | None, vocab: Vocabulary) -> np.ndarray:
@@ -284,8 +288,8 @@ def count_cooccurrences(
             ]
             keep = np.concatenate([np.empty(0), *draws]) < keep_prob[ids]
             ids, rec = ids[keep], rec[keep]
-        keys, weights = [], []
-        for off, t, c in window_pairs(rec, win.offsets()):
+        keys, weights = [np.empty(0, np.int64)], [np.empty(0)]
+        for _, off, t, c in window_pairs(rec, win):
             t, c = ids[t], ids[c]
             keys.append(t * n + c)
             weights.append(target_w[t] * context_w[c] * win.positional(off))

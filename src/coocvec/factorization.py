@@ -148,8 +148,8 @@ class WeightedFactorizationProblem:
             raise DimensionMismatchError(
                 f"dim must lie in [1, {min(self.n_rows, self.n_cols)}], got {self.dim}"
             )
-        if self.ridge < 0:
-            raise InvalidOptionError(f"ridge must be non-negative, got {self.ridge}")
+        if not 0.0 <= self.ridge < np.inf:
+            raise InvalidOptionError(f"ridge must be a finite number >= 0, got {self.ridge}")
         if self.epochs < 0:
             raise InvalidOptionError(f"epochs must be non-negative, got {self.epochs}")
         if not np.isfinite(t.v).all():

@@ -20,7 +20,7 @@ import hashlib
 import json
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,19 +58,24 @@ class Provenance:
 def make_provenance(
     command: str, config: dict, upstream: dict[str, "Provenance | None"] | None = None
 ) -> Provenance:
+    """A run's stamp, whose root is the one root all of its stamped inputs share.
+
+    Without a stamped input the run is its own root; two roots or a rootless
+    input give None.  An unstamped input (None) is recorded as null.
+    """
     upstream = upstream or {}
     prov = Provenance(
         command=command,
         config=dict(config),
         inputs={name: (p.hash() if p else None) for name, p in upstream.items()},
     )
-    roots = sorted({p.root for p in upstream.values() if p is not None and p.root})
+    roots = {p.root for p in upstream.values() if p is not None}
     if not roots:
         prov.root = prov.hash()
-    elif len(roots) == 1:
-        prov.root = roots[0]
+    elif len(roots) == 1 and None not in roots:
+        prov.root = roots.pop()
     else:
-        prov.root = None  # genuinely mixed ancestry; report refuses such files
+        prov.root = None  # mixed or rootless ancestry stays mixed; report refuses it
     return prov
 
 
@@ -220,20 +225,20 @@ def _write_triplets(path: str, header_lines: list[str], mat: SparseMatrix, binar
         fh.write(triplets.tobytes())
 
 
-def _read_triplets(path: str, parse_header) -> tuple[SparseMatrix, object]:
+def _read_triplets(path: str, parse_header) -> tuple[SparseMatrix, object, Provenance | None]:
     """Read a text or binary triplet file into a SparseMatrix.
 
     parse_header turns the header line's fields into (rows, cols,
-    implicit_value, info); the info is returned beside the matrix.
+    implicit_value, info); info and the file's stamp come back beside the matrix.
     """
-    head, _, _, body = _read(path, magic=True)
+    head, prov, _, body = _read(path, magic=True)
     try:
         rows, cols, implicit, info = parse_header(head.split())
     except ValueError as exc:
         raise FormatError(f"bad header {head!r}: {exc}") from exc
     if isinstance(body, str):
         body = _table(body, _TEXT_TRIPLET_DTYPE, "i j value")
-    return SparseMatrix(rows, cols, body["i"], body["j"], body["v"], implicit), info
+    return SparseMatrix(rows, cols, body["i"], body["j"], body["v"], implicit), info, prov
 
 
 # ---------------------------------------------------------------- vocabulary
@@ -276,13 +281,13 @@ def _cooc_header(fields: list[str]) -> tuple[int, int, float, float]:
 
 
 @_reader
-def read_cooc(path: str) -> CooccurrenceStats:
-    counts, total = _read_triplets(path, _cooc_header)
+def read_cooc(path: str) -> tuple[CooccurrenceStats, Provenance | None]:
+    counts, total, prov = _read_triplets(path, _cooc_header)
     stats = CooccurrenceStats.from_counts(counts)
     if abs(stats.total - total) > 1e-6 * max(1.0, abs(total)):
         raise FormatError(f"header total {total!r} disagrees with entry sum {stats.total!r}")
     stats.total = total
-    return stats
+    return stats, prov
 
 
 # ------------------------------------------------------------------ matrices
@@ -293,6 +298,7 @@ class MatrixInfo:
     tag: str
     k: float
     lam: float | None = None
+    prov: Provenance | None = None
 
 
 def write_matrix(
@@ -340,7 +346,9 @@ def _matrix_header(fields: list[str]) -> tuple[int, int, float | None, MatrixInf
 
 @_reader
 def read_matrix(path: str) -> tuple[SparseMatrix, MatrixInfo]:
-    return _read_triplets(path, _matrix_header)
+    """The matrix and its header fields, with the file's provenance stamp in info.prov."""
+    matrix, info, prov = _read_triplets(path, _matrix_header)
+    return matrix, replace(info, prov=prov)
 
 
 # ---------------------------------------------------------------- embeddings
@@ -360,8 +368,8 @@ _NEG_INF_CELL = re.compile(rf"(?<=[ \t]){NEG_INF_TOKEN}(?!\S)")
 
 
 @_reader
-def read_embedding(path: str) -> Embedding:
-    head, _, meta, body = _read(path)
+def read_embedding(path: str) -> tuple[Embedding, Provenance | None]:
+    head, prov, meta, body = _read(path)
     fields = head.split()
     if len(fields) != 2 or not all(f.isdigit() for f in fields):
         raise FormatError(f"header must be 'num_words dim' (two integers >= 0), got {head!r}")
@@ -385,7 +393,7 @@ def read_embedding(path: str) -> Embedding:
         vectors=vectors,
         neg_inf_mask=mask if markers else None,
         meta=meta,
-    )
+    ), prov
 
 
 # ------------------------------------------------------------------ datasets

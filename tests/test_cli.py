@@ -1,4 +1,7 @@
+import builtins
 import os
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ def counted(tmp_path, corpus_path, *extra: str) -> str:
 class TestCount:
     def test_writes_counts_and_vocab(self, tmp_path, corpus_path):
         out = counted(tmp_path, corpus_path)
-        stats = read_cooc(out)
+        stats, _ = read_cooc(out)
         assert stats.total > 0
         vocab = read_vocab(out + ".vocab")
         assert vocab.words[0] == "the"
@@ -45,7 +48,7 @@ class TestCount:
         out = str(tmp_path / "c.bin")
         assert run("count", "--input", corpus_path, "--output", out, "--binary") == 0
         assert open(out, "rb").read(4) == b"CWB1"
-        assert read_cooc(out).n_words == 6
+        assert read_cooc(out)[0].n_words == 6
 
     def test_rerun_is_byte_identical(self, tmp_path, corpus_path):
         a = counted(tmp_path, corpus_path)
@@ -58,7 +61,7 @@ class TestCount:
         four = str(tmp_path / "four.txt")
         assert run("count", "--input", corpus_path, "--output", one, "--threads", "1") == 0
         assert run("count", "--input", corpus_path, "--output", four, "--threads", "4") == 0
-        assert read_cooc(one).pairs == read_cooc(four).pairs
+        assert read_cooc(one)[0].pairs == read_cooc(four)[0].pairs
 
     def test_threads_default_from_environment(self, tmp_path, corpus_path, monkeypatch):
         monkeypatch.setenv("COOC_THREADS", "3")
@@ -75,6 +78,19 @@ class TestCount:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error invalid-option:"), err
         assert "COOC_THREADS" in err[0] and not os.path.exists(out)
+
+    def test_window_past_the_longest_record_is_skipped(self, tmp_path, corpus_path):
+        longest = max(len(line.split()) for line in CORPUS.splitlines())
+        far, near = str(tmp_path / "far.txt"), str(tmp_path / "near.txt")
+        start = time.perf_counter()
+        assert run("count", "--input", corpus_path, "--output", far,
+                   "--left", "300000", "--right", "1") == 0
+        assert time.perf_counter() - start < 1.0
+        assert run("count", "--input", corpus_path, "--output", near,
+                   "--left", str(longest - 1), "--right", "1") == 0
+        a, b = read_cooc(far)[0].counts, read_cooc(near)[0].counts
+        for column in ("i", "j", "v"):
+            np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
 
     def test_missing_input_prints_one_error_line(self, tmp_path, capsys):
         code = run("count", "--input", str(tmp_path / "nope.txt"), "--output", str(tmp_path / "o"))
@@ -93,11 +109,21 @@ class TestPmiAndSolve:
         assert mat.implicit_value == 0.0
         assert all(v > 0 for v in mat.entries.values())
 
-    def test_invalid_k_category(self, tmp_path, corpus_path, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pmi", "--variant", "spmi", "--k", "0.5"],
+            ["report", "--k", "0"],
+            ["report", "--k", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_invalid_k_category(self, tmp_path, corpus_path, capsys, argv):
         counts = counted(tmp_path, corpus_path)
-        code = run("pmi", "--cooc", counts, "--output", str(tmp_path / "m"), "--variant", "spmi", "--k", "0.5")
+        code = run(*argv, "--cooc", counts, "--output", str(tmp_path / "m"))
         assert code == 1
-        assert capsys.readouterr().err.startswith("error invalid-k:")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error invalid-k:"), err
 
     def test_solve_writes_solution_and_alpha(self, tmp_path, corpus_path):
         counts = counted(tmp_path, corpus_path)
@@ -290,7 +316,7 @@ class TestHashTokens:
         assert run("train-convex", "--input", str(corpus), "--output", conv, "--vocab-out",
                    str(tmp_path / "v.vocab")) == 0
         for emb in (svd, conv):
-            assert set(read_embedding(emb).words) == {"#tag", "#", "the", "fox", "saw"}
+            assert set(read_embedding(emb)[0].words) == {"#tag", "#", "the", "fox", "saw"}
             assert run("neighbors", "--embedding", emb, "--word", "#", "--n", "2") == 0
             assert run("neighbors", "--embedding", emb, "--word", "#tag", "--n", "2") == 0
         assert read_vocab(counts + ".vocab").words == read_vocab(str(tmp_path / "v.vocab")).words
@@ -320,6 +346,9 @@ class TestOptionErrors:
             ["factorize", "--power-iters", "-1"],
             ["count", "--threads", "0"],
             ["count", "--threads", "-3"],
+            ["train-convex", "--l1", "nan"],
+            ["factorize", "--weighted", "--ridge", "nan"],
+            ["factorize", "--weighted", "--ridge", "inf"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -354,7 +383,7 @@ class TestFactorizeTrainEval:
             "factorize", "--matrix", mat, "--output", emb_path, "--dim", "3",
             "--vocab", counts + ".vocab",
         ) == 0
-        emb = read_embedding(emb_path)
+        emb, _ = read_embedding(emb_path)
         assert emb.dim == 3
         assert "fox" in emb.words
         assert emb.meta["flavor"] == "plain"
@@ -393,8 +422,8 @@ class TestFactorizeTrainEval:
             "--weighted", "--alpha", alpha, "--vocab", counts + ".vocab",
             "--context-out", ctx_path, "--epochs", "80",
         ) == 0
-        emb = read_embedding(emb_path)
-        ctx = read_embedding(ctx_path)
+        emb, _ = read_embedding(emb_path)
+        ctx, _ = read_embedding(ctx_path)
         assert emb.dim == ctx.dim == 2
         assert emb.words == ctx.words
 
@@ -413,13 +442,28 @@ class TestFactorizeTrainEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error dimension-mismatch:")
 
+    def test_weighted_factorize_non_square_context_labels(self, tmp_path, capsys):
+        mat, alpha, vocab = (tmp_path / name for name in ("m.txt", "a.txt", "v.tsv"))
+        mat.write_text("3 4 ppmi 1.0\n0 0 1.0\n0 3 0.5\n1 1 2.0\n2 2 1.5\n")
+        alpha.write_text("3 4 alpha:squared 1.0 implicit=0.0\n0 0 1.0\n0 3 1.0\n1 1 1.0\n2 2 1.0\n")
+        vocab.write_text("the\t3\nfox\t2\ncat\t1\n")
+        emb, ctx = str(tmp_path / "e.txt"), str(tmp_path / "c.txt")
+        argv = ["factorize", "--weighted", "--matrix", str(mat), "--alpha", str(alpha),
+                "--vocab", str(vocab), "--dim", "2", "--epochs", "3", "--output", emb]
+        assert run(*argv, "--context-out", ctx) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error dimension-mismatch:"), err
+        assert str(vocab) in err[0] and not os.path.exists(emb)
+        assert run(*argv) == 0
+        assert read_embedding(emb)[0].words == ["the", "fox", "cat"]
+
     def test_train_convex_and_eval(self, tmp_path, corpus_path):
         emb_path = str(tmp_path / "conv.txt")
         assert run(
             "train-convex", "--input", corpus_path, "--output", emb_path,
             "--epochs", "2", "--k-neg", "2",
         ) == 0
-        emb = read_embedding(emb_path)
+        emb, _ = read_embedding(emb_path)
         assert emb.meta["mode"] == "bag"
         dataset = tmp_path / "sim.tsv"
         dataset.write_text("fox\tcat\t7.0\nfox\tthe\t2.0\nquick\tslow\t5.0\nfox\twolf\t9.0\n")
@@ -528,6 +572,26 @@ class TestConfigFile:
         assert code == 1 and len(err) == 1 and err[0].startswith("error bad-format:"), err
         assert str(cfg) in err[0] and "stochastic" in err[0]
 
+    def test_config_supplies_a_required_option(self, tmp_path, corpus_path, capsys):
+        counts = counted(tmp_path, corpus_path)
+        cfg = tmp_path / "pmi.cfg"
+        cfg.write_text("variant=ppmi\n")
+        out = str(tmp_path / "m.txt")
+        assert run("pmi", "--cooc", counts, "--output", out, "--config", str(cfg)) == 0
+        assert capsys.readouterr().err == ""
+        assert read_provenance(out).config["variant"] == "ppmi"
+
+    @pytest.mark.parametrize("command, line", [("pmi", "variant=bogus"), ("solve", "loss=bogus")])
+    def test_config_value_outside_choices(self, tmp_path, corpus_path, capsys, command, line):
+        counts = counted(tmp_path, corpus_path)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        out = str(tmp_path / "m.txt")
+        assert run(command, "--cooc", counts, "--output", out, "--config", str(cfg)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error bad-format:"), err
+        assert str(cfg) in err[0] and not os.path.exists(out)
+
     def test_unknown_config_key(self, tmp_path, corpus_path, capsys):
         cfg = tmp_path / "count.cfg"
         cfg.write_text("telemetry=on\n")
@@ -556,3 +620,62 @@ class TestProvenanceChain:
         assert read_provenance(mat).root == root
         assert read_provenance(emb).root == root
         assert read_provenance(emb).hash() != root
+
+    def test_mixed_ancestry_stays_mixed_downstream(self, tmp_path, corpus_path):
+        # the same counts under two configurations: one shape, two roots
+        counts_a = counted(tmp_path, corpus_path)
+        counts_b = str(tmp_path / "counts_b.txt")
+        assert run("count", "--input", corpus_path, "--output", counts_b, "--seed", "1") == 0
+        assert read_provenance(counts_a).root != read_provenance(counts_b).root
+        sol, alpha = str(tmp_path / "sol.txt"), str(tmp_path / "alpha.txt")
+        assert run("solve", "--cooc", counts_a, "--output", sol, "--loss", "squared") == 0
+        assert run("solve", "--cooc", counts_b, "--output", str(tmp_path / "sol_b.txt"),
+                   "--loss", "squared", "--alpha-out", alpha) == 0
+        emb, scores = str(tmp_path / "emb.txt"), str(tmp_path / "eval.txt")
+        assert run("factorize", "--weighted", "--matrix", sol, "--alpha", alpha, "--output", emb,
+                   "--dim", "2", "--epochs", "3", "--vocab", counts_a + ".vocab") == 0
+        assert read_provenance(emb).root is None
+        dataset = tmp_path / "sim.tsv"
+        dataset.write_text("fox\tcat\t7.0\nfox\tthe\t2.0\nquick\tslow\t5.0\n")
+        assert run("eval", "--embedding", emb, "--dataset", str(dataset), "--output", scores) == 0
+        assert read_provenance(scores).root is None
+
+
+class TestReadOnce:
+    def test_each_input_is_opened_once(self, tmp_path, corpus_path, monkeypatch):
+        counts = counted(tmp_path, corpus_path)
+        vocab = counts + ".vocab"
+        dataset = tmp_path / "sim.tsv"
+        dataset.write_text("fox\tcat\t7.0\nfox\tthe\t2.0\nquick\tslow\t5.0\n")
+        ppmi, sol, alpha, svd, als = (
+            str(tmp_path / name) for name in ("ppmi.txt", "sol.txt", "alpha.txt", "svd.txt", "als.txt")
+        )
+        out = str(tmp_path / "out")
+        steps = [
+            (["pmi", "--cooc", counts, "--output", ppmi, "--variant", "ppmi"], [counts]),
+            (["solve", "--cooc", counts, "--output", sol, "--loss", "squared", "--alpha-out", alpha],
+             [counts]),
+            (["regularize", "--cooc", counts, "--output", out, "--reg", "l1", "--lam", "0.1"],
+             [counts]),
+            (["factorize", "--matrix", ppmi, "--output", svd, "--dim", "2", "--vocab", vocab],
+             [ppmi, vocab]),
+            (["factorize", "--weighted", "--matrix", sol, "--alpha", alpha, "--output", als,
+              "--dim", "2", "--epochs", "3", "--vocab", vocab], [sol, alpha, vocab]),
+            (["eval", "--embedding", svd, "--dataset", str(dataset), "--output", out],
+             [svd, str(dataset)]),
+            (["neighbors", "--embedding", svd, "--word", "fox", "--output", out], [svd]),
+            (["report", "--cooc", counts, "--matrix", ppmi, "--samples", "20", "--output", out],
+             [counts, ppmi]),
+        ]
+        opened = Counter()
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened[str(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        for argv, inputs in steps:
+            opened.clear()
+            assert run(*argv) == 0, argv
+            assert {path: opened[path] for path in inputs} == dict.fromkeys(inputs, 1), argv

@@ -79,7 +79,7 @@ class TestCoocFiles:
     def test_text_round_trip(self, tmp_path, stats):
         path = str(tmp_path / "c.txt")
         write_cooc(stats, path)
-        back = read_cooc(path)
+        back, _ = read_cooc(path)
         assert back.pairs == stats.pairs
         assert back.n_words == stats.n_words
         assert back.total == stats.total
@@ -87,7 +87,7 @@ class TestCoocFiles:
     def test_binary_round_trip(self, tmp_path, stats, prov):
         path = str(tmp_path / "c.bin")
         write_cooc(stats, path, prov=prov, binary=True)
-        back = read_cooc(path)
+        back, _ = read_cooc(path)
         assert back.pairs == stats.pairs
         assert back.total == stats.total
         assert read_provenance(path).hash() == prov.hash()
@@ -97,7 +97,7 @@ class TestCoocFiles:
         b = str(tmp_path / "c.bin")
         write_cooc(stats, t)
         write_cooc(stats, b, binary=True)
-        assert read_cooc(t).pairs == read_cooc(b).pairs
+        assert read_cooc(t)[0].pairs == read_cooc(b)[0].pairs
 
     def test_write_is_deterministic(self, tmp_path, stats, prov):
         a = tmp_path / "a.txt"
@@ -129,7 +129,7 @@ class TestCoocFiles:
         stats = CooccurrenceStats.from_pairs({(0, 1): value, (1, 0): value}, 2)
         path = str(tmp_path / "c.txt")
         write_cooc(stats, path)
-        assert read_cooc(path).pairs[(0, 1)] == value
+        assert read_cooc(path)[0].pairs[(0, 1)] == value
 
 
 class TestMatrixFiles:
@@ -220,7 +220,7 @@ class TestEmbeddingFiles:
         )
         path = str(tmp_path / "e.txt")
         write_embedding(emb, path)
-        back = read_embedding(path)
+        back, _ = read_embedding(path)
         assert back.words == ["a", "b"]
         assert np.array_equal(back.vectors, emb.vectors)
         assert back.neg_inf_mask is None
@@ -236,7 +236,7 @@ class TestEmbeddingFiles:
         path = str(tmp_path / "e.txt")
         write_embedding(emb, path)
         assert "NEG_INF" in open(path).read()
-        back = read_embedding(path)
+        back, _ = read_embedding(path)
         assert np.array_equal(back.neg_inf_mask, mask)
         assert back.vectors[0, 1] == 0.0
 
@@ -248,7 +248,7 @@ class TestEmbeddingFiles:
         emb = Embedding(words=words, vectors=vectors, neg_inf_mask=mask, meta={"flavor": "plain"})
         path = str(tmp_path / "e.txt")
         write_embedding(emb, path, prov=prov)
-        back = read_embedding(path)
+        back, _ = read_embedding(path)
         assert back.words == words
         assert np.array_equal(back.vectors, emb.vectors)
         assert np.array_equal(back.neg_inf_mask, mask)
@@ -323,6 +323,18 @@ class TestProvenance:
         merged = make_provenance("eval", {}, {"left": a, "right": b})
         assert merged.root is None
 
+    def test_rootless_upstream_keeps_root_null(self):
+        a = make_provenance("count", {})
+        rootless = Provenance(command="factorize", config={}, inputs={"m": "x"}, root=None)
+        for upstream in ({"m": rootless}, {"m": rootless, "counts": a}, {"m": rootless, "d": None}):
+            merged = make_provenance("eval", {}, upstream)
+            assert merged.root is None
+            assert make_provenance("report", {}, {"scores": merged}).root is None
+
+    def test_unstamped_upstream_next_to_a_root_inherits_it(self):
+        a = make_provenance("count", {})
+        assert make_provenance("eval", {}, {"emb": a, "dataset": None}).root == a.hash()
+
     def test_unstamped_upstream_recorded_as_null(self):
         p = make_provenance("eval", {}, {"dataset": None})
         assert p.inputs == {"dataset": None}
@@ -373,7 +385,7 @@ class TestFloatSerialization:
         write_cooc(stats, path)
         text = open(path).read()
         assert "float64" not in text
-        assert read_cooc(path).total == pytest.approx(2.5)
+        assert read_cooc(path)[0].total == pytest.approx(2.5)
 
 
 @st.composite

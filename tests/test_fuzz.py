@@ -59,7 +59,7 @@ def written(tmp_path_factory):
     p["vocab"] = p["counts_txt"] + ".vocab"
     assert cli("factorize", "--matrix", p["ppmi_txt"], "--output", p["emb"], "--dim", "3",
                "--vocab", p["vocab"])[0] == 0
-    emb = read_embedding(p["emb"])
+    emb, _ = read_embedding(p["emb"])
     emb.neg_inf_mask = np.zeros(emb.vectors.shape, dtype=bool)
     emb.neg_inf_mask[[0, 2], [1, 0]] = True
     write_embedding(emb, p["emb"])
