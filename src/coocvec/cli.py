@@ -12,12 +12,11 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import convex_model, evaluation, factorization, formats, regularization
-from .closed_form import LOSS_NAMES, minimize_pair_numeric, solve_pairs
+from .closed_form import LOSS_NAMES, minimize_pair_numeric, solve_pairs, solve_stats
 from .corpus import WindowSpec, build_vocabulary, count_cooccurrences
 from .errors import (
     DimensionMismatchError,
@@ -95,31 +94,16 @@ def cmd_pmi(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     stats, cooc_prov = formats.read_cooc(args.cooc)
-    c = stats.counts
-    sol = solve_pairs(
-        args.loss, c.v, stats.row_marginal[c.i], stats.col_marginal[c.j], stats.total, args.k
-    )
-    implicit = None if args.loss == "logistic" else -1.0
-    matrix = replace(c, v=sol.x_star, implicit_value=implicit)
+    scores, alpha = solve_stats(stats, args.loss, args.k)
+    if args.alpha_out and alpha is None:
+        raise DomainError(f"{args.loss} loss has no curvature weights to export")
     prov = formats.make_provenance("solve", _config_dict(args), {"cooc": cooc_prov})
     formats.write_matrix(
-        matrix,
-        args.output,
-        tag=f"solution:{args.loss}",
-        k=args.k,
-        prov=prov,
-        binary=args.binary,
+        scores, args.output, tag=f"solution:{args.loss}", k=args.k, prov=prov, binary=args.binary
     )
     if args.alpha_out:
-        if args.loss == "hinge":
-            raise DomainError("hinge loss has no curvature weights to export")
         formats.write_matrix(
-            replace(c, v=sol.alpha, implicit_value=0.0),
-            args.alpha_out,
-            tag=f"alpha:{args.loss}",
-            k=args.k,
-            prov=prov,
-            binary=args.binary,
+            alpha, args.alpha_out, tag=f"alpha:{args.loss}", k=args.k, prov=prov, binary=args.binary
         )
     return 0
 
@@ -142,6 +126,10 @@ def cmd_regularize(args: argparse.Namespace) -> int:
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
+    if not args.weighted:
+        for flag, value in (("--alpha", args.alpha), ("--context-out", args.context_out)):
+            if value:
+                raise InvalidOptionError(f"{flag} needs --weighted")
     matrix, info = formats.read_matrix(args.matrix)
     upstream = {"matrix": info.prov}
     words = None
@@ -151,7 +139,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
             raise DimensionMismatchError(
                 f"{args.vocab} has {len(words)} words for {matrix.rows} matrix rows"
             )
-        if args.weighted and args.context_out and len(words) != matrix.cols:
+        if args.context_out and len(words) != matrix.cols:
             raise DimensionMismatchError(
                 f"{args.vocab} has {len(words)} words for {matrix.cols} context rows"
             )
@@ -171,15 +159,15 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         if bad.any():
             p = int(np.argmax(bad))
             raise FormatError(f"{args.alpha}: weight {weights[p]} at {matrix.pair(p)} must be >= 0")
-        problem = factorization.WeightedFactorizationProblem(
-            targets=matrix,
-            weights=replace(matrix, v=weights),
+        result = factorization.weighted_factorize(
+            matrix,
+            weights,
             dim=args.dim,
+            seed=args.seed,
             epochs=args.epochs,
             ridge=args.ridge,
             tol=args.tol,
         )
-        result = factorization.weighted_factorize(problem, seed=args.seed)
         W, C = result.pair.W, result.pair.C
         meta = {"method": "als", "converged": str(result.converged).lower()}
         row_words = words or [str(i) for i in range(matrix.rows)]

@@ -26,7 +26,7 @@ bisects all pairs at once with `bisect_decreasing`, as `solve_exact` does.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .errors import (
     MarkerContaminationError,
     check_shift,
 )
-from .vectors import EmbeddingPair
+from .vectors import EmbeddingPair, SparseMatrix
 
 LOSS_NAMES = ("logistic", "squared", "squared_hinge", "hinge", "huber")
 QUADRATIC_FAMILY = ("squared", "squared_hinge", "huber")
@@ -191,6 +191,22 @@ def solve_pair(
     )
 
 
+def solve_stats(
+    stats: CooccurrenceStats, kind: str, k: float
+) -> tuple[SparseMatrix, SparseMatrix | None]:
+    """Closed-form scores and curvature weights of every stored pair.
+
+    scores carries, as its implicit value, the closed form of an absent pair
+    (#(w,c) = 0): -1, or minus infinity for the logistic loss, which a
+    matrix records as undefined (None).  alpha holds the curvature at the
+    stored pairs, with absent entries 0, and is None for the hinge.
+    """
+    c = stats.counts
+    sol = solve_pairs(kind, c.v, stats.row_marginal[c.i], stats.col_marginal[c.j], stats.total, k)
+    scores = replace(c, v=sol.x_star, implicit_value=None if kind == "logistic" else -1.0)
+    return scores, None if sol.alpha is None else replace(c, v=sol.alpha, implicit_value=0.0)
+
+
 def bisect_decreasing(g, lo, hi):
     """Roots of a decreasing elementwise g, one bracket [lo, hi] per element.
 
@@ -238,16 +254,20 @@ def assemble_spmi_solution(stats: CooccurrenceStats, kind: str, k: float) -> Emb
     """Solve every pair against one-hot context vectors.
 
     C is the identity, so the score of (w, c) is just W[w, c] and each entry
-    is the closed-form scalar solution; for the logistic loss the result is
+    is the closed-form scalar solution: `solve_stats` at the stored pairs and
+    its implicit value elsewhere.  For the logistic loss the result is
     exactly the shifted PMI matrix with markers at absent pairs.
     """
+    scores, _ = solve_stats(stats, kind, k)
+    if not (stats.row_marginal.all() and stats.col_marginal.all()):
+        raise DegenerateMarginalError("marginals must be positive to place a pair")
     n = stats.n_words
-    sol = solve_pairs(
-        kind, stats.to_dense(), stats.row_marginal[:, None], stats.col_marginal, stats.total, k
+    X = np.full((n, n), -np.inf if scores.implicit_value is None else scores.implicit_value)
+    X[scores.i, scores.j] = scores.v
+    mask = np.isneginf(X)
+    return EmbeddingPair(
+        W=np.where(mask, 0.0, X), C=np.eye(n), W_neg_inf=mask if kind == "logistic" else None
     )
-    W = np.where(sol.neg_inf, 0.0, sol.x_star)
-    mask = sol.neg_inf if kind == "logistic" else None
-    return EmbeddingPair(W=W, C=np.eye(n), W_neg_inf=mask)
 
 
 def objective_value(

@@ -124,52 +124,6 @@ def consistency_report(M: SparseMatrix | np.ndarray, flavor: str) -> float:
 
 
 @dataclass
-class WeightedFactorizationProblem:
-    """Sparse weighted least-squares factorization instance.
-
-    targets and weights must share their shape and support exactly; weights
-    are non-negative and targets finite (minus-infinity markers have no place
-    here and are rejected).  Absent entries of either matrix play no part.
-    """
-
-    targets: SparseMatrix
-    weights: SparseMatrix
-    dim: int
-    epochs: int = 200
-    ridge: float = 1e-8
-    tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        t, w = self.targets, self.weights
-        same_support = np.array_equal(t.i, w.i) and np.array_equal(t.j, w.j)
-        if (t.rows, t.cols) != (w.rows, w.cols) or not same_support:
-            raise DimensionMismatchError("targets and weights must share one support")
-        if not 1 <= self.dim <= min(self.n_rows, self.n_cols):
-            raise DimensionMismatchError(
-                f"dim must lie in [1, {min(self.n_rows, self.n_cols)}], got {self.dim}"
-            )
-        if not 0.0 <= self.ridge < np.inf:
-            raise InvalidOptionError(f"ridge must be a finite number >= 0, got {self.ridge}")
-        if self.epochs < 0:
-            raise InvalidOptionError(f"epochs must be non-negative, got {self.epochs}")
-        if not np.isfinite(t.v).all():
-            p = int(np.argmin(np.isfinite(t.v)))
-            raise MarkerContaminationError(f"non-finite target at {t.pair(p)}")
-        good = np.isfinite(w.v) & (w.v >= 0.0)
-        if not good.all():
-            p = int(np.argmin(good))
-            raise ValueError(f"weight at {w.pair(p)} must be finite and >= 0, got {w.v[p]}")
-
-    @property
-    def n_rows(self) -> int:
-        return self.targets.rows
-
-    @property
-    def n_cols(self) -> int:
-        return self.targets.cols
-
-
-@dataclass
 class AlsResult:
     pair: EmbeddingPair
     objective_history: list[float] = field(default_factory=list)
@@ -177,82 +131,97 @@ class AlsResult:
     converged: bool = False
 
 
-def _objective(problem, W, C) -> tuple[float, float]:
-    t = problem.targets
-    scores = np.einsum("ij,ij->i", W[t.i], C[t.j])
-    residual = 0.5 * float(np.sum(problem.weights.v * (scores - t.v) ** 2))
-    total = residual + problem.ridge * (float(np.sum(W * W)) + float(np.sum(C * C)))
-    return total, residual
-
-
-def weighted_factorize(problem: WeightedFactorizationProblem, seed: int = 0) -> AlsResult:
+def weighted_factorize(
+    targets: SparseMatrix,
+    weights: np.ndarray,
+    dim: int,
+    seed: int = 0,
+    epochs: int = 200,
+    ridge: float = 1e-8,
+    tol: float = 1e-8,
+) -> AlsResult:
     """Alternate exact per-row ridge solves until the objective stalls.
 
-    Each half-sweep minimizes the full objective over one factor exactly, so
-    the objective can never increase; an increase beyond 1e-9 is reported as
-    divergence.  Stops after `epochs` sweeps or when one sweep improves the
-    objective by less than `tol` relative.
+    weights holds one value per stored target, in the targets' (i, j) order;
+    targets must be finite (minus-infinity markers have no place here) and
+    weights finite and >= 0.  Absent entries play no part.  Each half-sweep
+    minimizes the full objective over one factor exactly, so the objective
+    can never increase; an increase beyond 1e-9 is reported as divergence.
+    Stops after `epochs` sweeps or when one sweep improves the objective by
+    less than `tol` relative.
     """
+    weights = np.asarray(weights, dtype=float)
+    n_rows, n_cols = targets.rows, targets.cols
+    if weights.shape != targets.v.shape:
+        raise DimensionMismatchError(
+            f"{weights.shape} weights for {targets.nnz} stored targets, need one each"
+        )
+    if not 1 <= dim <= min(n_rows, n_cols):
+        raise DimensionMismatchError(f"dim must lie in [1, {min(n_rows, n_cols)}], got {dim}")
+    for name, value in (("ridge", ridge), ("tol", tol)):
+        if not 0.0 <= value < np.inf:
+            raise InvalidOptionError(f"{name} must be a finite number >= 0, got {value}")
+    if epochs < 0:
+        raise InvalidOptionError(f"epochs must be non-negative, got {epochs}")
+    if not np.isfinite(targets.v).all():
+        p = int(np.argmin(np.isfinite(targets.v)))
+        raise MarkerContaminationError(f"non-finite target at {targets.pair(p)}")
+    good = np.isfinite(weights) & (weights >= 0.0)
+    if not good.all():
+        p = int(np.argmin(good))
+        raise InvalidOptionError(
+            f"weight at {targets.pair(p)} must be finite and >= 0, got {weights[p]}"
+        )
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    d = problem.dim
-    W = 0.1 * rng.standard_normal((problem.n_rows, d))
-    C = 0.1 * rng.standard_normal((problem.n_cols, d))
+    factors = [0.1 * rng.standard_normal((n_rows, dim)), 0.1 * rng.standard_normal((n_cols, dim))]
 
-    targets = problem.targets
     rows, cols, t_vals = targets.i, targets.j, targets.v
-    w_vals = problem.weights.v
     # stored pairs are sorted by row, so each row is one run of positions;
     # a stable sort by column keeps each column's positions in row order
-    by_row = np.arange(len(rows))
     by_col = np.argsort(cols, kind="stable")
-    row_ptr = np.searchsorted(rows, np.arange(problem.n_rows + 1))
-    col_ptr = np.searchsorted(cols[by_col], np.arange(problem.n_cols + 1))
+    sweeps = (
+        ("row", np.arange(len(rows)), np.searchsorted(rows, np.arange(n_rows + 1)), cols),
+        ("column", by_col, np.searchsorted(cols[by_col], np.arange(n_cols + 1)), rows),
+    )
+    eye = np.eye(dim)
 
-    eye = np.eye(d)
+    def objective(W, C) -> tuple[float, float]:
+        scores = np.einsum("ij,ij->i", W[rows], C[cols])
+        residual = 0.5 * float(np.sum(weights * (scores - t_vals) ** 2))
+        return residual + ridge * (float(np.sum(W * W)) + float(np.sum(C * C))), residual
 
     def solve_side(F_fixed, order, ptr, other) -> np.ndarray:
-        out = np.zeros((len(ptr) - 1, d))
+        out = np.zeros((len(ptr) - 1, dim))
         for r in range(len(ptr) - 1):
             pos = order[ptr[r] : ptr[r + 1]]
             if not len(pos):
                 continue
             Fo = F_fixed[other[pos]]
-            a = w_vals[pos]
-            A = (Fo * a[:, None]).T @ Fo + 2.0 * problem.ridge * eye
+            a = weights[pos]
+            A = (Fo * a[:, None]).T @ Fo + 2.0 * ridge * eye
             b = Fo.T @ (a * t_vals[pos])
             out[r] = np.linalg.solve(A, b)
         return out
 
-    result = AlsResult(pair=EmbeddingPair(W=W, C=C))
-    prev_total, prev_res = _objective(problem, W, C)
+    result = AlsResult(pair=EmbeddingPair(*factors))
+    prev_total, _ = objective(*factors)
     last_sweep_total = prev_total
-
-    for _ in range(problem.epochs):
-        W = solve_side(C, by_row, row_ptr, cols)
-        total, res = _objective(problem, W, C)
-        if total > prev_total + 1e-9:
-            raise DivergenceError(
-                f"objective rose from {prev_total!r} to {total!r} after a row sweep"
-            )
-        result.objective_history.append(total)
-        result.residual_history.append(res)
-        prev_total = total
-
-        C = solve_side(W, by_col, col_ptr, rows)
-        total, res = _objective(problem, W, C)
-        if total > prev_total + 1e-9:
-            raise DivergenceError(
-                f"objective rose from {prev_total!r} to {total!r} after a column sweep"
-            )
-        result.objective_history.append(total)
-        result.residual_history.append(res)
-        prev_total = total
-
-        if last_sweep_total - total < problem.tol * max(1.0, abs(last_sweep_total)):
+    for _ in range(epochs):
+        for side, (name, order, ptr, other) in enumerate(sweeps):
+            factors[side] = solve_side(factors[1 - side], order, ptr, other)
+            total, res = objective(*factors)
+            if total > prev_total + 1e-9:
+                raise DivergenceError(
+                    f"objective rose from {prev_total!r} to {total!r} after a {name} sweep"
+                )
+            result.objective_history.append(total)
+            result.residual_history.append(res)
+            prev_total = total
+        if last_sweep_total - total < tol * max(1.0, abs(last_sweep_total)):
             result.converged = True
             break
         last_sweep_total = total
 
-    result.pair = EmbeddingPair(W=W, C=C)
+    result.pair = EmbeddingPair(*factors)
     return result

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from coocvec import CooccurrenceStats, SparseMatrix, WeightedFactorizationProblem
+from coocvec import CooccurrenceStats, SparseMatrix
 
 
 def make_stats(pairs: dict[tuple[int, int], float], n_words: int) -> CooccurrenceStats:
@@ -15,14 +15,10 @@ def weighted_problem(
     n_cols: int,
     targets: dict[tuple[int, int], float],
     weights: dict[tuple[int, int], float],
-    **settings,
-) -> WeightedFactorizationProblem:
-    """A weighted factorization problem from (i, j) -> value dicts."""
-    return WeightedFactorizationProblem(
-        SparseMatrix.from_entries(n_rows, n_cols, targets),
-        SparseMatrix.from_entries(n_rows, n_cols, weights),
-        **settings,
-    )
+) -> tuple[SparseMatrix, np.ndarray]:
+    """Targets and their weight column from (i, j) -> value dicts on one support."""
+    matrix = SparseMatrix.from_entries(n_rows, n_cols, targets)
+    return matrix, np.array([weights[key] for key in zip(matrix.i.tolist(), matrix.j.tolist())])
 
 
 def random_stats(

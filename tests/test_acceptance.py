@@ -251,11 +251,8 @@ def test_criterion_09_weighted_als_monotone_and_reaches_svd_optimum():
             targets[(0, 0)] = 1.0
             weights[(0, 0)] = 1.0
         dim = int(rng.integers(1, min(n_rows, n_cols) + 1))
-        problem = weighted_problem(
-            n_rows, n_cols, targets, weights,
-            dim=dim, epochs=30,
-        )
-        result = weighted_factorize(problem, seed=int(rng.integers(0, 1000)))
+        problem = weighted_problem(n_rows, n_cols, targets, weights)
+        result = weighted_factorize(*problem, dim=dim, epochs=30, seed=int(rng.integers(0, 1000)))
         hist = result.objective_history
         if all(a + 1e-9 >= b for a, b in zip(hist, hist[1:])):
             monotone_ok += 1
@@ -264,11 +261,8 @@ def test_criterion_09_weighted_als_monotone_and_reaches_svd_optimum():
     A = np.random.default_rng(99).normal(size=(n, n))
     targets = {(i, j): float(A[i, j]) for i in range(n) for j in range(n)}
     weights = {key: 1.0 for key in targets}
-    problem = weighted_problem(
-        n, n, targets, weights, dim=d,
-        epochs=500, ridge=1e-12, tol=0.0,
-    )
-    result = weighted_factorize(problem, seed=0)
+    problem = weighted_problem(n, n, targets, weights)
+    result = weighted_factorize(*problem, dim=d, epochs=500, ridge=1e-12, tol=0.0, seed=0)
     s = np.linalg.svd(A, compute_uv=False)
     best = 0.5 * float(np.sum(s[d:] ** 2))
     gap = result.residual_history[-1] - best

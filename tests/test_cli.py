@@ -151,12 +151,13 @@ class TestPmiAndSolve:
 
     def test_hinge_alpha_is_a_domain_error(self, tmp_path, corpus_path, capsys):
         counts = counted(tmp_path, corpus_path)
+        out, alpha = str(tmp_path / "s"), str(tmp_path / "a")
         code = run(
-            "solve", "--cooc", counts, "--output", str(tmp_path / "s"),
-            "--loss", "hinge", "--alpha-out", str(tmp_path / "a"),
+            "solve", "--cooc", counts, "--output", out, "--loss", "hinge", "--alpha-out", alpha
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("error domain-error:")
+        assert not os.path.exists(out) and not os.path.exists(alpha)
 
     def test_regularize_shrinks_toward_zero(self, tmp_path, corpus_path):
         counts = counted(tmp_path, corpus_path)
@@ -349,6 +350,8 @@ class TestOptionErrors:
             ["train-convex", "--l1", "nan"],
             ["factorize", "--weighted", "--ridge", "nan"],
             ["factorize", "--weighted", "--ridge", "inf"],
+            ["factorize", "--weighted", "--tol", "nan"],
+            ["factorize", "--weighted", "--tol", "-1"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -362,15 +365,37 @@ class TestOptionErrors:
             "count": ["--input", corpus_path, "--output", out],
             "train-convex": ["--input", corpus_path, "--output", out],
             "regularize": ["--cooc", counts, "--output", out, "--reg", "l2"],
-            "factorize": ["--matrix", sol, "--alpha", alpha, "--output", out, "--dim", "2"],
+            "factorize": ["--matrix", sol, "--output", out, "--dim", "2"],
             "neighbors": ["--embedding", emb, "--word", "fox"],
             "report": ["--cooc", counts],
         }
+        if "--weighted" in argv:
+            inputs["factorize"] += ["--alpha", alpha]
         capsys.readouterr()
         assert run(*argv, *inputs[argv[0]]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error invalid-option:"), err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--alpha", "alpha.txt"], ["--alpha", "missing.txt"], ["--context-out", "ctx.txt"]],
+        ids=lambda extra: " ".join(extra),
+    )
+    def test_weighted_only_option_without_weighted(self, tmp_path, corpus_path, capsys, extra):
+        counts = counted(tmp_path, corpus_path)
+        sol, alpha = str(tmp_path / "sol.txt"), str(tmp_path / "alpha.txt")
+        run("solve", "--cooc", counts, "--output", sol, "--loss", "squared", "--alpha-out", alpha)
+        out = str(tmp_path / "out")
+        flag, name = extra
+        capsys.readouterr()
+        code = run("factorize", "--matrix", sol, "--output", out, "--dim", "2",
+                   flag, str(tmp_path / name))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error invalid-option:"), err
+        assert flag in err[0]
+        assert not os.path.exists(out) and not os.path.exists(tmp_path / "ctx.txt")
 
 
 class TestFactorizeTrainEval:

@@ -21,6 +21,7 @@ from coocvec import (
     pair_objective,
     solve_l1,
     solve_pair,
+    solve_stats,
 )
 from coocvec.closed_form import solve_pairs
 from coocvec.regularization import l1_scores
@@ -346,6 +347,46 @@ def test_property_sign_agreement_with_shifted_pmi(seed, kind):
     elif shifted < 0:
         assert sol.x_star < 0
     assert sol.pos_condition == (shifted > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=100_000),
+    kind=st.sampled_from(LOSS_NAMES),
+    k=st.floats(1.0, 10.0),
+)
+def test_property_solve_stats_absent_value_and_dense_oracle(seed, kind, k):
+    """solve_stats' implicit value is the closed form of an absent pair, and
+    assemble_spmi_solution equals `solve_pairs` over every dense pair."""
+    stats = random_stats(np.random.default_rng(seed), n_words=5, density=0.6)
+    scores, alpha = solve_stats(stats, kind, k)
+    n_w, n_c = float(stats.row_marginal.max()), float(stats.col_marginal.max())
+    absent = solve_pair(kind, 0.0, n_w, n_c, stats.total, k)
+    if kind == "logistic":
+        assert absent.neg_inf and scores.implicit_value is None
+    else:
+        assert scores.implicit_value == absent.x_star == -1.0
+    c = stats.counts
+    assert np.array_equal(scores.i, c.i) and np.array_equal(scores.j, c.j)
+    if kind == "hinge":
+        assert alpha is None
+    else:
+        assert np.array_equal(alpha.i, c.i) and np.array_equal(alpha.j, c.j)
+
+    dense = (stats.to_dense(), stats.row_marginal[:, None], stats.col_marginal, stats.total, k)
+    try:
+        oracle = solve_pairs(kind, *dense)
+    except DegenerateMarginalError:
+        with pytest.raises(DegenerateMarginalError):
+            assemble_spmi_solution(stats, kind, k)
+        return
+    pair = assemble_spmi_solution(stats, kind, k)
+    assert pair.W.tobytes() == np.where(oracle.neg_inf, 0.0, oracle.x_star).tobytes()
+    assert np.array_equal(pair.C, np.eye(stats.n_words))
+    if kind == "logistic":
+        assert np.array_equal(pair.W_neg_inf, oracle.neg_inf)
+    else:
+        assert pair.W_neg_inf is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 
 from coocvec import (
     DimensionMismatchError,
+    InvalidOptionError,
     MarkerContaminationError,
     SparseMatrix,
     build_matrix,
@@ -140,39 +141,37 @@ class TestConsistencyReport:
 
 
 class TestWeightedProblemValidation:
-    def test_support_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            weighted_problem(
-                2, 2, {(0, 0): 1.0}, {(0, 1): 1.0}, dim=1
-            )
+    def test_weights_length_mismatch(self):
+        targets, _ = weighted_problem(2, 2, {(0, 0): 1.0, (1, 1): 2.0}, {(0, 0): 1.0, (1, 1): 1.0})
+        for weights in (np.ones(1), np.ones(3), np.ones((2, 1))):
+            with pytest.raises(DimensionMismatchError):
+                weighted_factorize(targets, weights, dim=1)
 
     def test_non_finite_target(self):
         with pytest.raises(MarkerContaminationError):
-            weighted_problem(
-                2, 2, {(0, 0): -math.inf}, {(0, 0): 1.0},
-                dim=1,
-            )
+            weighted_factorize(*weighted_problem(2, 2, {(0, 0): -math.inf}, {(0, 0): 1.0}), dim=1)
 
     def test_negative_weight(self):
-        with pytest.raises(ValueError):
-            weighted_problem(
-                2, 2, {(0, 0): 1.0}, {(0, 0): -1.0}, dim=1
-            )
+        for weight in (-1.0, math.nan, math.inf):
+            problem = weighted_problem(2, 2, {(0, 0): 1.0}, {(0, 0): weight})
+            with pytest.raises(InvalidOptionError, match="weight at \\(0, 0\\)"):
+                weighted_factorize(*problem, dim=1)
 
     def test_dim_bound(self):
         with pytest.raises(DimensionMismatchError):
-            weighted_problem(
-                2, 3, {(0, 0): 1.0}, {(0, 0): 1.0}, dim=3
-            )
+            weighted_factorize(*weighted_problem(2, 3, {(0, 0): 1.0}, {(0, 0): 1.0}), dim=3)
+
+    def test_tol_must_be_finite_and_non_negative(self):
+        problem = weighted_problem(1, 1, {(0, 0): 1.0}, {(0, 0): 1.0})
+        for tol in (-1.0, math.nan, math.inf):
+            with pytest.raises(InvalidOptionError, match="tol"):
+                weighted_factorize(*problem, dim=1, tol=tol)
 
 
 class TestWeightedFactorize:
     def test_single_pair_reaches_zero_objective(self):
-        problem = weighted_problem(
-            1, 1, {(0, 0): 2.0}, {(0, 0): 5.0}, dim=1,
-            ridge=0.0,
-        )
-        result = weighted_factorize(problem, seed=0)
+        problem = weighted_problem(1, 1, {(0, 0): 2.0}, {(0, 0): 5.0})
+        result = weighted_factorize(*problem, dim=1, ridge=0.0, seed=0)
         assert result.objective_history[-1] == pytest.approx(0.0, abs=1e-12)
         assert float(result.pair.W[0, 0] * result.pair.C[0, 0]) == pytest.approx(2.0)
 
@@ -185,10 +184,8 @@ class TestWeightedFactorize:
                 if rng.random() < 0.6:
                     targets[(i, j)] = float(rng.normal())
                     weights[(i, j)] = float(rng.uniform(0.1, 3.0))
-        problem = weighted_problem(
-            n, n, targets, weights, dim=3, epochs=40
-        )
-        result = weighted_factorize(problem, seed=2)
+        problem = weighted_problem(n, n, targets, weights)
+        result = weighted_factorize(*problem, dim=3, epochs=40, seed=2)
         hist = result.objective_history
         assert all(a + 1e-9 >= b for a, b in zip(hist, hist[1:]))
 
@@ -200,11 +197,8 @@ class TestWeightedFactorize:
             for j in range(n):
                 targets[(i, j)] = float(rng.normal())
                 weights[(i, j)] = float(rng.uniform(0.5, 2.0))
-        problem = weighted_problem(
-            n, n, targets, weights, dim=n,
-            epochs=300, ridge=1e-9, tol=1e-14,
-        )
-        result = weighted_factorize(problem, seed=1)
+        problem = weighted_problem(n, n, targets, weights)
+        result = weighted_factorize(*problem, dim=n, epochs=300, ridge=1e-9, tol=1e-14, seed=1)
         assert result.residual_history[-1] < 1e-8
 
     def test_unweighted_dense_matches_svd_truncation(self, rng):
@@ -212,29 +206,21 @@ class TestWeightedFactorize:
         A = rng.normal(size=(n, n))
         targets = {(i, j): float(A[i, j]) for i in range(n) for j in range(n)}
         weights = {key: 1.0 for key in targets}
-        problem = weighted_problem(
-            n, n, targets, weights, dim=d,
-            epochs=3000, ridge=1e-12, tol=0.0,
-        )
-        result = weighted_factorize(problem, seed=3)
+        problem = weighted_problem(n, n, targets, weights)
+        result = weighted_factorize(*problem, dim=d, epochs=3000, ridge=1e-12, tol=0.0, seed=3)
         s = np.linalg.svd(A, compute_uv=False)
         best = 0.5 * float(np.sum(s[d:] ** 2))
         assert result.residual_history[-1] <= best + 1e-6
 
     def test_row_without_support_stays_zero(self):
-        problem = weighted_problem(
-            3, 2, {(0, 0): 1.0, (2, 1): 2.0}, {(0, 0): 1.0, (2, 1): 1.0}, dim=1, epochs=10,
-        )
-        result = weighted_factorize(problem, seed=0)
+        problem = weighted_problem(3, 2, {(0, 0): 1.0, (2, 1): 2.0}, {(0, 0): 1.0, (2, 1): 1.0})
+        result = weighted_factorize(*problem, dim=1, epochs=10, seed=0)
         assert np.allclose(result.pair.W[1], 0.0)
 
     def test_convergence_flag_set_when_stalled(self, rng):
         targets = {(0, 0): 1.0, (1, 1): 2.0}
         weights = {(0, 0): 1.0, (1, 1): 1.0}
-        problem = weighted_problem(
-            2, 2, targets, weights, dim=2, epochs=500
-        )
-        result = weighted_factorize(problem, seed=0)
+        result = weighted_factorize(*weighted_problem(2, 2, targets, weights), dim=2, epochs=500)
         assert result.converged
 
 
