@@ -41,6 +41,13 @@ def _config_dict(args: argparse.Namespace, skip=("func", "command", "config")) -
     return out
 
 
+def _check_outputs(*paths: str | None) -> None:
+    """Refuse outputs that name one file, where the second write would replace the first."""
+    named = [p for p in paths if p]
+    if len({os.path.realpath(p) for p in named}) < len(named):
+        raise InvalidOptionError(f"outputs {' and '.join(named)} name the same file")
+
+
 def _emit(lines: list[str], path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if path:
@@ -61,6 +68,8 @@ def cmd_count(args: argparse.Namespace) -> int:
             threads = int(env)
         except ValueError:
             raise InvalidOptionError(f"COOC_THREADS must be an integer, got {env!r}") from None
+    vocab_out = args.vocab_out or args.output + ".vocab"
+    _check_outputs(args.output, vocab_out)
     records = formats.read_corpus(args.input)
     vocab = build_vocabulary(records, min_count=args.min_count)
     win = WindowSpec(
@@ -77,7 +86,6 @@ def cmd_count(args: argparse.Namespace) -> int:
     config["threads"] = threads
     prov = formats.make_provenance("count", config)
     formats.write_cooc(stats, args.output, prov=prov, binary=args.binary)
-    vocab_out = args.vocab_out or args.output + ".vocab"
     formats.write_vocab(vocab, vocab_out, prov=prov)
     return 0
 
@@ -93,6 +101,7 @@ def cmd_pmi(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    _check_outputs(args.output, args.alpha_out)
     stats, cooc_prov = formats.read_cooc(args.cooc)
     scores, alpha = solve_stats(stats, args.loss, args.k)
     if args.alpha_out and alpha is None:
@@ -125,16 +134,25 @@ def cmd_regularize(args: argparse.Namespace) -> int:
     return 0
 
 
+# factorize options that one mode reads and the other refuses, with their defaults
+SVD_OPTIONS = {"flavor": "plain", "oversample": 8, "power_iters": 4}
+ALS_OPTIONS = {"alpha": None, "epochs": 200, "ridge": 1e-8, "tol": 1e-8, "context_out": None}
+
+
 def cmd_factorize(args: argparse.Namespace) -> int:
-    if not args.weighted:
-        for flag, value in (("--alpha", args.alpha), ("--context-out", args.context_out)):
-            if value:
-                raise InvalidOptionError(f"{flag} needs --weighted")
+    for dest, default in (SVD_OPTIONS if args.weighted else ALS_OPTIONS).items():
+        if getattr(args, dest) != default:  # also true for a nan
+            flag = "--" + dest.replace("_", "-")
+            raise InvalidOptionError(
+                f"{flag} {'is not used with' if args.weighted else 'needs'} --weighted"
+            )
+    _check_outputs(args.output, args.context_out)
     matrix, info = formats.read_matrix(args.matrix)
     upstream = {"matrix": info.prov}
     words = None
     if args.vocab:
-        words = formats.read_vocab(args.vocab).words
+        vocab, upstream["vocab"] = formats.read_vocab(args.vocab)
+        words = vocab.words
         if len(words) != matrix.rows:
             raise DimensionMismatchError(
                 f"{args.vocab} has {len(words)} words for {matrix.rows} matrix rows"
@@ -168,33 +186,29 @@ def cmd_factorize(args: argparse.Namespace) -> int:
             ridge=args.ridge,
             tol=args.tol,
         )
-        W, C = result.pair.W, result.pair.C
         meta = {"method": "als", "converged": str(result.converged).lower()}
-        row_words = words or [str(i) for i in range(matrix.rows)]
-        emb = Embedding(words=row_words, vectors=W, meta=meta)
-        prov = formats.make_provenance("factorize", _config_dict(args), upstream)
-        formats.write_embedding(emb, args.output, prov=prov)
+        emb = Embedding(words or [str(i) for i in range(matrix.rows)], result.W, meta)
         if args.context_out:
-            ctx_words = [str(i) for i in range(matrix.cols)] if words is None else words
-            formats.write_embedding(
-                Embedding(words=ctx_words, vectors=C, meta=meta), args.context_out, prov=prov
-            )
-        return 0
-    svd = factorization.truncated_svd(
-        matrix,
-        dim=args.dim,
-        seed=args.seed,
-        oversample=args.oversample,
-        power_iters=args.power_iters,
-    )
-    emb = factorization.word_vectors(svd, args.flavor, words=words)
-    emb.meta = {"method": "svd", "flavor": args.flavor}
+            ctx = Embedding(words or [str(i) for i in range(matrix.cols)], result.C, meta)
+    else:
+        svd = factorization.truncated_svd(
+            matrix,
+            dim=args.dim,
+            seed=args.seed,
+            oversample=args.oversample,
+            power_iters=args.power_iters,
+        )
+        emb = factorization.word_vectors(svd, args.flavor, words=words)
+        emb.meta = {"method": "svd", "flavor": args.flavor}
     prov = formats.make_provenance("factorize", _config_dict(args), upstream)
     formats.write_embedding(emb, args.output, prov=prov)
+    if args.context_out:
+        formats.write_embedding(ctx, args.context_out, prov=prov)
     return 0
 
 
 def cmd_train_convex(args: argparse.Namespace) -> int:
+    _check_outputs(args.output, args.vocab_out)
     records = formats.read_corpus(args.input)
     vocab = build_vocabulary(records, min_count=args.min_count)
     spec = convex_model.ContextSpec(
@@ -366,17 +380,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--matrix", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--flavor", choices=("plain", "symmetric"), default="plain")
     p.add_argument("--vocab", help="vocabulary TSV for row labels")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oversample", type=int, default=8)
-    p.add_argument("--power-iters", type=int, default=4)
     p.add_argument("--weighted", action="store_true", help="weighted ALS instead of SVD")
-    p.add_argument("--alpha", help="curvature weight file for --weighted")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--ridge", type=float, default=1e-8)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--flavor", choices=("plain", "symmetric"), help="SVD mode")
+    p.add_argument("--oversample", type=int, help="SVD mode")
+    p.add_argument("--power-iters", type=int, help="SVD mode")
+    p.add_argument("--alpha", help="curvature weight file (weighted mode)")
+    p.add_argument("--epochs", type=int, help="weighted mode")
+    p.add_argument("--ridge", type=float, help="weighted mode")
+    p.add_argument("--tol", type=float, help="weighted mode")
     p.add_argument("--context-out", help="also write context vectors (weighted mode)")
+    p.set_defaults(**SVD_OPTIONS, **ALS_OPTIONS)
 
     p = sub("train-convex", cmd_train_convex, "train the convex sparse model")
     p.add_argument("--input", required=True)

@@ -18,9 +18,11 @@ and the shift k:
     hinge                    x* = +1 if pmi >= log k else -1
 
 The squared family (squared, squared hinge, huber) shares one formula because
-the three losses agree on the interval where the minimizer lands.  A pair
-with #(w,c) = 0 drives the logistic score to minus infinity; that is reported
-as a marker, never as a float infinity inside a matrix.  Every function is
+the three losses agree on the interval where the minimizer lands.  The
+logistic minimizer is `pmi.shifted_pmi` itself, so SGNS = SPMI by
+construction.  A pair with #(w,c) = 0 drives the logistic score to minus
+infinity: an undefined implicit value in a sparse matrix, a mask beside a
+dense one, never a float infinity inside a matrix.  Every function is
 elementwise, the numeric reference `minimize_pair_numeric` included: it
 bisects all pairs at once with `bisect_decreasing`, as `solve_exact` does.
 """
@@ -37,7 +39,8 @@ from .errors import (
     MarkerContaminationError,
     check_shift,
 )
-from .vectors import EmbeddingPair, SparseMatrix
+from .pmi import shifted_pmi
+from .vectors import SparseMatrix
 
 LOSS_NAMES = ("logistic", "squared", "squared_hinge", "hinge", "huber")
 QUADRATIC_FAMILY = ("squared", "squared_hinge", "huber")
@@ -167,8 +170,7 @@ def solve_pairs(kind: str, n_wc, n_w, n_c, total: float, k: float) -> PairSoluti
     neg_mass = k * n_w * n_c / total
     delta = n_wc + neg_mass
     if kind == "logistic":
-        with np.errstate(divide="ignore"):
-            x = np.log(n_wc / neg_mass)
+        x = shifted_pmi(n_wc, n_w, n_c, total, k)
         alpha = n_wc * neg_mass / delta
     elif kind == "hinge":
         x, alpha = np.where(n_wc * total >= k * n_w * n_c, 1.0, -1.0), None
@@ -180,15 +182,9 @@ def solve_pairs(kind: str, n_wc, n_w, n_c, total: float, k: float) -> PairSoluti
 def solve_pair(
     kind: str, n_wc: float, n_w: float, n_c: float, total: float, k: float
 ) -> PairSolution:
-    """Closed-form minimizer of one pair objective; see `solve_pairs`."""
+    """Closed-form minimizer of one pair objective, in Python scalars; see `solve_pairs`."""
     sol = solve_pairs(kind, n_wc, n_w, n_c, total, k)
-    return PairSolution(
-        float(sol.x_star),
-        bool(sol.neg_inf),
-        None if sol.alpha is None else float(sol.alpha),
-        float(sol.delta),
-        bool(sol.pos_condition),
-    )
+    return PairSolution(*(None if f is None else f.item() for f in vars(sol).values()))
 
 
 def solve_stats(
@@ -250,24 +246,26 @@ def minimize_pair_numeric(kind: str, n_wc, n_w, n_c, total: float, k: float, lo=
     return bisect_decreasing(falling, lo, hi)
 
 
-def assemble_spmi_solution(stats: CooccurrenceStats, kind: str, k: float) -> EmbeddingPair:
-    """Solve every pair against one-hot context vectors.
+def assemble_spmi_solution(
+    stats: CooccurrenceStats, kind: str, k: float
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Word matrix W of the one-hot solution (C is the identity) and its minus-infinity mask.
 
-    C is the identity, so the score of (w, c) is just W[w, c] and each entry
-    is the closed-form scalar solution: `solve_stats` at the stored pairs and
-    its implicit value elsewhere.  For the logistic loss the result is
-    exactly the shifted PMI matrix with markers at absent pairs.
+    W[w, c] is the pair's closed form: `solve_stats` at the stored pairs and
+    its implicit value elsewhere.  For the logistic loss W is the SPMI matrix
+    with 0.0 at the absent pairs, which the mask marks; other losses give None.
     """
     scores, _ = solve_stats(stats, kind, k)
     if not (stats.row_marginal.all() and stats.col_marginal.all()):
         raise DegenerateMarginalError("marginals must be positive to place a pair")
     n = stats.n_words
-    X = np.full((n, n), -np.inf if scores.implicit_value is None else scores.implicit_value)
-    X[scores.i, scores.j] = scores.v
-    mask = np.isneginf(X)
-    return EmbeddingPair(
-        W=np.where(mask, 0.0, X), C=np.eye(n), W_neg_inf=mask if kind == "logistic" else None
-    )
+    W = np.full((n, n), 0.0 if scores.implicit_value is None else scores.implicit_value)
+    W[scores.i, scores.j] = scores.v
+    if scores.implicit_value is not None:
+        return W, None
+    mask = np.ones((n, n), dtype=bool)
+    mask[scores.i, scores.j] = False
+    return W, mask
 
 
 def objective_value(

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyVocabularyError, FormatError, InvalidOptionError, check_seed
-from .vectors import SparseMatrix, sum_by_key
+from .vectors import SparseMatrix, sum_by_key, word_index
 
 POSITIONAL_WEIGHTS = ("constant", "reciprocal")
 
@@ -39,7 +39,7 @@ class Vocabulary:
 
     def __post_init__(self) -> None:
         self.freq = np.asarray(self.freq, dtype=np.int64)
-        self.index = {w: i for i, w in enumerate(self.words)}
+        self.index = word_index(self.words)
 
     def __len__(self) -> int:
         return len(self.words)

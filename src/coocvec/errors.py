@@ -61,7 +61,7 @@ class DivergenceError(WorkbenchError):
 
 
 class DomainError(WorkbenchError):
-    """Closed form evaluated outside its region of validity."""
+    """Closed form or similarity evaluated outside its region of validity."""
 
     category = "domain-error"
 

@@ -1,9 +1,8 @@
 """Nearest neighbours and word-similarity correlation.
 
-Vectors may carry minus-infinity markers from the logistic closed form; the
-masked entries hold 0.0, so dot products treat them as absent mass.  Cosine
-similarity of or with an all-zero vector is defined as 0, and a zero query
-has no meaningful neighbours at all under cosine.
+Cosine similarity of or with an all-zero vector is defined as 0, and a zero
+query has no meaningful neighbours at all under cosine.  An embedding with
+cells so large that a dot product of two rows could overflow is refused.
 """
 from __future__ import annotations
 
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientPairsError, InvalidOptionError
+from .errors import DomainError, InsufficientPairsError, InvalidOptionError
 from .vectors import Embedding
 
 METRICS = ("cosine", "dot")
@@ -21,6 +20,14 @@ METRICS = ("cosine", "dot")
 def _check_metric(metric: str) -> None:
     if metric not in METRICS:
         raise InvalidOptionError(f"metric must be one of {METRICS}, got {metric!r}")
+
+
+def _check_range(emb: Embedding) -> None:
+    """Refuse a cell above sqrt(max_float / (2 dim)), where a dot product could overflow."""
+    limit = math.sqrt(np.finfo(float).max / (2 * max(emb.dim, 1)))
+    largest = float(np.abs(emb.vectors).max(initial=0.0))
+    if largest > limit:
+        raise DomainError(f"cell magnitude {largest!r} exceeds {limit:.6g}; similarities overflow")
 
 
 def _cosine(dots: np.ndarray, norms: np.ndarray, other_norms) -> np.ndarray:
@@ -50,6 +57,7 @@ def neighbors(emb: Embedding, word: str, n: int, metric: str = "cosine") -> list
     if n < 0:
         raise InvalidOptionError(f"n must be non-negative, got {n}")
     qi = emb.index(word)
+    _check_range(emb)
     sims = _similarities(emb, emb.vectors[qi], metric)
     if sims is None:
         return []
@@ -87,6 +95,7 @@ def spearman(
     tie handling, and a constant similarity list correlates as 0.
     """
     _check_metric(metric)
+    _check_range(emb)
     if not dataset:
         raise InsufficientPairsError("similarity dataset is empty")
     first, second, human = zip(*dataset)

@@ -21,7 +21,7 @@ from .errors import (
     MarkerContaminationError,
     check_seed,
 )
-from .vectors import Embedding, EmbeddingPair, SparseMatrix
+from .vectors import Embedding, SparseMatrix
 
 
 @dataclass
@@ -125,7 +125,10 @@ def consistency_report(M: SparseMatrix | np.ndarray, flavor: str) -> float:
 
 @dataclass
 class AlsResult:
-    pair: EmbeddingPair
+    """Word factors W and context factors C, with the objective after each half-sweep."""
+
+    W: np.ndarray
+    C: np.ndarray
     objective_history: list[float] = field(default_factory=list)
     residual_history: list[float] = field(default_factory=list)
     converged: bool = False
@@ -204,7 +207,7 @@ def weighted_factorize(
             out[r] = np.linalg.solve(A, b)
         return out
 
-    result = AlsResult(pair=EmbeddingPair(*factors))
+    result = AlsResult(*factors)
     prev_total, _ = objective(*factors)
     last_sweep_total = prev_total
     for _ in range(epochs):
@@ -223,5 +226,5 @@ def weighted_factorize(
             break
         last_sweep_total = total
 
-    result.pair = EmbeddingPair(*factors)
+    result.W, result.C = factors
     return result

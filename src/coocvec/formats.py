@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import re
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -29,7 +28,6 @@ from .errors import FormatError, WorkbenchError
 from .vectors import Embedding, SparseMatrix
 
 BINARY_MAGIC = b"CWB1"
-NEG_INF_TOKEN = "NEG_INF"
 STAMPS = ("# provenance ", "# meta ")
 
 PMI_TAGS = ("pmi", "ppmi", "spmi", "sppmi")
@@ -251,13 +249,13 @@ def write_vocab(vocab: Vocabulary, path: str, prov: Provenance | None = None) ->
 
 
 @_reader
-def read_vocab(path: str) -> Vocabulary:
-    _, _, _, body = _read(path, header=False)
+def read_vocab(path: str) -> tuple[Vocabulary, Provenance | None]:
+    _, prov, _, body = _read(path, header=False)
     table = _table(body, _VOCAB_DTYPE, "word<TAB>count", "\t")
     if not len(table):
         raise FormatError("empty vocabulary file")
     freq = table["count"]
-    return Vocabulary(words=table["word"].tolist(), freq=freq, total_tokens=int(freq.sum()))
+    return Vocabulary(words=table["word"].tolist(), freq=freq, total_tokens=int(freq.sum())), prov
 
 
 # ------------------------------------------------------------- co-occurrence
@@ -355,16 +353,10 @@ def read_matrix(path: str) -> tuple[SparseMatrix, MatrixInfo]:
 
 
 def write_embedding(emb: Embedding, path: str, prov: Provenance | None = None) -> None:
-    cells = emb.vectors.astype(object)  # Python floats, whose str is their repr
-    if emb.neg_inf_mask is not None:
-        cells[emb.neg_inf_mask] = NEG_INF_TOKEN
     lines = [f"{len(emb.words)} {emb.dim}"] + _comment_lines(prov, emb.meta)
-    lines += [" ".join([word, *map(str, row)]) for word, row in zip(emb.words, cells.tolist())]
+    rows = emb.vectors.tolist()  # Python floats, whose str is their repr
+    lines += [" ".join([word, *map(str, row)]) for word, row in zip(emb.words, rows)]
     _write_text(path, lines)
-
-
-# a NEG_INF cell: after a separator, so a row's word is never taken for one
-_NEG_INF_CELL = re.compile(rf"(?<=[ \t]){NEG_INF_TOKEN}(?!\S)")
 
 
 @_reader
@@ -376,24 +368,14 @@ def read_embedding(path: str) -> tuple[Embedding, Provenance | None]:
     n, dim = int(fields[0]), int(fields[1])
     if n and 2 * dim + 1 > len(body):  # a row spells at least a word and dim cells
         raise FormatError(f"header promises rows of {dim} values; the file is too short")
-    markers = 0
-    if NEG_INF_TOKEN in body:
-        body, markers = _NEG_INF_CELL.subn("-inf", body)
     dtype = np.dtype([("word", object), ("cells", float, (dim,))])
     table = _table(body, dtype, f"word and {dim} values")
     if len(table) != n:
         raise FormatError(f"header promises {n} rows, found {len(table)}")
     vectors = np.ascontiguousarray(table["cells"])
-    mask = vectors == -np.inf
-    if np.count_nonzero(mask) != markers or not np.isfinite(vectors[~mask]).all():
-        raise FormatError(f"cells must be finite numbers or {NEG_INF_TOKEN}")
-    vectors[mask] = 0.0
-    return Embedding(
-        words=table["word"].tolist(),
-        vectors=vectors,
-        neg_inf_mask=mask if markers else None,
-        meta=meta,
-    ), prov
+    if not np.isfinite(vectors).all():
+        raise FormatError("cells must be finite numbers")
+    return Embedding(words=table["word"].tolist(), vectors=vectors, meta=meta), prov
 
 
 # ------------------------------------------------------------------ datasets

@@ -25,11 +25,20 @@ from .vectors import SparseMatrix
 VARIANTS = ("pmi", "ppmi", "spmi", "sppmi")
 
 
+def shifted_pmi(joint, n_w, n_c, total: float, k: float = 1.0):
+    """log(joint * total / (n_w * n_c)) - log k, elementwise: the one PMI expression.
+
+    Its arguments are the gathered counts; a zero joint weight gives -inf.
+    """
+    with np.errstate(divide="ignore"):
+        return np.log(joint * total / (n_w * n_c)) - math.log(k)
+
+
 def pmi_values(
-    stats: CooccurrenceStats, rows: np.ndarray, cols: np.ndarray, joint: np.ndarray
+    stats: CooccurrenceStats, rows: np.ndarray, cols: np.ndarray, joint: np.ndarray, k: float = 1.0
 ) -> np.ndarray:
-    """PMI of the pairs (rows, cols) with positive joint weights, elementwise."""
-    return np.log(joint * stats.total / (stats.row_marginal[rows] * stats.col_marginal[cols]))
+    """Shifted PMI of the pairs (rows, cols) with joint weights joint, elementwise."""
+    return shifted_pmi(joint, stats.row_marginal[rows], stats.col_marginal[cols], stats.total, k)
 
 
 def pmi_value(stats: CooccurrenceStats, w: int, c: int) -> float | None:
@@ -58,7 +67,7 @@ def build_matrix(stats: CooccurrenceStats, variant: str, k: float = 1.0) -> Spar
 
     positive = variant in ("ppmi", "sppmi")
     counts = stats.counts
-    values = pmi_values(stats, counts.i, counts.j, counts.v) - math.log(k)
+    values = pmi_values(stats, counts.i, counts.j, counts.v, k)
     if positive:
         keep = values > 0.0
         return SparseMatrix(counts.rows, counts.cols, counts.i[keep], counts.j[keep], values[keep])

@@ -2,10 +2,7 @@
 
 A SparseMatrix stores its entries as sorted (i, j, v) columns; counts, PMI
 matrices, closed-form solutions and ALS targets all use it.  An Embedding is a
-labelled matrix of word vectors.  Entries that are driven to minus infinity by
-the logistic closed form are represented by a boolean mask (the stored float
-is 0.0 there), never by a raw float infinity, so downstream linear algebra
-cannot silently absorb them.
+labelled matrix of word vectors, every entry a float.
 """
 from __future__ import annotations
 
@@ -116,25 +113,28 @@ class SparseMatrix:
         return dense
 
 
+def word_index(words: list[str]) -> dict[str, int]:
+    """The position of each word; a repeated word is refused."""
+    index = {w: i for i, w in enumerate(words)}
+    if len(index) != len(words):
+        repeated = next(w for i, w in enumerate(words) if index[w] != i)
+        raise FormatError(f"word {repeated!r} is repeated")
+    return index
+
+
 @dataclass
 class Embedding:
-    """Word vectors with row labels.
-
-    vectors has shape (len(words), dim).  neg_inf_mask, when present, marks
-    entries whose true value is -infinity; masked entries hold 0.0 in
-    ``vectors`` and are treated as absent by dot products.
-    """
+    """Word vectors with row labels: vectors has shape (len(words), dim), one row per word."""
 
     words: list[str]
     vectors: np.ndarray
-    neg_inf_mask: np.ndarray | None = None
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.vectors = np.asarray(self.vectors, dtype=float)
         if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.words):
             raise ValueError("vector matrix shape does not match word list")
-        self._index = {w: i for i, w in enumerate(self.words)}
+        self._index = word_index(self.words)
 
     @property
     def dim(self) -> int:
@@ -160,21 +160,3 @@ class Embedding:
         found = map(self._index.get, words, itertools.repeat(-1))
         return np.fromiter(found, dtype=np.int64, count=len(words))
 
-
-@dataclass
-class EmbeddingPair:
-    """Word matrix W and context matrix C sharing an inner dimension."""
-
-    W: np.ndarray
-    C: np.ndarray
-    W_neg_inf: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.W = np.asarray(self.W, dtype=float)
-        self.C = np.asarray(self.C, dtype=float)
-        if self.W.shape[1] != self.C.shape[1]:
-            raise ValueError("W and C disagree on the inner dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.W.shape[1]

@@ -34,7 +34,7 @@ class TestCount:
         out = counted(tmp_path, corpus_path)
         stats, _ = read_cooc(out)
         assert stats.total > 0
-        vocab = read_vocab(out + ".vocab")
+        vocab, _ = read_vocab(out + ".vocab")
         assert vocab.words[0] == "the"
         assert read_provenance(out) is not None
 
@@ -42,7 +42,7 @@ class TestCount:
         out = str(tmp_path / "c.txt")
         vout = str(tmp_path / "v.tsv")
         assert run("count", "--input", corpus_path, "--output", out, "--vocab-out", vout) == 0
-        assert read_vocab(vout).total_tokens == 14
+        assert read_vocab(vout)[0].total_tokens == 14
 
     def test_binary_output(self, tmp_path, corpus_path):
         out = str(tmp_path / "c.bin")
@@ -320,7 +320,8 @@ class TestHashTokens:
             assert set(read_embedding(emb)[0].words) == {"#tag", "#", "the", "fox", "saw"}
             assert run("neighbors", "--embedding", emb, "--word", "#", "--n", "2") == 0
             assert run("neighbors", "--embedding", emb, "--word", "#tag", "--n", "2") == 0
-        assert read_vocab(counts + ".vocab").words == read_vocab(str(tmp_path / "v.vocab")).words
+        vocabs = [read_vocab(path)[0] for path in (counts + ".vocab", str(tmp_path / "v.vocab"))]
+        assert vocabs[0].words == vocabs[1].words
         assert capsys.readouterr().err == ""
 
 
@@ -352,6 +353,12 @@ class TestOptionErrors:
             ["factorize", "--weighted", "--ridge", "inf"],
             ["factorize", "--weighted", "--tol", "nan"],
             ["factorize", "--weighted", "--tol", "-1"],
+            ["factorize", "--epochs", "-1"],
+            ["factorize", "--ridge", "nan"],
+            ["factorize", "--tol", "-5"],
+            ["factorize", "--weighted", "--oversample", "-20"],
+            ["factorize", "--weighted", "--power-iters", "-3"],
+            ["factorize", "--weighted", "--flavor", "symmetric"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -397,6 +404,52 @@ class TestOptionErrors:
         assert flag in err[0]
         assert not os.path.exists(out) and not os.path.exists(tmp_path / "ctx.txt")
 
+    @pytest.mark.parametrize(
+        "weighted, line", [(False, "epochs=3"), (False, "ridge=0.5"), (True, "flavor=symmetric")]
+    )
+    def test_other_mode_option_from_config(self, tmp_path, corpus_path, capsys, weighted, line):
+        counts = counted(tmp_path, corpus_path)
+        sol, alpha = str(tmp_path / "sol.txt"), str(tmp_path / "alpha.txt")
+        run("solve", "--cooc", counts, "--output", sol, "--loss", "squared", "--alpha-out", alpha)
+        cfg = tmp_path / "factorize.cfg"
+        cfg.write_text(line + "\n")
+        out = str(tmp_path / "out")
+        mode = ["--weighted", "--alpha", alpha] if weighted else []
+        capsys.readouterr()
+        code = run("factorize", "--matrix", sol, "--output", out, "--dim", "2", *mode,
+                   "--config", str(cfg))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1 and len(err) == 1 and err[0].startswith("error invalid-option:"), err
+        assert "--" + line.partition("=")[0] in err[0] and not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "command", ["count", "count-symlink", "solve", "factorize", "train-convex"]
+    )
+    def test_outputs_naming_one_file_are_refused(self, tmp_path, corpus_path, capsys, command):
+        counts = counted(tmp_path, corpus_path)
+        sol, alpha = str(tmp_path / "sol.txt"), str(tmp_path / "alpha.txt")
+        run("solve", "--cooc", counts, "--output", sol, "--loss", "squared", "--alpha-out", alpha)
+        (tmp_path / "sub").mkdir()
+        out = str(tmp_path / "out")
+        same = str(tmp_path / "sub" / ".." / "out")  # another spelling of out
+        if command == "count-symlink":  # the default vocabulary path leads back to out
+            os.symlink(out, out + ".vocab")
+        argv = {
+            "count": ["count", "--input", corpus_path, "--output", out, "--vocab-out", same],
+            "count-symlink": ["count", "--input", corpus_path, "--output", out],
+            "solve": ["solve", "--cooc", counts, "--output", out, "--loss", "squared",
+                      "--alpha-out", same],
+            "factorize": ["factorize", "--weighted", "--matrix", sol, "--alpha", alpha,
+                          "--output", out, "--dim", "2", "--context-out", same],
+            "train-convex": ["train-convex", "--input", corpus_path, "--output", out,
+                             "--vocab-out", same],
+        }[command]
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error invalid-option:"), err
+        assert not os.path.exists(out)
+
 
 class TestFactorizeTrainEval:
     def test_svd_factorize_then_neighbors(self, tmp_path, corpus_path, capsys):
@@ -426,6 +479,28 @@ class TestFactorizeTrainEval:
         code = run("neighbors", "--embedding", emb_path, "--word", "wolf")
         assert code == 1
         assert capsys.readouterr().err.startswith("error unknown-word:")
+
+    def test_repeated_word_is_one_error_line(self, tmp_path, capsys):
+        emb = tmp_path / "emb.txt"
+        emb.write_text("3 2\nthe 1.0 0.0\nfox 0.0 1.0\nthe 1.0 0.1\n")
+        assert run("neighbors", "--embedding", str(emb), "--word", "the") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error bad-format:"), err
+        assert str(emb) in err[0] and "'the'" in err[0]
+
+    @pytest.mark.parametrize("command", ["eval", "neighbors"])
+    def test_cells_whose_products_overflow_are_one_error_line(self, tmp_path, capsys, command):
+        dataset = tmp_path / "sim.tsv"
+        dataset.write_text("fox\tcat\t7.0\ncat\tthe\t2.0\nfox\tthe\t1.0\n")
+        rows = "cat 0.5 2.0\nthe 1.0 -1.0\n"
+        argv = {"eval": ["--dataset", str(dataset)], "neighbors": ["--word", "cat"]}[command]
+        for cell, code in (("1e150", 0), ("-0.662786833129e178", 1)):
+            emb = tmp_path / "emb.txt"
+            emb.write_text(f"3 2\nfox {cell} 1.0\n{rows}")
+            assert run(command, "--embedding", str(emb), *argv) == code
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == code, err
+        assert err[0].startswith("error domain-error:"), err
 
     def test_weighted_factorize_needs_alpha(self, tmp_path, corpus_path, capsys):
         counts = counted(tmp_path, corpus_path)
@@ -664,6 +739,20 @@ class TestProvenanceChain:
         dataset.write_text("fox\tcat\t7.0\nfox\tthe\t2.0\nquick\tslow\t5.0\n")
         assert run("eval", "--embedding", emb, "--dataset", str(dataset), "--output", scores) == 0
         assert read_provenance(scores).root is None
+
+    def test_vocab_from_another_run_mixes_the_root(self, tmp_path, corpus_path):
+        counts_a = counted(tmp_path, corpus_path)
+        counts_b = str(tmp_path / "counts_b.txt")
+        assert run("count", "--input", corpus_path, "--output", counts_b, "--seed", "1") == 0
+        mat = str(tmp_path / "m.txt")
+        assert run("pmi", "--cooc", counts_a, "--output", mat, "--variant", "ppmi") == 0
+        own, foreign = str(tmp_path / "own.txt"), str(tmp_path / "foreign.txt")
+        for emb, vocab in ((own, counts_a + ".vocab"), (foreign, counts_b + ".vocab")):
+            assert run("factorize", "--matrix", mat, "--output", emb, "--dim", "2",
+                       "--vocab", vocab) == 0
+            assert read_provenance(emb).inputs["vocab"] == read_provenance(vocab).hash()
+        assert read_provenance(own).root == read_provenance(counts_a).root
+        assert read_provenance(foreign).root is None
 
 
 class TestReadOnce:

@@ -234,29 +234,28 @@ def test_array_closed_forms_equal_scalar_entry_points(kind, rng):
 
 class TestAssembleOneHot:
     def test_logistic_reproduces_spmi_with_markers(self, abab_stats):
-        pair = assemble_spmi_solution(abab_stats, "logistic", 1.0)
-        assert np.allclose(pair.C, np.eye(2))
-        assert pair.W[0, 1] == pytest.approx(LOG2)
-        assert pair.W[1, 0] == pytest.approx(LOG2)
-        assert pair.W_neg_inf[0, 0] and pair.W_neg_inf[1, 1]
-        assert not pair.W_neg_inf[0, 1]
+        W, mask = assemble_spmi_solution(abab_stats, "logistic", 1.0)
+        assert W[0, 1] == pytest.approx(LOG2)
+        assert W[1, 0] == pytest.approx(LOG2)
+        assert mask[0, 0] and mask[1, 1]
+        assert not mask[0, 1]
 
     def test_hinge_entries_are_signs(self, rng):
         stats = random_stats(rng, n_words=4, density=0.7, symmetric=True)
-        pair = assemble_spmi_solution(stats, "hinge", 1.5)
-        assert set(np.unique(pair.W)) <= {-1.0, 1.0}
+        W, _ = assemble_spmi_solution(stats, "hinge", 1.5)
+        assert set(np.unique(W)) <= {-1.0, 1.0}
 
     def test_squared_at_independence_scores_zero(self):
         pairs = {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 1.0}
         stats = CooccurrenceStats.from_pairs(pairs, 2)
-        pair = assemble_spmi_solution(stats, "squared", 1.0)
-        assert np.allclose(pair.W, 0.0)
+        W, _ = assemble_spmi_solution(stats, "squared", 1.0)
+        assert np.allclose(W, 0.0)
 
     def test_squared_absent_pairs_score_minus_one(self, abab_stats):
-        pair = assemble_spmi_solution(abab_stats, "squared", 1.0)
-        assert pair.W[0, 0] == -1.0
-        assert pair.W[1, 1] == -1.0
-        assert pair.W_neg_inf is None
+        W, mask = assemble_spmi_solution(abab_stats, "squared", 1.0)
+        assert W[0, 0] == -1.0
+        assert W[1, 1] == -1.0
+        assert mask is None
 
 
 class TestObjectiveValue:
@@ -269,19 +268,18 @@ class TestObjectiveValue:
 
     def test_assembled_squared_solution_is_a_minimum(self, rng):
         stats = random_stats(rng, n_words=4, density=0.6)
-        pair = assemble_spmi_solution(stats, "squared", 1.0)
-        base = objective_value(pair.W, pair.C, stats, "squared", 1.0)
+        W0, _ = assemble_spmi_solution(stats, "squared", 1.0)
+        C = np.eye(stats.n_words)
+        base = objective_value(W0, C, stats, "squared", 1.0)
         for _ in range(30):
-            W = pair.W.copy()
+            W = W0.copy()
             i, j = int(rng.integers(0, 4)), int(rng.integers(0, 4))
             W[i, j] += float(rng.normal(0.0, 0.5))
-            assert objective_value(W, pair.C, stats, "squared", 1.0) >= base - 1e-12
+            assert objective_value(W, C, stats, "squared", 1.0) >= base - 1e-12
 
     def test_masked_absent_pairs_contribute_zero(self, abab_stats):
-        pair = assemble_spmi_solution(abab_stats, "logistic", 1.0)
-        got = objective_value(
-            pair.W, pair.C, abab_stats, "logistic", 1.0, neg_inf_mask=pair.W_neg_inf
-        )
+        W, mask = assemble_spmi_solution(abab_stats, "logistic", 1.0)
+        got = objective_value(W, np.eye(2), abab_stats, "logistic", 1.0, neg_inf_mask=mask)
         expected = sum(
             pair_objective(
                 "logistic",
@@ -290,7 +288,7 @@ class TestObjectiveValue:
                 float(abab_stats.col_marginal[c]),
                 abab_stats.total,
                 1.0,
-                float(pair.W[w, c]),
+                float(W[w, c]),
             )
             for (w, c) in abab_stats.pairs
         )
@@ -380,13 +378,12 @@ def test_property_solve_stats_absent_value_and_dense_oracle(seed, kind, k):
         with pytest.raises(DegenerateMarginalError):
             assemble_spmi_solution(stats, kind, k)
         return
-    pair = assemble_spmi_solution(stats, kind, k)
-    assert pair.W.tobytes() == np.where(oracle.neg_inf, 0.0, oracle.x_star).tobytes()
-    assert np.array_equal(pair.C, np.eye(stats.n_words))
+    W, mask = assemble_spmi_solution(stats, kind, k)
+    assert W.tobytes() == np.where(oracle.neg_inf, 0.0, oracle.x_star).tobytes()
     if kind == "logistic":
-        assert np.array_equal(pair.W_neg_inf, oracle.neg_inf)
+        assert np.array_equal(mask, oracle.neg_inf)
     else:
-        assert pair.W_neg_inf is None
+        assert mask is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -173,7 +173,7 @@ class TestWeightedFactorize:
         problem = weighted_problem(1, 1, {(0, 0): 2.0}, {(0, 0): 5.0})
         result = weighted_factorize(*problem, dim=1, ridge=0.0, seed=0)
         assert result.objective_history[-1] == pytest.approx(0.0, abs=1e-12)
-        assert float(result.pair.W[0, 0] * result.pair.C[0, 0]) == pytest.approx(2.0)
+        assert float(result.W[0, 0] * result.C[0, 0]) == pytest.approx(2.0)
 
     def test_objective_monotone_over_half_sweeps(self, rng):
         n = 8
@@ -215,7 +215,7 @@ class TestWeightedFactorize:
     def test_row_without_support_stays_zero(self):
         problem = weighted_problem(3, 2, {(0, 0): 1.0, (2, 1): 2.0}, {(0, 0): 1.0, (2, 1): 1.0})
         result = weighted_factorize(*problem, dim=1, epochs=10, seed=0)
-        assert np.allclose(result.pair.W[1], 0.0)
+        assert np.allclose(result.W[1], 0.0)
 
     def test_convergence_flag_set_when_stalled(self, rng):
         targets = {(0, 0): 1.0, (1, 1): 2.0}

@@ -44,7 +44,8 @@ class TestVocabFiles:
         vocab = build_vocabulary([["b", "a", "b", "c", "b", "a"]])
         path = str(tmp_path / "v.tsv")
         write_vocab(vocab, path)
-        back = read_vocab(path)
+        back, stamp = read_vocab(path)
+        assert stamp is None
         assert back.words == vocab.words
         assert np.array_equal(back.freq, vocab.freq)
         assert back.total_tokens == vocab.total_tokens
@@ -53,8 +54,9 @@ class TestVocabFiles:
         vocab = build_vocabulary([["a", "b"]])
         path = str(tmp_path / "v.tsv")
         write_vocab(vocab, path, prov=prov)
-        assert read_provenance(path).hash() == prov.hash()
-        assert read_vocab(path).words == vocab.words
+        back, stamp = read_vocab(path)
+        assert read_provenance(path).hash() == stamp.hash() == prov.hash()
+        assert back.words == vocab.words
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -67,6 +69,14 @@ class TestVocabFiles:
         path.write_text("a\tthree\n")
         with pytest.raises(FormatError):
             read_vocab(str(path))
+
+    def test_repeated_word(self, tmp_path):
+        path = tmp_path / "v.tsv"
+        path.write_text("a\t3\nb\t2\na\t1\n")
+        with pytest.raises(FormatError, match=f"{path}: word 'a' is repeated"):
+            read_vocab(str(path))
+        with pytest.raises(FormatError, match="word 'a' is repeated"):
+            Vocabulary(words=["a", "b", "a"], freq=[3, 2, 1], total_tokens=6)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.tsv"
@@ -223,38 +233,26 @@ class TestEmbeddingFiles:
         back, _ = read_embedding(path)
         assert back.words == ["a", "b"]
         assert np.array_equal(back.vectors, emb.vectors)
-        assert back.neg_inf_mask is None
         assert back.meta == {"flavor": "plain", "dim": "2"}
 
-    def test_minus_infinity_markers_round_trip(self, tmp_path):
-        mask = np.array([[False, True], [False, False]])
-        emb = Embedding(
-            words=["a", "b"],
-            vectors=np.array([[0.5, 0.0], [1.0, 2.0]]),
-            neg_inf_mask=mask,
-        )
-        path = str(tmp_path / "e.txt")
-        write_embedding(emb, path)
-        assert "NEG_INF" in open(path).read()
-        back, _ = read_embedding(path)
-        assert np.array_equal(back.neg_inf_mask, mask)
-        assert back.vectors[0, 1] == 0.0
+    @pytest.mark.parametrize("cell", ["NEG_INF", "-inf", "nan"])
+    def test_non_finite_cell_is_malformed(self, tmp_path, cell):
+        path = tmp_path / "e.txt"
+        path.write_text(f"2 2\na 0.5 {cell}\nb 1.0 2.0\n")
+        with pytest.raises(FormatError, match=str(path)):
+            read_embedding(str(path))
 
     def test_words_that_look_like_stamps_or_cells_round_trip(self, tmp_path, prov):
         words = ["#", "#tag", "NEG_INF", "nan", "1.5", "#meta"]
-        mask = np.zeros((len(words), 2), dtype=bool)
-        mask[[0, 2], [0, 1]] = True
-        vectors = np.where(mask, 0.0, np.arange(12.0).reshape(6, 2))
-        emb = Embedding(words=words, vectors=vectors, neg_inf_mask=mask, meta={"flavor": "plain"})
+        emb = Embedding(words, np.arange(12.0).reshape(6, 2), meta={"flavor": "plain"})
         path = str(tmp_path / "e.txt")
         write_embedding(emb, path, prov=prov)
         back, _ = read_embedding(path)
         assert back.words == words
         assert np.array_equal(back.vectors, emb.vectors)
-        assert np.array_equal(back.neg_inf_mask, mask)
         vocab = Vocabulary(words=words, freq=np.arange(6, 0, -1), total_tokens=21)
         write_vocab(vocab, path, prov=prov)
-        assert read_vocab(path).words == words
+        assert read_vocab(path)[0].words == words
         assert read_provenance(path).hash() == prov.hash()
 
     def test_row_count_mismatch(self, tmp_path):
@@ -262,6 +260,14 @@ class TestEmbeddingFiles:
         path.write_text("2 2\na 1.0 2.0\n")
         with pytest.raises(FormatError):
             read_embedding(str(path))
+
+    def test_repeated_word(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text("3 1\nb 1.0\na 2.0\nb 3.0\n")
+        with pytest.raises(FormatError, match=f"{path}: word 'b' is repeated"):
+            read_embedding(str(path))
+        with pytest.raises(FormatError, match="word 'b' is repeated"):
+            Embedding(words=["b", "a", "b"], vectors=np.ones((3, 1)))
 
     def test_column_count_mismatch(self, tmp_path):
         path = tmp_path / "e.txt"

@@ -10,12 +10,10 @@ import contextlib
 import io
 import re
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coocvec import read_embedding, write_embedding
 from coocvec.cli import main
 
 CORPUS = (
@@ -59,10 +57,6 @@ def written(tmp_path_factory):
     p["vocab"] = p["counts_txt"] + ".vocab"
     assert cli("factorize", "--matrix", p["ppmi_txt"], "--output", p["emb"], "--dim", "3",
                "--vocab", p["vocab"])[0] == 0
-    emb, _ = read_embedding(p["emb"])
-    emb.neg_inf_mask = np.zeros(emb.vectors.shape, dtype=bool)
-    emb.neg_inf_mask[[0, 2], [1, 0]] = True
-    write_embedding(emb, p["emb"])
     with open(p["sim"], "w") as fh:
         fh.write("fox\tcat\t7.0\n#tag\t#\t2.5\nthe\tslow\t1.0\nquick\tsaw\t4.0\n")
     with open(p["config"], "w") as fh:

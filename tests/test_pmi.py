@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,8 +12,13 @@ from coocvec import (
     InvalidShiftError,
     MarkerContaminationError,
     SparseMatrix,
+    WindowSpec,
     build_matrix,
+    build_vocabulary,
+    count_cooccurrences,
     pmi_value,
+    solve_stats,
+    tokenize,
 )
 from helpers import random_stats
 
@@ -143,3 +150,26 @@ def test_property_sppmi_monotone_in_k(seed):
         for key, v in current.entries.items():
             assert v <= previous.entries[key] + 1e-12
         previous = current
+
+
+def _bench_gen():
+    """The benchmark's corpus generator, loaded from bench/gen.py."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    spec = importlib.util.spec_from_file_location("bench_gen", os.path.join(bench, "gen.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("k", [1.0, 5.0])
+def test_spmi_is_the_logistic_solution_bit_for_bit(k):
+    """SGNS = SPMI: the logistic closed form is the shifted PMI, to the last bit."""
+    gen = _bench_gen()
+    records = tokenize(gen.corpus_text(gen.make_corpus(40_000, 1)))
+    vocab = build_vocabulary(records, min_count=10)
+    stats = count_cooccurrences(records, vocab, WindowSpec(left=2, right=2))
+    spmi = build_matrix(stats, "spmi", k=k)
+    scores, _ = solve_stats(stats, "logistic", k)
+    assert spmi.nnz == scores.nnz > 10_000
+    assert spmi.v.tobytes() == scores.v.tobytes()
+    assert spmi.implicit_value is scores.implicit_value is None
