@@ -4,154 +4,61 @@ Counts weighted co-occurrences, builds PMI-family matrices, solves per-pair
 loss objectives in closed form, applies L1/L2 regularization, factorizes the
 results (randomized SVD and curvature-weighted ALS), trains a convex sparse
 bag-of-contexts model, and evaluates embeddings on similarity datasets.
+
+Each public name below is resolved on first use (PEP 562), so importing the
+package loads no submodule and no numpy.
 """
-from .closed_form import (
-    LOSS_NAMES,
-    PairSolution,
-    assemble_spmi_solution,
-    loss_derivative,
-    loss_second_derivative,
-    loss_value,
-    minimize_pair_numeric,
-    objective_value,
-    pair_objective,
-    solve_pair,
-    solve_stats,
-)
-from .convex_model import ContextSpec, TrainConfig, build_examples, explain, train
-from .corpus import (
-    CooccurrenceStats,
-    Vocabulary,
-    WindowSpec,
-    build_vocabulary,
-    check_symmetry,
-    count_cooccurrences,
-    tokenize,
-)
-from .errors import (
-    DegenerateMarginalError,
-    DimensionMismatchError,
-    DivergenceError,
-    DomainError,
-    EmptyVocabularyError,
-    FormatError,
-    InsufficientPairsError,
-    InvalidOptionError,
-    InvalidShiftError,
-    MarkerContaminationError,
-    MixedProvenanceError,
-    UnknownWordError,
-    WorkbenchError,
-)
-from .evaluation import SpearmanReport, neighbors, spearman
-from .factorization import (
-    AlsResult,
-    SvdResult,
-    consistency_report,
-    truncated_svd,
-    weighted_factorize,
-    word_vectors,
-)
-from .formats import (
-    MatrixInfo,
-    Provenance,
-    make_provenance,
-    read_cooc,
-    read_corpus,
-    read_embedding,
-    read_matrix,
-    read_provenance,
-    read_similarity,
-    read_vocab,
-    write_cooc,
-    write_embedding,
-    write_matrix,
-    write_vocab,
-)
-from .pmi import build_matrix, pmi_value, shifted_pmi
-from .regularization import (
-    RegSpec,
-    h_function,
-    l2_chord,
-    regularize_stats,
-    solve_exact,
-    solve_l1,
-    solve_l2,
-)
-from .vectors import Embedding, SparseMatrix
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlsResult",
-    "ContextSpec",
-    "CooccurrenceStats",
-    "DegenerateMarginalError",
-    "DimensionMismatchError",
-    "DivergenceError",
-    "DomainError",
-    "Embedding",
-    "EmptyVocabularyError",
-    "FormatError",
-    "InsufficientPairsError",
-    "InvalidOptionError",
-    "InvalidShiftError",
-    "LOSS_NAMES",
-    "MarkerContaminationError",
-    "MatrixInfo",
-    "MixedProvenanceError",
-    "PairSolution",
-    "Provenance",
-    "RegSpec",
-    "SparseMatrix",
-    "SpearmanReport",
-    "SvdResult",
-    "TrainConfig",
-    "UnknownWordError",
-    "Vocabulary",
-    "WindowSpec",
-    "WorkbenchError",
-    "assemble_spmi_solution",
-    "build_examples",
-    "build_matrix",
-    "build_vocabulary",
-    "check_symmetry",
-    "consistency_report",
-    "count_cooccurrences",
-    "explain",
-    "h_function",
-    "l2_chord",
-    "loss_derivative",
-    "loss_second_derivative",
-    "loss_value",
-    "make_provenance",
-    "minimize_pair_numeric",
-    "neighbors",
-    "objective_value",
-    "pair_objective",
-    "pmi_value",
-    "read_cooc",
-    "read_corpus",
-    "read_embedding",
-    "read_matrix",
-    "read_provenance",
-    "read_similarity",
-    "read_vocab",
-    "regularize_stats",
-    "solve_exact",
-    "solve_l1",
-    "solve_l2",
-    "solve_pair",
-    "shifted_pmi",
-    "solve_stats",
-    "spearman",
-    "tokenize",
-    "train",
-    "truncated_svd",
-    "weighted_factorize",
-    "word_vectors",
-    "write_cooc",
-    "write_embedding",
-    "write_matrix",
-    "write_vocab",
-]
+# module -> the public names it defines; the one list of the package's API
+_EXPORTS = {
+    "closed_form": (
+        "LOSS_NAMES", "PairSolution", "assemble_spmi_solution", "loss_derivative",
+        "loss_second_derivative", "loss_value", "minimize_pair_numeric",
+        "objective_value", "pair_objective", "solve_pair", "solve_stats",
+    ),
+    "convex_model": ("ContextSpec", "TrainConfig", "build_examples", "explain", "train"),
+    "corpus": (
+        "CooccurrenceStats", "Vocabulary", "WindowSpec", "build_vocabulary",
+        "check_symmetry", "count_cooccurrences", "tokenize",
+    ),
+    "errors": (
+        "DegenerateMarginalError", "DimensionMismatchError", "DivergenceError",
+        "DomainError", "EmptyVocabularyError", "FormatError", "InsufficientPairsError",
+        "InvalidOptionError", "InvalidShiftError", "MarkerContaminationError",
+        "MixedProvenanceError", "UnknownWordError", "WorkbenchError",
+    ),
+    "evaluation": ("SpearmanReport", "neighbors", "spearman"),
+    "factorization": (
+        "AlsResult", "SvdResult", "consistency_report", "truncated_svd",
+        "weighted_factorize", "word_vectors",
+    ),
+    "formats": (
+        "MatrixInfo", "Provenance", "make_provenance", "read_cooc", "read_corpus",
+        "read_embedding", "read_matrix", "read_provenance", "read_similarity",
+        "read_vocab", "write_cooc", "write_embedding", "write_matrix", "write_vocab",
+    ),
+    "pmi": ("build_matrix", "pmi_value", "shifted_pmi"),
+    "regularization": (
+        "RegSpec", "h_function", "l2_chord", "regularize_stats", "solve_exact",
+        "solve_l1", "solve_l2",
+    ),
+    "vectors": ("Embedding", "SparseMatrix"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    if name in _EXPORTS:  # a submodule stays reachable without its own import
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

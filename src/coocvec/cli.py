@@ -17,7 +17,7 @@ import numpy as np
 
 from . import convex_model, evaluation, factorization, formats, regularization
 from .closed_form import LOSS_NAMES, minimize_pair_numeric, solve_pairs, solve_stats
-from .corpus import WindowSpec, build_vocabulary, count_cooccurrences
+from .corpus import POSITIONAL_WEIGHTS, WindowSpec, build_vocabulary, count_cooccurrences
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -41,11 +41,45 @@ def _config_dict(args: argparse.Namespace, skip=("func", "command", "config")) -
     return out
 
 
-def _check_outputs(*paths: str | None) -> None:
-    """Refuse outputs that name one file, where the second write would replace the first."""
-    named = [p for p in paths if p]
-    if len({os.path.realpath(p) for p in named}) < len(named):
-        raise InvalidOptionError(f"outputs {' and '.join(named)} name the same file")
+# the path options each command reads and writes (every command also reads --config)
+PATHS = {
+    "count": (("input",), ("output", "vocab_out")),
+    "pmi": (("cooc",), ("output",)),
+    "solve": (("cooc",), ("output", "alpha_out")),
+    "regularize": (("cooc",), ("output",)),
+    "factorize": (("matrix", "vocab", "alpha"), ("output", "context_out")),
+    "train-convex": (("input",), ("output", "vocab_out")),
+    "eval": (("embedding", "dataset"), ("output",)),
+    "neighbors": (("embedding",), ("output",)),
+    "report": (("cooc", "matrix"), ("output",)),
+}
+
+
+def _count_vocab_out(args: argparse.Namespace) -> str:
+    return args.vocab_out or args.output + ".vocab"
+
+
+def _file_id(path: str):
+    """The file a path names: its inode when it exists (hard links too), else its real path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
+def _check_paths(args: argparse.Namespace) -> None:
+    """Refuse a written path that names another path of the command, which it would replace."""
+    reads, writes = PATHS[args.command]
+    named = {dest: getattr(args, dest) for dest in ("config", *reads, *writes)}
+    if args.command == "count":
+        named["vocab_out"] = _count_vocab_out(args)
+    ids = {dest: _file_id(path) for dest, path in named.items() if path}
+    for dest in writes:
+        other = next((d for d in ids if d != dest and ids[d] == ids.get(dest)), None)
+        if other:
+            flags = [f"--{d.replace('_', '-')} {named[d]}" for d in (dest, other)]
+            raise InvalidOptionError(f"{' and '.join(flags)} name the same file")
 
 
 def _emit(lines: list[str], path: str | None) -> None:
@@ -68,8 +102,7 @@ def cmd_count(args: argparse.Namespace) -> int:
             threads = int(env)
         except ValueError:
             raise InvalidOptionError(f"COOC_THREADS must be an integer, got {env!r}") from None
-    vocab_out = args.vocab_out or args.output + ".vocab"
-    _check_outputs(args.output, vocab_out)
+    vocab_out = _count_vocab_out(args)
     records = formats.read_corpus(args.input)
     vocab = build_vocabulary(records, min_count=args.min_count)
     win = WindowSpec(
@@ -101,7 +134,6 @@ def cmd_pmi(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    _check_outputs(args.output, args.alpha_out)
     stats, cooc_prov = formats.read_cooc(args.cooc)
     scores, alpha = solve_stats(stats, args.loss, args.k)
     if args.alpha_out and alpha is None:
@@ -146,7 +178,6 @@ def cmd_factorize(args: argparse.Namespace) -> int:
             raise InvalidOptionError(
                 f"{flag} {'is not used with' if args.weighted else 'needs'} --weighted"
             )
-    _check_outputs(args.output, args.context_out)
     matrix, info = formats.read_matrix(args.matrix)
     upstream = {"matrix": info.prov}
     words = None
@@ -208,7 +239,6 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def cmd_train_convex(args: argparse.Namespace) -> int:
-    _check_outputs(args.output, args.vocab_out)
     records = formats.read_corpus(args.input)
     vocab = build_vocabulary(records, min_count=args.min_count)
     spec = convex_model.ContextSpec(
@@ -310,7 +340,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     lines.append(f"l2_closed_form_max_rel_err\t{l2_worst!r}")
 
     if matrix is not None:
-        for flavor in ("plain", "symmetric"):
+        for flavor in factorization.FLAVORS:
             gap = factorization.consistency_report(matrix, flavor)
             lines.append(f"consistency_max_abs_gap[{flavor}]\t{gap!r}")
 
@@ -343,7 +373,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--min-count", type=int, default=1)
     p.add_argument("--left", type=int, default=2)
     p.add_argument("--right", type=int, default=2)
-    p.add_argument("--weighting", choices=("constant", "reciprocal"), default="constant")
+    p.add_argument("--weighting", choices=POSITIONAL_WEIGHTS, default="constant")
     p.add_argument("--subsample", type=float, default=None, help="target down-weight threshold")
     p.add_argument("--context-subsample", action="store_true")
     p.add_argument("--context-subsample-threshold", type=float, default=None)
@@ -383,7 +413,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--vocab", help="vocabulary TSV for row labels")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--weighted", action="store_true", help="weighted ALS instead of SVD")
-    p.add_argument("--flavor", choices=("plain", "symmetric"), help="SVD mode")
+    p.add_argument("--flavor", choices=factorization.FLAVORS, help="SVD mode")
     p.add_argument("--oversample", type=int, help="SVD mode")
     p.add_argument("--power-iters", type=int, help="SVD mode")
     p.add_argument("--alpha", help="curvature weight file (weighted mode)")
@@ -401,7 +431,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--mode", choices=convex_model.CONTEXT_MODES, default="bag")
     p.add_argument("--left", type=int, default=2)
     p.add_argument("--right", type=int, default=2)
-    p.add_argument("--weighting", choices=("constant", "reciprocal"), default="constant")
+    p.add_argument("--weighting", choices=POSITIONAL_WEIGHTS, default="constant")
     p.add_argument("--objective", choices=convex_model.OBJECTIVES, default="negative_sampling")
     p.add_argument("--k-neg", type=int, default=5)
     p.add_argument("--noise", choices=convex_model.NOISE_KINDS, default="unigram")
@@ -496,6 +526,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config_file(argv, subs)
         args = parser.parse_args(argv)
+        _check_paths(args)
         return args.func(args)
     except WorkbenchError as err:
         print(f"error {err.category}: {err}", file=sys.stderr)

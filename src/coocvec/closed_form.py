@@ -43,7 +43,6 @@ from .pmi import shifted_pmi
 from .vectors import SparseMatrix
 
 LOSS_NAMES = ("logistic", "squared", "squared_hinge", "hinge", "huber")
-QUADRATIC_FAMILY = ("squared", "squared_hinge", "huber")
 
 
 def _sigmoid(t):

@@ -36,15 +36,28 @@ def _cosine(dots: np.ndarray, norms: np.ndarray, other_norms) -> np.ndarray:
     return np.divide(dots, norms * other_norms, out=np.zeros(dots.shape), where=nz)
 
 
-def _similarities(emb: Embedding, q: np.ndarray, metric: str) -> np.ndarray | None:
-    """Similarity of q against every row; None when undefined for the query."""
-    scores = emb.vectors @ q
+def _cosine_rows(vectors: np.ndarray) -> np.ndarray:
+    """Each row times the power of two that puts its largest |cell| in [0.5, 1).
+
+    Scaling by a power of two is exact and a cosine ignores each row's scale,
+    so cosines keep their value, while the squares inside the norm of a row of
+    tiny cells no longer underflow.
+    """
+    _, e = np.frexp(np.abs(vectors).max(axis=1, initial=0.0))
+    return np.ldexp(vectors, -e[:, None])
+
+
+def _similarities(emb: Embedding, qi: int, metric: str) -> np.ndarray | None:
+    """Similarity of row qi against every row; None when undefined for the query."""
+    vectors = _cosine_rows(emb.vectors) if metric == "cosine" else emb.vectors
+    q = vectors[qi]
+    scores = vectors @ q
     if metric == "dot":
         return scores
     qn = float(np.linalg.norm(q))
     if qn == 0.0:
         return None
-    return _cosine(scores, np.linalg.norm(emb.vectors, axis=1), qn)
+    return _cosine(scores, np.linalg.norm(vectors, axis=1), qn)
 
 
 def neighbors(emb: Embedding, word: str, n: int, metric: str = "cosine") -> list[tuple[str, float]]:
@@ -58,7 +71,7 @@ def neighbors(emb: Embedding, word: str, n: int, metric: str = "cosine") -> list
         raise InvalidOptionError(f"n must be non-negative, got {n}")
     qi = emb.index(word)
     _check_range(emb)
-    sims = _similarities(emb, emb.vectors[qi], metric)
+    sims = _similarities(emb, qi, metric)
     if sims is None:
         return []
     order = np.lexsort((np.arange(len(sims)), -sims))
@@ -107,9 +120,10 @@ def spearman(
             f"need at least 2 scorable pairs, found {n_scored} of {len(dataset)}"
         )
     a, b = rows[:, scored]
-    model_sims = np.einsum("ij,ij->i", emb.vectors[a], emb.vectors[b])
+    vectors = _cosine_rows(emb.vectors) if metric == "cosine" else emb.vectors
+    model_sims = np.einsum("ij,ij->i", vectors[a], vectors[b])
     if metric == "cosine":
-        norms = np.linalg.norm(emb.vectors, axis=1)
+        norms = np.linalg.norm(vectors, axis=1)
         model_sims = _cosine(model_sims, norms[a], norms[b])
     r_model = average_ranks(model_sims)
     r_human = average_ranks(np.array(human)[scored])

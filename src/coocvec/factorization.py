@@ -23,6 +23,8 @@ from .errors import (
 )
 from .vectors import Embedding, SparseMatrix
 
+FLAVORS = ("plain", "symmetric")
+
 
 @dataclass
 class SvdResult:
@@ -90,8 +92,8 @@ def word_vectors(svd: SvdResult, flavor: str, words: list[str] | None = None) ->
     plain:     U diag(sigma)        (rows reproduce the row space of M)
     symmetric: U diag(sqrt(sigma))  (splits the spectrum with the context side)
     """
-    if flavor not in ("plain", "symmetric"):
-        raise InvalidOptionError(f"flavor must be plain or symmetric, got {flavor!r}")
+    if flavor not in FLAVORS:
+        raise InvalidOptionError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
     scale = svd.sigma if flavor == "plain" else np.sqrt(svd.sigma)
     vectors = svd.U * scale
     if words is None:

@@ -25,12 +25,11 @@ import numpy as np
 
 from .corpus import CooccurrenceStats, Vocabulary, tokenize
 from .errors import FormatError, WorkbenchError
+from .pmi import VARIANTS
 from .vectors import Embedding, SparseMatrix
 
 BINARY_MAGIC = b"CWB1"
 STAMPS = ("# provenance ", "# meta ")
-
-PMI_TAGS = ("pmi", "ppmi", "spmi", "sppmi")
 
 
 # ---------------------------------------------------------------- provenance
@@ -311,7 +310,7 @@ def write_matrix(
     head = f"{mat.rows} {mat.cols} {tag} {float(k)!r}"
     if lam is not None:
         head += f" lambda={float(lam)!r}"
-    if tag not in PMI_TAGS:
+    if tag not in VARIANTS:
         implicit = "none" if mat.implicit_value is None else repr(float(mat.implicit_value))
         head += f" implicit={implicit}"
     _write_triplets(path, [head] + _comment_lines(prov), mat, binary)

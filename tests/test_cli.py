@@ -450,6 +450,88 @@ class TestOptionErrors:
         assert len(err) == 1 and err[0].startswith("error invalid-option:"), err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize(
+        "command, read, write",
+        [
+            ("count", "--input", "--output"),
+            ("count", "--input", "--vocab-out"),
+            ("count", "--input", "<output>.vocab"),
+            ("count", "--config", "--output"),
+            ("pmi", "--cooc", "--output"),
+            ("pmi", "--config", "--output"),
+            ("solve", "--cooc", "--output"),
+            ("solve", "--cooc", "--alpha-out"),
+            ("regularize", "--cooc", "--output"),
+            ("factorize", "--matrix", "--output"),
+            ("factorize", "--vocab", "--output"),
+            ("factorize", "--alpha", "--output"),
+            ("factorize", "--matrix", "--context-out"),
+            ("train-convex", "--input", "--output"),
+            ("train-convex", "--input", "--vocab-out"),
+            ("eval", "--embedding", "--output"),
+            ("eval", "--dataset", "--output"),
+            ("neighbors", "--embedding", "--output"),
+            ("report", "--cooc", "--output"),
+            ("report", "--matrix", "--output"),
+        ],
+    )
+    def test_a_write_over_an_input_is_refused(self, tmp_path, corpus_path, capsys, command,
+                                              read, write):
+        counts = counted(tmp_path, corpus_path)
+        sol, alpha, emb, ppmi = (
+            str(tmp_path / name) for name in ("sol.txt", "alpha.txt", "emb.txt", "ppmi.txt")
+        )
+        run("solve", "--cooc", counts, "--output", sol, "--loss", "squared", "--alpha-out", alpha)
+        run("pmi", "--cooc", counts, "--output", ppmi, "--variant", "ppmi")
+        run("factorize", "--matrix", sol, "--output", emb, "--dim", "2", "--vocab", counts + ".vocab")
+        dataset = tmp_path / "sim.tsv"
+        dataset.write_text("fox\tcat\t7.0\nfox\tthe\t2.0\nquick\tslow\t5.0\n")
+        config = tmp_path / "empty.cfg"
+        config.write_text("# no settings\n")
+        out = str(tmp_path / "out")
+        argv = {
+            "count": ["--input", corpus_path, "--output", out],
+            "pmi": ["--cooc", counts, "--output", out, "--variant", "ppmi"],
+            "solve": ["--cooc", counts, "--output", out, "--loss", "squared"],
+            "regularize": ["--cooc", counts, "--output", out, "--reg", "l1", "--lam", "0.1"],
+            "factorize": ["--matrix", sol, "--output", out, "--dim", "2"],
+            "train-convex": ["--input", corpus_path, "--output", out],
+            "eval": ["--embedding", emb, "--dataset", str(dataset), "--output", out],
+            "neighbors": ["--embedding", emb, "--word", "fox", "--output", out],
+            "report": ["--cooc", counts, "--matrix", ppmi, "--output", out],
+        }[command]
+        given = dict(zip(argv[::2], argv[1::2]))
+        extra = {"--config": str(config), "--vocab": counts + ".vocab", "--alpha": alpha}
+        if read in extra:
+            given[read] = extra[read]
+        if command == "factorize" and (read == "--alpha" or write == "--context-out"):
+            given.update({"--weighted": None, "--alpha": alpha})
+        if write == "<output>.vocab":  # the default vocabulary path is the input
+            given["--input"] = counts + ".vocab"
+            given["--output"] = counts
+        else:
+            given[write] = given[read]
+        before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        capsys.readouterr()
+        assert run(command, *[a for kv in given.items() for a in kv if a is not None]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error invalid-option:"), err
+        assert read in err[0] and write.replace("<output>.vocab", "--vocab-out") in err[0]
+        assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+        # the same command with the write pointed elsewhere runs
+        given["--output" if write == "<output>.vocab" else write] = str(tmp_path / "elsewhere")
+        assert run(command, *[a for kv in given.items() for a in kv if a is not None]) == 0
+
+    def test_a_write_through_a_hard_link_to_the_input_is_refused(
+        self, tmp_path, corpus_path, capsys
+    ):
+        link = str(tmp_path / "link.txt")
+        os.link(corpus_path, link)
+        assert run("count", "--input", corpus_path, "--output", link) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error invalid-option:"), err
+        assert open(corpus_path).read() == CORPUS
+
 
 class TestFactorizeTrainEval:
     def test_svd_factorize_then_neighbors(self, tmp_path, corpus_path, capsys):

@@ -77,6 +77,15 @@ class TestNeighbors:
         with pytest.raises(ValueError):
             neighbors(emb, "a", 1, metric="euclid")
 
+    def test_tiny_cells_do_not_underflow_the_cosine(self):
+        # the squares of cells below ~1e-154 underflow in a plain norm
+        emb = emb_from({"a": [3e-162, 0.0], "b": [3e-162, 3e-162], "c": [1e-200, 1e-200]})
+        assert neighbors(emb, "a", 2) == [
+            ("b", pytest.approx(math.sqrt(0.5), rel=1e-15)),
+            ("c", pytest.approx(math.sqrt(0.5), rel=1e-15)),
+        ]
+        assert neighbors(emb, "c", 1) == [("b", pytest.approx(1.0, rel=1e-15))]
+
     def test_matches_brute_force(self, rng):
         words = [f"w{i}" for i in range(12)]
         vectors = rng.normal(size=(12, 4))
@@ -185,6 +194,14 @@ class TestSpearman:
         assert rep.n_scored == 3
         ref = spearman_ref([0.0, 1 / math.sqrt(2), 0.0], [0.1, 0.9, 0.2])
         assert rep.coefficient == pytest.approx(ref, abs=1e-12)
+
+    def test_tiny_cells_do_not_underflow_the_cosine(self):
+        # cos(a, b) = 0.707 > cos(c, d) = 0.690, but an underflowing norm gives cos(a, b) 0.667
+        emb = emb_from(
+            {"a": [3e-162, 0.0], "b": [3e-162, 3e-162], "c": [1.0, 0.0], "d": [1.0, 1.05]}
+        )
+        report = spearman(emb, [("a", "b", 2.0), ("c", "d", 1.0)])
+        assert report.coefficient == pytest.approx(1.0)
 
     def test_invariant_to_monotone_transform_of_scores(self, rng):
         words = [f"w{i}" for i in range(8)]

@@ -1,23 +1,24 @@
-"""Smoke tests: the example scripts run end to end."""
+"""Smoke tests: the example scripts and the README's Python API example run end to end."""
 import os
+import re
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    return run_python(os.path.join(ROOT, "scripts", name), *args)
 
 
 def test_demo_pipeline_runs(tmp_path):
@@ -29,3 +30,12 @@ def test_chord_error_grid_prints_worst_case():
     done = run_script("chord_error_grid.py")
     assert done.returncode == 0, done.stderr
     assert "58.5%" in done.stdout
+
+
+def test_readme_python_api_example_runs():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("\n## Python API\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    done = run_python("-c", code)
+    assert done.returncode == 0, done.stderr
