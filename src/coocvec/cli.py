@@ -3,21 +3,20 @@
 Every subcommand reads and writes the formats module's file types, embeds a
 provenance stamp in each output, and maps module errors to a one-line
 `error <category>: message` on stderr with a nonzero exit.  Outputs are
-byte-identical across runs with the same configuration and seed on a single
-thread.
+byte-identical across runs with the same configuration and seed.
+
+A command pays only for what it runs: it imports the modules it calls, and
+the parser holds the options of the invoked command alone.  Importing this
+module loads neither numpy nor any other coocvec module, so `main` can put
+BLAS on one thread before numpy first loads (see `_one_blas_thread`).
 """
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
+from collections import namedtuple
 
-import numpy as np
-
-from . import convex_model, evaluation, factorization, formats, regularization
-from .closed_form import LOSS_NAMES, minimize_pair_numeric, solve_pairs, solve_stats
-from .corpus import POSITIONAL_WEIGHTS, WindowSpec, build_vocabulary, count_cooccurrences
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -28,31 +27,26 @@ from .errors import (
     check_seed,
     check_shift,
 )
-from .pmi import VARIANTS, build_matrix, pmi_values
-from .vectors import Embedding
+
+# the variables OpenBLAS reads for its thread count, in its order of precedence
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _config_dict(args: argparse.Namespace, skip=("func", "command", "config")) -> dict:
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or callable(value):
-            continue
-        out[key] = value
-    return out
+def _one_blas_thread() -> None:
+    """Run BLAS on one thread unless the user set a count or numpy is already loaded.
+
+    OpenBLAS starts its worker threads when numpy loads, and on a small host
+    they spin on CPU that no command asks for; the CLI's matrix products are
+    small enough that one thread is as fast.  A process that loaded numpy
+    before calling `main` keeps its thread pool and its environment.
+    """
+    if "numpy" in sys.modules or any(var in os.environ for var in BLAS_THREAD_VARS):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 
-# the path options each command reads and writes (every command also reads --config)
-PATHS = {
-    "count": (("input",), ("output", "vocab_out")),
-    "pmi": (("cooc",), ("output",)),
-    "solve": (("cooc",), ("output", "alpha_out")),
-    "regularize": (("cooc",), ("output",)),
-    "factorize": (("matrix", "vocab", "alpha"), ("output", "context_out")),
-    "train-convex": (("input",), ("output", "vocab_out")),
-    "eval": (("embedding", "dataset"), ("output",)),
-    "neighbors": (("embedding",), ("output",)),
-    "report": (("cooc", "matrix"), ("output",)),
-}
+def _config_dict(args: argparse.Namespace) -> dict:
+    return {k: v for k, v in sorted(vars(args).items()) if k not in ("command", "config")}
 
 
 def _count_vocab_out(args: argparse.Namespace) -> str:
@@ -70,12 +64,12 @@ def _file_id(path: str):
 
 def _check_paths(args: argparse.Namespace) -> None:
     """Refuse a written path that names another path of the command, which it would replace."""
-    reads, writes = PATHS[args.command]
-    named = {dest: getattr(args, dest) for dest in ("config", *reads, *writes)}
+    command = COMMANDS[args.command]
+    named = {dest: getattr(args, dest) for dest in ("config", *command.reads, *command.writes)}
     if args.command == "count":
         named["vocab_out"] = _count_vocab_out(args)
     ids = {dest: _file_id(path) for dest, path in named.items() if path}
-    for dest in writes:
+    for dest in command.writes:
         other = next((d for d in ids if d != dest and ids[d] == ids.get(dest)), None)
         if other:
             flags = [f"--{d.replace('_', '-')} {named[d]}" for d in (dest, other)]
@@ -95,6 +89,9 @@ def _emit(lines: list[str], path: str | None) -> None:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    from . import formats
+    from .corpus import WindowSpec, build_vocabulary, count_cooccurrences
+
     threads = args.threads
     if threads is None:
         env = os.environ.get("COOC_THREADS", "1")
@@ -124,6 +121,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_pmi(args: argparse.Namespace) -> int:
+    from . import formats
+    from .pmi import build_matrix
+
     stats, cooc_prov = formats.read_cooc(args.cooc)
     matrix = build_matrix(stats, args.variant, k=args.k)
     prov = formats.make_provenance("pmi", _config_dict(args), {"cooc": cooc_prov})
@@ -134,6 +134,9 @@ def cmd_pmi(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from . import formats
+    from .closed_form import solve_stats
+
     stats, cooc_prov = formats.read_cooc(args.cooc)
     scores, alpha = solve_stats(stats, args.loss, args.k)
     if args.alpha_out and alpha is None:
@@ -150,6 +153,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_regularize(args: argparse.Namespace) -> int:
+    from . import formats, regularization
+
     stats, cooc_prov = formats.read_cooc(args.cooc)
     spec = regularization.RegSpec(kind=args.reg, k=args.k, lam=args.lam)
     matrix = regularization.regularize_stats(stats, spec)
@@ -172,6 +177,11 @@ ALS_OPTIONS = {"alpha": None, "epochs": 200, "ridge": 1e-8, "tol": 1e-8, "contex
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import factorization, formats
+    from .vectors import Embedding
+
     for dest, default in (SVD_OPTIONS if args.weighted else ALS_OPTIONS).items():
         if getattr(args, dest) != default:  # also true for a nan
             flag = "--" + dest.replace("_", "-")
@@ -239,6 +249,9 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def cmd_train_convex(args: argparse.Namespace) -> int:
+    from . import convex_model, formats
+    from .corpus import WindowSpec, build_vocabulary
+
     records = formats.read_corpus(args.input)
     vocab = build_vocabulary(records, min_count=args.min_count)
     spec = convex_model.ContextSpec(
@@ -264,6 +277,8 @@ def cmd_train_convex(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import evaluation, formats
+
     emb, emb_prov = formats.read_embedding(args.embedding)
     dataset = formats.read_similarity(args.dataset)
     report = evaluation.spearman(emb, dataset, metric=args.metric)
@@ -279,6 +294,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_neighbors(args: argparse.Namespace) -> int:
+    from . import evaluation, formats
+
     emb, _ = formats.read_embedding(args.embedding)
     hits = evaluation.neighbors(emb, args.word, args.n, metric=args.metric)
     lines = [f"{w}\t{s!r}" for w, s in hits]
@@ -287,6 +304,14 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    import math
+
+    import numpy as np
+
+    from . import formats, regularization
+    from .closed_form import LOSS_NAMES, minimize_pair_numeric, solve_pairs
+    from .pmi import pmi_values
+
     stats, cooc_prov = formats.read_cooc(args.cooc)
     upstream = {"cooc": cooc_prov}
     matrix = None
@@ -340,6 +365,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     lines.append(f"l2_closed_form_max_rel_err\t{l2_worst!r}")
 
     if matrix is not None:
+        from . import factorization
+
         for flavor in factorization.FLAVORS:
             gap = factorization.consistency_report(matrix, flavor)
             lines.append(f"consistency_max_abs_gap[{flavor}]\t{gap!r}")
@@ -348,25 +375,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-# ------------------------------------------------------------------ parsing
+# ------------------------------------------------------------------ options
+# Each adds one command's options; a `choices=` tuple comes from a module the
+# command loads anyway.
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
-        prog="coocvec",
-        description="co-occurrence word-vector workbench",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    subs: dict[str, argparse.ArgumentParser] = {}
+def _count_options(p: argparse.ArgumentParser) -> None:
+    from .corpus import POSITIONAL_WEIGHTS
 
-    def sub(name: str, func, help_text: str) -> argparse.ArgumentParser:
-        p = subparsers.add_parser(name, help=help_text)
-        p.add_argument("--config", help="file of key=value defaults, overridden by flags")
-        p.set_defaults(func=func)
-        subs[name] = p
-        return p
-
-    p = sub("count", cmd_count, "count weighted co-occurrences from a corpus")
     p.add_argument("--input", required=True, help="corpus: one document per line")
     p.add_argument("--output", required=True, help="co-occurrence triplet file")
     p.add_argument("--vocab-out", help="vocabulary TSV (default: <output>.vocab)")
@@ -383,14 +399,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    "after another: same pairs, values equal up to rounding order (default COOC_THREADS or 1)")
     p.add_argument("--binary", action="store_true")
 
-    p = sub("pmi", cmd_pmi, "build a PMI-family matrix")
+
+def _pmi_options(p: argparse.ArgumentParser) -> None:
+    from .pmi import VARIANTS
+
     p.add_argument("--cooc", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--binary", action="store_true")
 
-    p = sub("solve", cmd_solve, "closed-form pair scores for one loss")
+
+def _solve_options(p: argparse.ArgumentParser) -> None:
+    from .closed_form import LOSS_NAMES
+
     p.add_argument("--cooc", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--loss", choices=LOSS_NAMES, required=True)
@@ -398,22 +420,28 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--alpha-out", help="also write curvature weights")
     p.add_argument("--binary", action="store_true")
 
-    p = sub("regularize", cmd_regularize, "L1/L2-regularized pair scores")
+
+def _regularize_options(p: argparse.ArgumentParser) -> None:
+    from .regularization import REG_KINDS
+
     p.add_argument("--cooc", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--reg", choices=regularization.REG_KINDS, required=True)
+    p.add_argument("--reg", choices=REG_KINDS, required=True)
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--binary", action="store_true")
 
-    p = sub("factorize", cmd_factorize, "low-rank vectors from a matrix")
+
+def _factorize_options(p: argparse.ArgumentParser) -> None:
+    from .factorization import FLAVORS
+
     p.add_argument("--matrix", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--vocab", help="vocabulary TSV for row labels")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--weighted", action="store_true", help="weighted ALS instead of SVD")
-    p.add_argument("--flavor", choices=factorization.FLAVORS, help="SVD mode")
+    p.add_argument("--flavor", choices=FLAVORS, help="SVD mode")
     p.add_argument("--oversample", type=int, help="SVD mode")
     p.add_argument("--power-iters", type=int, help="SVD mode")
     p.add_argument("--alpha", help="curvature weight file (weighted mode)")
@@ -423,38 +451,49 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--context-out", help="also write context vectors (weighted mode)")
     p.set_defaults(**SVD_OPTIONS, **ALS_OPTIONS)
 
-    p = sub("train-convex", cmd_train_convex, "train the convex sparse model")
+
+def _train_convex_options(p: argparse.ArgumentParser) -> None:
+    from .convex_model import CONTEXT_MODES, NOISE_KINDS, OBJECTIVES
+    from .corpus import POSITIONAL_WEIGHTS
+
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--vocab-out")
     p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--mode", choices=convex_model.CONTEXT_MODES, default="bag")
+    p.add_argument("--mode", choices=CONTEXT_MODES, default="bag")
     p.add_argument("--left", type=int, default=2)
     p.add_argument("--right", type=int, default=2)
     p.add_argument("--weighting", choices=POSITIONAL_WEIGHTS, default="constant")
-    p.add_argument("--objective", choices=convex_model.OBJECTIVES, default="negative_sampling")
+    p.add_argument("--objective", choices=OBJECTIVES, default="negative_sampling")
     p.add_argument("--k-neg", type=int, default=5)
-    p.add_argument("--noise", choices=convex_model.NOISE_KINDS, default="unigram")
+    p.add_argument("--noise", choices=NOISE_KINDS, default="unigram")
     p.add_argument("--l1", type=float, default=0.0)
     p.add_argument("--epochs", type=int, default=1)
     p.add_argument("--step", type=float, default=0.025)
     p.add_argument("--full-batch", action="store_true")
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub("eval", cmd_eval, "rank correlation against a similarity dataset")
+
+def _eval_options(p: argparse.ArgumentParser) -> None:
+    from .evaluation import METRICS
+
     p.add_argument("--embedding", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--metric", choices=evaluation.METRICS, default="cosine")
+    p.add_argument("--metric", choices=METRICS, default="cosine")
     p.add_argument("--output")
 
-    p = sub("neighbors", cmd_neighbors, "nearest neighbours of one word")
+
+def _neighbors_options(p: argparse.ArgumentParser) -> None:
+    from .evaluation import METRICS
+
     p.add_argument("--embedding", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--metric", choices=evaluation.METRICS, default="cosine")
+    p.add_argument("--metric", choices=METRICS, default="cosine")
     p.add_argument("--output")
 
-    p = sub("report", cmd_report, "closed-form vs numeric sweeps and factor consistency")
+
+def _report_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cooc", required=True)
     p.add_argument("--matrix", help="marker-free matrix for the consistency check")
     p.add_argument("--k", type=float, default=1.0)
@@ -462,17 +501,64 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
 
-    return parser, subs
+
+# ------------------------------------------------------------------ parsing
+
+# run, help text, option adder, and the path options it reads and writes
+# (every command also reads --config)
+Command = namedtuple("Command", "run help add_options reads writes")
+
+COMMANDS = {
+    "count": Command(cmd_count, "count weighted co-occurrences from a corpus",
+                     _count_options, ("input",), ("output", "vocab_out")),
+    "pmi": Command(cmd_pmi, "build a PMI-family matrix",
+                   _pmi_options, ("cooc",), ("output",)),
+    "solve": Command(cmd_solve, "closed-form pair scores for one loss",
+                     _solve_options, ("cooc",), ("output", "alpha_out")),
+    "regularize": Command(cmd_regularize, "L1/L2-regularized pair scores",
+                          _regularize_options, ("cooc",), ("output",)),
+    "factorize": Command(cmd_factorize, "low-rank vectors from a matrix",
+                         _factorize_options, ("matrix", "vocab", "alpha"),
+                         ("output", "context_out")),
+    "train-convex": Command(cmd_train_convex, "train the convex sparse model",
+                            _train_convex_options, ("input",), ("output", "vocab_out")),
+    "eval": Command(cmd_eval, "rank correlation against a similarity dataset",
+                    _eval_options, ("embedding", "dataset"), ("output",)),
+    "neighbors": Command(cmd_neighbors, "nearest neighbours of one word",
+                         _neighbors_options, ("embedding",), ("output",)),
+    "report": Command(cmd_report, "closed-form vs numeric sweeps and factor consistency",
+                      _report_options, ("cooc", "matrix"), ("output",)),
+}
+
+
+def build_parser(
+    command: str | None = None,
+) -> tuple[argparse.ArgumentParser, argparse.ArgumentParser | None]:
+    """The parser, with options for `command` alone, and that command's subparser.
+
+    Every command is listed (so `--help` names all of them), but only the
+    invoked one gets its options, which are all that parsing can reach.
+    """
+    parser = argparse.ArgumentParser(
+        prog="coocvec",
+        description="co-occurrence word-vector workbench",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    chosen = None
+    for name, spec in COMMANDS.items():
+        p = subparsers.add_parser(name, help=spec.help)
+        if name == command:
+            p.add_argument("--config", help="file of key=value defaults, overridden by flags")
+            spec.add_options(p)
+            chosen = p
+    return parser, chosen
 
 
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 
 
-def _apply_config_file(argv: list[str], subs: dict[str, argparse.ArgumentParser]) -> None:
-    command = next((a for a in argv if not a.startswith("-")), None)
-    if command not in subs:
-        return
+def _apply_config_file(argv: list[str], command: str, sub: argparse.ArgumentParser) -> None:
     path = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
@@ -481,11 +567,12 @@ def _apply_config_file(argv: list[str], subs: dict[str, argparse.ArgumentParser]
             path = token.split("=", 1)[1]
     if path is None:
         return
-    sub = subs[command]
+    from .formats import read_text
+
     actions = {a.dest: a for a in sub._actions}
     overrides = {}
     try:
-        text = formats.read_text(path)
+        text = read_text(path)
     except OSError as exc:
         raise FormatError(f"cannot read config file {path}: {exc}") from exc
     for raw in text.splitlines():
@@ -496,7 +583,7 @@ def _apply_config_file(argv: list[str], subs: dict[str, argparse.ArgumentParser]
             raise FormatError(f"{path}: config line needs key=value, got {line!r}")
         key, _, value = line.partition("=")
         dest = key.strip().replace("-", "_")
-        if dest not in actions or dest in ("config", "func", "command"):
+        if dest not in actions or dest == "config":
             raise FormatError(f"{path}: unknown config key {key.strip()!r} for {command}")
         action, value = actions[dest], value.strip()
         if isinstance(action, argparse._StoreTrueAction):
@@ -521,13 +608,17 @@ def _apply_config_file(argv: list[str], subs: dict[str, argparse.ArgumentParser]
 
 
 def main(argv: list[str] | None = None) -> int:
+    _one_blas_thread()
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subs = build_parser()
+    # the first token that is not an option: the top level has no option taking a value
+    command = next((a for a in argv if not a.startswith("-")), None)
+    parser, sub = build_parser(command)
     try:
-        _apply_config_file(argv, subs)
+        if sub is not None:
+            _apply_config_file(argv, command, sub)
         args = parser.parse_args(argv)
         _check_paths(args)
-        return args.func(args)
+        return COMMANDS[args.command].run(args)
     except WorkbenchError as err:
         print(f"error {err.category}: {err}", file=sys.stderr)
         return 1

@@ -350,16 +350,17 @@ def train(
         total_steps = cfg.epochs * len(examples)
         step = 0
         for _ in range(cfg.epochs):
-            for e in rng.permutation(len(examples)):
+            order = rng.permutation(len(examples))
+            # the epoch's draws at once: the same generator stream as one draw per example
+            negatives = [None] * len(order)
+            if cfg.objective == "negative_sampling":
+                u = rng.random((len(order), cfg.k_neg))
+                negatives = np.searchsorted(noise_cdf, u, side="right")
+            for e, neg in zip(order, negatives):
                 ex = examples[e]
                 eta = cfg.step_initial * (1.0 - step / total_steps)
                 step += 1
-                if eta <= 0.0:
-                    continue
-                negatives = None
-                if cfg.objective == "negative_sampling":
-                    negatives = np.searchsorted(noise_cdf, rng.random(cfg.k_neg), side="right")
-                _, rows, coef = _example_coef(W, ex, negatives)
+                _, rows, coef = _example_coef(W, ex, neg)
                 W[rows, ex.idx] = soft_threshold(
                     W[rows, ex.idx] - eta * np.outer(coef, ex.val), eta * cfg.l1
                 )

@@ -190,3 +190,43 @@ def brute_neighbors(vectors: np.ndarray, words: list[str], qi: int, metric: str)
         sims.append((i, s))
     sims.sort(key=lambda t: (-t[1], t[0]))
     return [(words[i], s) for i, s in sims]
+
+
+def sgd_per_example(records, vocab, spec, cfg) -> np.ndarray:
+    """The convex model's SGD weights, drawing each example's negatives just before its step.
+
+    `train` draws an epoch's negatives at once from the same generator
+    stream, so its weights must match this loop's bit for bit.
+    """
+    from coocvec.convex_model import (
+        _example_coef,
+        build_examples,
+        context_dim,
+        noise_distribution,
+        soft_threshold,
+    )
+
+    n = len(vocab)
+    W = np.zeros((n, context_dim(spec, n)))
+    examples = build_examples(records, vocab, spec)
+    noise = noise_distribution(vocab, cfg.noise)
+    rng = np.random.default_rng(cfg.seed)
+    noise_cdf = np.cumsum(noise)
+    noise_cdf[-1] = 1.0
+    total_steps = cfg.epochs * len(examples)
+    step = 0
+    for _ in range(cfg.epochs):
+        for e in rng.permutation(len(examples)):
+            ex = examples[e]
+            eta = cfg.step_initial * (1.0 - step / total_steps)
+            step += 1
+            if eta <= 0.0:
+                continue
+            negatives = None
+            if cfg.objective == "negative_sampling":
+                negatives = np.searchsorted(noise_cdf, rng.random(cfg.k_neg), side="right")
+            _, rows, coef = _example_coef(W, ex, negatives)
+            W[rows, ex.idx] = soft_threshold(
+                W[rows, ex.idx] - eta * np.outer(coef, ex.val), eta * cfg.l1
+            )
+    return W

@@ -29,7 +29,7 @@ from coocvec.convex_model import (
     soft_threshold,
     softmax_loss_grad,
 )
-from oracles import brute_examples
+from oracles import brute_examples, sgd_per_example
 
 
 def spec11(mode: str) -> ContextSpec:
@@ -420,6 +420,19 @@ class TestStochasticTraining:
         emb = train(records, vocab, spec, cfg)
         after = corpus_objective(emb.vectors, exs, probe, noise)
         assert after < before
+
+    @pytest.mark.parametrize(
+        "objective, mode, l1",
+        [("negative_sampling", "bag", 0.0), ("negative_sampling", "positional", 0.01),
+         ("softmax", "bag", 0.01)],
+    )
+    def test_epoch_draws_match_the_per_example_loop(self, objective, mode, l1):
+        records = TWO_BLOCK + [["red", "hot", "blue", "cold", "red"]] * 2
+        vocab = build_vocabulary(records)
+        cfg = TrainConfig(objective=objective, k_neg=3, l1=l1, epochs=2, step_initial=0.1, seed=7)
+        emb = train(records, vocab, spec11(mode), cfg)
+        assert np.any(emb.vectors != 0.0)
+        assert np.array_equal(emb.vectors, sgd_per_example(records, vocab, spec11(mode), cfg))
 
     def test_zero_epochs_returns_zero_weights(self):
         records = TWO_BLOCK
