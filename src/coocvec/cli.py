@@ -77,7 +77,8 @@ def _check_paths(args: argparse.Namespace) -> None:
 
 
 def _emit(lines: list[str], path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+    """Write one newline-ended line per item, so no lines write an empty file."""
+    text = "".join(line + "\n" for line in lines)
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -569,7 +570,8 @@ def _apply_config_file(argv: list[str], command: str, sub: argparse.ArgumentPars
         return
     from .formats import read_text
 
-    actions = {a.dest: a for a in sub._actions}
+    # the command's options are its keys; --help and --config are not settings
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     overrides = {}
     try:
         text = read_text(path)
@@ -583,7 +585,7 @@ def _apply_config_file(argv: list[str], command: str, sub: argparse.ArgumentPars
             raise FormatError(f"{path}: config line needs key=value, got {line!r}")
         key, _, value = line.partition("=")
         dest = key.strip().replace("-", "_")
-        if dest not in actions or dest == "config":
+        if dest not in actions:
             raise FormatError(f"{path}: unknown config key {key.strip()!r} for {command}")
         action, value = actions[dest], value.strip()
         if isinstance(action, argparse._StoreTrueAction):

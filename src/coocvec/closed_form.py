@@ -194,12 +194,17 @@ def solve_stats(
     scores carries, as its implicit value, the closed form of an absent pair
     (#(w,c) = 0): -1, or minus infinity for the logistic loss, which a
     matrix records as undefined (None).  alpha holds the curvature at the
-    stored pairs, with absent entries 0, and is None for the hinge.
+    stored pairs and is None for the hinge.  An absent pair's logistic
+    curvature is 0; the squared family's is k n_w n_c / |D|, one value per
+    pair, so no single implicit value holds (None).
     """
     c = stats.counts
     sol = solve_pairs(kind, c.v, stats.row_marginal[c.i], stats.col_marginal[c.j], stats.total, k)
-    scores = replace(c, v=sol.x_star, implicit_value=None if kind == "logistic" else -1.0)
-    return scores, None if sol.alpha is None else replace(c, v=sol.alpha, implicit_value=0.0)
+    logistic = kind == "logistic"
+    scores = replace(c, v=sol.x_star, implicit_value=None if logistic else -1.0)
+    if sol.alpha is None:
+        return scores, None
+    return scores, replace(c, v=sol.alpha, implicit_value=0.0 if logistic else None)
 
 
 def bisect_decreasing(g, lo, hi):

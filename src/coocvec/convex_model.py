@@ -30,7 +30,6 @@ from .vectors import Embedding, SparseMatrix
 CONTEXT_MODES = ("single", "bag", "positional")
 OBJECTIVES = ("softmax", "negative_sampling")
 NOISE_KINDS = ("unigram", "uniform")
-SOFTMAX_MAX_VOCAB = 2000
 
 
 @dataclass(frozen=True)
@@ -145,41 +144,34 @@ def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
-def _softplus(t: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, t)
-
-
-def _softmax_kernel(
-    S: np.ndarray, count: np.ndarray, t_row: np.ndarray, t_col: np.ndarray, t_count: np.ndarray
+def _kernel(
+    S: np.ndarray,
+    count: np.ndarray | float,
+    target: np.ndarray | int,
+    t_count: np.ndarray | float,
+    neg_weight: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy over score columns S (vocabulary x B) and dLoss/dS.
+    """Smooth loss over a block of scores S (vocabulary rows x inputs) and dLoss/dS.
 
-    Column b scores an input seen count[b] times, t_count[p] of them with
-    target t_row[p] in column t_col[p] (each pair once).  dLoss/dS is count
-    times each column's softmax, minus t_count at the targets.
+    Column b scores an input seen count[b] times; target[p], a flat index into
+    S, is a target t_count[p] times (each pair once).  SGD passes one example
+    as a 1-D column with scalar counts.  neg_weight=None is softmax
+    cross-entropy: count times each column's log-sum-exp, minus the target
+    scores.  Otherwise it is negative sampling: each target adds
+    softplus(-score), and each score is a negative neg_weight times (SGD: the
+    draw counts; full batch: k * noise * count, so count goes unused).
     """
-    if S.shape[0] > SOFTMAX_MAX_VOCAB:
-        raise DimensionMismatchError(
-            f"softmax objective is limited to {SOFTMAX_MAX_VOCAB} words, got {S.shape[0]}"
-        )
-    lse = S.max(axis=0)
-    lse += np.log(np.exp(S - lse).sum(axis=0))
-    coef = count * np.exp(S - lse)
-    coef[t_row, t_col] -= t_count
-    return float(count @ lse - t_count @ S[t_row, t_col]), coef
-
-
-def _ns_kernel(
-    s_pos: np.ndarray, pos_count: np.ndarray, s_neg: np.ndarray, neg_weight: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Negative-sampling loss and its derivatives in s_pos and s_neg.
-
-    Target score s_pos[p] occurs pos_count[p] times; negative scores count
-    neg_weight times (SGD: draw counts; full batch: k * noise * occurrences).
-    The derivatives are -pos_count * sigmoid(-s_pos) and neg_weight * sigmoid(s_neg).
-    """
-    loss = pos_count @ _softplus(-s_pos) + np.sum(neg_weight * _softplus(s_neg))
-    return float(loss), -pos_count * _sigmoid(-s_pos), neg_weight * _sigmoid(s_neg)
+    s_t = S.flat[target]
+    if neg_weight is None:
+        lse = S.max(axis=0)
+        lse += np.log(np.exp(S - lse).sum(axis=0))
+        loss = np.dot(count, lse) - np.dot(t_count, s_t)
+        dS, d_t = count * np.exp(S - lse), t_count
+    else:
+        loss = np.dot(t_count, np.logaddexp(0.0, -s_t)) + np.sum(neg_weight * np.logaddexp(0.0, S))
+        dS, d_t = neg_weight * _sigmoid(S), t_count * _sigmoid(-s_t)
+    dS.flat[target] -= d_t
+    return float(loss), dS
 
 
 def _example_coef(
@@ -191,17 +183,12 @@ def _example_coef(
     a full slice); negative sampling touches the target and the drawn rows
     (rows is a column of row ids), each drawn row weighted by its draw count.
     """
-    one = np.ones(1)
-    if negatives is None:
-        S = (W[:, ex.idx] @ ex.val)[:, None]
-        loss, coef = _softmax_kernel(S, one, np.array([ex.target]), np.array([0]), one)
-        return loss, slice(None), coef[:, 0]
-    rows, at = np.unique(np.append(np.int64(ex.target), negatives), return_inverse=True)
-    rows = rows[:, None]
-    s = W[rows, ex.idx] @ ex.val
-    draws = np.bincount(at[1:], minlength=len(rows)).astype(float)
-    loss, c_pos, coef = _ns_kernel(s[at[:1]], one, s, draws)
-    coef[at[0]] += c_pos[0]
+    rows, target, draws = slice(None), ex.target, None
+    if negatives is not None:
+        rows, at = np.unique(np.append(np.int64(ex.target), negatives), return_inverse=True)
+        rows, target = rows[:, None], at[0]
+        draws = np.bincount(at[1:], minlength=len(rows)).astype(float)
+    loss, coef = _kernel(W[rows, ex.idx] @ ex.val, 1.0, target, 1.0, draws)
     return loss, rows, coef
 
 
@@ -293,13 +280,9 @@ def full_batch_smooth(
         np.add.at(Z, (np.arange(len(idx))[:, None], at.reshape(idx.shape)), val)
         S = W[:, cols] @ Z.T
         count = agg.z_count[a : a + BLOCK_GROUPS]
-        rows, group, t_count = agg.t_row[lo:hi], agg.t_group[lo:hi] - a, agg.t_count[lo:hi]
-        if cfg.objective == "softmax":
-            part, coef = _softmax_kernel(S, count, rows, group, t_count)
-        else:
-            neg_weight = cfg.k_neg * count * noise[:, None]
-            part, c_pos, coef = _ns_kernel(S[rows, group], t_count, S, neg_weight)
-            coef[rows, group] += c_pos
+        target = agg.t_row[lo:hi] * len(count) + agg.t_group[lo:hi] - a
+        neg_weight = None if cfg.objective == "softmax" else cfg.k_neg * count * noise[:, None]
+        part, coef = _kernel(S, count, target, agg.t_count[lo:hi], neg_weight)
         loss += part
         G[:, cols] += coef @ Z
     scale = 1.0 / agg.n_examples

@@ -266,6 +266,7 @@ def count_cooccurrences(
     """
     if shards < 1:
         raise InvalidOptionError(f"shard count must be >= 1, got {shards}")
+    check_seed(seed)
     n = len(vocab)
     target_w = context_w = np.ones(n)
     keep_prob = None
@@ -273,7 +274,6 @@ def count_cooccurrences(
         target_w = _down_weight(win.subsample_threshold, vocab)
         context_w = _down_weight(win.context_threshold(), vocab)
     elif win.subsample_threshold is not None:
-        check_seed(seed)
         keep_prob = _down_weight(win.subsample_threshold, vocab)
     records = list(records)
     chunk = max(1, -(-len(records) // shards))

@@ -30,8 +30,8 @@ class SparseMatrix:
     sorted by (i, j) with each pair at most once; the constructor sorts
     unsorted input and rejects out-of-range indices and repeated pairs.
     implicit_value is the value of absent entries; None means absent entries
-    are undefined (the minus-infinity family) and must never reach dense
-    linear algebra.
+    have no single value (minus infinity, or a curvature that differs per
+    pair) and must never reach dense linear algebra.
     """
 
     rows: int

@@ -348,6 +348,7 @@ class TestOptionErrors:
             ["factorize", "--power-iters", "-1"],
             ["count", "--threads", "0"],
             ["count", "--threads", "-3"],
+            ["count", "--seed", "-1"],
             ["train-convex", "--l1", "nan"],
             ["factorize", "--weighted", "--ridge", "nan"],
             ["factorize", "--weighted", "--ridge", "inf"],
@@ -562,6 +563,16 @@ class TestFactorizeTrainEval:
         assert code == 1
         assert capsys.readouterr().err.startswith("error unknown-word:")
 
+    def test_empty_neighbor_list_writes_empty_file(self, tmp_path, capsys):
+        emb = tmp_path / "emb.txt"
+        emb.write_text("3 2\nthe 1.0 0.0\nfox 0.0 1.0\ncat 0.0 0.0\n")
+        out = tmp_path / "hits.txt"
+        for argv in (["--word", "the", "--n", "0"], ["--word", "cat"]):
+            assert run("neighbors", "--embedding", str(emb), *argv) == 0
+            assert capsys.readouterr().out == ""
+            assert run("neighbors", "--embedding", str(emb), *argv, "--output", str(out)) == 0
+            assert out.read_bytes() == b""
+
     def test_repeated_word_is_one_error_line(self, tmp_path, capsys):
         emb = tmp_path / "emb.txt"
         emb.write_text("3 2\nthe 1.0 0.0\nfox 0.0 1.0\nthe 1.0 0.1\n")
@@ -775,11 +786,15 @@ class TestConfigFile:
         assert str(cfg) in err[0] and not os.path.exists(out)
 
     def test_unknown_config_key(self, tmp_path, corpus_path, capsys):
+        # a key is one of the command's options; help is not one, nor config
         cfg = tmp_path / "count.cfg"
-        cfg.write_text("telemetry=on\n")
-        code = run("count", "--input", corpus_path, "--output", str(tmp_path / "c"), "--config", str(cfg))
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error bad-format:")
+        for text in ("telemetry=on\n", "help=x\n", "config=other.cfg\n"):
+            cfg.write_text(text)
+            code = run("count", "--input", corpus_path, "--output", str(tmp_path / "c"), "--config", str(cfg))
+            assert code == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error bad-format:"), err
+            assert str(cfg) in err[0] and sorted(os.listdir(tmp_path)) == ["corpus.txt", "count.cfg"]
 
     def test_missing_config_file(self, tmp_path, corpus_path, capsys):
         code = run(

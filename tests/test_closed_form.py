@@ -370,6 +370,14 @@ def test_property_solve_stats_absent_value_and_dense_oracle(seed, kind, k):
         assert alpha is None
     else:
         assert np.array_equal(alpha.i, c.i) and np.array_equal(alpha.j, c.j)
+    if kind == "logistic":
+        assert alpha.implicit_value == absent.alpha == 0.0
+    elif kind != "hinge":
+        # the squared family's absent curvature k n_w n_c / |D| differs per pair
+        other = solve_pair(kind, 0.0, 2.0 * n_w, n_c, stats.total, k)
+        assert alpha.implicit_value is None and other.alpha == 2.0 * absent.alpha > 0.0
+        with pytest.raises(MarkerContaminationError):
+            alpha.to_dense()
 
     dense = (stats.to_dense(), stats.row_marginal[:, None], stats.col_marginal, stats.total, k)
     try:

@@ -284,11 +284,16 @@ class TestGradients:
         assert np.count_nonzero(want) > 0
         np.testing.assert_array_equal(got, want)
 
-    def test_softmax_guard_on_large_vocab(self):
+    def test_softmax_gradient_above_2000_words(self):
+        # uniform scores over V words: loss log V, gradient 1/V at every row, 1/V - 1 at the target
         W = np.zeros((2001, 2))
-        ex = Example(target=0, idx=np.array([0], dtype=np.int64), val=np.array([1.0]))
-        with pytest.raises(DimensionMismatchError):
-            softmax_loss_grad(W, ex)
+        ex = Example(target=3, idx=np.array([0], dtype=np.int64), val=np.array([1.0]))
+        loss, grad = softmax_loss_grad(W, ex)
+        assert loss == pytest.approx(np.log(2001.0), rel=1e-15)
+        want = np.zeros_like(W)
+        want[:, 0] = 1.0 / 2001.0
+        want[3, 0] -= 1.0
+        np.testing.assert_allclose(grad, want, rtol=1e-15, atol=1e-18)
 
 
 class TestFullBatchTraining:
@@ -443,12 +448,14 @@ class TestStochasticTraining:
         assert np.allclose(emb.vectors, 0.0)
         assert emb.meta["mode"] == "positional"
 
-    def test_softmax_trainer_guard_on_large_vocab(self):
+    def test_softmax_trains_above_2000_words(self):
         records = [[f"w{i}" for i in range(2001)]]
         vocab = build_vocabulary(records)
-        cfg = TrainConfig(objective="softmax", epochs=1)
-        with pytest.raises(DimensionMismatchError):
-            train(records, vocab, spec11("bag"), cfg)
+        for full_batch in (False, True):
+            cfg = TrainConfig(objective="softmax", epochs=1, full_batch=full_batch)
+            emb = train(records, vocab, spec11("bag"), cfg)
+            assert emb.vectors.shape == (2001, 2001)
+            assert np.all(np.isfinite(emb.vectors)) and np.any(emb.vectors != 0.0)
 
 
 class TestExplain:
