@@ -58,10 +58,7 @@ def feature_names(spec: ContextSpec, words: Sequence[str]) -> list[str]:
     """Human-readable name per input coordinate, in coordinate order."""
     if spec.mode != "positional":
         return list(words)
-    names = []
-    for off in spec.window.offsets():
-        names.extend(f"{off:+d}:{w}" for w in words)
-    return names
+    return [f"{off:+d}:{w}" for off in spec.window.offsets() for w in words]
 
 
 @dataclass
@@ -71,9 +68,28 @@ class Example:
     val: np.ndarray
 
 
+@dataclass
+class Examples:
+    """Examples in CSR form: examples[e] is Example(target[e], idx[lo:hi], val[lo:hi])
+    for lo, hi = indptr[e], indptr[e + 1], an input of one or more ascending coordinates."""
+
+    target: np.ndarray
+    indptr: np.ndarray
+    idx: np.ndarray
+    val: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.target)
+
+    def __getitem__(self, e: int) -> Example:
+        e = range(len(self))[e]  # the IndexError past the end also stops iteration
+        lo, hi = self.indptr[e], self.indptr[e + 1]
+        return Example(int(self.target[e]), self.idx[lo:hi], self.val[lo:hi])
+
+
 def build_examples(
     records: Iterable[Sequence[str]], vocab: Vocabulary, spec: ContextSpec
-) -> list[Example]:
+) -> Examples:
     """Expand a corpus into (target, context input) training examples, in corpus order.
 
     single:     one indicator e_c per in-window context occurrence, in window order
@@ -98,9 +114,7 @@ def build_examples(
         vals.append(np.full(len(t), 1.0 if single else win.positional(off)))
     Z = SparseMatrix.summed(len(ids) * width, m, np.concatenate(keys), np.concatenate(vals))
     starts = np.flatnonzero(np.diff(Z.i, prepend=-1))
-    targets = ids[Z.i[starts] // width].tolist()
-    cuts = starts[1:]
-    return [Example(t, i, v) for t, i, v in zip(targets, np.split(Z.j, cuts), np.split(Z.v, cuts))]
+    return Examples(ids[Z.i[starts] // width], np.append(starts, Z.nnz), Z.j, Z.v)
 
 
 @dataclass(frozen=True)
@@ -228,18 +242,17 @@ class _Aggregate:
     n_examples: int
 
 
-def _aggregate(examples: list[Example]) -> _Aggregate:
-    lens = np.array([len(ex.idx) for ex in examples])
+def _aggregate(examples: Examples) -> _Aggregate:
+    lens = np.diff(examples.indptr)
     filled = np.arange(lens.max()) < lens[:, None]
     idx = np.zeros(filled.shape, dtype=np.int64)
     val = np.zeros(filled.shape)
-    idx[filled] = np.concatenate([ex.idx for ex in examples])
-    val[filled] = np.concatenate([ex.val for ex in examples])
+    idx[filled] = examples.idx
+    val[filled] = examples.val
     keys = np.concatenate([idx, val.view(np.int64)], axis=1)
     _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     group = group.reshape(-1)
-    targets = np.array([ex.target for ex in examples], dtype=np.int64)
-    pairs, t_count = np.unique(np.stack([group, targets], axis=1), axis=0, return_counts=True)
+    pairs, t_count = np.unique(np.stack([group, examples.target], axis=1), axis=0, return_counts=True)
     return _Aggregate(
         z_idx=idx[first],
         z_val=val[first],
@@ -290,7 +303,7 @@ def full_batch_smooth(
 
 
 def corpus_objective(
-    W: np.ndarray, examples: list[Example], cfg: TrainConfig, noise: np.ndarray
+    W: np.ndarray, examples: Examples, cfg: TrainConfig, noise: np.ndarray
 ) -> float:
     """Full objective: mean smooth loss (expected negatives) plus L1 term.
 

@@ -14,7 +14,6 @@ with the complementary probability, using the seed.
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -185,22 +184,6 @@ class CooccurrenceStats:
 
     def to_dense(self) -> np.ndarray:
         return self.counts.to_dense()
-
-    def validate(self, rel_tol: float = 1e-9) -> None:
-        c = self.counts
-        if not (c.v > 0).all():
-            p = int(np.argmin(c.v > 0))
-            raise ValueError(f"stored weight must be positive, got {c.v[p]} at {c.pair(p)}")
-        row = np.bincount(c.i, weights=c.v, minlength=c.rows)
-        col = np.bincount(c.j, weights=c.v, minlength=c.cols)
-        for name, got, want in (
-            ("row marginal", self.row_marginal, row),
-            ("col marginal", self.col_marginal, col),
-        ):
-            if not np.allclose(got, want, rtol=rel_tol, atol=1e-12):
-                raise ValueError(f"{name} inconsistent with stored pairs")
-        if not math.isclose(self.total, float(row.sum()), rel_tol=rel_tol, abs_tol=1e-12):
-            raise ValueError("total inconsistent with stored pairs")
 
 
 def encode(records: Iterable[Sequence[str]], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:

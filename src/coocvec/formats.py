@@ -30,6 +30,7 @@ from .vectors import Embedding, SparseMatrix
 
 BINARY_MAGIC = b"CWB1"
 STAMPS = ("# provenance ", "# meta ")
+ROWS_PER_WRITE = 256  # embedding rows held as Python floats and strings at a time
 
 
 # ---------------------------------------------------------------- provenance
@@ -352,10 +353,12 @@ def read_matrix(path: str) -> tuple[SparseMatrix, MatrixInfo]:
 
 
 def write_embedding(emb: Embedding, path: str, prov: Provenance | None = None) -> None:
-    lines = [f"{len(emb.words)} {emb.dim}"] + _comment_lines(prov, emb.meta)
-    rows = emb.vectors.tolist()  # Python floats, whose str is their repr
-    lines += [" ".join([word, *map(str, row)]) for word, row in zip(emb.words, rows)]
-    _write_text(path, lines)
+    head = [f"{len(emb.words)} {emb.dim}"] + _comment_lines(prov, emb.meta)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(head) + "\n")
+        for a in range(0, len(emb.words), ROWS_PER_WRITE):
+            rows = zip(emb.words[a : a + ROWS_PER_WRITE], emb.vectors[a : a + ROWS_PER_WRITE].tolist())
+            fh.write("".join(" ".join([w, *map(str, v)]) + "\n" for w, v in rows))  # str(float) is repr
 
 
 @_reader

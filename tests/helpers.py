@@ -1,7 +1,11 @@
 """Shared builders for random test instances."""
 from __future__ import annotations
 
+import importlib.util
+import os
+
 import numpy as np
+import pytest
 
 from coocvec import CooccurrenceStats, SparseMatrix
 
@@ -72,3 +76,23 @@ def random_corpus(
         length = int(rng.integers(1, max_len + 1))
         records.append([alphabet[int(rng.integers(0, len(alphabet)))] for _ in range(length)])
     return records
+
+
+def bench_gen():
+    """The benchmark's corpus generator, loaded from bench/gen.py."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    spec = importlib.util.spec_from_file_location("bench_gen", os.path.join(bench, "gen.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def assert_marginals_match_counts(stats: CooccurrenceStats) -> None:
+    """Stored weights are positive; the marginals and the total are their sums."""
+    c = stats.counts
+    assert (c.v > 0).all()
+    row = np.bincount(c.i, weights=c.v, minlength=c.rows)
+    col = np.bincount(c.j, weights=c.v, minlength=c.cols)
+    np.testing.assert_allclose(stats.row_marginal, row, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(stats.col_marginal, col, rtol=1e-9, atol=1e-12)
+    assert stats.total == pytest.approx(float(row.sum()), rel=1e-9, abs=1e-12)

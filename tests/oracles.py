@@ -230,3 +230,13 @@ def sgd_per_example(records, vocab, spec, cfg) -> np.ndarray:
                 W[rows, ex.idx] - eta * np.outer(coef, ex.val), eta * cfg.l1
             )
     return W
+
+
+def write_embedding_whole(emb, path: str, prov=None) -> None:
+    """The text embedding writer that formats the whole matrix at once, for byte comparison."""
+    from coocvec.formats import _comment_lines, _write_text
+
+    lines = [f"{len(emb.words)} {emb.dim}"] + _comment_lines(prov, emb.meta)
+    rows = emb.vectors.tolist()  # Python floats, whose str is their repr
+    lines += [" ".join([word, *map(str, row)]) for word, row in zip(emb.words, rows)]
+    _write_text(path, lines)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +15,7 @@ from coocvec import (
     count_cooccurrences,
     explain,
     solve_pair,
+    tokenize,
     train,
 )
 from coocvec.convex_model import (
@@ -29,6 +32,7 @@ from coocvec.convex_model import (
     soft_threshold,
     softmax_loss_grad,
 )
+from helpers import bench_gen, random_corpus
 from oracles import brute_examples, sgd_per_example
 
 
@@ -135,6 +139,53 @@ def test_property_build_examples_matches_per_position_oracle(mode, weighting, da
     assert all(type(ex.target) is int and ex.idx.dtype == np.int64 for ex in exs)
     got = [(ex.target, list(zip(ex.idx.tolist(), ex.val.tolist()))) for ex in exs]
     assert got == brute_examples(data, vocab.index, mode, left, right, weighting == "reciprocal")
+    # the CSR record itself: every example holds at least one input coordinate
+    assert exs.indptr.dtype == np.int64 and exs.indptr[0] == 0 and exs.indptr[-1] == len(exs.idx)
+    assert (np.diff(exs.indptr) > 0).all()
+    assert exs.target.dtype == np.int64 and exs.target.shape == (len(exs.indptr) - 1,)
+    assert exs.idx.ndim == exs.val.ndim == 1 and len(exs.idx) == len(exs.val)
+
+
+def test_build_examples_holds_only_its_arrays():
+    gen = bench_gen()
+    records = tokenize(gen.corpus_text(gen.make_corpus(20_000, [3, 1])))
+    vocab = build_vocabulary(records, min_count=5)
+    spec = ContextSpec(mode="single", window=WindowSpec(left=2, right=2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        exs = build_examples(records, vocab, spec)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    arrays = exs.target.nbytes + exs.indptr.nbytes + exs.idx.nbytes + exs.val.nbytes
+    assert len(exs) > 30_000
+    assert held <= 2 * arrays
+
+
+@pytest.mark.parametrize("mode", CONTEXT_MODES)
+def test_aggregate_matches_dict_oracle(mode):
+    records = random_corpus(np.random.default_rng(41), n_records=30, max_len=8, alphabet="abcde")
+    vocab = build_vocabulary(records)
+    window = WindowSpec(left=2, right=1, positional_weight="reciprocal")
+    exs = build_examples(records, vocab, ContextSpec(mode=mode, window=window))
+    agg = _aggregate(exs)
+    z_count, t_count = {}, {}
+    for ex in exs:
+        key = tuple(zip(ex.idx.tolist(), ex.val.tolist()))
+        z_count[key] = z_count.get(key, 0) + 1
+        t_count[key, ex.target] = t_count.get((key, ex.target), 0) + 1
+    # a group's input is padded with (0, 0.0); a stored input value is never 0
+    groups = [
+        tuple((i, v) for i, v in zip(idx, val) if v != 0.0)
+        for idx, val in zip(agg.z_idx.tolist(), agg.z_val.tolist())
+    ]
+    assert len(set(groups)) == len(groups) < len(exs)
+    assert dict(zip(groups, agg.z_count.tolist())) == z_count
+    got = zip(agg.t_group.tolist(), agg.t_row.tolist(), agg.t_count.tolist())
+    assert {(groups[g], r): c for g, r, c in got} == t_count
+    assert len(agg.t_group) == len(t_count) and (np.diff(agg.t_group) >= 0).all()
+    assert agg.z_count.sum() == agg.n_examples == len(exs)
 
 
 class TestConfigAndHelpers:

@@ -27,6 +27,7 @@ from coocvec import (
     write_vocab,
 )
 from coocvec.formats import parse_provenance_line, provenance_line
+from oracles import write_embedding_whole
 
 
 @pytest.fixture
@@ -274,6 +275,19 @@ class TestEmbeddingFiles:
         path.write_text("1 3\na 1.0 2.0\n")
         with pytest.raises(FormatError):
             read_embedding(str(path))
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257])
+    def test_block_writer_matches_whole_matrix_writer(self, tmp_path, prov, n_rows):
+        rng = np.random.default_rng(n_rows)
+        scale = 10.0 ** rng.integers(-20, 20, size=(n_rows, 1))
+        vectors = rng.normal(size=(n_rows, 3)) * scale
+        vectors[:, 0] = np.where(rng.random(n_rows) < 0.3, -0.0, vectors[:, 0])
+        emb = Embedding([f"wörd{i}" for i in range(n_rows)], vectors, meta={"flavor": "café"})
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        write_embedding(emb, str(got), prov=prov)
+        write_embedding_whole(emb, str(want), prov=prov)
+        assert got.read_bytes() == want.read_bytes()
+        assert len(got.read_bytes().splitlines()) == n_rows + 3
 
     def test_provenance_stamp(self, tmp_path, prov):
         emb = Embedding(words=["a"], vectors=np.array([[1.0]]))

@@ -1,6 +1,4 @@
-import importlib.util
 import math
-import os
 
 import numpy as np
 import pytest
@@ -20,7 +18,7 @@ from coocvec import (
     solve_stats,
     tokenize,
 )
-from helpers import random_stats
+from helpers import bench_gen, random_stats
 
 LOG2 = math.log(2.0)
 
@@ -152,19 +150,10 @@ def test_property_sppmi_monotone_in_k(seed):
         previous = current
 
 
-def _bench_gen():
-    """The benchmark's corpus generator, loaded from bench/gen.py."""
-    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
-    spec = importlib.util.spec_from_file_location("bench_gen", os.path.join(bench, "gen.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("k", [1.0, 5.0])
 def test_spmi_is_the_logistic_solution_bit_for_bit(k):
     """SGNS = SPMI: the logistic closed form is the shifted PMI, to the last bit."""
-    gen = _bench_gen()
+    gen = bench_gen()
     records = tokenize(gen.corpus_text(gen.make_corpus(40_000, 1)))
     vocab = build_vocabulary(records, min_count=10)
     stats = count_cooccurrences(records, vocab, WindowSpec(left=2, right=2))
