@@ -249,16 +249,24 @@ def _aggregate(examples: Examples) -> _Aggregate:
     val = np.zeros(filled.shape)
     idx[filled] = examples.idx
     val[filled] = examples.val
+    # groups in ascending order of their padded (idx, value bits) rows; the
+    # stable sort makes each group's first example its earliest one
     keys = np.concatenate([idx, val.view(np.int64)], axis=1)
-    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    group = group.reshape(-1)
-    pairs, t_count = np.unique(np.stack([group, examples.target], axis=1), axis=0, return_counts=True)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    first = order[starts]
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(starts) - 1
+    base = int(examples.target.max()) + 1
+    pairs, t_count = np.unique(group * base + examples.target, return_counts=True)
     return _Aggregate(
         z_idx=idx[first],
         z_val=val[first],
         z_count=np.bincount(group, minlength=len(first)).astype(float),
-        t_group=pairs[:, 0],
-        t_row=pairs[:, 1],
+        t_group=pairs // base,
+        t_row=pairs % base,
         t_count=t_count.astype(float),
         n_examples=len(examples),
     )

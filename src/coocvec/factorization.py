@@ -24,6 +24,7 @@ from .errors import (
 from .vectors import Embedding, SparseMatrix
 
 FLAVORS = ("plain", "symmetric")
+PAIRS_PER_SCORE = 4096  # stored pairs whose factor rows the ALS objective gathers at a time
 
 
 @dataclass
@@ -132,7 +133,6 @@ class AlsResult:
     W: np.ndarray
     C: np.ndarray
     objective_history: list[float] = field(default_factory=list)
-    residual_history: list[float] = field(default_factory=list)
     converged: bool = False
 
 
@@ -191,10 +191,19 @@ def weighted_factorize(
     )
     eye = np.eye(dim)
 
-    def objective(W, C) -> tuple[float, float]:
-        scores = np.einsum("ij,ij->i", W[rows], C[cols])
+    # the objective gathers factor rows into buffers allocated once: a fresh
+    # block of this size per call would be mapped and zeroed by the OS each time
+    scores = np.empty(len(rows))
+    gathered = np.empty((2, min(PAIRS_PER_SCORE, len(rows)), dim))
+
+    def objective(W, C) -> float:
+        for a in range(0, len(rows), PAIRS_PER_SCORE):
+            r, c = rows[a : a + PAIRS_PER_SCORE], cols[a : a + PAIRS_PER_SCORE]
+            Wr = np.take(W, r, axis=0, out=gathered[0, : len(r)])
+            Cc = np.take(C, c, axis=0, out=gathered[1, : len(c)])
+            np.einsum("ij,ij->i", Wr, Cc, out=scores[a : a + len(r)])
         residual = 0.5 * float(np.sum(weights * (scores - t_vals) ** 2))
-        return residual + ridge * (float(np.sum(W * W)) + float(np.sum(C * C))), residual
+        return residual + ridge * (float(np.sum(W * W)) + float(np.sum(C * C)))
 
     def solve_side(F_fixed, order, ptr, other) -> np.ndarray:
         out = np.zeros((len(ptr) - 1, dim))
@@ -210,18 +219,17 @@ def weighted_factorize(
         return out
 
     result = AlsResult(*factors)
-    prev_total, _ = objective(*factors)
+    prev_total = objective(*factors)
     last_sweep_total = prev_total
     for _ in range(epochs):
         for side, (name, order, ptr, other) in enumerate(sweeps):
             factors[side] = solve_side(factors[1 - side], order, ptr, other)
-            total, res = objective(*factors)
+            total = objective(*factors)
             if total > prev_total + 1e-9:
                 raise DivergenceError(
                     f"objective rose from {prev_total!r} to {total!r} after a {name} sweep"
                 )
             result.objective_history.append(total)
-            result.residual_history.append(res)
             prev_total = total
         if last_sweep_total - total < tol * max(1.0, abs(last_sweep_total)):
             result.converged = True

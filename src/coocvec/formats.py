@@ -12,12 +12,19 @@ binary form starting with the magic CWB1, holding the same header text and
 Every reader opens its file once, decodes it as UTF-8, takes the header line
 and the leading block of stamps, and parses the body rows with one array
 parser; any malformed content ends in one error that names the file.
+
+Text bodies are written and parsed in fixed blocks: a writer formats
+PAIRS_PER_WRITE stored pairs (or ROWS_PER_WRITE embedding rows) at a time,
+and the parser takes the lines of about CHARS_PER_PARSE characters at a
+time, so neither holds a Python string for every row of a file.
 """
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
+import re
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -30,7 +37,9 @@ from .vectors import Embedding, SparseMatrix
 
 BINARY_MAGIC = b"CWB1"
 STAMPS = ("# provenance ", "# meta ")
-ROWS_PER_WRITE = 256  # embedding rows held as Python floats and strings at a time
+ROWS_PER_WRITE = 256  # embedding or vocabulary rows held as Python objects at a time
+PAIRS_PER_WRITE = 4096  # stored pairs held as Python numbers and strings at a time
+CHARS_PER_PARSE = 1 << 18  # body text split into lines at a time
 
 
 # ---------------------------------------------------------------- provenance
@@ -134,12 +143,19 @@ _VOCAB_DTYPE = np.dtype([("word", object), ("count", np.int64)])
 _SIMILARITY_DTYPE = np.dtype([("a", object), ("b", object), ("score", float)])
 
 
+def _line(text: str, pos: int) -> tuple[str, int]:
+    """The line of text that starts at pos, and where the next one starts."""
+    end = text.find("\n", pos)
+    return (text[pos:], len(text)) if end < 0 else (text[pos:end], end + 1)
+
+
 def _read(path: str, header: bool = True, stamps=STAMPS, magic: bool = False):
-    """Open path once; return its header line, provenance, meta and body.
+    """Open path once; return its header line, provenance, meta, body and body start.
 
     The header line comes first unless the file opens with a stamp; the
-    stamps follow it.  The body is the decoded text after them or, with
-    magic set and a file that starts with BINARY_MAGIC, the binary entries.
+    stamps follow it.  The body is the decoded text, whose rows begin at the
+    start offset, or, with magic set and a file that starts with
+    BINARY_MAGIC, the binary entries (start 0).
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -155,27 +171,41 @@ def _read(path: str, header: bool = True, stamps=STAMPS, magic: bool = False):
             raise FormatError(f"binary triplet block does not hold its {n} entries")
         body = np.frombuffer(blob, dtype=_TRIPLET_DTYPE, offset=start)
         blob = blob[8 : 8 + header_len]
-    text, head, prov, meta = str(blob, "utf-8"), "", None, {}
+    text, blob = str(blob, "utf-8"), None
+    head, prov, meta, pos = "", None, {}, 0
     if header and not text.startswith(STAMPS):
-        head, _, text = text.partition("\n")
-    while text.startswith(stamps):
-        line, _, text = text.partition("\n")
+        head, pos = _line(text, pos)
+    while text.startswith(stamps, pos):
+        line, pos = _line(text, pos)
         if line.startswith("# provenance "):
             prov = parse_provenance_line(line)
         elif line.startswith("# meta "):
             meta.update(pair.partition("=")[::2] for pair in line[len("# meta ") :].split())
-    return head, prov, meta, text if body is None else body
+    return (head, prov, meta, text, pos) if body is None else (head, prov, meta, body, 0)
 
 
-def _table(body: str, dtype: np.dtype, layout: str, delimiter=None) -> np.ndarray:
-    """Parse the body rows straight into a structured array of dtype.
+_BLANK = re.compile(r"\s*")
 
-    Blank lines are skipped; an empty body gives an empty table.
+
+def _pieces(text: str, start: int):
+    """text[start:] in pieces of about CHARS_PER_PARSE characters, each cut just after a newline."""
+    while start < len(text):
+        end = text.find("\n", start + CHARS_PER_PARSE) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _table(text: str, start: int, dtype: np.dtype, layout: str, delimiter=None) -> np.ndarray:
+    """Parse the rows of text[start:] straight into a structured array of dtype.
+
+    Blank lines are skipped; an empty body gives an empty table.  The lines
+    are those of text[start:].splitlines(), taken a piece at a time.
     """
-    if not body or body.isspace():
+    if _BLANK.match(text, start).end() == len(text):
         return np.empty(0, dtype=dtype)
+    lines = itertools.chain.from_iterable(map(str.splitlines, _pieces(text, start)))
     try:
-        return np.loadtxt(body.splitlines(), dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
+        return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
     except ValueError as exc:
         reason = str(exc).split("; use `usecols`")[0]
         raise FormatError(f"rows must be {layout!r}: {reason}") from exc
@@ -201,16 +231,27 @@ def read_provenance(path: str) -> Provenance | None:
 # ------------------------------------------------------------------- writing
 
 
-def _write_text(path: str, lines: list[str]) -> None:
+def _write_text(path: str, head: list[str], n: int, step: int, rows) -> None:
+    """Write the head lines, then the n body rows step at a time.
+
+    rows(a, b) returns the text of body rows a to b - 1 (b may pass n),
+    each ending in a newline.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(line + "\n" for line in head))
+        for a in range(0, n, step):
+            fh.write(rows(a, a + step))
 
 
 def _write_triplets(path: str, header_lines: list[str], mat: SparseMatrix, binary: bool) -> None:
     """Write the header lines and the stored (i, j, v) entries of mat in (i, j) order."""
     if not binary:
-        rows = zip(mat.i.tolist(), mat.j.tolist(), mat.v.tolist())
-        _write_text(path, header_lines + [f"{i} {j} {v!r}" for i, j, v in rows])
+
+        def pairs(a: int, b: int) -> str:
+            rows = zip(mat.i[a:b].tolist(), mat.j[a:b].tolist(), mat.v[a:b].tolist())
+            return "".join(f"{i} {j} {v!r}\n" for i, j, v in rows)
+
+        _write_text(path, header_lines, mat.nnz, PAIRS_PER_WRITE, pairs)
         return
     triplets = np.empty(mat.nnz, dtype=_TRIPLET_DTYPE)
     triplets["i"], triplets["j"], triplets["v"] = mat.i, mat.j, mat.v
@@ -229,13 +270,13 @@ def _read_triplets(path: str, parse_header) -> tuple[SparseMatrix, object, Prove
     parse_header turns the header line's fields into (rows, cols,
     implicit_value, info); info and the file's stamp come back beside the matrix.
     """
-    head, prov, _, body = _read(path, magic=True)
+    head, prov, _, body, start = _read(path, magic=True)
     try:
         rows, cols, implicit, info = parse_header(head.split())
     except ValueError as exc:
         raise FormatError(f"bad header {head!r}: {exc}") from exc
     if isinstance(body, str):
-        body = _table(body, _TEXT_TRIPLET_DTYPE, "i j value")
+        body = _table(body, start, _TEXT_TRIPLET_DTYPE, "i j value")
     return SparseMatrix(rows, cols, body["i"], body["j"], body["v"], implicit), info, prov
 
 
@@ -243,15 +284,16 @@ def _read_triplets(path: str, parse_header) -> tuple[SparseMatrix, object, Prove
 
 
 def write_vocab(vocab: Vocabulary, path: str, prov: Provenance | None = None) -> None:
-    lines = _comment_lines(prov)
-    lines += [f"{w}\t{int(c)}" for w, c in zip(vocab.words, vocab.freq)]
-    _write_text(path, lines)
+    def rows(a: int, b: int) -> str:
+        return "".join(f"{w}\t{c}\n" for w, c in zip(vocab.words[a:b], vocab.freq[a:b].tolist()))
+
+    _write_text(path, _comment_lines(prov), len(vocab.words), ROWS_PER_WRITE, rows)
 
 
 @_reader
 def read_vocab(path: str) -> tuple[Vocabulary, Provenance | None]:
-    _, prov, _, body = _read(path, header=False)
-    table = _table(body, _VOCAB_DTYPE, "word<TAB>count", "\t")
+    _, prov, _, text, start = _read(path, header=False)
+    table = _table(text, start, _VOCAB_DTYPE, "word<TAB>count", "\t")
     if not len(table):
         raise FormatError("empty vocabulary file")
     freq = table["count"]
@@ -353,25 +395,25 @@ def read_matrix(path: str) -> tuple[SparseMatrix, MatrixInfo]:
 
 
 def write_embedding(emb: Embedding, path: str, prov: Provenance | None = None) -> None:
+    def rows(a: int, b: int) -> str:
+        cells = zip(emb.words[a:b], emb.vectors[a:b].tolist())
+        return "".join(" ".join([w, *map(str, v)]) + "\n" for w, v in cells)  # str(float) is repr
+
     head = [f"{len(emb.words)} {emb.dim}"] + _comment_lines(prov, emb.meta)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(head) + "\n")
-        for a in range(0, len(emb.words), ROWS_PER_WRITE):
-            rows = zip(emb.words[a : a + ROWS_PER_WRITE], emb.vectors[a : a + ROWS_PER_WRITE].tolist())
-            fh.write("".join(" ".join([w, *map(str, v)]) + "\n" for w, v in rows))  # str(float) is repr
+    _write_text(path, head, len(emb.words), ROWS_PER_WRITE, rows)
 
 
 @_reader
 def read_embedding(path: str) -> tuple[Embedding, Provenance | None]:
-    head, prov, meta, body = _read(path)
+    head, prov, meta, text, start = _read(path)
     fields = head.split()
     if len(fields) != 2 or not all(f.isdigit() for f in fields):
         raise FormatError(f"header must be 'num_words dim' (two integers >= 0), got {head!r}")
     n, dim = int(fields[0]), int(fields[1])
-    if n and 2 * dim + 1 > len(body):  # a row spells at least a word and dim cells
+    if n and 2 * dim + 1 > len(text) - start:  # a row spells at least a word and dim cells
         raise FormatError(f"header promises rows of {dim} values; the file is too short")
     dtype = np.dtype([("word", object), ("cells", float, (dim,))])
-    table = _table(body, dtype, f"word and {dim} values")
+    table = _table(text, start, dtype, f"word and {dim} values")
     if len(table) != n:
         raise FormatError(f"header promises {n} rows, found {len(table)}")
     vectors = np.ascontiguousarray(table["cells"])
@@ -386,8 +428,8 @@ def read_embedding(path: str) -> tuple[Embedding, Provenance | None]:
 @_reader
 def read_similarity(path: str) -> list[tuple[str, str, float]]:
     """Scored word pairs; a dataset, which no command writes, may open with `# ` comments."""
-    _, _, _, body = _read(path, header=False, stamps="# ")
-    table = _table(body, _SIMILARITY_DTYPE, "word1<TAB>word2<TAB>score", "\t")
+    _, _, _, text, start = _read(path, header=False, stamps="# ")
+    table = _table(text, start, _SIMILARITY_DTYPE, "word1<TAB>word2<TAB>score", "\t")
     bad = ~np.isfinite(table["score"])
     if bad.any():
         a, b, score = table[int(np.argmax(bad))]

@@ -232,11 +232,51 @@ def sgd_per_example(records, vocab, spec, cfg) -> np.ndarray:
     return W
 
 
+def _write_whole(path: str, lines: list[str]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_embedding_whole(emb, path: str, prov=None) -> None:
     """The text embedding writer that formats the whole matrix at once, for byte comparison."""
-    from coocvec.formats import _comment_lines, _write_text
+    from coocvec.formats import _comment_lines
 
     lines = [f"{len(emb.words)} {emb.dim}"] + _comment_lines(prov, emb.meta)
     rows = emb.vectors.tolist()  # Python floats, whose str is their repr
     lines += [" ".join([word, *map(str, row)]) for word, row in zip(emb.words, rows)]
-    _write_text(path, lines)
+    _write_whole(path, lines)
+
+
+def write_triplets_whole(header_lines: list[str], mat, path: str) -> None:
+    """The text triplet writer that formats every stored pair at once, for byte comparison."""
+    rows = zip(mat.i.tolist(), mat.j.tolist(), mat.v.tolist())
+    _write_whole(path, header_lines + [f"{i} {j} {v!r}" for i, j, v in rows])
+
+
+def als_residual(targets, weights, W, C) -> float:
+    """The weighted squared residual 0.5 * sum alpha (w_i . c_j - x_ij)^2 over the stored pairs."""
+    scores = np.einsum("ij,ij->i", W[targets.i], C[targets.j])
+    return 0.5 * float(np.sum(weights * (scores - targets.v) ** 2))
+
+
+def aggregate_by_unique(examples):
+    """The full batch's grouping by np.unique over padded rows: groups in
+    ascending order of their (idx, value bits) rows, first = earliest example."""
+    lens = np.diff(examples.indptr)
+    filled = np.arange(lens.max()) < lens[:, None]
+    idx = np.zeros(filled.shape, dtype=np.int64)
+    val = np.zeros(filled.shape)
+    idx[filled] = examples.idx
+    val[filled] = examples.val
+    keys = np.concatenate([idx, val.view(np.int64)], axis=1)
+    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    group = group.reshape(-1)
+    pairs, t_count = np.unique(np.stack([group, examples.target], axis=1), axis=0, return_counts=True)
+    return {
+        "z_idx": idx[first],
+        "z_val": val[first],
+        "z_count": np.bincount(group, minlength=len(first)).astype(float),
+        "t_group": pairs[:, 0],
+        "t_row": pairs[:, 1],
+        "t_count": t_count.astype(float),
+    }

@@ -33,7 +33,7 @@ from coocvec.convex_model import (
     softmax_loss_grad,
 )
 from helpers import bench_gen, random_corpus
-from oracles import brute_examples, sgd_per_example
+from oracles import aggregate_by_unique, brute_examples, sgd_per_example
 
 
 def spec11(mode: str) -> ContextSpec:
@@ -186,6 +186,9 @@ def test_aggregate_matches_dict_oracle(mode):
     assert {(groups[g], r): c for g, r, c in got} == t_count
     assert len(agg.t_group) == len(t_count) and (np.diff(agg.t_group) >= 0).all()
     assert agg.z_count.sum() == agg.n_examples == len(exs)
+    for name, want in aggregate_by_unique(exs).items():  # the group order fixes the full batch's bits
+        got = getattr(agg, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 class TestConfigAndHelpers:

@@ -15,7 +15,9 @@ from coocvec import (
     weighted_factorize,
     word_vectors,
 )
+from coocvec import factorization
 from helpers import random_stats, weighted_problem
+from oracles import als_residual
 
 
 def dense_matrix(values) -> np.ndarray:
@@ -189,6 +191,24 @@ class TestWeightedFactorize:
         hist = result.objective_history
         assert all(a + 1e-9 >= b for a, b in zip(hist, hist[1:]))
 
+    def test_objective_is_scored_the_same_in_any_block(self, rng, monkeypatch):
+        targets, weights = {}, {}
+        for i in range(10):
+            for j in range(9):
+                if rng.random() < 0.6:
+                    targets[(i, j)] = float(rng.normal())
+                    weights[(i, j)] = float(rng.uniform(0.1, 3.0))
+        problem = weighted_problem(10, 9, targets, weights)
+        whole = weighted_factorize(*problem, dim=3, epochs=6, ridge=0.01, seed=4)
+        monkeypatch.setattr(factorization, "PAIRS_PER_SCORE", 7)
+        assert problem[0].nnz > 5 * 7
+        blocked = weighted_factorize(*problem, dim=3, epochs=6, ridge=0.01, seed=4)
+        assert blocked.objective_history == whole.objective_history
+        assert np.array_equal(blocked.W, whole.W) and np.array_equal(blocked.C, whole.C)
+        W, C = blocked.W, blocked.C
+        penalty = 0.01 * (float(np.sum(W * W)) + float(np.sum(C * C)))
+        assert blocked.objective_history[-1] == als_residual(*problem, W, C) + penalty
+
     def test_full_dimension_interpolates(self, rng):
         n = 12
         targets = {}
@@ -199,7 +219,7 @@ class TestWeightedFactorize:
                 weights[(i, j)] = float(rng.uniform(0.5, 2.0))
         problem = weighted_problem(n, n, targets, weights)
         result = weighted_factorize(*problem, dim=n, epochs=300, ridge=1e-9, tol=1e-14, seed=1)
-        assert result.residual_history[-1] < 1e-8
+        assert als_residual(*problem, result.W, result.C) < 1e-8
 
     def test_unweighted_dense_matches_svd_truncation(self, rng):
         n, d = 12, 4
@@ -210,7 +230,7 @@ class TestWeightedFactorize:
         result = weighted_factorize(*problem, dim=d, epochs=3000, ridge=1e-12, tol=0.0, seed=3)
         s = np.linalg.svd(A, compute_uv=False)
         best = 0.5 * float(np.sum(s[d:] ** 2))
-        assert result.residual_history[-1] <= best + 1e-6
+        assert als_residual(*problem, result.W, result.C) <= best + 1e-6
 
     def test_row_without_support_stays_zero(self):
         problem = weighted_problem(3, 2, {(0, 0): 1.0, (2, 1): 2.0}, {(0, 0): 1.0, (2, 1): 1.0})

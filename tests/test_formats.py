@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,8 +27,9 @@ from coocvec import (
     write_matrix,
     write_vocab,
 )
-from coocvec.formats import parse_provenance_line, provenance_line
-from oracles import write_embedding_whole
+from coocvec import formats
+from coocvec.formats import PAIRS_PER_WRITE, parse_provenance_line, provenance_line
+from oracles import write_embedding_whole, write_triplets_whole
 
 
 @pytest.fixture
@@ -220,6 +222,85 @@ class TestMatrixFiles:
         back, _ = read_matrix(path)
         assert back.entries == {}
         assert back.rows == 3
+
+
+def random_matrix(nnz: int, n: int = 100, seed: int = 0) -> SparseMatrix:
+    """nnz distinct pairs of an n x n matrix, with positive values over 40 decades."""
+    rng = np.random.default_rng(seed)
+    flat = np.sort(rng.choice(n * n, size=nnz, replace=False))
+    values = rng.random(nnz) * 10.0 ** rng.integers(-20, 20, size=nnz)
+    return SparseMatrix(n, n, flat // n, flat % n, values)
+
+
+def transient_bytes(fn, *args) -> tuple[object, int]:
+    """fn(*args) and the most memory it held beyond what it returns."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - max(held, base)
+
+
+class TestBlockedTriplets:
+    @pytest.mark.parametrize("nnz", [0, 1, PAIRS_PER_WRITE - 1, PAIRS_PER_WRITE, PAIRS_PER_WRITE + 1])
+    def test_block_writer_matches_whole_file_writer(self, tmp_path, prov, nnz):
+        mat = random_matrix(nnz, seed=nnz)
+        stats = CooccurrenceStats.from_counts(mat)
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        write_cooc(stats, str(got), prov=prov)
+        write_triplets_whole([f"100 {stats.total!r}", provenance_line(prov)], mat, str(want))
+        assert got.read_bytes() == want.read_bytes()
+        write_matrix(mat, str(got), tag="solution:squared", k=5.0, prov=prov)
+        head = ["100 100 solution:squared 5.0 implicit=0.0", provenance_line(prov)]
+        write_triplets_whole(head, mat, str(want))
+        assert got.read_bytes() == want.read_bytes()
+        assert len(got.read_bytes().splitlines()) == nnz + 2
+
+    def test_text_write_holds_one_block(self, tmp_path):
+        # the whole-file writer held every row as a Python string: about 10 MB here
+        mat = random_matrix(50_000, n=1000)
+        _, transient = transient_bytes(write_matrix, mat, str(tmp_path / "m.txt"), "ppmi", 5.0)
+        assert transient < 2_000_000
+
+    def test_text_read_transient_scales_with_the_file(self, tmp_path):
+        # the file's bytes and its decoded text; the splitlines reader held about 4x the file
+        path = tmp_path / "m.txt"
+        write_matrix(random_matrix(50_000, n=1000), str(path), "ppmi", 5.0)
+        _, transient = transient_bytes(read_matrix, str(path))
+        assert transient < 2.5 * path.stat().st_size
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"0 1 1.5\n1 0 2.5\n",
+            b"0 1 1.5\r\n1 0 2.5\r\n\r\n",
+            b"0 1 1.5\x0b1 0 2.5\n",
+            b"\n\n0 1 1.5\n\n1 0 2.5",
+            b"0 1 1.5\n# 1 0 2.5\n",
+            b"0 1 1.5\n1 0\n",
+            b"0 1 1.5\n1 0 2.5 7\n",
+            b"0 1 x\n",
+            b"0 1 1.5\r1 1 2.5\x1c1 0 0.5\n",
+        ],
+    )
+    def test_parse_in_pieces_matches_the_whole_body(self, tmp_path, monkeypatch, body):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"2 2 ppmi 1.0\n" + body)
+
+        def outcome():
+            try:
+                mat, _ = read_matrix(str(path))
+            except FormatError as exc:
+                return str(exc)
+            return mat.i.tolist(), mat.j.tolist(), mat.v.tolist()
+
+        whole = outcome()
+        for chars in (1, 2, 5, 9):
+            monkeypatch.setattr(formats, "CHARS_PER_PARSE", chars)
+            assert outcome() == whole
 
 
 class TestEmbeddingFiles:
