@@ -158,12 +158,30 @@ def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
+def _prox_step(W: np.ndarray, G: np.ndarray, eta: float, l1: float) -> np.ndarray:
+    """soft_threshold(W - eta * G, eta * l1), computed in the buffers of G and W.
+
+    The same operations in the same order as the expression, so the bits
+    match it and no further array of W's shape is made.  The result is in
+    G's buffer; W's is used up.
+    """
+    G *= eta
+    np.subtract(W, G, out=G)
+    np.abs(G, out=W)
+    W -= eta * l1
+    np.maximum(W, 0.0, out=W)
+    np.sign(G, out=G)
+    G *= W
+    return G
+
+
 def _kernel(
     S: np.ndarray,
     count: np.ndarray | float,
     target: np.ndarray | int,
     t_count: np.ndarray | float,
     neg_weight: np.ndarray | None = None,
+    loss: bool = True,
 ) -> tuple[float, np.ndarray]:
     """Smooth loss over a block of scores S (vocabulary rows x inputs) and dLoss/dS.
 
@@ -174,18 +192,24 @@ def _kernel(
     scores.  Otherwise it is negative sampling: each target adds
     softplus(-score), and each score is a negative neg_weight times (SGD: the
     draw counts; full batch: k * noise * count, so count goes unused).
+    loss=False skips the loss, which then reads 0.0: training steps take
+    dLoss/dS alone.
     """
     s_t = S.flat[target]
+    value = 0.0
     if neg_weight is None:
         lse = S.max(axis=0)
         lse += np.log(np.exp(S - lse).sum(axis=0))
-        loss = np.dot(count, lse) - np.dot(t_count, s_t)
+        if loss:
+            value = np.dot(count, lse) - np.dot(t_count, s_t)
         dS, d_t = count * np.exp(S - lse), t_count
     else:
-        loss = np.dot(t_count, np.logaddexp(0.0, -s_t)) + np.sum(neg_weight * np.logaddexp(0.0, S))
+        if loss:
+            value = np.dot(t_count, np.logaddexp(0.0, -s_t))
+            value += np.sum(neg_weight * np.logaddexp(0.0, S))
         dS, d_t = neg_weight * _sigmoid(S), t_count * _sigmoid(-s_t)
     dS.flat[target] -= d_t
-    return float(loss), dS
+    return float(value), dS
 
 
 def _example_coef(
@@ -277,20 +301,20 @@ def _aggregate(examples: Examples) -> _Aggregate:
 BLOCK_GROUPS = 32
 
 
-def full_batch_smooth(
-    W: np.ndarray, agg: _Aggregate, cfg: TrainConfig, noise: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean smooth loss over all examples and its exact gradient.
+def _accumulate(
+    W: np.ndarray, agg: _Aggregate, cfg: TrainConfig, noise: np.ndarray, G: np.ndarray,
+    loss: bool = True,
+) -> float:
+    """Add the summed smooth gradient over all examples into G; return the summed loss.
 
     For negative sampling the per-example negative draws are replaced by
     their expectation under the noise distribution, which turns the batch
     into one deterministic weighted sum per distinct context input.  Groups
     are taken BLOCK_GROUPS at a time: with Z the block's inputs as a dense
     matrix over the coordinates they touch, S = W Z^T scores them and
-    G += coef Z collects the gradient.
+    G += coef Z collects the gradient.  loss=False leaves the loss at 0.0.
     """
-    G = np.zeros_like(W)
-    loss = 0.0
+    total = 0.0
     n_groups = len(agg.z_count)
     starts = range(0, n_groups, BLOCK_GROUPS)
     edges = np.searchsorted(agg.t_group, np.append(starts, n_groups))
@@ -303,11 +327,21 @@ def full_batch_smooth(
         count = agg.z_count[a : a + BLOCK_GROUPS]
         target = agg.t_row[lo:hi] * len(count) + agg.t_group[lo:hi] - a
         neg_weight = None if cfg.objective == "softmax" else cfg.k_neg * count * noise[:, None]
-        part, coef = _kernel(S, count, target, agg.t_count[lo:hi], neg_weight)
-        loss += part
+        part, coef = _kernel(S, count, target, agg.t_count[lo:hi], neg_weight, loss)
+        total += part
         G[:, cols] += coef @ Z
+    return total
+
+
+def full_batch_smooth(
+    W: np.ndarray, agg: _Aggregate, cfg: TrainConfig, noise: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean smooth loss over all examples and its exact gradient (see _accumulate)."""
+    G = np.zeros_like(W)
     scale = 1.0 / agg.n_examples
-    return loss * scale, G * scale
+    loss = _accumulate(W, agg, cfg, noise, G) * scale
+    G *= scale
+    return loss, G
 
 
 def corpus_objective(
@@ -319,6 +353,41 @@ def corpus_objective(
     """
     smooth = full_batch_smooth(W, _aggregate(examples), cfg, noise)[0] if examples else 0.0
     return smooth + cfg.l1 * float(np.abs(W).sum())
+
+
+# SGD steps per table block: the block's draws and rows are arrays of
+# BLOCK_STEPS x (k_neg + 1) entries, so an epoch's tables do not grow with
+# the corpus.
+BLOCK_STEPS = 256
+
+
+def _step_tables(
+    target: np.ndarray, rng: np.random.Generator, noise_cdf: np.ndarray, cfg: TrainConfig
+) -> tuple[list, list, list]:
+    """Rows, draw counts and target position of each SGD step in a block.
+
+    Softmax touches every row: rows are full slices and the target's place
+    is its word.  Negative sampling draws the block's negatives at once (the
+    same generator stream as one draw per step); a step's rows are its
+    target and draws, distinct and ascending as a column of row ids, each
+    weighted by how often it was drawn, and at is the target's place among
+    them.
+    """
+    if cfg.objective == "softmax":
+        return [slice(None)] * len(target), [None] * len(target), target.tolist()
+    drawn = np.searchsorted(noise_cdf, rng.random((len(target), cfg.k_neg)), side="right")
+    cand = np.sort(np.concatenate([target[:, None], drawn], axis=1), axis=1)
+    new = np.ones(cand.shape, dtype=bool)
+    new[:, 1:] = cand[:, 1:] != cand[:, :-1]
+    first = np.flatnonzero(new)
+    rows = cand.ravel()[first]
+    n_rows = new.sum(axis=1)
+    draws = np.diff(np.append(first, cand.size)) - (rows == np.repeat(target, n_rows))
+    at = (new & (cand < target[:, None])).sum(axis=1)
+    ptr = np.append(0, np.cumsum(n_rows)).tolist()
+    rows, draws = rows[:, None], draws.astype(float)
+    steps = list(zip(ptr, ptr[1:]))
+    return [rows[p:q] for p, q in steps], [draws[p:q] for p, q in steps], at.tolist()
 
 
 def train(
@@ -333,8 +402,9 @@ def train(
     decaying linearly from step_initial to zero, taking a gradient step on
     the smooth part and soft-thresholding every touched coordinate by
     step * l1.  Full-batch mode applies deterministic whole-gradient steps
-    at constant step_initial with the full proximal map.  Single-threaded
-    and reproducible for a fixed config and seed.
+    at constant step_initial with the full proximal map.  Neither mode
+    evaluates the loss.  Single-threaded and reproducible for a fixed config
+    and seed.
     """
     n = len(vocab)
     W = np.zeros((n, context_dim(spec, n)))
@@ -344,10 +414,14 @@ def train(
 
     if cfg.full_batch and examples:
         agg = _aggregate(examples)
-        eta = cfg.step_initial
+        eta, scale = cfg.step_initial, 1.0 / len(examples)
+        G = np.empty_like(W)
         for _ in range(cfg.epochs):
-            _, G = full_batch_smooth(W, agg, cfg, noise)
-            W = soft_threshold(W - eta * G, eta * cfg.l1)
+            G.fill(0.0)
+            _accumulate(W, agg, cfg, noise, G, loss=False)
+            G *= scale
+            # the new weights land in G's buffer; the old W's is the next gradient's
+            W, G = _prox_step(W, G, eta, cfg.l1), W
     elif examples:
         noise_cdf = np.cumsum(noise)
         noise_cdf[-1] = 1.0
@@ -355,19 +429,17 @@ def train(
         step = 0
         for _ in range(cfg.epochs):
             order = rng.permutation(len(examples))
-            # the epoch's draws at once: the same generator stream as one draw per example
-            negatives = [None] * len(order)
-            if cfg.objective == "negative_sampling":
-                u = rng.random((len(order), cfg.k_neg))
-                negatives = np.searchsorted(noise_cdf, u, side="right")
-            for e, neg in zip(order, negatives):
-                ex = examples[e]
-                eta = cfg.step_initial * (1.0 - step / total_steps)
-                step += 1
-                _, rows, coef = _example_coef(W, ex, neg)
-                W[rows, ex.idx] = soft_threshold(
-                    W[rows, ex.idx] - eta * np.outer(coef, ex.val), eta * cfg.l1
-                )
+            for a in range(0, len(order), BLOCK_STEPS):
+                block = order[a : a + BLOCK_STEPS]
+                rows, draws, at = _step_tables(examples.target[block], rng, noise_cdf, cfg)
+                lo, hi = examples.indptr[block].tolist(), examples.indptr[block + 1].tolist()
+                for r, d, t, i, j in zip(rows, draws, at, lo, hi):
+                    idx, val = examples.idx[i:j], examples.val[i:j]
+                    eta = cfg.step_initial * (1.0 - step / total_steps)
+                    step += 1
+                    Wr = W[r, idx]
+                    _, coef = _kernel(Wr @ val, 1.0, t, 1.0, d, loss=False)
+                    W[r, idx] = _prox_step(Wr, coef[:, None] * val, eta, cfg.l1)
     return Embedding(
         words=list(vocab.words),
         vectors=W,

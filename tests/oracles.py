@@ -195,8 +195,9 @@ def brute_neighbors(vectors: np.ndarray, words: list[str], qi: int, metric: str)
 def sgd_per_example(records, vocab, spec, cfg) -> np.ndarray:
     """The convex model's SGD weights, drawing each example's negatives just before its step.
 
-    `train` draws an epoch's negatives at once from the same generator
-    stream, so its weights must match this loop's bit for bit.
+    `train` draws a block of steps' negatives at once from the same generator
+    stream and reads each step's rows from tables, so its weights must match
+    this loop's, which takes np.unique of every step's draws, bit for bit.
     """
     from coocvec.convex_model import (
         _example_coef,
@@ -229,6 +230,31 @@ def sgd_per_example(records, vocab, spec, cfg) -> np.ndarray:
             W[rows, ex.idx] = soft_threshold(
                 W[rows, ex.idx] - eta * np.outer(coef, ex.val), eta * cfg.l1
             )
+    return W
+
+
+def full_batch_train(records, vocab, spec, cfg) -> np.ndarray:
+    """The convex model's full-batch weights by the public pieces: each epoch takes
+    the mean gradient from full_batch_smooth (loss and all) and applies
+    soft_threshold(W - step * G, step * l1) as a fresh array."""
+    from coocvec.convex_model import (
+        _aggregate,
+        build_examples,
+        context_dim,
+        full_batch_smooth,
+        noise_distribution,
+        soft_threshold,
+    )
+
+    n = len(vocab)
+    W = np.zeros((n, context_dim(spec, n)))
+    examples = build_examples(records, vocab, spec)
+    if examples:
+        agg = _aggregate(examples)
+        noise = noise_distribution(vocab, cfg.noise)
+        for _ in range(cfg.epochs):
+            _, G = full_batch_smooth(W, agg, cfg, noise)
+            W = soft_threshold(W - cfg.step_initial * G, cfg.step_initial * cfg.l1)
     return W
 
 

@@ -18,6 +18,7 @@ from coocvec import (
     tokenize,
     train,
 )
+from coocvec import convex_model
 from coocvec.convex_model import (
     BLOCK_GROUPS,
     CONTEXT_MODES,
@@ -33,7 +34,7 @@ from coocvec.convex_model import (
     softmax_loss_grad,
 )
 from helpers import bench_gen, random_corpus
-from oracles import aggregate_by_unique, brute_examples, sgd_per_example
+from oracles import aggregate_by_unique, brute_examples, full_batch_train, sgd_per_example
 
 
 def spec11(mode: str) -> ContextSpec:
@@ -41,6 +42,28 @@ def spec11(mode: str) -> ContextSpec:
 
 
 TWO_BLOCK = [["red", "blue"] * 10, ["hot", "cold"] * 10] * 3
+MIXED = TWO_BLOCK + [["red", "hot", "blue", "cold", "red"]] * 2
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal arrays down to the sign of every zero."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def uniform_corpus(n_words: int, n_tokens: int, seed: int = 0) -> list[list[str]]:
+    """Uniformly drawn words in records of 20 tokens."""
+    ids = np.random.default_rng(seed).integers(0, n_words, size=n_tokens)
+    return [[f"w{i}" for i in ids[a : a + 20]] for a in range(0, n_tokens, 20)]
+
+
+def traced_peak(run) -> tuple[object, int]:
+    """run()'s result and the peak of the memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def contexts(record: list[str], spec: ContextSpec) -> list[tuple[str, dict[int, float]]]:
@@ -420,6 +443,28 @@ class TestFullBatchTraining:
             )
             assert emb.vectors[w, c] == pytest.approx(sol.x_star, abs=1e-3)
 
+    @pytest.mark.parametrize("objective", ["negative_sampling", "softmax"])
+    @pytest.mark.parametrize("mode", CONTEXT_MODES)
+    def test_training_matches_the_smooth_gradient_loop(self, objective, mode):
+        words = [f"w{i}" for i in range(40)]
+        records = random_corpus(np.random.default_rng(8), n_records=30, max_len=10, alphabet=words)
+        vocab = build_vocabulary(records)
+        spec = ContextSpec(mode=mode, window=WindowSpec(left=2, right=1, positional_weight="reciprocal"))
+        assert len(_aggregate(build_examples(records, vocab, spec)).z_count) > BLOCK_GROUPS
+        cfg = TrainConfig(objective=objective, k_neg=3, l1=0.002, epochs=4, full_batch=True, step_initial=0.5)
+        got = train(records, vocab, spec, cfg).vectors
+        assert 0 < np.count_nonzero(got) < got.size  # the L1 step zeroes some weights, not all
+        assert_same_bits(got, full_batch_train(records, vocab, spec, cfg))
+
+    def test_full_batch_holds_little_beyond_two_weight_arrays(self):
+        # the gradient and the weights; the proximal step allocates no further V x m array
+        records = uniform_corpus(600, 12_000)
+        vocab = build_vocabulary(records)
+        cfg = TrainConfig(epochs=1, full_batch=True, step_initial=0.5, l1=1e-4)
+        emb, peak = traced_peak(lambda: train(records, vocab, spec11("bag"), cfg))
+        assert emb.vectors.shape == (600, 600)
+        assert peak <= 3.5 * emb.vectors.nbytes
+
     def test_corpus_without_contexts_keeps_zero_weights(self):
         records = [["a"], ["b"], ["a"]]
         vocab = build_vocabulary(records)
@@ -492,6 +537,51 @@ class TestStochasticTraining:
         emb = train(records, vocab, spec11(mode), cfg)
         assert np.any(emb.vectors != 0.0)
         assert np.array_equal(emb.vectors, sgd_per_example(records, vocab, spec11(mode), cfg))
+
+    @pytest.mark.parametrize("objective", ["negative_sampling", "softmax"])
+    @pytest.mark.parametrize("case", ["k_neg above V", "single, reciprocal, 3 epochs"])
+    def test_edge_cases_match_the_per_example_loop(self, objective, case):
+        vocab = build_vocabulary(MIXED)
+        if case == "k_neg above V":  # every step repeats draws and draws its own target
+            spec = spec11("bag")
+            cfg = TrainConfig(objective=objective, k_neg=9, l1=0.01, epochs=2, step_initial=0.1, seed=5)
+            assert cfg.k_neg > 2 * len(vocab)
+        else:
+            spec = ContextSpec(mode="single", window=WindowSpec(2, 1, positional_weight="reciprocal"))
+            cfg = TrainConfig(objective=objective, k_neg=3, l1=0.01, epochs=3, step_initial=0.1, seed=11)
+        got = train(MIXED, vocab, spec, cfg).vectors
+        assert np.any(got != 0.0)
+        assert_same_bits(got, sgd_per_example(MIXED, vocab, spec, cfg))
+
+    @pytest.mark.parametrize("objective", ["negative_sampling", "softmax"])
+    @pytest.mark.parametrize("n_examples", [7, 8, 9])
+    def test_block_edges_match_the_per_example_loop(self, monkeypatch, objective, n_examples):
+        monkeypatch.setattr(convex_model, "BLOCK_STEPS", 8)
+        records = [(["red", "blue", "hot", "cold"] * 3)[: n_examples + 1]]
+        vocab = build_vocabulary(records)
+        spec = ContextSpec(mode="single", window=WindowSpec(left=1, right=0))
+        assert len(build_examples(records, vocab, spec)) == n_examples
+        cfg = TrainConfig(objective=objective, k_neg=3, l1=0.01, epochs=2, step_initial=0.1, seed=2)
+        got = train(records, vocab, spec, cfg).vectors
+        assert np.any(got != 0.0)
+        assert_same_bits(got, sgd_per_example(records, vocab, spec, cfg))
+
+    def test_epoch_memory_does_not_grow_with_the_corpus(self, monkeypatch):
+        spec = spec11("bag")
+        cfg = TrainConfig(k_neg=10, epochs=1, l1=1e-4)
+        held = {}
+        for n_tokens in (2_000, 8_000):
+            records = uniform_corpus(50, n_tokens)
+            vocab = build_vocabulary(records)
+            exs = build_examples(records, vocab, spec)  # built outside the trace
+            monkeypatch.setattr(convex_model, "build_examples", lambda *args, exs=exs: exs)
+            emb, peak = traced_peak(lambda: train(records, vocab, spec, cfg))
+            held[len(exs)] = peak - emb.vectors.nbytes
+        (n, small), (n4, large) = held.items()
+        assert n4 == 4 * n
+        # only the epoch's shuffled order (8 bytes per example) grows; the draw
+        # and row tables are BLOCK_STEPS x (k_neg + 1) at any corpus size
+        assert large - small <= 16 * (n4 - n)
 
     def test_zero_epochs_returns_zero_weights(self):
         records = TWO_BLOCK

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from coocvec.cli import BLAS_THREAD_VARS, COMMANDS, main
+from helpers import bench_gen
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -128,6 +129,39 @@ def test_omp_num_threads_counts_as_the_users_choice(counts):
 def test_a_process_that_loaded_numpy_first_keeps_its_environment(counts):
     out = probe(pmi_argv(counts), before="import numpy")
     assert out["env"] == dict.fromkeys(BLAS_THREAD_VARS)
+
+
+@pytest.fixture(scope="module")
+def convex_corpus(tmp_path_factory):
+    """The convex corpus of the benchmark's fit-models workload at seed 1."""
+    gen = bench_gen()
+    path = tmp_path_factory.mktemp("convex") / "convex.txt"
+    path.write_text(gen.corpus_text(gen.make_corpus(10_000, [1, 1])))
+    return path
+
+
+def body(path) -> bytes:
+    """A written file without its provenance line, which names the output path."""
+    with open(path, "rb") as fh:
+        return b"".join(line for line in fh if not line.startswith(b"# provenance "))
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["--epochs", "1", "--l1", "1e-4"],
+     ["--epochs", "3", "--full-batch", "--step", "0.5", "--mode", "positional"]],
+    ids=["sgd", "full-batch-positional"],
+)
+def test_train_convex_writes_the_same_weights_on_one_and_two_blas_threads(convex_corpus, options):
+    bodies = []
+    for threads in ("1", "2"):
+        out = convex_corpus.parent / f"{'full' if '--full-batch' in options else 'sgd'}-{threads}.txt"
+        done = python("-m", "coocvec.cli", "train-convex", "--input", str(convex_corpus),
+                      "--output", str(out), "--min-count", "5", *options,
+                      OPENBLAS_NUM_THREADS=threads)
+        assert done.returncode == 0, done.stderr
+        bodies.append(body(out))
+    assert bodies[0].count(b"\n") > 100 and bodies[0] == bodies[1]
 
 
 def test_help_lists_every_command():
