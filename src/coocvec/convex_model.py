@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .closed_form import _sigmoid
 from .corpus import Vocabulary, WindowSpec, encode, window_pairs
 from .errors import DimensionMismatchError, InvalidOptionError, check_seed
 from .vectors import Embedding, SparseMatrix
@@ -207,7 +206,11 @@ def _kernel(
         if loss:
             value = np.dot(t_count, np.logaddexp(0.0, -s_t))
             value += np.sum(neg_weight * np.logaddexp(0.0, S))
-        dS, d_t = neg_weight * _sigmoid(S), t_count * _sigmoid(-s_t)
+        # sigmoid(S) and sigmoid(-s_t), overflow-free, from one exp(-|S|)
+        e = np.exp(-np.abs(S))
+        e_t = e.flat[target]
+        dS = neg_weight * (np.where(S >= 0, 1.0, e) / (1.0 + e))
+        d_t = t_count * (np.where(s_t <= 0, 1.0, e_t) / (1.0 + e_t))
     dS.flat[target] -= d_t
     return float(value), dS
 

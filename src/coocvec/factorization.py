@@ -11,6 +11,7 @@ over the stored support only, with per-pair curvature weights alpha.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .errors import (
 from .vectors import Embedding, SparseMatrix
 
 FLAVORS = ("plain", "symmetric")
+ROWS_PER_BLOCK = 128  # matrix rows the SVD's products hold dense at a time
 PAIRS_PER_SCORE = 4096  # stored pairs whose factor rows the ALS objective gathers at a time
 
 
@@ -40,11 +42,65 @@ class SvdResult:
         return len(self.sigma)
 
 
-def _as_dense(M: SparseMatrix | np.ndarray) -> np.ndarray:
-    A = M.to_dense() if isinstance(M, SparseMatrix) else np.asarray(M, dtype=float)
-    if not np.isfinite(A).all():
+def _checked(M: SparseMatrix | np.ndarray) -> SparseMatrix | np.ndarray:
+    """M as a SparseMatrix or a float array, refused if an entry it stands for is not finite.
+
+    A sparse matrix is checked by its stored values and its implicit value,
+    so no array of its full shape is made.
+    """
+    if not isinstance(M, SparseMatrix):
+        M = values = np.asarray(M, dtype=float)
+    elif M.implicit_value is None:
+        raise MarkerContaminationError("matrix has undefined absent entries; cannot densify")
+    else:
+        values = np.append(M.v, M.implicit_value)
+    if not np.isfinite(values).all():
         raise MarkerContaminationError("matrix contains non-finite entries")
-    return A
+    return M
+
+
+def _as_dense(M: SparseMatrix | np.ndarray) -> np.ndarray:
+    M = _checked(M)
+    return M.to_dense() if isinstance(M, SparseMatrix) else M
+
+
+def _row_blocks(M: SparseMatrix | np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(a, rows a to a + ROWS_PER_BLOCK - 1 of M as a dense array), for each block in order.
+
+    An array yields views of its rows.  A sparse matrix yields one buffer,
+    refilled for each block with the implicit value and the block's stored
+    pairs, so a block is valid only until the next one is taken.
+    """
+    if not isinstance(M, SparseMatrix):
+        for a in range(0, len(M), ROWS_PER_BLOCK):
+            yield a, M[a : a + ROWS_PER_BLOCK]
+        return
+    starts = np.arange(0, M.rows, ROWS_PER_BLOCK)
+    ptr = np.searchsorted(M.i, np.append(starts, M.rows))  # stored pairs are sorted by row
+    buffer = np.empty((min(ROWS_PER_BLOCK, M.rows), M.cols))
+    for n, a in enumerate(starts.tolist()):
+        block = buffer[: min(ROWS_PER_BLOCK, M.rows - a)]
+        block.fill(M.implicit_value)
+        p, q = ptr[n], ptr[n + 1]
+        block[M.i[p:q] - a, M.j[p:q]] = M.v[p:q]
+        yield a, block
+
+
+def _times(M: SparseMatrix | np.ndarray, n_rows: int, X: np.ndarray) -> np.ndarray:
+    """M @ X, a block of M's rows at a time."""
+    out = np.empty((n_rows, X.shape[1]))
+    for a, block in _row_blocks(M):
+        np.matmul(block, X, out=out[a : a + len(block)])
+    return out
+
+
+def _times_transposed(M: SparseMatrix | np.ndarray, n_cols: int, Y: np.ndarray) -> np.ndarray:
+    """M^T @ Y, summed over blocks of M's rows."""
+    out = np.zeros((n_cols, Y.shape[1]))
+    term = np.empty_like(out)  # one buffer: a fresh product per block would be mapped anew
+    for a, block in _row_blocks(M):
+        out += np.matmul(block.T, Y[a : a + len(block)], out=term)
+    return out
 
 
 def truncated_svd(
@@ -58,10 +114,12 @@ def truncated_svd(
 
     A Gaussian sketch of dim + oversample columns is refined by QR-stabilized
     power iterations before a small dense SVD.  Deterministic for a fixed
-    seed.
+    seed.  M enters only through products with dense blocks of
+    ROWS_PER_BLOCK rows, so a sparse M is never held whole: memory is
+    O(nnz + ROWS_PER_BLOCK * cols + (rows + cols) * (dim + oversample)).
     """
-    A = _as_dense(M)
-    n_rows, n_cols = A.shape
+    M = _checked(M)
+    n_rows, n_cols = (M.rows, M.cols) if isinstance(M, SparseMatrix) else M.shape
     if not 1 <= dim <= min(n_rows, n_cols):
         raise DimensionMismatchError(
             f"dim must lie in [1, {min(n_rows, n_cols)}], got {dim}"
@@ -74,11 +132,11 @@ def truncated_svd(
     rng = np.random.default_rng(seed)
     sketch = min(dim + oversample, min(n_rows, n_cols))
     G = rng.standard_normal((n_cols, sketch))
-    Q, _ = np.linalg.qr(A @ G)
+    Q, _ = np.linalg.qr(_times(M, n_rows, G))
     for _ in range(power_iters):
-        Z, _ = np.linalg.qr(A.T @ Q)
-        Q, _ = np.linalg.qr(A @ Z)
-    B = Q.T @ A
+        Z, _ = np.linalg.qr(_times_transposed(M, n_cols, Q))
+        Q, _ = np.linalg.qr(_times(M, n_rows, Z))
+    B = _times_transposed(M, n_cols, Q).T
     try:
         Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # entries so large that the products overflow

@@ -246,10 +246,16 @@ def _write_text(path: str, head: list[str], n: int, step: int, rows) -> None:
 def _write_triplets(path: str, header_lines: list[str], mat: SparseMatrix, binary: bool) -> None:
     """Write the header lines and the stored (i, j, v) entries of mat in (i, j) order."""
     if not binary:
+        top = max(mat.i.max(initial=-1), mat.j.max(initial=-1)) + 1
+        label = [f"{k} " for k in range(top)].__getitem__  # "k " for every stored index k
 
         def pairs(a: int, b: int) -> str:
-            rows = zip(mat.i[a:b].tolist(), mat.j[a:b].tolist(), mat.v[a:b].tolist())
-            return "".join(f"{i} {j} {v!r}\n" for i, j, v in rows)
+            v = mat.v[a:b].tolist()
+            out = ["\n"] * (4 * len(v))
+            out[0::4] = map(label, mat.i[a:b].tolist())
+            out[1::4] = map(label, mat.j[a:b].tolist())
+            out[2::4] = map(repr, v)
+            return "".join(out)
 
         _write_text(path, header_lines, mat.nnz, PAIRS_PER_WRITE, pairs)
         return

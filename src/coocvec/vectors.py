@@ -18,8 +18,20 @@ from .errors import DimensionMismatchError, FormatError, MarkerContaminationErro
 
 def sum_by_key(key: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys, ascending, and the sum of v over each, added in input order."""
-    key, slot = np.unique(key, return_inverse=True)
-    return key, np.bincount(slot, weights=v, minlength=len(key))
+    # np.unique(key, return_inverse=True) with one key-length buffer fewer: the ranks
+    # overwrite the sorted keys (searchsorted into np.unique(key) is leaner but 4x slower)
+    perm = np.argsort(key)
+    ranked = key[perm]
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    distinct = ranked[new]
+    np.cumsum(new, out=ranked)
+    ranked -= 1
+    slot = np.empty_like(perm)
+    slot[perm] = ranked
+    del perm, ranked
+    return distinct, np.bincount(slot, weights=v, minlength=len(distinct))
 
 
 @dataclass

@@ -279,6 +279,18 @@ def write_triplets_whole(header_lines: list[str], mat, path: str) -> None:
     _write_whole(path, header_lines + [f"{i} {j} {v!r}" for i, j, v in rows])
 
 
+def randomized_svd_whole(A: np.ndarray, dim: int, seed: int, oversample: int = 8,
+                         power_iters: int = 4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """truncated_svd's subspace iteration with every product taken on the whole array A."""
+    sketch = min(dim + oversample, *A.shape)
+    Q, _ = np.linalg.qr(A @ np.random.default_rng(seed).standard_normal((A.shape[1], sketch)))
+    for _ in range(power_iters):
+        Z, _ = np.linalg.qr(A.T @ Q)
+        Q, _ = np.linalg.qr(A @ Z)
+    Ub, s, Vt = np.linalg.svd(Q.T @ A, full_matrices=False)
+    return (Q @ Ub)[:, :dim], s[:dim], Vt[:dim].T
+
+
 def als_residual(targets, weights, W, C) -> float:
     """The weighted squared residual 0.5 * sum alpha (w_i . c_j - x_ij)^2 over the stored pairs."""
     scores = np.einsum("ij,ij->i", W[targets.i], C[targets.j])

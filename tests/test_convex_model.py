@@ -19,11 +19,13 @@ from coocvec import (
     train,
 )
 from coocvec import convex_model
+from coocvec.closed_form import _sigmoid
 from coocvec.convex_model import (
     BLOCK_GROUPS,
     CONTEXT_MODES,
     Example,
     _aggregate,
+    _kernel,
     context_dim,
     corpus_objective,
     feature_names,
@@ -286,6 +288,18 @@ class TestGradients:
         target_rows = g2[0] - g1[0]
         assert np.allclose(target_rows, 0.0)
         assert np.allclose(g2[2], 2 * g1[2])
+
+    @pytest.mark.parametrize("shape", [(7,), (7, 4)], ids=["sgd-column", "full-batch-block"])
+    def test_negative_sampling_derivative_is_the_two_sigmoid_formula(self, rng, shape):
+        S = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3, size=shape)
+        S.flat[:4] = [0.0, -0.0, 800.0, -800.0]
+        target = np.array([0, 1, 2, 3, 5])
+        t_count = rng.integers(1, 4, size=len(target)).astype(float)
+        neg_weight = rng.random(shape)
+        _, dS = _kernel(S, 1.0, target, t_count, neg_weight, loss=False)
+        want = neg_weight * _sigmoid(S)
+        want.flat[target] -= t_count * _sigmoid(-S.flat[target])
+        assert np.array_equal(dS.view(np.int64), want.view(np.int64))
 
     def test_full_batch_smooth_gradient_matches_numeric(self, rng):
         records = [["a", "b", "c", "a", "b"]]

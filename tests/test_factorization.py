@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,11 +18,18 @@ from coocvec import (
 )
 from coocvec import factorization
 from helpers import random_stats, weighted_problem
-from oracles import als_residual
+from oracles import als_residual, randomized_svd_whole
 
 
 def dense_matrix(values) -> np.ndarray:
     return np.asarray(values, dtype=float)
+
+
+def sparse_and_dense(rng, rows: int, cols: int, implicit: float, density: float = 0.1):
+    """A random SparseMatrix with the given implicit value, and the same matrix as an array."""
+    A = np.where(rng.random((rows, cols)) < density, rng.normal(size=(rows, cols)), implicit)
+    i, j = np.nonzero(A != implicit)
+    return SparseMatrix(rows, cols, i, j, A[i, j], implicit), A
 
 
 class TestTruncatedSvd:
@@ -63,6 +71,44 @@ class TestTruncatedSvd:
         b = truncated_svd(A, dim=4, seed=9)
         assert np.array_equal(a.U, b.U)
         assert np.array_equal(a.sigma, b.sigma)
+
+    @pytest.mark.parametrize(
+        "rows, cols, implicit",
+        [(300, 300, 0.0), (257, 90, -0.5), (90, 257, 0.3), (1, 40, 2.0),
+         (factorization.ROWS_PER_BLOCK, 60, 1.0)],
+    )
+    def test_sparse_matches_the_dense_array_and_the_whole_matrix(self, rng, rows, cols, implicit):
+        S, A = sparse_and_dense(rng, rows, cols, implicit)
+        dim = min(rows, cols, 10)
+        sparse, dense = truncated_svd(S, dim, seed=3), truncated_svd(A, dim, seed=3)
+        U, sigma, V = randomized_svd_whole(A, dim, seed=3)
+        for got in (sparse, dense):
+            assert np.abs(got.sigma - sigma).max() <= 1e-10
+            assert np.abs(got.U * got.sigma - U * sigma).max() <= 1e-10
+            assert np.abs(got.V * got.sigma - V * sigma).max() <= 1e-10
+
+    @pytest.mark.parametrize(
+        "stored, implicit", [(math.nan, 0.0), (-math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)]
+    )
+    def test_refuses_non_finite_stored_or_implicit_values(self, stored, implicit):
+        mat = SparseMatrix.from_entries(3, 3, {(0, 1): stored, (2, 2): 1.0}, implicit)
+        with pytest.raises(MarkerContaminationError, match="non-finite"):
+            truncated_svd(mat, dim=1)
+        with pytest.raises(MarkerContaminationError, match="non-finite"):
+            truncated_svd(mat.to_dense(), dim=1)
+
+    def test_sparse_svd_holds_no_dense_copy(self, rng):
+        n = 2_000  # 32 MB as a dense float array
+        flat = np.unique(rng.integers(0, n * n, size=20_000))
+        S = SparseMatrix(n, n, flat // n, flat % n, rng.random(len(flat)))
+        tracemalloc.start()
+        try:
+            svd = truncated_svd(S, dim=20, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert svd.sigma.shape == (20,)
+        assert peak < 8 * n * n / 4
 
     def test_refuses_undefined_absences(self):
         mat = SparseMatrix.from_entries(3, 3, {(0, 1): 1.0}, None)

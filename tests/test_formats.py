@@ -259,6 +259,19 @@ class TestBlockedTriplets:
         assert got.read_bytes() == want.read_bytes()
         assert len(got.read_bytes().splitlines()) == nnz + 2
 
+    @pytest.mark.parametrize("rows, cols", [(5, 1000), (1000, 5)])
+    def test_block_writer_keeps_every_float_spelling(self, tmp_path, prov, rows, cols):
+        nnz = PAIRS_PER_WRITE + 7
+        flat = np.random.default_rng(rows).choice(rows * cols, size=nnz, replace=False)
+        special = np.array([-0.0, 5e-324, 1e-5, 1e16, 1e22, -2.5])
+        mat = SparseMatrix(rows, cols, flat // cols, flat % cols, np.resize(special, nnz))
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        write_matrix(mat, str(got), tag="solution:squared", k=5.0, prov=prov)
+        head = [f"{rows} {cols} solution:squared 5.0 implicit=0.0", provenance_line(prov)]
+        write_triplets_whole(head, mat, str(want))
+        assert got.read_bytes() == want.read_bytes()
+        assert {"-0.0", "5e-324", "1e-05", "1e+16", "1e+22"} <= set(got.read_text().split())
+
     def test_text_write_holds_one_block(self, tmp_path):
         # the whole-file writer held every row as a Python string: about 10 MB here
         mat = random_matrix(50_000, n=1000)
