@@ -22,7 +22,7 @@ _EXPORTS = {
     "convex_model": ("ContextSpec", "TrainConfig", "build_examples", "explain", "train"),
     "corpus": (
         "CooccurrenceStats", "Vocabulary", "WindowSpec", "build_vocabulary",
-        "check_symmetry", "count_cooccurrences", "tokenize",
+        "check_symmetry", "count_cooccurrences", "count_encoded", "encode_text", "tokenize",
     ),
     "errors": (
         "DegenerateMarginalError", "DimensionMismatchError", "DivergenceError",

@@ -91,7 +91,7 @@ def _emit(lines: list[str], path: str | None) -> None:
 
 def cmd_count(args: argparse.Namespace) -> int:
     from . import formats
-    from .corpus import WindowSpec, build_vocabulary, count_cooccurrences
+    from .corpus import WindowSpec, count_encoded, encode_text
 
     threads = args.threads
     if threads is None:
@@ -101,8 +101,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         except ValueError:
             raise InvalidOptionError(f"COOC_THREADS must be an integer, got {env!r}") from None
     vocab_out = _count_vocab_out(args)
-    records = formats.read_corpus(args.input)
-    vocab = build_vocabulary(records, min_count=args.min_count)
+    vocab, tokens = encode_text(formats.read_text(args.input), min_count=args.min_count)
     win = WindowSpec(
         left=args.left,
         right=args.right,
@@ -112,7 +111,8 @@ def cmd_count(args: argparse.Namespace) -> int:
         context_subsample_threshold=args.context_subsample_threshold,
         stochastic_subsample=args.stochastic,
     )
-    stats = count_cooccurrences(records, vocab, win, seed=args.seed, shards=threads)
+    stats = count_encoded(tokens, vocab, win, seed=args.seed, shards=threads)
+    del tokens  # free the token arrays before the write
     config = _config_dict(args)
     config["threads"] = threads
     prov = formats.make_provenance("count", config)

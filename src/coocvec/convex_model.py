@@ -103,7 +103,7 @@ def build_examples(
     width = win.left + win.right
     m = context_dim(spec, n)
     single = spec.mode == "single"
-    ids, rec = encode(records, vocab)
+    ids, rec, _ = encode(records, vocab)
     # Z has one row per (position, slot) and one column per input coordinate;
     # bag and positional inputs sum all slots of a position into its slot-0 row
     keys, vals = [np.empty(0, np.int64)], [np.empty(0)]

@@ -14,10 +14,11 @@ with the complementary probability, using the seed.
 """
 from __future__ import annotations
 
-from collections import Counter
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .errors import EmptyVocabularyError, FormatError, InvalidOptionError, check
 from .vectors import SparseMatrix, sum_by_key, word_index
 
 POSITIONAL_WEIGHTS = ("constant", "reciprocal")
+CHARS_PER_SPLIT = 1 << 18  # corpus text split into lines at a time
 
 
 @dataclass
@@ -53,29 +55,105 @@ class Vocabulary:
         return float(self.freq[word_id]) / float(self.total_tokens)
 
 
+def text_pieces(text: str, start: int, size: int) -> Iterator[str]:
+    """text[start:] in pieces of about size characters, each cut just after a newline.
+
+    A cut after "\n" ends a line, so the pieces' splitlines() are the lines of
+    the whole.
+    """
+    while start < len(text):
+        end = text.find("\n", start + size) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _records(text: str) -> Iterator[list[str]]:
+    """The records of text: the whitespace tokens of each non-blank line, in order."""
+    for piece in text_pieces(text, 0, CHARS_PER_SPLIT):
+        for line in piece.splitlines():
+            tokens = line.split()
+            if tokens:
+                yield tokens
+
+
 def tokenize(text: str) -> list[list[str]]:
-    """Split text into records (one per line) of whitespace tokens."""
-    return [line.split() for line in text.splitlines() if line.split()]
+    """Split text into records (one per non-blank line) of whitespace tokens."""
+    return list(_records(text))
 
 
-def build_vocabulary(records: Iterable[Sequence[str]], min_count: int = 1) -> Vocabulary:
-    """Count tokens across all records and keep those with count >= min_count.
+class Encoded(NamedTuple):
+    """In-vocabulary ids in corpus order, the record of each, and the number of records.
 
+    A record keeps its index when none of its tokens is kept, so records can
+    exceed rec.max() + 1.
+    """
+
+    ids: np.ndarray
+    rec: np.ndarray
+    records: int
+
+
+def _first_seen(records: Iterable[Sequence[str]]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The types in order of first appearance, each token's index in it, and the record lengths."""
+    seen: defaultdict[str, int] = defaultdict()
+    seen.default_factory = seen.__len__  # a new type's id is the number seen before it
+    ids, lengths = array("q"), array("q")
+    for record in records:
+        ids.extend(map(seen.__getitem__, record))
+        lengths.append(len(record))
+    return list(seen), np.frombuffer(ids, np.int64), np.frombuffer(lengths, np.int64)
+
+
+def _vocabulary(types: list[str], ids: np.ndarray, min_count: int) -> tuple[Vocabulary, np.ndarray]:
+    """The vocabulary of a stream of type indices, and each type's word id (-1 if dropped).
+
+    Keeps the types with count >= min_count, ordered by (-count, word);
     total_tokens counts retained tokens only, so relative frequencies sum to 1
     over the vocabulary.
     """
-    counts: Counter[str] = Counter()
-    for record in records:
-        counts.update(record)
-    kept = [(w, c) for w, c in counts.items() if c >= min_count]
+    if min_count < 1:
+        raise InvalidOptionError(f"min_count must be >= 1, got {min_count}")
+    counts = np.bincount(ids, minlength=len(types))
+    count_of = counts.tolist()
+    kept = [p for p, c in enumerate(count_of) if c >= min_count]
     if not kept:
         raise EmptyVocabularyError(
-            f"no token reaches min_count={min_count} (raw types: {len(counts)})"
+            f"no token reaches min_count={min_count} (raw types: {len(types)})"
         )
-    kept.sort(key=lambda wc: (-wc[1], wc[0]))
-    words = [w for w, _ in kept]
-    freq = np.array([c for _, c in kept], dtype=np.int64)
-    return Vocabulary(words=words, freq=freq, total_tokens=int(freq.sum()))
+    kept.sort(key=lambda p: (-count_of[p], types[p]))
+    word_id = np.full(len(types), -1, dtype=np.int64)
+    word_id[kept] = np.arange(len(kept))
+    freq = counts[kept]
+    vocab = Vocabulary(words=[types[p] for p in kept], freq=freq, total_tokens=int(freq.sum()))
+    return vocab, word_id
+
+
+def build_vocabulary(records: Iterable[Sequence[str]], min_count: int = 1) -> Vocabulary:
+    """Count tokens across all records and keep those with count >= min_count (>= 1).
+
+    Words are ordered by descending count, ties broken lexicographically.
+    """
+    types, ids, _ = _first_seen(records)
+    return _vocabulary(types, ids, min_count)[0]
+
+
+def encode_text(text: str, min_count: int = 1) -> tuple[Vocabulary, Encoded]:
+    """The vocabulary of text's records and their encoding, from one pass over the text.
+
+    Equal to build_vocabulary(tokenize(text), min_count) and
+    encode(tokenize(text), vocab), but each line is split once and each token
+    looked up once, and no list of tokens outlives its line.
+    """
+    types, first, lengths = _first_seen(_records(text))
+    vocab, word_id = _vocabulary(types, first, min_count)
+    ids = word_id[first]
+    del first  # the provisional ids
+    kept = ids >= 0
+    if not kept.all():
+        ids = ids[kept]
+        # records are non-blank, so each starts a run of kept flags that reduceat can sum
+        lengths = np.add.reduceat(kept, np.cumsum(lengths) - lengths, dtype=np.int64)
+    return vocab, Encoded(ids, np.repeat(np.arange(len(lengths)), lengths), len(lengths))
 
 
 @dataclass(frozen=True)
@@ -161,7 +239,10 @@ class CooccurrenceStats:
                 f"pair {counts.pair(p)} has weight {float(counts.v[p])!r}, not a finite value >= 0"
             )
         keep = counts.v != 0.0
-        counts = SparseMatrix(counts.rows, counts.cols, counts.i[keep], counts.j[keep], counts.v[keep])
+        if not keep.all():
+            counts = SparseMatrix(
+                counts.rows, counts.cols, counts.i[keep], counts.j[keep], counts.v[keep]
+            )
         row = np.bincount(counts.i, weights=counts.v, minlength=counts.rows)
         col = np.bincount(counts.j, weights=counts.v, minlength=counts.cols)
         return cls(counts, row, col, float(row.sum()))
@@ -186,7 +267,7 @@ class CooccurrenceStats:
         return self.counts.to_dense()
 
 
-def encode(records: Iterable[Sequence[str]], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+def encode(records: Iterable[Sequence[str]], vocab: Vocabulary) -> Encoded:
     """In-vocabulary ids of all records, concatenated, and the record of each token.
 
     Out-of-vocabulary tokens are dropped before any window is formed; a record
@@ -198,7 +279,19 @@ def encode(records: Iterable[Sequence[str]], vocab: Vocabulary) -> tuple[np.ndar
     ids = np.fromiter(map(vocab.index.get, tokens, repeat(-1)), dtype=np.int64, count=lengths.sum())
     rec = np.repeat(np.arange(len(records)), lengths)
     kept = ids >= 0
-    return ids[kept], rec[kept]
+    return Encoded(ids[kept], rec[kept], len(records))
+
+
+def _reach(rec: np.ndarray, win: WindowSpec) -> Iterator[int]:
+    """The window's offsets, ascending, that are shorter than the longest record."""
+    reach = int(np.bincount(rec).max(initial=0)) - 1
+    return (off for off in range(-min(win.left, reach), min(win.right, reach) + 1) if off)
+
+
+def _same_record(rec: np.ndarray, off: int) -> tuple[int, np.ndarray]:
+    """(lo, same): same[k] says whether positions lo + k and lo + k + off share a record."""
+    lo, hi = max(0, -off), min(len(rec), len(rec) - off)
+    return lo, rec[lo:hi] == rec[lo + off : hi + off]
 
 
 def window_pairs(
@@ -211,13 +304,40 @@ def window_pairs(
     lies in the same record; offsets as long as the longest record hold no
     such position and are skipped.
     """
-    n = len(rec)
-    reach = int(np.bincount(rec).max(initial=0)) - 1
-    for off in range(-min(win.left, reach), min(win.right, reach) + 1):
-        if off:
-            t = np.arange(max(0, -off), min(n, n - off))
-            t = t[rec[t] == rec[t + off]]
-            yield off + win.left - (off > 0), off, t, t + off
+    for off in _reach(rec, win):
+        lo, same = _same_record(rec, off)
+        t = np.flatnonzero(same)
+        t += lo
+        yield off + win.left - (off > 0), off, t, t + off
+
+
+def _window_sums(
+    ids: np.ndarray, rec: np.ndarray, n: int, win: WindowSpec,
+    target_w: np.ndarray, context_w: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys w * n + c of the window walk's pairs, and their summed weights.
+
+    The key and weight arrays are sized once from each offset's pair count;
+    each offset fills its part in place, in walk order, with weight
+    target_w[w] * context_w[c] * positional(offset).
+    """
+    offs = list(_reach(rec, win))
+    sizes = [int(np.count_nonzero(_same_record(rec, off)[1])) for off in offs]
+    key = np.empty(sum(sizes), dtype=np.int64)
+    weight = np.empty(len(key))
+    end = 0
+    for off, size in zip(offs, sizes):
+        lo, same = _same_record(rec, off)
+        k, w = key[end : end + size], weight[end : end + size]
+        end += size
+        np.compress(same, ids[lo : lo + len(same)], out=k)
+        np.take(target_w, k, out=w)
+        c = ids[lo + off : lo + off + len(same)][same]
+        w *= context_w[c]
+        w *= win.positional(off)
+        k *= n
+        k += c
+    return sum_by_key(key, weight)
 
 
 def _down_weight(tau: float | None, vocab: Vocabulary) -> np.ndarray:
@@ -236,16 +356,27 @@ def count_cooccurrences(
 ) -> CooccurrenceStats:
     """Accumulate weighted co-occurrence counts over all records.
 
-    Out-of-vocabulary tokens are dropped from each record before windowing.
-    In stochastic mode, retained occurrences are then dropped independently
-    with probability 1 - min(1, sqrt(tau / f_rel)); windows are formed on the
-    surviving stream, so both roles of an occurrence vanish together.  records[p]
+    Out-of-vocabulary tokens are dropped from each record before windowing;
+    see count_encoded for the rest.
+    """
+    return count_encoded(encode(records, vocab), vocab, win, seed=seed, shards=shards)
+
+
+def count_encoded(
+    tokens: Encoded, vocab: Vocabulary, win: WindowSpec, seed: int = 0, shards: int = 1
+) -> CooccurrenceStats:
+    """Accumulate weighted co-occurrence counts over encoded records.
+
+    In stochastic mode, retained occurrences are dropped independently with
+    probability 1 - min(1, sqrt(tau / f_rel)); windows are formed on the
+    surviving stream, so both roles of an occurrence vanish together.  Record p
     draws from a generator keyed by (seed, p), so any shard count drops the same tokens.
 
-    The records are walked in `shards` contiguous chunks, one after another.
-    Each offset's pairs are weighted as arrays and each chunk's are summed on
-    the key w * V + c; one more sum over the chunk sums, in chunk order, gives
-    the stored values.  Only that order of addition depends on the shard count.
+    The records are walked in `shards` contiguous chunks of equal record
+    count, one after another.  Each chunk's pairs are weighted as arrays and
+    summed on the key w * V + c; one more sum over the chunk sums, in chunk
+    order, gives the stored values.  Only that order of addition depends on
+    the shard count.
     """
     if shards < 1:
         raise InvalidOptionError(f"shard count must be >= 1, got {shards}")
@@ -258,35 +389,29 @@ def count_cooccurrences(
         context_w = _down_weight(win.context_threshold(), vocab)
     elif win.subsample_threshold is not None:
         keep_prob = _down_weight(win.subsample_threshold, vocab)
-    records = list(records)
-    chunk = max(1, -(-len(records) // shards))
+    starts = range(0, max(tokens.records, 1), max(1, -(-tokens.records // shards)))
+    cuts = [*np.searchsorted(tokens.rec, starts).tolist(), len(tokens.rec)]
     parts = []
-    for start in range(0, max(len(records), 1), chunk):
-        ids, rec = encode(records[start : start + chunk], vocab)
+    for start, a, b in zip(starts, cuts, cuts[1:]):
+        ids, rec = tokens.ids[a:b], tokens.rec[a:b]
         if keep_prob is not None:
             draws = [
-                np.random.default_rng([seed, start + r]).random(m)
-                for r, m in enumerate(np.bincount(rec).tolist())
+                np.random.default_rng([seed, p]).random(m)
+                for p, m in enumerate(np.bincount(rec)[start:].tolist(), start)
                 if m
             ]
             keep = np.concatenate([np.empty(0), *draws]) < keep_prob[ids]
             ids, rec = ids[keep], rec[keep]
-        keys, weights = [np.empty(0, np.int64)], [np.empty(0)]
-        for _, off, t, c in window_pairs(rec, win):
-            t, c = ids[t], ids[c]
-            keys.append(t * n + c)
-            weights.append(target_w[t] * context_w[c] * win.positional(off))
-        key, weight = np.concatenate(keys), np.concatenate(weights)
-        del keys, weights  # free the per-offset pieces before the sort
-        parts.append(sum_by_key(key, weight))
-        del key, weight
+        parts.append(_window_sums(ids, rec, n, win, target_w, context_w))
     if len(parts) == 1:
         key, v = parts.pop()
     else:
         key, v = map(np.concatenate, zip(*parts))
         parts.clear()  # free the chunk sums before the sort
         key, v = sum_by_key(key, v)
-    return CooccurrenceStats.from_counts(SparseMatrix(n, n, key // n, key % n, v))
+    i, j = np.divmod(key, n)
+    del key
+    return CooccurrenceStats.from_counts(SparseMatrix(n, n, i, j, v))
 
 
 def check_symmetry(stats: CooccurrenceStats, rel_tol: float = 1e-9) -> tuple[bool, float]:

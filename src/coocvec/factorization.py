@@ -211,7 +211,8 @@ def weighted_factorize(
     minimizes the full objective over one factor exactly, so the objective
     can never increase; an increase beyond 1e-9 is reported as divergence.
     Stops after `epochs` sweeps or when one sweep improves the objective by
-    less than `tol` relative.
+    less than `tol` relative.  A singular row or column system (at ridge 0, a
+    line with fewer stored pairs of positive weight than dim) is divergence.
     """
     weights = np.asarray(weights, dtype=float)
     n_rows, n_cols = targets.rows, targets.cols
@@ -263,17 +264,28 @@ def weighted_factorize(
         residual = 0.5 * float(np.sum(weights * (scores - t_vals) ** 2))
         return residual + ridge * (float(np.sum(W * W)) + float(np.sum(C * C)))
 
-    def solve_side(F_fixed, order, ptr, other) -> np.ndarray:
+    def singular(name: str, r: int, a: np.ndarray) -> DivergenceError:
+        return DivergenceError(
+            f"{name} {r}'s system is singular ({np.count_nonzero(a)} stored pair(s) of "
+            f"positive weight at dim {dim}, ridge {ridge!r}); a positive ridge (--ridge) avoids it"
+        )
+
+    def solve_side(name, F_fixed, order, ptr, other) -> np.ndarray:
         out = np.zeros((len(ptr) - 1, dim))
         for r in range(len(ptr) - 1):
             pos = order[ptr[r] : ptr[r + 1]]
             if not len(pos):
                 continue
-            Fo = F_fixed[other[pos]]
             a = weights[pos]
+            if ridge == 0.0 and np.count_nonzero(a) < dim:  # A's rank is below dim
+                raise singular(name, r, a)
+            Fo = F_fixed[other[pos]]
             A = (Fo * a[:, None]).T @ Fo + 2.0 * ridge * eye
             b = Fo.T @ (a * t_vals[pos])
-            out[r] = np.linalg.solve(A, b)
+            try:
+                out[r] = np.linalg.solve(A, b)
+            except np.linalg.LinAlgError:
+                raise singular(name, r, a) from None
         return out
 
     result = AlsResult(*factors)
@@ -281,7 +293,7 @@ def weighted_factorize(
     last_sweep_total = prev_total
     for _ in range(epochs):
         for side, (name, order, ptr, other) in enumerate(sweeps):
-            factors[side] = solve_side(factors[1 - side], order, ptr, other)
+            factors[side] = solve_side(name, factors[1 - side], order, ptr, other)
             total = objective(*factors)
             if total > prev_total + 1e-9:
                 raise DivergenceError(

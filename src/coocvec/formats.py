@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import CooccurrenceStats, Vocabulary, tokenize
+from .corpus import CooccurrenceStats, Vocabulary, text_pieces, tokenize
 from .errors import FormatError, WorkbenchError
 from .pmi import VARIANTS
 from .vectors import Embedding, SparseMatrix
@@ -187,14 +187,6 @@ def _read(path: str, header: bool = True, stamps=STAMPS, magic: bool = False):
 _BLANK = re.compile(r"\s*")
 
 
-def _pieces(text: str, start: int):
-    """text[start:] in pieces of about CHARS_PER_PARSE characters, each cut just after a newline."""
-    while start < len(text):
-        end = text.find("\n", start + CHARS_PER_PARSE) + 1 or len(text)
-        yield text[start:end]
-        start = end
-
-
 def _table(text: str, start: int, dtype: np.dtype, layout: str, delimiter=None) -> np.ndarray:
     """Parse the rows of text[start:] straight into a structured array of dtype.
 
@@ -203,7 +195,8 @@ def _table(text: str, start: int, dtype: np.dtype, layout: str, delimiter=None) 
     """
     if _BLANK.match(text, start).end() == len(text):
         return np.empty(0, dtype=dtype)
-    lines = itertools.chain.from_iterable(map(str.splitlines, _pieces(text, start)))
+    pieces = text_pieces(text, start, CHARS_PER_PARSE)
+    lines = itertools.chain.from_iterable(map(str.splitlines, pieces))
     try:
         return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
     except ValueError as exc:
@@ -267,7 +260,7 @@ def _write_triplets(path: str, header_lines: list[str], mat: SparseMatrix, binar
         fh.write(struct.pack("<I", len(header_blob)))
         fh.write(header_blob)
         fh.write(struct.pack("<Q", len(triplets)))
-        fh.write(triplets.tobytes())
+        fh.write(triplets)
 
 
 def _read_triplets(path: str, parse_header) -> tuple[SparseMatrix, object, Provenance | None]:

@@ -7,6 +7,7 @@ cross-check and not the same code evaluated twice.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import scipy.optimize
@@ -131,6 +132,28 @@ def spearman_ref(model_sims, human_scores) -> float:
     """Rank-then-Pearson reference correlation via scipy."""
     rho, _ = scipy.stats.spearmanr(model_sims, human_scores)
     return float(rho)
+
+
+def tokenize_whole(text: str) -> list[list[str]]:
+    """Records as the whole text's splitlines() gives them: each non-blank line's split."""
+    return [line.split() for line in text.splitlines() if line.split()]
+
+
+def vocabulary_by_counter(records, min_count: int) -> tuple[list[str], list[int]]:
+    """Words with count >= min_count and their counts, by (-count, word), from a Counter."""
+    counts: Counter[str] = Counter()
+    for record in records:
+        counts.update(record)
+    kept = [(w, c) for w, c in counts.items() if c >= min_count]
+    kept.sort(key=lambda wc: (-wc[1], wc[0]))
+    return [w for w, _ in kept], [c for _, c in kept]
+
+
+def encode_by_lookup(records, words: list[str]) -> tuple[list[int], list[int]]:
+    """Each in-vocabulary token's word id and record index, token by token."""
+    index = {w: p for p, w in enumerate(words)}
+    pairs = [(index[t], r) for r, record in enumerate(records) for t in record if t in index]
+    return [w for w, _ in pairs], [r for _, r in pairs]
 
 
 def brute_count_dense(

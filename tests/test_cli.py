@@ -6,8 +6,22 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from coocvec import read_cooc, read_embedding, read_matrix, read_provenance, read_vocab
+from coocvec import (
+    SparseMatrix,
+    Vocabulary,
+    WindowSpec,
+    count_cooccurrences,
+    read_cooc,
+    read_embedding,
+    read_matrix,
+    read_provenance,
+    read_vocab,
+    write_cooc,
+    write_matrix,
+    write_vocab,
+)
 from coocvec.cli import main
+from oracles import tokenize_whole, vocabulary_by_counter
 
 CORPUS = "the quick fox saw the slow fox\nthe slow fox saw the quick cat\n"
 
@@ -30,6 +44,30 @@ def counted(tmp_path, corpus_path, *extra: str) -> str:
 
 
 class TestCount:
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_bytes_equal_the_tokenize_then_count_path(self, tmp_path, binary):
+        # odd line breaks, blank and whitespace-only lines, records of OOV tokens only
+        text = ("the quick\r\nfox saw\x0bthe slow fox\x85zz\n \t\n\u2028the\u3000fox"
+                "\x1cslow  quick\x0cqq zz\n\ncat the fox saw\r\n") * 7 + "the fox\n"
+        path = tmp_path / "c.txt"
+        path.write_bytes(text.encode("utf-8"))
+        records = tokenize_whole(text)
+        for shards, min_count in ((1, 1), (2, 3), (3, 8), (4, 2), (5, 5)):
+            out, want = str(tmp_path / f"got{shards}"), str(tmp_path / f"want{shards}")
+            extra = ["--binary"] if binary else []
+            assert run("count", "--input", str(path), "--output", out, "--threads", str(shards),
+                       "--min-count", str(min_count), "--stochastic", "--subsample", "0.05",
+                       "--seed", "3", *extra) == 0
+            words, freq = vocabulary_by_counter(records, min_count)
+            vocab = Vocabulary(words, np.array(freq), sum(freq))
+            win = WindowSpec(subsample_threshold=0.05, stochastic_subsample=True)
+            stats = count_cooccurrences(records, vocab, win, seed=3, shards=shards)
+            prov = read_provenance(out)
+            write_cooc(stats, want, prov=prov, binary=binary)
+            write_vocab(vocab, want + ".vocab", prov=prov)
+            assert open(out, "rb").read() == open(want, "rb").read()
+            assert open(out + ".vocab", "rb").read() == open(want + ".vocab", "rb").read()
+
     def test_writes_counts_and_vocab(self, tmp_path, corpus_path):
         out = counted(tmp_path, corpus_path)
         stats, _ = read_cooc(out)
@@ -349,6 +387,10 @@ class TestOptionErrors:
             ["count", "--threads", "0"],
             ["count", "--threads", "-3"],
             ["count", "--seed", "-1"],
+            ["count", "--min-count", "0"],
+            ["count", "--min-count", "-3"],
+            ["train-convex", "--min-count", "0"],
+            ["train-convex", "--min-count", "-3"],
             ["train-convex", "--l1", "nan"],
             ["factorize", "--weighted", "--ridge", "nan"],
             ["factorize", "--weighted", "--ridge", "inf"],
@@ -384,6 +426,21 @@ class TestOptionErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error invalid-option:"), err
         assert not os.path.exists(out)
+
+    def test_singular_als_system_is_one_divergence_line(self, tmp_path, capsys):
+        # each row and column of the 2 x 2 target holds one stored pair, fewer than --dim 2
+        target, alpha, out = (str(tmp_path / name) for name in ("t.txt", "a.txt", "emb.txt"))
+        pairs = SparseMatrix(2, 2, [0, 1], [0, 1], [1.0, 2.0])
+        write_matrix(pairs, target, tag="squared", k=1.0)
+        write_matrix(SparseMatrix(2, 2, [0, 1], [0, 1], [1.0, 1.0]), alpha, tag="alpha", k=1.0)
+        code = run("factorize", "--weighted", "--matrix", target, "--alpha", alpha,
+                   "--output", out, "--dim", "2", "--ridge", "0")
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1 and len(err) == 1 and err[0].startswith("error divergence:"), err
+        assert "row 0's system is singular" in err[0] and "--ridge" in err[0], err
+        assert not os.path.exists(out)
+        assert run("factorize", "--weighted", "--matrix", target, "--alpha", alpha,
+                   "--output", out, "--dim", "2") == 0
 
     @pytest.mark.parametrize(
         "extra",

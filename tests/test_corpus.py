@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from coocvec import (
     build_vocabulary,
     check_symmetry,
     count_cooccurrences,
+    count_encoded,
+    encode_text,
     tokenize,
 )
-from helpers import assert_marginals_match_counts
-from oracles import brute_count_dense
+from coocvec import corpus
+from helpers import assert_marginals_match_counts, bench_gen
+from oracles import brute_count_dense, encode_by_lookup, tokenize_whole, vocabulary_by_counter
 
 ABAB = [["a", "b", "a", "b"]]
 
@@ -54,6 +58,97 @@ class TestVocabulary:
         vocab = build_vocabulary([["x", "y", "x", "z", "z", "z"]])
         assert sorted(vocab.index.values()) == list(range(len(vocab)))
         assert int(vocab.freq.sum()) == vocab.total_tokens
+
+
+class TestOnePassEncoder:
+    """encode_text against tokenize-then-count: the whole text's splitlines() and a Counter."""
+
+    TOKENS = ["a", "b", "c", "dd", "é", "x1", "q", "zz"]
+    BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\n \t\n", "\n\n"]
+    SPACES = [" ", "\t", "\u3000", "  "]
+    TEXT = st.lists(st.sampled_from(TOKENS + BREAKS + SPACES), max_size=120).map("".join)
+
+    @staticmethod
+    def assert_encodes_like_the_oracle(text: str, min_count: int):
+        records = tokenize_whole(text)
+        assert tokenize(text) == records
+        words, freq = vocabulary_by_counter(records, min_count)
+        if not words:
+            with pytest.raises(EmptyVocabularyError):
+                encode_text(text, min_count)
+            return None
+        vocab, tokens = encode_text(text, min_count)
+        assert vocab.words == words and vocab.freq.tolist() == freq
+        assert vocab.total_tokens == sum(freq)
+        ids, rec = encode_by_lookup(records, words)
+        assert tokens.ids.tolist() == ids and tokens.rec.tolist() == rec
+        assert tokens.records == len(records)
+        assert build_vocabulary(records, min_count).words == words
+        return records, vocab, tokens
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=TEXT, min_count=st.integers(1, 5))
+    def test_vocabulary_ids_and_records_match(self, text, min_count):
+        self.assert_encodes_like_the_oracle(text, min_count)
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=TEXT, min_count=st.integers(1, 5), shards=st.integers(1, 5),
+           stochastic=st.booleans(), seed=st.integers(0, 3))
+    def test_counts_match_bit_for_bit(self, text, min_count, shards, stochastic, seed):
+        encoded = self.assert_encodes_like_the_oracle(text, min_count)
+        if encoded is None:
+            return
+        records, vocab, tokens = encoded
+        win = WindowSpec(left=2, right=1, positional_weight="reciprocal", subsample_threshold=0.2,
+                         context_subsample=not stochastic, stochastic_subsample=stochastic)
+        got = count_encoded(tokens, vocab, win, seed=seed, shards=shards)
+        want = count_cooccurrences(records, vocab, win, seed=seed, shards=shards)
+        for a, b in zip((got.counts.i, got.counts.j, got.counts.v, got.row_marginal),
+                        (want.counts.i, want.counts.j, want.counts.v, want.row_marginal)):
+            assert a.tobytes() == b.tobytes()
+        assert got.total == want.total
+
+    @pytest.mark.parametrize("chars", [1, 2, 3, 5, 64])
+    def test_text_split_in_pieces_keeps_the_lines(self, monkeypatch, chars):
+        text = "a b\r\nc\r\n\r\nb\x85a\u2028 \u3000\nc\x0bq\x0c\x1ca  b\rzz \n\n"
+        monkeypatch.setattr(corpus, "CHARS_PER_SPLIT", chars)
+        for min_count in (1, 2):
+            self.assert_encodes_like_the_oracle(text, min_count)
+        assert tokenize(text) == [["a", "b"], ["c"], ["b"], ["a"], ["c"], ["q"], ["a", "b"], ["zz"]]
+
+    def test_records_of_out_of_vocabulary_tokens_keep_their_index(self):
+        vocab, tokens = encode_text("q\na a\n\n zz q\na\n", min_count=3)
+        assert vocab.words == ["a"]
+        assert tokens.ids.tolist() == [0, 0, 0] and tokens.rec.tolist() == [1, 1, 3]
+        assert tokens.records == 4
+
+    def test_encoding_holds_no_object_per_token(self):
+        """Encoding a 200k-token text holds no Python object per token.
+
+        Peak traced memory beyond the text, per token: encode_text holds
+        40.5 B (min_count 1) and 37.4 B (min_count 10), its id arrays and
+        the types; tokenize + build_vocabulary + encode hold 111.3 B and
+        104.5 B, a str object and a list slot per token.
+        """
+        gen = bench_gen()
+        text = gen.corpus_text(gen.make_corpus(200_000, 3))
+        n_tokens = len(text.split())
+        for min_count in (1, 10):
+            tracemalloc.start()
+            try:
+                encoded = encode_text(text, min_count)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            del encoded
+            assert peak / n_tokens < 64, (min_count, peak / n_tokens)
+
+    def test_min_count_below_one_is_invalid(self):
+        for min_count in (0, -3):
+            with pytest.raises(InvalidOptionError):
+                build_vocabulary(ABAB, min_count=min_count)
+            with pytest.raises(InvalidOptionError):
+                encode_text("a b a b\n", min_count=min_count)
 
 
 class TestWindowSpec:

@@ -6,6 +6,7 @@ import pytest
 
 from coocvec import (
     DimensionMismatchError,
+    DivergenceError,
     InvalidOptionError,
     MarkerContaminationError,
     SparseMatrix,
@@ -282,6 +283,12 @@ class TestWeightedFactorize:
         problem = weighted_problem(3, 2, {(0, 0): 1.0, (2, 1): 2.0}, {(0, 0): 1.0, (2, 1): 1.0})
         result = weighted_factorize(*problem, dim=1, epochs=10, seed=0)
         assert np.allclose(result.W[1], 0.0)
+
+    def test_singular_row_system_without_ridge_is_divergence(self):
+        # every row and column holds one stored pair, fewer than dim 2
+        problem = weighted_problem(2, 2, {(0, 0): 1.0, (1, 1): 2.0}, {(0, 0): 1.0, (1, 1): 1.0})
+        with pytest.raises(DivergenceError, match=r"^row 0's system is singular .*positive ridge"):
+            weighted_factorize(*problem, dim=2, ridge=0.0)
 
     def test_convergence_flag_set_when_stalled(self, rng):
         targets = {(0, 0): 1.0, (1, 1): 2.0}

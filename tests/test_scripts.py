@@ -39,3 +39,15 @@ def test_readme_python_api_example_runs():
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     done = run_python("-c", code)
     assert done.returncode == 0, done.stderr
+
+
+def test_count_memory_reports_time_and_peak_rss(tmp_path):
+    done = run_script("count_memory.py", "--tokens", "3000", "--threads", "2", "--runs", "2",
+                      "--workdir", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("# count --threads 2 --min-count 10") and len(lines) == 4
+    for line in lines[1:]:
+        wall, cpu, rss = map(float, re.findall(r"(\d+\.\d+) (?:s|MB)", line))
+        assert wall > 0 and cpu > 0 and 10 < rss < 1000, line
+    assert (tmp_path / "counts.txt").exists() and (tmp_path / "counts.txt.vocab").exists()
