@@ -21,8 +21,8 @@ _EXPORTS = {
     ),
     "convex_model": ("ContextSpec", "TrainConfig", "build_examples", "explain", "train"),
     "corpus": (
-        "CooccurrenceStats", "Vocabulary", "WindowSpec", "build_vocabulary",
-        "check_symmetry", "count_cooccurrences", "count_encoded", "encode_text", "tokenize",
+        "CooccurrenceStats", "Vocabulary", "WindowSpec", "check_symmetry", "count_encoded",
+        "encode_text",
     ),
     "errors": (
         "DegenerateMarginalError", "DimensionMismatchError", "DivergenceError",
@@ -36,9 +36,9 @@ _EXPORTS = {
         "weighted_factorize", "word_vectors",
     ),
     "formats": (
-        "MatrixInfo", "Provenance", "make_provenance", "read_cooc", "read_corpus",
-        "read_embedding", "read_matrix", "read_provenance", "read_similarity",
-        "read_vocab", "write_cooc", "write_embedding", "write_matrix", "write_vocab",
+        "MatrixInfo", "Provenance", "make_provenance", "read_cooc", "read_embedding",
+        "read_matrix", "read_provenance", "read_similarity", "read_vocab", "write_cooc",
+        "write_embedding", "write_matrix", "write_vocab",
     ),
     "pmi": ("build_matrix", "pmi_value", "shifted_pmi"),
     "regularization": (

@@ -101,7 +101,6 @@ def cmd_count(args: argparse.Namespace) -> int:
         except ValueError:
             raise InvalidOptionError(f"COOC_THREADS must be an integer, got {env!r}") from None
     vocab_out = _count_vocab_out(args)
-    vocab, tokens = encode_text(formats.read_text(args.input), min_count=args.min_count)
     win = WindowSpec(
         left=args.left,
         right=args.right,
@@ -111,6 +110,9 @@ def cmd_count(args: argparse.Namespace) -> int:
         context_subsample_threshold=args.context_subsample_threshold,
         stochastic_subsample=args.stochastic,
     )
+    check_seed(args.seed)
+    # the corpus is read only once every option has passed its check
+    vocab, tokens = encode_text(formats.read_text(args.input), min_count=args.min_count)
     stats = count_encoded(tokens, vocab, win, seed=args.seed, shards=threads)
     del tokens  # free the token arrays before the write
     config = _config_dict(args)
@@ -251,10 +253,8 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 def cmd_train_convex(args: argparse.Namespace) -> int:
     from . import convex_model, formats
-    from .corpus import WindowSpec, build_vocabulary
+    from .corpus import WindowSpec, encode_text
 
-    records = formats.read_corpus(args.input)
-    vocab = build_vocabulary(records, min_count=args.min_count)
     spec = convex_model.ContextSpec(
         mode=args.mode,
         window=WindowSpec(left=args.left, right=args.right, positional_weight=args.weighting),
@@ -269,7 +269,9 @@ def cmd_train_convex(args: argparse.Namespace) -> int:
         full_batch=args.full_batch,
         seed=args.seed,
     )
-    model = convex_model.train(records, vocab, spec, cfg)
+    # the corpus is read only once every option has passed its check
+    vocab, tokens = encode_text(formats.read_text(args.input), min_count=args.min_count)
+    model = convex_model.train(tokens, vocab, spec, cfg)
     prov = formats.make_provenance("train-convex", _config_dict(args))
     formats.write_embedding(model, args.output, prov=prov)
     if args.vocab_out:

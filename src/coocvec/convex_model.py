@@ -18,11 +18,11 @@ block per window slot (positional).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import Vocabulary, WindowSpec, encode, window_pairs
+from .corpus import Encoded, Vocabulary, WindowSpec, window_pairs
 from .errors import DimensionMismatchError, InvalidOptionError, check_seed
 from .vectors import Embedding, SparseMatrix
 
@@ -86,10 +86,8 @@ class Examples:
         return Example(int(self.target[e]), self.idx[lo:hi], self.val[lo:hi])
 
 
-def build_examples(
-    records: Iterable[Sequence[str]], vocab: Vocabulary, spec: ContextSpec
-) -> Examples:
-    """Expand a corpus into (target, context input) training examples, in corpus order.
+def build_examples(tokens: Encoded, vocab: Vocabulary, spec: ContextSpec) -> Examples:
+    """Expand an encoded corpus into (target, context input) training examples, in corpus order.
 
     single:     one indicator e_c per in-window context occurrence, in window order
     bag:        per position, positional(offset) summed into coordinate c
@@ -103,7 +101,7 @@ def build_examples(
     width = win.left + win.right
     m = context_dim(spec, n)
     single = spec.mode == "single"
-    ids, rec, _ = encode(records, vocab)
+    ids, rec, _ = tokens
     # Z has one row per (position, slot) and one column per input coordinate;
     # bag and positional inputs sum all slots of a position into its slot-0 row
     keys, vals = [np.empty(0, np.int64)], [np.empty(0)]
@@ -393,12 +391,7 @@ def _step_tables(
     return [rows[p:q] for p, q in steps], [draws[p:q] for p, q in steps], at.tolist()
 
 
-def train(
-    records: Iterable[Sequence[str]],
-    vocab: Vocabulary,
-    spec: ContextSpec,
-    cfg: TrainConfig,
-) -> Embedding:
+def train(tokens: Encoded, vocab: Vocabulary, spec: ContextSpec, cfg: TrainConfig) -> Embedding:
     """Fit the convex model by stochastic (or full-batch) proximal descent.
 
     Stochastic mode visits examples in a seeded shuffle with step size
@@ -411,7 +404,7 @@ def train(
     """
     n = len(vocab)
     W = np.zeros((n, context_dim(spec, n)))
-    examples = build_examples(records, vocab, spec)
+    examples = build_examples(tokens, vocab, spec)
     noise = noise_distribution(vocab, cfg.noise)
     rng = np.random.default_rng(cfg.seed)
 

@@ -1,8 +1,9 @@
-"""Vocabulary construction and windowed co-occurrence counting.
+"""Corpus encoding and windowed co-occurrence counting.
 
-A corpus is a sequence of records (one document per line of the input file);
-windows never cross a record boundary.  Every in-window (target, context)
-occurrence contributes
+A corpus is a text whose records are its non-blank lines, each a sequence of
+whitespace-separated tokens; encode_text turns it into a vocabulary and an
+array of word ids with the record of each.  Windows never cross a record
+boundary.  Every in-window (target, context) occurrence contributes
 
     weight = P1(target) * P2(context) * P3(offset)
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -76,11 +76,6 @@ def _records(text: str) -> Iterator[list[str]]:
                 yield tokens
 
 
-def tokenize(text: str) -> list[list[str]]:
-    """Split text into records (one per non-blank line) of whitespace tokens."""
-    return list(_records(text))
-
-
 class Encoded(NamedTuple):
     """In-vocabulary ids in corpus order, the record of each, and the number of records.
 
@@ -128,21 +123,14 @@ def _vocabulary(types: list[str], ids: np.ndarray, min_count: int) -> tuple[Voca
     return vocab, word_id
 
 
-def build_vocabulary(records: Iterable[Sequence[str]], min_count: int = 1) -> Vocabulary:
-    """Count tokens across all records and keep those with count >= min_count (>= 1).
-
-    Words are ordered by descending count, ties broken lexicographically.
-    """
-    types, ids, _ = _first_seen(records)
-    return _vocabulary(types, ids, min_count)[0]
-
-
 def encode_text(text: str, min_count: int = 1) -> tuple[Vocabulary, Encoded]:
     """The vocabulary of text's records and their encoding, from one pass over the text.
 
-    Equal to build_vocabulary(tokenize(text), min_count) and
-    encode(tokenize(text), vocab), but each line is split once and each token
-    looked up once, and no list of tokens outlives its line.
+    The vocabulary keeps the tokens with count >= min_count (>= 1), ordered
+    by descending count with ties broken lexicographically.  Out-of-vocabulary
+    tokens are dropped before any window is formed; a record keeps its index
+    even when none of its tokens is kept.  Each line is split once and each
+    token looked up once, and no list of tokens outlives its line.
     """
     types, first, lengths = _first_seen(_records(text))
     vocab, word_id = _vocabulary(types, first, min_count)
@@ -267,21 +255,6 @@ class CooccurrenceStats:
         return self.counts.to_dense()
 
 
-def encode(records: Iterable[Sequence[str]], vocab: Vocabulary) -> Encoded:
-    """In-vocabulary ids of all records, concatenated, and the record of each token.
-
-    Out-of-vocabulary tokens are dropped before any window is formed; a record
-    keeps its index even when none of its tokens is kept.
-    """
-    records = list(records)
-    lengths = np.fromiter(map(len, records), dtype=np.int64, count=len(records))
-    tokens = chain.from_iterable(records)
-    ids = np.fromiter(map(vocab.index.get, tokens, repeat(-1)), dtype=np.int64, count=lengths.sum())
-    rec = np.repeat(np.arange(len(records)), lengths)
-    kept = ids >= 0
-    return Encoded(ids[kept], rec[kept], len(records))
-
-
 def _reach(rec: np.ndarray, win: WindowSpec) -> Iterator[int]:
     """The window's offsets, ascending, that are shorter than the longest record."""
     reach = int(np.bincount(rec).max(initial=0)) - 1
@@ -300,9 +273,9 @@ def window_pairs(
     """The window walk: per offset, (slot, offset, targets t, contexts t + offset).
 
     slot is the offset's index in win.offsets().  t runs ascending over the
-    positions of rec (the token records from encode) whose context position
-    lies in the same record; offsets as long as the longest record hold no
-    such position and are skipped.
+    positions of rec (an Encoded's record of each token) whose context
+    position lies in the same record; offsets as long as the longest record
+    hold no such position and are skipped.
     """
     for off in _reach(rec, win):
         lo, same = _same_record(rec, off)
@@ -347,25 +320,10 @@ def _down_weight(tau: float | None, vocab: Vocabulary) -> np.ndarray:
     return np.minimum(1.0, np.sqrt(tau / (vocab.freq / vocab.total_tokens)))
 
 
-def count_cooccurrences(
-    records: Iterable[Sequence[str]],
-    vocab: Vocabulary,
-    win: WindowSpec,
-    seed: int = 0,
-    shards: int = 1,
-) -> CooccurrenceStats:
-    """Accumulate weighted co-occurrence counts over all records.
-
-    Out-of-vocabulary tokens are dropped from each record before windowing;
-    see count_encoded for the rest.
-    """
-    return count_encoded(encode(records, vocab), vocab, win, seed=seed, shards=shards)
-
-
 def count_encoded(
     tokens: Encoded, vocab: Vocabulary, win: WindowSpec, seed: int = 0, shards: int = 1
 ) -> CooccurrenceStats:
-    """Accumulate weighted co-occurrence counts over encoded records.
+    """Accumulate weighted co-occurrence counts over records encoded by encode_text.
 
     In stochastic mode, retained occurrences are dropped independently with
     probability 1 - min(1, sqrt(tau / f_rel)); windows are formed on the

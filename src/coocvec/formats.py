@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import CooccurrenceStats, Vocabulary, text_pieces, tokenize
+from .corpus import CooccurrenceStats, Vocabulary, text_pieces
 from .errors import FormatError, WorkbenchError
 from .pmi import VARIANTS
 from .vectors import Embedding, SparseMatrix
@@ -208,11 +208,6 @@ def _table(text: str, start: int, dtype: np.dtype, layout: str, delimiter=None) 
 def read_text(path: str) -> str:
     """A whole text file (a corpus, a config file) decoded as UTF-8."""
     return _read(path, header=False, stamps=())[3]
-
-
-def read_corpus(path: str) -> list[list[str]]:
-    """Records of whitespace tokens, one per non-blank line of a UTF-8 corpus."""
-    return tokenize(read_text(path))
 
 
 @_reader

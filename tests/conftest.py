@@ -3,7 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from coocvec import WindowSpec, build_vocabulary, count_cooccurrences
+from coocvec import WindowSpec, count_encoded
+from helpers import encode_records
 
 
 @pytest.fixture
@@ -14,17 +15,15 @@ def rng():
 @pytest.fixture
 def abab_stats():
     """Counts for the four-token corpus a b a b with a symmetric 1/1 window."""
-    records = [["a", "b", "a", "b"]]
-    vocab = build_vocabulary(records)
-    return count_cooccurrences(records, vocab, WindowSpec(left=1, right=1))
+    vocab, tokens = encode_records([["a", "b", "a", "b"]])
+    return count_encoded(tokens, vocab, WindowSpec(left=1, right=1))
 
 
 @pytest.fixture
 def abab_left_stats():
     """Same corpus, left-only window, which breaks the symmetry condition."""
-    records = [["a", "b", "a", "b"]]
-    vocab = build_vocabulary(records)
-    return count_cooccurrences(records, vocab, WindowSpec(left=1, right=0))
+    vocab, tokens = encode_records([["a", "b", "a", "b"]])
+    return count_encoded(tokens, vocab, WindowSpec(left=1, right=0))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -7,7 +7,20 @@ import os
 import numpy as np
 import pytest
 
-from coocvec import CooccurrenceStats, SparseMatrix
+from coocvec import CooccurrenceStats, SparseMatrix, Vocabulary, encode_text
+from coocvec.corpus import Encoded
+from oracles import encode_by_lookup
+
+
+def encode_records(records, min_count: int = 1) -> tuple[Vocabulary, Encoded]:
+    """Lists of tokens through encode_text, one line per record."""
+    return encode_text("".join(" ".join(record) + "\n" for record in records), min_count)
+
+
+def lookup_encoded(records, vocab: Vocabulary) -> Encoded:
+    """Records encoded token by token against vocab; an empty record keeps its index too."""
+    ids, rec = encode_by_lookup(records, vocab.words)
+    return Encoded(np.array(ids, dtype=np.int64), np.array(rec, dtype=np.int64), len(records))
 
 
 def make_stats(pairs: dict[tuple[int, int], float], n_words: int) -> CooccurrenceStats:

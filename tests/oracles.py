@@ -215,7 +215,7 @@ def brute_neighbors(vectors: np.ndarray, words: list[str], qi: int, metric: str)
     return [(words[i], s) for i, s in sims]
 
 
-def sgd_per_example(records, vocab, spec, cfg) -> np.ndarray:
+def sgd_per_example(tokens, vocab, spec, cfg) -> np.ndarray:
     """The convex model's SGD weights, drawing each example's negatives just before its step.
 
     `train` draws a block of steps' negatives at once from the same generator
@@ -232,7 +232,7 @@ def sgd_per_example(records, vocab, spec, cfg) -> np.ndarray:
 
     n = len(vocab)
     W = np.zeros((n, context_dim(spec, n)))
-    examples = build_examples(records, vocab, spec)
+    examples = build_examples(tokens, vocab, spec)
     noise = noise_distribution(vocab, cfg.noise)
     rng = np.random.default_rng(cfg.seed)
     noise_cdf = np.cumsum(noise)
@@ -256,7 +256,7 @@ def sgd_per_example(records, vocab, spec, cfg) -> np.ndarray:
     return W
 
 
-def full_batch_train(records, vocab, spec, cfg) -> np.ndarray:
+def full_batch_train(tokens, vocab, spec, cfg) -> np.ndarray:
     """The convex model's full-batch weights by the public pieces: each epoch takes
     the mean gradient from full_batch_smooth (loss and all) and applies
     soft_threshold(W - step * G, step * l1) as a fresh array."""
@@ -271,7 +271,7 @@ def full_batch_train(records, vocab, spec, cfg) -> np.ndarray:
 
     n = len(vocab)
     W = np.zeros((n, context_dim(spec, n)))
-    examples = build_examples(records, vocab, spec)
+    examples = build_examples(tokens, vocab, spec)
     if examples:
         agg = _aggregate(examples)
         noise = noise_distribution(vocab, cfg.noise)

@@ -17,9 +17,8 @@ from coocvec import (
     TrainConfig,
     WindowSpec,
     assemble_spmi_solution,
-    build_vocabulary,
     consistency_report,
-    count_cooccurrences,
+    count_encoded,
     objective_value,
     read_cooc,
     regularize_stats,
@@ -38,7 +37,7 @@ from coocvec.convex_model import (
     noise_distribution,
     softmax_loss_grad,
 )
-from helpers import random_count_tuples, random_stats, weighted_problem
+from helpers import encode_records, random_count_tuples, random_stats, weighted_problem
 from oracles import als_residual, minimize_rho, reg_root
 
 VERDICTS: list[str] = []
@@ -141,10 +140,9 @@ def test_criterion_04_objective_symmetric_under_factor_swap():
 def test_criterion_05_one_hot_assembly_minimizes_squared_objective():
     rng = np.random.default_rng(505)
     words = [f"w{i:02d}" for i in range(30)]
-    tokens = [words[int(rng.integers(0, 30))] for _ in range(600)]
-    records = [tokens[i : i + 60] for i in range(0, 600, 60)]
-    vocab = build_vocabulary(records)
-    stats = count_cooccurrences(records, vocab, WindowSpec(left=2, right=2))
+    stream = [words[int(rng.integers(0, 30))] for _ in range(600)]
+    vocab, tokens = encode_records([stream[i : i + 60] for i in range(0, 600, 60)])
+    stats = count_encoded(tokens, vocab, WindowSpec(left=2, right=2))
     W0, _ = assemble_spmi_solution(stats, "squared", k=1.0)
     n = stats.n_words
     C = np.eye(n)
@@ -302,12 +300,11 @@ def test_criterion_10_convex_gradients_exact_and_descent_monotone():
             num[pos] = (loss_grad(Wp)[0] - loss_grad(Wm)[0]) / (2 * h)
         worst = max(worst, float(np.abs(G - num).max()))
 
-    records = [["red", "blue"] * 10, ["hot", "cold"] * 10] * 3
-    vocab = build_vocabulary(records)
+    vocab, tokens = encode_records([["red", "blue"] * 10, ["hot", "cold"] * 10] * 3)
     spec = ContextSpec(mode="bag", window=WindowSpec(left=1, right=1))
     from coocvec import build_examples
 
-    exs = build_examples(records, vocab, spec)
+    exs = build_examples(tokens, vocab, spec)
     noise = noise_distribution(vocab, "unigram")
     probe = TrainConfig(objective="negative_sampling", k_neg=2, l1=0.01)
     values = []
@@ -316,7 +313,7 @@ def test_criterion_10_convex_gradients_exact_and_descent_monotone():
             objective="negative_sampling", k_neg=2, l1=0.01,
             full_batch=True, step_initial=0.5, epochs=epochs,
         )
-        emb = train(records, vocab, spec, cfg)
+        emb = train(tokens, vocab, spec, cfg)
         values.append(corpus_objective(emb.vectors, exs, probe, noise))
     monotone = all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
     ok = worst <= 1e-6 and monotone and values[-1] < values[0]
@@ -332,17 +329,16 @@ def test_criterion_10_convex_gradients_exact_and_descent_monotone():
 def test_criterion_11_full_batch_single_mode_recovers_pairwise_logistic():
     rng = np.random.default_rng(41)
     words = [f"w{i}" for i in range(8)]
-    records = [[words[int(i)] for i in rng.integers(0, 8, size=500)]]
-    vocab = build_vocabulary(records)
+    vocab, tokens = encode_records([[words[int(i)] for i in rng.integers(0, 8, size=500)]])
     spec = ContextSpec(mode="single", window=WindowSpec(left=1, right=1))
     cfg = TrainConfig(
         objective="negative_sampling", k_neg=2, noise="unigram",
         full_batch=True, step_initial=2.0, epochs=2500,
     )
     t0 = time.time()
-    emb = train(records, vocab, spec, cfg)
+    emb = train(tokens, vocab, spec, cfg)
     elapsed = time.time() - t0
-    stats = count_cooccurrences(records, vocab, spec.window)
+    stats = count_encoded(tokens, vocab, spec.window)
     noise = noise_distribution(vocab, "unigram")
     worst = 0.0
     for (w, c), n_wc in stats.pairs.items():

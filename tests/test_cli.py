@@ -7,20 +7,26 @@ import numpy as np
 import pytest
 
 from coocvec import (
+    ContextSpec,
     SparseMatrix,
+    TrainConfig,
     Vocabulary,
     WindowSpec,
-    count_cooccurrences,
+    count_encoded,
+    encode_text,
     read_cooc,
     read_embedding,
     read_matrix,
     read_provenance,
     read_vocab,
+    train,
     write_cooc,
+    write_embedding,
     write_matrix,
     write_vocab,
 )
 from coocvec.cli import main
+from helpers import bench_gen, lookup_encoded
 from oracles import tokenize_whole, vocabulary_by_counter
 
 CORPUS = "the quick fox saw the slow fox\nthe slow fox saw the quick cat\n"
@@ -61,7 +67,8 @@ class TestCount:
             words, freq = vocabulary_by_counter(records, min_count)
             vocab = Vocabulary(words, np.array(freq), sum(freq))
             win = WindowSpec(subsample_threshold=0.05, stochastic_subsample=True)
-            stats = count_cooccurrences(records, vocab, win, seed=3, shards=shards)
+            tokens = lookup_encoded(records, vocab)
+            stats = count_encoded(tokens, vocab, win, seed=3, shards=shards)
             prov = read_provenance(out)
             write_cooc(stats, want, prov=prov, binary=binary)
             write_vocab(vocab, want + ".vocab", prov=prov)
@@ -427,6 +434,33 @@ class TestOptionErrors:
         assert len(err) == 1 and err[0].startswith("error invalid-option:"), err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--left", "-1"],
+            ["count", "--left", "0", "--right", "0"],
+            ["count", "--subsample", "0"],
+            ["count", "--context-subsample-threshold", "-1"],
+            ["count", "--seed", "-1"],
+            ["train-convex", "--right", "-1"],
+            ["train-convex", "--epochs", "-1"],
+            ["train-convex", "--l1", "nan"],
+            ["train-convex", "--step", "0"],
+            ["train-convex", "--k-neg", "0"],
+            ["train-convex", "--seed", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_invalid_option_is_refused_before_the_corpus_is_read(self, tmp_path, capsys, argv):
+        # the corpus is not UTF-8, so reading it first would end in bad-format instead
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"the fox \xff saw\n")
+        out = str(tmp_path / "out")
+        assert run(*argv, "--input", str(corpus), "--output", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error invalid-option:"), err
+        assert not os.path.exists(out)
+
     def test_singular_als_system_is_one_divergence_line(self, tmp_path, capsys):
         # each row and column of the 2 x 2 target holds one stored pair, fewer than --dim 2
         target, alpha, out = (str(tmp_path / name) for name in ("t.txt", "a.txt", "emb.txt"))
@@ -727,6 +761,30 @@ class TestFactorizeTrainEval:
         assert set(lines) == {"spearman", "coverage", "pairs_scored"}
         assert lines["pairs_scored"] == "3"
         assert float(lines["coverage"]) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("mode", ["single", "bag", "positional"])
+    def test_train_convex_reads_the_corpus_as_count_does(self, tmp_path, mode):
+        gen = bench_gen()
+        text = gen.corpus_text(gen.make_corpus(3000, 4))
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(text)
+        counts, emb_path, vocab_path, want = (
+            str(tmp_path / name) for name in ("c.txt", "e.txt", "v.tsv", "want.txt")
+        )
+        assert run("count", "--input", str(corpus), "--output", counts, "--min-count", "3") == 0
+        assert run("train-convex", "--input", str(corpus), "--output", emb_path, "--vocab-out",
+                   vocab_path, "--mode", mode, "--min-count", "3", "--epochs", "2",
+                   "--l1", "1e-4", "--step", "0.1", "--seed", "3") == 0
+
+        def body(path):
+            return [line for line in open(path, "rb") if not line.startswith(b"# ")]
+
+        assert len(body(vocab_path)) > 50 and body(vocab_path) == body(counts + ".vocab")
+        vocab, tokens = encode_text(text, min_count=3)
+        spec = ContextSpec(mode=mode, window=WindowSpec(left=2, right=2))
+        cfg = TrainConfig(epochs=2, l1=1e-4, step_initial=0.1, seed=3)
+        write_embedding(train(tokens, vocab, spec, cfg), want, prov=read_provenance(emb_path))
+        assert open(emb_path, "rb").read() == open(want, "rb").read()
 
     @pytest.mark.parametrize("score", ["nan", "inf"])
     def test_non_finite_similarity_score_is_one_format_error(

@@ -11,11 +11,10 @@ from coocvec import (
     TrainConfig,
     WindowSpec,
     build_examples,
-    build_vocabulary,
-    count_cooccurrences,
+    count_encoded,
+    encode_text,
     explain,
     solve_pair,
-    tokenize,
     train,
 )
 from coocvec import convex_model
@@ -35,7 +34,7 @@ from coocvec.convex_model import (
     soft_threshold,
     softmax_loss_grad,
 )
-from helpers import bench_gen, random_corpus
+from helpers import bench_gen, encode_records, lookup_encoded, random_corpus
 from oracles import aggregate_by_unique, brute_examples, full_batch_train, sgd_per_example
 
 
@@ -70,10 +69,10 @@ def traced_peak(run) -> tuple[object, int]:
 
 def contexts(record: list[str], spec: ContextSpec) -> list[tuple[str, dict[int, float]]]:
     """(target word, context input as a dict) of each example of a one-record corpus."""
-    vocab = build_vocabulary([record])
+    vocab, tokens = encode_records([record])
     return [
         (vocab.words[ex.target], dict(zip(ex.idx.tolist(), ex.val.tolist())))
-        for ex in build_examples([record], vocab, spec)
+        for ex in build_examples(tokens, vocab, spec)
     ]
 
 
@@ -127,9 +126,8 @@ class TestContextConstruction:
         ]
 
     def test_build_examples_counts_and_targets(self):
-        records = [["a", "b", "a"]]
-        vocab = build_vocabulary(records)
-        exs = build_examples(records, vocab, spec11("single"))
+        vocab, tokens = encode_records([["a", "b", "a"]])
+        exs = build_examples(tokens, vocab, spec11("single"))
         assert len(exs) == 4
         assert [e.target for e in exs] == [
             vocab.id_of("a"),
@@ -139,10 +137,9 @@ class TestContextConstruction:
         ]
 
     def test_build_examples_skips_oov(self):
-        records = [["a", "b", "a"], ["a", "a"]]
-        vocab = build_vocabulary(records, min_count=3)
+        vocab, _ = encode_records([["a", "b", "a"], ["a", "a"]], min_count=3)
         assert "b" not in vocab.index
-        exs = build_examples([["a", "b", "a"]], vocab, spec11("bag"))
+        exs = build_examples(lookup_encoded([["a", "b", "a"]], vocab), vocab, spec11("bag"))
         assert len(exs) == 2
         assert all(e.target == vocab.id_of("a") for e in exs)
 
@@ -158,9 +155,9 @@ class TestContextConstruction:
 def test_property_build_examples_matches_per_position_oracle(mode, weighting, data, left, right):
     assume(left + right > 0)
     # min_count 2 leaves the rarer letters out of vocabulary; records may be empty
-    vocab = build_vocabulary(data + [["a", "a"]], min_count=2)
+    vocab, _ = encode_records(data + [["a", "a"]], min_count=2)
     spec = ContextSpec(mode=mode, window=WindowSpec(left, right, positional_weight=weighting))
-    exs = build_examples(data, vocab, spec)
+    exs = build_examples(lookup_encoded(data, vocab), vocab, spec)
     assert all(type(ex.target) is int and ex.idx.dtype == np.int64 for ex in exs)
     got = [(ex.target, list(zip(ex.idx.tolist(), ex.val.tolist()))) for ex in exs]
     assert got == brute_examples(data, vocab.index, mode, left, right, weighting == "reciprocal")
@@ -173,13 +170,12 @@ def test_property_build_examples_matches_per_position_oracle(mode, weighting, da
 
 def test_build_examples_holds_only_its_arrays():
     gen = bench_gen()
-    records = tokenize(gen.corpus_text(gen.make_corpus(20_000, [3, 1])))
-    vocab = build_vocabulary(records, min_count=5)
+    vocab, tokens = encode_text(gen.corpus_text(gen.make_corpus(20_000, [3, 1])), min_count=5)
     spec = ContextSpec(mode="single", window=WindowSpec(left=2, right=2))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        exs = build_examples(records, vocab, spec)
+        exs = build_examples(tokens, vocab, spec)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -191,9 +187,9 @@ def test_build_examples_holds_only_its_arrays():
 @pytest.mark.parametrize("mode", CONTEXT_MODES)
 def test_aggregate_matches_dict_oracle(mode):
     records = random_corpus(np.random.default_rng(41), n_records=30, max_len=8, alphabet="abcde")
-    vocab = build_vocabulary(records)
+    vocab, tokens = encode_records(records)
     window = WindowSpec(left=2, right=1, positional_weight="reciprocal")
-    exs = build_examples(records, vocab, ContextSpec(mode=mode, window=window))
+    exs = build_examples(tokens, vocab, ContextSpec(mode=mode, window=window))
     agg = _aggregate(exs)
     z_count, t_count = {}, {}
     for ex in exs:
@@ -234,8 +230,7 @@ class TestConfigAndHelpers:
         assert cfg.k_neg == 0
 
     def test_noise_distribution(self):
-        records = [["a", "a", "a", "b"]]
-        vocab = build_vocabulary(records)
+        vocab, _ = encode_records([["a", "a", "a", "b"]])
         uni = noise_distribution(vocab, "unigram")
         assert uni[vocab.id_of("a")] == pytest.approx(0.75)
         assert uni[vocab.id_of("b")] == pytest.approx(0.25)
@@ -302,9 +297,8 @@ class TestGradients:
         assert np.array_equal(dS.view(np.int64), want.view(np.int64))
 
     def test_full_batch_smooth_gradient_matches_numeric(self, rng):
-        records = [["a", "b", "c", "a", "b"]]
-        vocab = build_vocabulary(records)
-        exs = build_examples(records, vocab, spec11("bag"))
+        vocab, tokens = encode_records([["a", "b", "c", "a", "b"]])
+        exs = build_examples(tokens, vocab, spec11("bag"))
         agg = _aggregate(exs)
         noise = noise_distribution(vocab, "unigram")
         for objective in ("softmax", "negative_sampling"):
@@ -319,9 +313,9 @@ class TestGradients:
         rng = np.random.default_rng(77)
         words = [f"w{i}" for i in range(50)]
         records = [[words[int(i)] for i in rng.integers(0, 50, size=12)] for _ in range(25)]
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records(records)
         spec = spec11(mode)
-        exs = build_examples(records, vocab, spec)
+        exs = build_examples(tokens, vocab, spec)
         agg = _aggregate(exs)
         assert len(agg.z_count) > BLOCK_GROUPS
         noise = noise_distribution(vocab, "unigram")
@@ -355,10 +349,10 @@ class TestGradients:
 
     @pytest.mark.parametrize("objective", ["softmax", "negative_sampling"])
     def test_one_sgd_step_is_prox_of_public_gradient(self, objective):
-        vocab = build_vocabulary([["a", "b", "c", "d", "a", "b", "a"]])
-        records = [["c", "a"]]
+        vocab, _ = encode_records([["a", "b", "c", "d", "a", "b", "a"]])
+        tokens = lookup_encoded([["c", "a"]], vocab)
         spec = ContextSpec(mode="bag", window=WindowSpec(left=1, right=0))
-        (ex,) = build_examples(records, vocab, spec)
+        (ex,) = build_examples(tokens, vocab, spec)
         cfg = TrainConfig(objective=objective, k_neg=4, l1=0.05, step_initial=0.5, seed=3)
         rng = np.random.default_rng(cfg.seed)
         rng.permutation(1)
@@ -371,7 +365,7 @@ class TestGradients:
             draws = np.searchsorted(cdf, rng.random(cfg.k_neg), side="right")
             _, grad = negative_sampling_loss_grad(W0, ex, draws)
         want = soft_threshold(W0 - cfg.step_initial * grad, cfg.step_initial * cfg.l1)
-        got = train(records, vocab, spec, cfg).vectors
+        got = train(tokens, vocab, spec, cfg).vectors
         assert np.count_nonzero(want) > 0
         np.testing.assert_array_equal(got, want)
 
@@ -389,10 +383,9 @@ class TestGradients:
 
 class TestFullBatchTraining:
     def test_objective_descends_monotonically(self):
-        records = TWO_BLOCK
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records(TWO_BLOCK)
         spec = spec11("bag")
-        exs = build_examples(records, vocab, spec)
+        exs = build_examples(tokens, vocab, spec)
         noise = noise_distribution(vocab, "unigram")
         cfg = TrainConfig(
             objective="negative_sampling", k_neg=2, l1=0.01,
@@ -404,20 +397,19 @@ class TestFullBatchTraining:
                 objective="negative_sampling", k_neg=2, l1=0.01,
                 full_batch=True, step_initial=0.5, epochs=epochs,
             )
-            emb = train(records, vocab, spec, cfg_e)
+            emb = train(tokens, vocab, spec, cfg_e)
             values.append(corpus_objective(emb.vectors, exs, cfg, noise))
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] < values[0]
 
     def test_within_block_weights_positive_cross_block_negative(self):
-        records = TWO_BLOCK
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records(TWO_BLOCK)
         spec = spec11("bag")
         cfg = TrainConfig(
             objective="negative_sampling", k_neg=2, full_batch=True,
             step_initial=0.5, epochs=400,
         )
-        emb = train(records, vocab, spec, cfg)
+        emb = train(tokens, vocab, spec, cfg)
         red, blue, hot = vocab.id_of("red"), vocab.id_of("blue"), vocab.id_of("hot")
         assert emb.vectors[red, blue] > 0.2
         assert emb.vectors[blue, red] > 0.2
@@ -426,25 +418,23 @@ class TestFullBatchTraining:
         assert emb.vectors[red, red] < 0.0
 
     def test_heavy_l1_zeroes_everything(self):
-        records = TWO_BLOCK
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records(TWO_BLOCK)
         cfg = TrainConfig(
             objective="negative_sampling", k_neg=2, l1=1000.0,
             full_batch=True, step_initial=0.1, epochs=20,
         )
-        emb = train(records, vocab, spec11("bag"), cfg)
+        emb = train(tokens, vocab, spec11("bag"), cfg)
         assert np.allclose(emb.vectors, 0.0)
 
     def test_stationary_point_matches_pairwise_logistic_solution(self):
-        records = TWO_BLOCK
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records(TWO_BLOCK)
         spec = spec11("single")
         cfg = TrainConfig(
             objective="negative_sampling", k_neg=2, noise="unigram",
             full_batch=True, step_initial=1.0, epochs=4000,
         )
-        emb = train(records, vocab, spec, cfg)
-        stats = count_cooccurrences(records, vocab, spec.window)
+        emb = train(tokens, vocab, spec, cfg)
+        stats = count_encoded(tokens, vocab, spec.window)
         noise = noise_distribution(vocab, "unigram")
         for (w, c), n_wc in stats.pairs.items():
             sol = solve_pair(
@@ -462,28 +452,26 @@ class TestFullBatchTraining:
     def test_training_matches_the_smooth_gradient_loop(self, objective, mode):
         words = [f"w{i}" for i in range(40)]
         records = random_corpus(np.random.default_rng(8), n_records=30, max_len=10, alphabet=words)
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records(records)
         spec = ContextSpec(mode=mode, window=WindowSpec(left=2, right=1, positional_weight="reciprocal"))
-        assert len(_aggregate(build_examples(records, vocab, spec)).z_count) > BLOCK_GROUPS
+        assert len(_aggregate(build_examples(tokens, vocab, spec)).z_count) > BLOCK_GROUPS
         cfg = TrainConfig(objective=objective, k_neg=3, l1=0.002, epochs=4, full_batch=True, step_initial=0.5)
-        got = train(records, vocab, spec, cfg).vectors
+        got = train(tokens, vocab, spec, cfg).vectors
         assert 0 < np.count_nonzero(got) < got.size  # the L1 step zeroes some weights, not all
-        assert_same_bits(got, full_batch_train(records, vocab, spec, cfg))
+        assert_same_bits(got, full_batch_train(tokens, vocab, spec, cfg))
 
     def test_full_batch_holds_little_beyond_two_weight_arrays(self):
         # the gradient and the weights; the proximal step allocates no further V x m array
-        records = uniform_corpus(600, 12_000)
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records(uniform_corpus(600, 12_000))
         cfg = TrainConfig(epochs=1, full_batch=True, step_initial=0.5, l1=1e-4)
-        emb, peak = traced_peak(lambda: train(records, vocab, spec11("bag"), cfg))
+        emb, peak = traced_peak(lambda: train(tokens, vocab, spec11("bag"), cfg))
         assert emb.vectors.shape == (600, 600)
         assert peak <= 3.5 * emb.vectors.nbytes
 
     def test_corpus_without_contexts_keeps_zero_weights(self):
-        records = [["a"], ["b"], ["a"]]
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records([["a"], ["b"], ["a"]])
         cfg = TrainConfig(full_batch=True, epochs=3)
-        emb = train(records, vocab, spec11("bag"), cfg)
+        emb = train(tokens, vocab, spec11("bag"), cfg)
         assert np.array_equal(emb.vectors, np.zeros((2, 2)))
 
     def test_objective_without_examples_is_the_l1_term(self):
@@ -495,10 +483,9 @@ class TestFullBatchTraining:
             assert corpus_objective(np.zeros((2, 2)), [], cfg, noise) == 0.0
 
     def test_softmax_full_batch_descends(self):
-        records = [["a", "b", "a", "c", "a", "b"]]
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records([["a", "b", "a", "c", "a", "b"]])
         spec = spec11("bag")
-        exs = build_examples(records, vocab, spec)
+        exs = build_examples(tokens, vocab, spec)
         noise = noise_distribution(vocab, "unigram")
         probe = TrainConfig(objective="softmax", full_batch=True)
         vals = []
@@ -506,28 +493,26 @@ class TestFullBatchTraining:
             cfg = TrainConfig(
                 objective="softmax", full_batch=True, step_initial=0.3, epochs=epochs
             )
-            emb = train(records, vocab, spec, cfg)
+            emb = train(tokens, vocab, spec, cfg)
             vals.append(corpus_objective(emb.vectors, exs, probe, noise))
         assert vals[0] > vals[1] > vals[2]
 
 
 class TestStochasticTraining:
     def test_seed_reproducibility(self):
-        records = TWO_BLOCK
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records(TWO_BLOCK)
         cfg = TrainConfig(objective="negative_sampling", k_neg=2, epochs=3, seed=7)
-        a = train(records, vocab, spec11("bag"), cfg)
-        b = train(records, vocab, spec11("bag"), cfg)
+        a = train(tokens, vocab, spec11("bag"), cfg)
+        b = train(tokens, vocab, spec11("bag"), cfg)
         assert np.array_equal(a.vectors, b.vectors)
         other = TrainConfig(objective="negative_sampling", k_neg=2, epochs=3, seed=8)
-        c = train(records, vocab, spec11("bag"), other)
+        c = train(tokens, vocab, spec11("bag"), other)
         assert not np.array_equal(a.vectors, c.vectors)
 
     def test_stochastic_run_reduces_objective(self):
-        records = TWO_BLOCK
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records(TWO_BLOCK)
         spec = spec11("bag")
-        exs = build_examples(records, vocab, spec)
+        exs = build_examples(tokens, vocab, spec)
         noise = noise_distribution(vocab, "unigram")
         probe = TrainConfig(objective="negative_sampling", k_neg=2)
         W0 = np.zeros((len(vocab), context_dim(spec, len(vocab))))
@@ -535,7 +520,7 @@ class TestStochasticTraining:
         cfg = TrainConfig(
             objective="negative_sampling", k_neg=2, epochs=10, step_initial=0.1, seed=0
         )
-        emb = train(records, vocab, spec, cfg)
+        emb = train(tokens, vocab, spec, cfg)
         after = corpus_objective(emb.vectors, exs, probe, noise)
         assert after < before
 
@@ -545,17 +530,16 @@ class TestStochasticTraining:
          ("softmax", "bag", 0.01)],
     )
     def test_epoch_draws_match_the_per_example_loop(self, objective, mode, l1):
-        records = TWO_BLOCK + [["red", "hot", "blue", "cold", "red"]] * 2
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records(MIXED)
         cfg = TrainConfig(objective=objective, k_neg=3, l1=l1, epochs=2, step_initial=0.1, seed=7)
-        emb = train(records, vocab, spec11(mode), cfg)
+        emb = train(tokens, vocab, spec11(mode), cfg)
         assert np.any(emb.vectors != 0.0)
-        assert np.array_equal(emb.vectors, sgd_per_example(records, vocab, spec11(mode), cfg))
+        assert np.array_equal(emb.vectors, sgd_per_example(tokens, vocab, spec11(mode), cfg))
 
     @pytest.mark.parametrize("objective", ["negative_sampling", "softmax"])
     @pytest.mark.parametrize("case", ["k_neg above V", "single, reciprocal, 3 epochs"])
     def test_edge_cases_match_the_per_example_loop(self, objective, case):
-        vocab = build_vocabulary(MIXED)
+        vocab, tokens = encode_records(MIXED)
         if case == "k_neg above V":  # every step repeats draws and draws its own target
             spec = spec11("bag")
             cfg = TrainConfig(objective=objective, k_neg=9, l1=0.01, epochs=2, step_initial=0.1, seed=5)
@@ -563,33 +547,31 @@ class TestStochasticTraining:
         else:
             spec = ContextSpec(mode="single", window=WindowSpec(2, 1, positional_weight="reciprocal"))
             cfg = TrainConfig(objective=objective, k_neg=3, l1=0.01, epochs=3, step_initial=0.1, seed=11)
-        got = train(MIXED, vocab, spec, cfg).vectors
+        got = train(tokens, vocab, spec, cfg).vectors
         assert np.any(got != 0.0)
-        assert_same_bits(got, sgd_per_example(MIXED, vocab, spec, cfg))
+        assert_same_bits(got, sgd_per_example(tokens, vocab, spec, cfg))
 
     @pytest.mark.parametrize("objective", ["negative_sampling", "softmax"])
     @pytest.mark.parametrize("n_examples", [7, 8, 9])
     def test_block_edges_match_the_per_example_loop(self, monkeypatch, objective, n_examples):
         monkeypatch.setattr(convex_model, "BLOCK_STEPS", 8)
-        records = [(["red", "blue", "hot", "cold"] * 3)[: n_examples + 1]]
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records([(["red", "blue", "hot", "cold"] * 3)[: n_examples + 1]])
         spec = ContextSpec(mode="single", window=WindowSpec(left=1, right=0))
-        assert len(build_examples(records, vocab, spec)) == n_examples
+        assert len(build_examples(tokens, vocab, spec)) == n_examples
         cfg = TrainConfig(objective=objective, k_neg=3, l1=0.01, epochs=2, step_initial=0.1, seed=2)
-        got = train(records, vocab, spec, cfg).vectors
+        got = train(tokens, vocab, spec, cfg).vectors
         assert np.any(got != 0.0)
-        assert_same_bits(got, sgd_per_example(records, vocab, spec, cfg))
+        assert_same_bits(got, sgd_per_example(tokens, vocab, spec, cfg))
 
     def test_epoch_memory_does_not_grow_with_the_corpus(self, monkeypatch):
         spec = spec11("bag")
         cfg = TrainConfig(k_neg=10, epochs=1, l1=1e-4)
         held = {}
         for n_tokens in (2_000, 8_000):
-            records = uniform_corpus(50, n_tokens)
-            vocab = build_vocabulary(records)
-            exs = build_examples(records, vocab, spec)  # built outside the trace
+            vocab, tokens = encode_records(uniform_corpus(50, n_tokens))
+            exs = build_examples(tokens, vocab, spec)  # built outside the trace
             monkeypatch.setattr(convex_model, "build_examples", lambda *args, exs=exs: exs)
-            emb, peak = traced_peak(lambda: train(records, vocab, spec, cfg))
+            emb, peak = traced_peak(lambda: train(tokens, vocab, spec, cfg))
             held[len(exs)] = peak - emb.vectors.nbytes
         (n, small), (n4, large) = held.items()
         assert n4 == 4 * n
@@ -598,20 +580,18 @@ class TestStochasticTraining:
         assert large - small <= 16 * (n4 - n)
 
     def test_zero_epochs_returns_zero_weights(self):
-        records = TWO_BLOCK
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records(TWO_BLOCK)
         cfg = TrainConfig(epochs=0)
-        emb = train(records, vocab, spec11("positional"), cfg)
+        emb = train(tokens, vocab, spec11("positional"), cfg)
         assert emb.vectors.shape == (4, 8)
         assert np.allclose(emb.vectors, 0.0)
         assert emb.meta["mode"] == "positional"
 
     def test_softmax_trains_above_2000_words(self):
-        records = [[f"w{i}" for i in range(2001)]]
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records([[f"w{i}" for i in range(2001)]])
         for full_batch in (False, True):
             cfg = TrainConfig(objective="softmax", epochs=1, full_batch=full_batch)
-            emb = train(records, vocab, spec11("bag"), cfg)
+            emb = train(tokens, vocab, spec11("bag"), cfg)
             assert emb.vectors.shape == (2001, 2001)
             assert np.all(np.isfinite(emb.vectors)) and np.any(emb.vectors != 0.0)
 
@@ -640,14 +620,13 @@ class TestExplain:
             explain(emb, ["only"], "a")
 
     def test_positional_names_round_trip_through_training(self):
-        records = TWO_BLOCK
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records(TWO_BLOCK)
         spec = spec11("positional")
         cfg = TrainConfig(
             objective="negative_sampling", k_neg=2, full_batch=True,
             step_initial=0.5, epochs=200,
         )
-        emb = train(records, vocab, spec, cfg)
+        emb = train(tokens, vocab, spec, cfg)
         names = feature_names(spec, list(vocab.words))
         full = explain(emb, names, "red", top_n=len(names))
         positive = {name for name, weight in full if weight > 0}

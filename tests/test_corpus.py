@@ -12,56 +12,57 @@ from coocvec import (
     EmptyVocabularyError,
     InvalidOptionError,
     WindowSpec,
-    build_vocabulary,
     check_symmetry,
-    count_cooccurrences,
     count_encoded,
     encode_text,
-    tokenize,
 )
 from coocvec import corpus
-from helpers import assert_marginals_match_counts, bench_gen
+from helpers import assert_marginals_match_counts, bench_gen, encode_records, lookup_encoded
 from oracles import brute_count_dense, encode_by_lookup, tokenize_whole, vocabulary_by_counter
 
 ABAB = [["a", "b", "a", "b"]]
 
 
-def test_tokenize_splits_records_and_drops_blank_lines():
-    assert tokenize("a b\n\n c  d \n") == [["a", "b"], ["c", "d"]]
+def test_records_are_the_non_blank_lines():
+    vocab, tokens = encode_text("a b\n\n c  d \n")
+    assert vocab.words == ["a", "b", "c", "d"]
+    assert tokens.rec.tolist() == [0, 0, 1, 1] and tokens.records == 2
 
 
 class TestVocabulary:
     def test_counts_and_lexicographic_tie_break(self):
-        vocab = build_vocabulary(ABAB, min_count=1)
+        vocab, _ = encode_records(ABAB, min_count=1)
         assert vocab.words == ["a", "b"]
         assert vocab.index == {"a": 0, "b": 1}
         assert vocab.freq.tolist() == [2, 2]
         assert vocab.total_tokens == 4
 
     def test_min_count_filters_and_total_counts_survivors(self):
-        vocab = build_vocabulary([["a", "b", "a"]], min_count=2)
+        vocab, _ = encode_records([["a", "b", "a"]], min_count=2)
         assert vocab.words == ["a"]
         assert vocab.total_tokens == 2
 
     def test_empty_stream_raises(self):
         with pytest.raises(EmptyVocabularyError):
-            build_vocabulary([], min_count=1)
+            encode_text("", min_count=1)
         with pytest.raises(EmptyVocabularyError):
-            build_vocabulary([["a"]], min_count=2)
+            encode_text(" \n\n", min_count=1)
+        with pytest.raises(EmptyVocabularyError):
+            encode_text("a\n", min_count=2)
 
     def test_descending_frequency_order(self):
-        vocab = build_vocabulary([["c", "c", "c", "a", "a", "b"]])
+        vocab, _ = encode_records([["c", "c", "c", "a", "a", "b"]])
         assert vocab.words == ["c", "a", "b"]
         assert vocab.freq.tolist() == [3, 2, 1]
 
     def test_index_bijection_and_freq_sum(self):
-        vocab = build_vocabulary([["x", "y", "x", "z", "z", "z"]])
+        vocab, _ = encode_records([["x", "y", "x", "z", "z", "z"]])
         assert sorted(vocab.index.values()) == list(range(len(vocab)))
         assert int(vocab.freq.sum()) == vocab.total_tokens
 
 
 class TestOnePassEncoder:
-    """encode_text against tokenize-then-count: the whole text's splitlines() and a Counter."""
+    """encode_text against the oracle: the whole text's splitlines(), a Counter, a dict lookup."""
 
     TOKENS = ["a", "b", "c", "dd", "é", "x1", "q", "zz"]
     BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\n \t\n", "\n\n"]
@@ -71,7 +72,6 @@ class TestOnePassEncoder:
     @staticmethod
     def assert_encodes_like_the_oracle(text: str, min_count: int):
         records = tokenize_whole(text)
-        assert tokenize(text) == records
         words, freq = vocabulary_by_counter(records, min_count)
         if not words:
             with pytest.raises(EmptyVocabularyError):
@@ -83,7 +83,6 @@ class TestOnePassEncoder:
         ids, rec = encode_by_lookup(records, words)
         assert tokens.ids.tolist() == ids and tokens.rec.tolist() == rec
         assert tokens.records == len(records)
-        assert build_vocabulary(records, min_count).words == words
         return records, vocab, tokens
 
     @settings(max_examples=150, deadline=None)
@@ -102,7 +101,7 @@ class TestOnePassEncoder:
         win = WindowSpec(left=2, right=1, positional_weight="reciprocal", subsample_threshold=0.2,
                          context_subsample=not stochastic, stochastic_subsample=stochastic)
         got = count_encoded(tokens, vocab, win, seed=seed, shards=shards)
-        want = count_cooccurrences(records, vocab, win, seed=seed, shards=shards)
+        want = count_encoded(lookup_encoded(records, vocab), vocab, win, seed=seed, shards=shards)
         for a, b in zip((got.counts.i, got.counts.j, got.counts.v, got.row_marginal),
                         (want.counts.i, want.counts.j, want.counts.v, want.row_marginal)):
             assert a.tobytes() == b.tobytes()
@@ -114,7 +113,9 @@ class TestOnePassEncoder:
         monkeypatch.setattr(corpus, "CHARS_PER_SPLIT", chars)
         for min_count in (1, 2):
             self.assert_encodes_like_the_oracle(text, min_count)
-        assert tokenize(text) == [["a", "b"], ["c"], ["b"], ["a"], ["c"], ["q"], ["a", "b"], ["zz"]]
+        assert tokenize_whole(text) == [
+            ["a", "b"], ["c"], ["b"], ["a"], ["c"], ["q"], ["a", "b"], ["zz"]
+        ]
 
     def test_records_of_out_of_vocabulary_tokens_keep_their_index(self):
         vocab, tokens = encode_text("q\na a\n\n zz q\na\n", min_count=3)
@@ -127,8 +128,8 @@ class TestOnePassEncoder:
 
         Peak traced memory beyond the text, per token: encode_text holds
         40.5 B (min_count 1) and 37.4 B (min_count 10), its id arrays and
-        the types; tokenize + build_vocabulary + encode hold 111.3 B and
-        104.5 B, a str object and a list slot per token.
+        the types.  Lists of tokens per record hold 111.3 B and 104.5 B, a
+        str object and a list slot per token.
         """
         gen = bench_gen()
         text = gen.corpus_text(gen.make_corpus(200_000, 3))
@@ -145,8 +146,6 @@ class TestOnePassEncoder:
 
     def test_min_count_below_one_is_invalid(self):
         for min_count in (0, -3):
-            with pytest.raises(InvalidOptionError):
-                build_vocabulary(ABAB, min_count=min_count)
             with pytest.raises(InvalidOptionError):
                 encode_text("a b a b\n", min_count=min_count)
 
@@ -189,32 +188,32 @@ class TestCounting:
         assert abab_left_stats.total == 3.0
 
     def test_single_token_record_has_no_pairs(self):
-        vocab = build_vocabulary([["a"]])
-        stats = count_cooccurrences([["a"]], vocab, WindowSpec(left=1, right=1))
+        vocab, tokens = encode_records([["a"]])
+        stats = count_encoded(tokens, vocab, WindowSpec(left=1, right=1))
         assert stats.pairs == {}
         assert stats.total == 0.0
 
     def test_oov_tokens_removed_before_windowing(self):
         # b is filtered by min_count, so the stream becomes a c a c a
         records = [["a", "b", "c", "a", "c", "a"]]
-        vocab = build_vocabulary(records, min_count=2)
+        vocab, tokens = encode_records(records, min_count=2)
         assert "b" not in vocab
-        stats = count_cooccurrences(records, vocab, WindowSpec(left=1, right=1))
+        stats = count_encoded(tokens, vocab, WindowSpec(left=1, right=1))
         a, c = vocab.id_of("a"), vocab.id_of("c")
         assert stats.count(a, c) == 4.0
         assert stats.count(c, a) == 4.0
         assert stats.total == 8.0
 
     def test_windows_do_not_span_records(self):
-        vocab = build_vocabulary([["a"], ["b"]])
-        stats = count_cooccurrences([["a"], ["b"]], vocab, WindowSpec(left=2, right=2))
+        vocab, tokens = encode_records([["a"], ["b"]])
+        stats = count_encoded(tokens, vocab, WindowSpec(left=2, right=2))
         assert stats.pairs == {}
 
     def test_reciprocal_weight_halves_distance_two(self):
         records = [["a", "b", "c"]]
-        vocab = build_vocabulary(records)
-        stats = count_cooccurrences(
-            records, vocab, WindowSpec(left=2, right=2, positional_weight="reciprocal")
+        vocab, tokens = encode_records(records)
+        stats = count_encoded(
+            tokens, vocab, WindowSpec(left=2, right=2, positional_weight="reciprocal")
         )
         a, c = vocab.id_of("a"), vocab.id_of("c")
         assert stats.count(a, c) == 0.5
@@ -225,25 +224,24 @@ class TestCounting:
             [str(int(rng.integers(0, 5))) for _ in range(int(rng.integers(1, 10)))]
             for _ in range(15)
         ]
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records(records)
         for left, right, reciprocal in ((2, 2, False), (1, 3, False), (2, 2, True)):
             win = WindowSpec(
                 left=left,
                 right=right,
                 positional_weight="reciprocal" if reciprocal else "constant",
             )
-            stats = count_cooccurrences(records, vocab, win)
+            stats = count_encoded(tokens, vocab, win)
             ids = [[vocab.id_of(t) for t in r] for r in records]
             dense = brute_count_dense(ids, len(vocab), left, right, reciprocal)
             assert np.allclose(stats.to_dense(), dense)
 
     def test_deterministic_downsampling_weights(self):
-        records = [["a"] * 8 + ["b", "b"]]
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records([["a"] * 8 + ["b", "b"]])
         tau = 0.16
         win = WindowSpec(left=1, right=1, subsample_threshold=tau)
-        stats = count_cooccurrences(records, vocab, win)
-        plain = count_cooccurrences(records, vocab, WindowSpec(left=1, right=1))
+        stats = count_encoded(tokens, vocab, win)
+        plain = count_encoded(tokens, vocab, WindowSpec(left=1, right=1))
         a = vocab.id_of("a")
         b = vocab.id_of("b")
         w_a = math.sqrt(tau / 0.8)
@@ -254,18 +252,16 @@ class TestCounting:
         assert stats.count(b, a) == pytest.approx(plain.count(b, a) * w_b, rel=1e-12)
 
     def test_rare_word_weight_clamped_to_one(self):
-        records = [["a"] * 9 + ["b"]]
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records([["a"] * 9 + ["b"]])
         # f_rel(b) = 0.1 < tau = 0.5, so b keeps weight 1 as a target
         win = WindowSpec(left=1, right=1, subsample_threshold=0.5)
-        stats = count_cooccurrences(records, vocab, win)
-        plain = count_cooccurrences(records, vocab, WindowSpec(left=1, right=1))
+        stats = count_encoded(tokens, vocab, win)
+        plain = count_encoded(tokens, vocab, WindowSpec(left=1, right=1))
         b = vocab.id_of("b")
         assert stats.count(b, vocab.id_of("a")) == plain.count(b, vocab.id_of("a"))
 
     def test_context_subsample_uses_own_threshold(self):
-        records = [["a"] * 8 + ["b", "b"]]
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records([["a"] * 8 + ["b", "b"]])
         win = WindowSpec(
             left=1,
             right=1,
@@ -273,11 +269,11 @@ class TestCounting:
             context_subsample=True,
             context_subsample_threshold=0.05,
         )
-        stats = count_cooccurrences(records, vocab, win)
+        stats = count_encoded(tokens, vocab, win)
         a = vocab.id_of("a")
         w_t = min(1.0, math.sqrt(0.2 / 0.8))
         w_c = min(1.0, math.sqrt(0.05 / 0.8))
-        plain = count_cooccurrences(records, vocab, WindowSpec(left=1, right=1))
+        plain = count_encoded(tokens, vocab, WindowSpec(left=1, right=1))
         assert stats.count(a, a) == pytest.approx(plain.count(a, a) * w_t * w_c, rel=1e-12)
 
     def test_stochastic_subsample_is_seeded_and_symmetric(self):
@@ -285,13 +281,13 @@ class TestCounting:
         records = [
             ["a" if rng.random() < 0.7 else "b" for _ in range(30)] for _ in range(10)
         ]
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records(records)
         win = WindowSpec(
             left=2, right=2, subsample_threshold=0.05, stochastic_subsample=True
         )
-        s1 = count_cooccurrences(records, vocab, win, seed=3)
-        s2 = count_cooccurrences(records, vocab, win, seed=3)
-        s3 = count_cooccurrences(records, vocab, win, seed=4)
+        s1 = count_encoded(tokens, vocab, win, seed=3)
+        s2 = count_encoded(tokens, vocab, win, seed=3)
+        s3 = count_encoded(tokens, vocab, win, seed=4)
         assert s1.pairs == s2.pairs
         assert s1.pairs != s3.pairs  # a different seed drops different tokens
         ok, worst = check_symmetry(s1)
@@ -299,22 +295,22 @@ class TestCounting:
         assert win.symmetric()
 
     def test_stochastic_subsample_reduces_total(self):
-        records = [["a", "b"] * 50]
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records([["a", "b"] * 50])
         win = WindowSpec(left=1, right=1, subsample_threshold=0.01, stochastic_subsample=True)
-        stats = count_cooccurrences(records, vocab, win, seed=0)
-        plain = count_cooccurrences(records, vocab, WindowSpec(left=1, right=1))
+        stats = count_encoded(tokens, vocab, win, seed=0)
+        plain = count_encoded(tokens, vocab, WindowSpec(left=1, right=1))
         assert stats.total < plain.total
 
 
     @pytest.mark.parametrize("seed, lead", [(3, 0), (3, 7), (11, 2)])
     def test_stochastic_drops_follow_per_record_draws(self, seed, lead):
-        # all-OOV ("x", "y q") and empty records, the lead ones too, still take up a record index
+        # all-OOV ("x", "y q") and empty records, the lead ones too, still take up a record
+        # index; text has no empty record, so the ids come from the oracle's token lookup
         records = [[]] * lead + [
             ["a", "b", "a", "c", "a"], ["x"], [], ["b", "a", "a", "b", "c", "a", "a"],
             ["y", "q"], ["a", "b", "c", "a", "b", "a", "a", "b"], ["c", "a", "b", "a"],
         ]
-        vocab = build_vocabulary(records, min_count=2)
+        vocab, _ = encode_records(records, min_count=2)
         tau = 0.05
         win = WindowSpec(left=2, right=1, positional_weight="reciprocal",
                          subsample_threshold=tau, stochastic_subsample=True)
@@ -326,7 +322,7 @@ class TestCounting:
             kept.append([w for w, u, k in zip(ids, draws, keep) if u < k])
         assert 0 < sum(map(len, kept)) < vocab.total_tokens
         want = brute_count_dense(kept, len(vocab), 2, 1, reciprocal=True)
-        got = count_cooccurrences(records, vocab, win, seed=seed)
+        got = count_encoded(lookup_encoded(records, vocab), vocab, win, seed=seed)
         np.testing.assert_array_equal(got.to_dense() != 0, want != 0)
         np.testing.assert_allclose(got.to_dense(), want, rtol=1e-12)
 
@@ -348,20 +344,19 @@ class TestSharding:
             [str(int(rng.integers(0, 6))) for _ in range(int(rng.integers(1, 9)))]
             for _ in range(23)
         ]
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records(records)
         win = WindowSpec(left=2, right=2)
-        whole = count_cooccurrences(records, vocab, win)
+        whole = count_encoded(tokens, vocab, win)
         for shards in (2, 3, 7):
-            sharded = count_cooccurrences(records, vocab, win, shards=shards)
+            sharded = count_encoded(tokens, vocab, win, shards=shards)
             assert sharded.pairs == whole.pairs
             assert sharded.total == whole.total
 
     def test_single_shard_is_plain_counting(self, rng):
-        records = [["a", "b", "c"], ["b", "a"]]
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records([["a", "b", "c"], ["b", "a"]])
         win = WindowSpec(left=1, right=1)
-        assert count_cooccurrences(records, vocab, win, shards=1).pairs == count_cooccurrences(
-            records, vocab, win
+        assert count_encoded(tokens, vocab, win, shards=1).pairs == count_encoded(
+            tokens, vocab, win
         ).pairs
 
 
@@ -372,11 +367,11 @@ class TestSharding:
             [str(int(t)) for t in rng.integers(0, 8, size=int(rng.integers(2, 12)))]
             for _ in range(30)
         ]
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records(records)
         win = WindowSpec(left=2, right=2, subsample_threshold=0.05, stochastic_subsample=True)
-        whole = count_cooccurrences(records, vocab, win, seed=3)
-        sharded = count_cooccurrences(records, vocab, win, seed=3, shards=shards)
-        assert whole.total < count_cooccurrences(records, vocab, WindowSpec(2, 2)).total
+        whole = count_encoded(tokens, vocab, win, seed=3)
+        sharded = count_encoded(tokens, vocab, win, seed=3, shards=shards)
+        assert whole.total < count_encoded(tokens, vocab, WindowSpec(2, 2)).total
         assert np.array_equal(sharded.counts.i, whole.counts.i)
         assert np.array_equal(sharded.counts.j, whole.counts.j)
         np.testing.assert_allclose(sharded.counts.v, whole.counts.v, rtol=1e-12)
@@ -388,16 +383,17 @@ class TestSharding:
             [str(int(t)) for t in rng.zipf(1.6, size=int(rng.integers(1, 15))) % 12]
             for _ in range(29)
         ]
-        vocab = build_vocabulary(records)
+        vocab, tokens = encode_records(records)
         win = WindowSpec(left=3, right=2, positional_weight="reciprocal",
                          subsample_threshold=0.02, context_subsample=True)
         chunk = -(-len(records) // shards)
         want = {}
         for start in range(0, len(records), chunk):
-            alone = count_cooccurrences(records[start : start + chunk], vocab, win)
+            part = lookup_encoded(records[start : start + chunk], vocab)
+            alone = count_encoded(part, vocab, win)
             for pair, v in alone.pairs.items():
                 want[pair] = want.get(pair, 0.0) + v
-        got = count_cooccurrences(records, vocab, win, shards=shards)
+        got = count_encoded(tokens, vocab, win, shards=shards)
         assert not np.all(got.counts.v == np.round(got.counts.v))
         assert got.pairs == want
         c, n = got.counts, len(vocab)
@@ -407,8 +403,9 @@ class TestSharding:
         assert got.total == float(row.sum())
 
     def test_shard_count_below_one_is_invalid(self):
+        vocab, tokens = encode_records(ABAB)
         with pytest.raises(InvalidOptionError):
-            count_cooccurrences(ABAB, build_vocabulary(ABAB), WindowSpec(1, 1), shards=0)
+            count_encoded(tokens, vocab, WindowSpec(1, 1), shards=0)
 
 
 class TestSymmetryCheck:
@@ -433,9 +430,9 @@ class TestSymmetryCheck:
     left=st.integers(min_value=1, max_value=3),
 )
 def test_property_symmetric_windows_give_symmetric_stats(data, left):
-    vocab = build_vocabulary(data)
+    vocab, tokens = encode_records(data)
     win = WindowSpec(left=left, right=left)
-    stats = count_cooccurrences(data, vocab, win)
+    stats = count_encoded(tokens, vocab, win)
     ok, worst = check_symmetry(stats)
     assert ok, f"violation {worst}"
     assert_marginals_match_counts(stats)
@@ -449,10 +446,10 @@ def test_property_symmetric_windows_give_symmetric_stats(data, left):
     shards=st.integers(min_value=2, max_value=5),
 )
 def test_property_shard_merge_is_exact(data, shards):
-    vocab = build_vocabulary(data)
+    vocab, tokens = encode_records(data)
     win = WindowSpec(left=1, right=2)
-    whole = count_cooccurrences(data, vocab, win)
-    sharded = count_cooccurrences(data, vocab, win, shards=shards)
+    whole = count_encoded(tokens, vocab, win)
+    sharded = count_encoded(tokens, vocab, win, shards=shards)
     assert whole.pairs == sharded.pairs
 
 
@@ -464,9 +461,9 @@ def test_property_shard_merge_is_exact(data, shards):
 )
 def test_property_total_counts_in_window_pairs(data):
     """Without down-sampling, total is the P3-weighted number of window pairs."""
-    vocab = build_vocabulary(data)
+    vocab, tokens = encode_records(data)
     win = WindowSpec(left=2, right=1)
-    stats = count_cooccurrences(data, vocab, win)
+    stats = count_encoded(tokens, vocab, win)
     expected = 0.0
     for record in data:
         m = len(record)

@@ -14,7 +14,7 @@ from coocvec import (
     Provenance,
     SparseMatrix,
     Vocabulary,
-    build_vocabulary,
+    encode_text,
     make_provenance,
     read_cooc,
     read_embedding,
@@ -44,7 +44,7 @@ def prov():
 
 class TestVocabFiles:
     def test_round_trip(self, tmp_path):
-        vocab = build_vocabulary([["b", "a", "b", "c", "b", "a"]])
+        vocab, _ = encode_text("b a b c b a\n")
         path = str(tmp_path / "v.tsv")
         write_vocab(vocab, path)
         back, stamp = read_vocab(path)
@@ -54,7 +54,7 @@ class TestVocabFiles:
         assert back.total_tokens == vocab.total_tokens
 
     def test_provenance_stamp_survives(self, tmp_path, prov):
-        vocab = build_vocabulary([["a", "b"]])
+        vocab, _ = encode_text("a b\n")
         path = str(tmp_path / "v.tsv")
         write_vocab(vocab, path, prov=prov)
         back, stamp = read_vocab(path)

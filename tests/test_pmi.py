@@ -12,11 +12,10 @@ from coocvec import (
     SparseMatrix,
     WindowSpec,
     build_matrix,
-    build_vocabulary,
-    count_cooccurrences,
+    count_encoded,
+    encode_text,
     pmi_value,
     solve_stats,
-    tokenize,
 )
 from helpers import bench_gen, random_stats
 
@@ -154,9 +153,8 @@ def test_property_sppmi_monotone_in_k(seed):
 def test_spmi_is_the_logistic_solution_bit_for_bit(k):
     """SGNS = SPMI: the logistic closed form is the shifted PMI, to the last bit."""
     gen = bench_gen()
-    records = tokenize(gen.corpus_text(gen.make_corpus(40_000, 1)))
-    vocab = build_vocabulary(records, min_count=10)
-    stats = count_cooccurrences(records, vocab, WindowSpec(left=2, right=2))
+    vocab, tokens = encode_text(gen.corpus_text(gen.make_corpus(40_000, 1)), min_count=10)
+    stats = count_encoded(tokens, vocab, WindowSpec(left=2, right=2))
     spmi = build_matrix(stats, "spmi", k=k)
     scores, _ = solve_stats(stats, "logistic", k)
     assert spmi.nnz == scores.nnz > 10_000
