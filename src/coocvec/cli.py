@@ -24,7 +24,9 @@ from .errors import (
     InvalidOptionError,
     MixedProvenanceError,
     WorkbenchError,
+    check_min_count,
     check_seed,
+    check_shards,
     check_shift,
 )
 
@@ -111,6 +113,8 @@ def cmd_count(args: argparse.Namespace) -> int:
         stochastic_subsample=args.stochastic,
     )
     check_seed(args.seed)
+    check_shards(threads)
+    check_min_count(args.min_count)
     # the corpus is read only once every option has passed its check
     vocab, tokens = encode_text(formats.read_text(args.input), min_count=args.min_count)
     stats = count_encoded(tokens, vocab, win, seed=args.seed, shards=threads)
@@ -269,6 +273,7 @@ def cmd_train_convex(args: argparse.Namespace) -> int:
         full_batch=args.full_batch,
         seed=args.seed,
     )
+    check_min_count(args.min_count)
     # the corpus is read only once every option has passed its check
     vocab, tokens = encode_text(formats.read_text(args.input), min_count=args.min_count)
     model = convex_model.train(tokens, vocab, spec, cfg)

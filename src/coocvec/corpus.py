@@ -22,11 +22,12 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyVocabularyError, FormatError, InvalidOptionError, check_seed
+from .errors import EmptyVocabularyError, FormatError, InvalidOptionError
+from .errors import check_min_count, check_seed, check_shards
 from .vectors import SparseMatrix, sum_by_key, word_index
 
 POSITIONAL_WEIGHTS = ("constant", "reciprocal")
-CHARS_PER_SPLIT = 1 << 18  # corpus text split into lines at a time
+CHARS_PER_PIECE = 1 << 18  # text split into lines at a time, by text_pieces
 
 
 @dataclass
@@ -51,25 +52,22 @@ class Vocabulary:
     def id_of(self, word: str) -> int:
         return self.index[word]
 
-    def relative_frequency(self, word_id: int) -> float:
-        return float(self.freq[word_id]) / float(self.total_tokens)
 
-
-def text_pieces(text: str, start: int, size: int) -> Iterator[str]:
-    """text[start:] in pieces of about size characters, each cut just after a newline.
+def text_pieces(text: str, start: int) -> Iterator[str]:
+    """text[start:] in pieces of about CHARS_PER_PIECE characters, each cut just after a newline.
 
     A cut after "\n" ends a line, so the pieces' splitlines() are the lines of
     the whole.
     """
     while start < len(text):
-        end = text.find("\n", start + size) + 1 or len(text)
+        end = text.find("\n", start + CHARS_PER_PIECE) + 1 or len(text)
         yield text[start:end]
         start = end
 
 
 def _records(text: str) -> Iterator[list[str]]:
     """The records of text: the whitespace tokens of each non-blank line, in order."""
-    for piece in text_pieces(text, 0, CHARS_PER_SPLIT):
+    for piece in text_pieces(text, 0):
         for line in piece.splitlines():
             tokens = line.split()
             if tokens:
@@ -106,8 +104,7 @@ def _vocabulary(types: list[str], ids: np.ndarray, min_count: int) -> tuple[Voca
     total_tokens counts retained tokens only, so relative frequencies sum to 1
     over the vocabulary.
     """
-    if min_count < 1:
-        raise InvalidOptionError(f"min_count must be >= 1, got {min_count}")
+    check_min_count(min_count)
     counts = np.bincount(ids, minlength=len(types))
     count_of = counts.tolist()
     kept = [p for p, c in enumerate(count_of) if c >= min_count]
@@ -153,7 +150,7 @@ class WindowSpec:
     down-weighted too when context_subsample is true, using
     context_subsample_threshold if given and the shared threshold otherwise.
     stochastic_subsample switches from deterministic expected weights to
-    seeded per-occurrence drops applied to the token stream itself.
+    seeded drops from the token stream, which take no context threshold.
     """
 
     left: int = 2
@@ -174,6 +171,8 @@ class WindowSpec:
         for tau in (self.subsample_threshold, self.context_subsample_threshold):
             if tau is not None and not tau > 0:
                 raise InvalidOptionError(f"subsample thresholds must be positive, got {tau}")
+        if self.stochastic_subsample and self.context_subsample_threshold is not None:
+            raise InvalidOptionError("stochastic drops take no context subsample threshold")
 
     def offsets(self) -> list[int]:
         return list(range(-self.left, 0)) + list(range(1, self.right + 1))
@@ -187,20 +186,6 @@ class WindowSpec:
         if self.context_subsample_threshold is not None:
             return self.context_subsample_threshold
         return self.subsample_threshold if self.context_subsample else None
-
-    def symmetric(self) -> bool:
-        """True when mirrored occurrences are guaranteed equal weight.
-
-        Needs left == right (both positional options are even in the offset)
-        and matching target/context down-weights.  Stream-level stochastic
-        dropping removes an occurrence from both roles at once, so it keeps
-        the mirror identity.
-        """
-        if self.left != self.right:
-            return False
-        if self.stochastic_subsample or self.subsample_threshold is None:
-            return self.stochastic_subsample or self.context_threshold() is None
-        return self.context_threshold() == self.subsample_threshold
 
 
 @dataclass
@@ -325,10 +310,10 @@ def count_encoded(
 ) -> CooccurrenceStats:
     """Accumulate weighted co-occurrence counts over records encoded by encode_text.
 
-    In stochastic mode, retained occurrences are dropped independently with
-    probability 1 - min(1, sqrt(tau / f_rel)); windows are formed on the
-    surviving stream, so both roles of an occurrence vanish together.  Record p
-    draws from a generator keyed by (seed, p), so any shard count drops the same tokens.
+    In stochastic mode, one generator seeded with seed draws once per retained
+    token, in corpus order, and drops it with probability 1 - min(1, sqrt(tau /
+    f_rel)) before any window is formed: both roles of an occurrence vanish
+    together, and any shard count drops the same tokens.
 
     The records are walked in `shards` contiguous chunks of equal record
     count, one after another.  Each chunk's pairs are weighted as arrays and
@@ -336,31 +321,24 @@ def count_encoded(
     order, gives the stored values.  Only that order of addition depends on
     the shard count.
     """
-    if shards < 1:
-        raise InvalidOptionError(f"shard count must be >= 1, got {shards}")
+    check_shards(shards)
     check_seed(seed)
     n = len(vocab)
     target_w = context_w = np.ones(n)
-    keep_prob = None
+    ids, rec = tokens.ids, tokens.rec
     if not win.stochastic_subsample:
         target_w = _down_weight(win.subsample_threshold, vocab)
         context_w = _down_weight(win.context_threshold(), vocab)
     elif win.subsample_threshold is not None:
         keep_prob = _down_weight(win.subsample_threshold, vocab)
+        keep = np.random.default_rng(seed).random(len(ids)) < keep_prob[ids]
+        ids, rec = ids[keep], rec[keep]
     starts = range(0, max(tokens.records, 1), max(1, -(-tokens.records // shards)))
-    cuts = [*np.searchsorted(tokens.rec, starts).tolist(), len(tokens.rec)]
-    parts = []
-    for start, a, b in zip(starts, cuts, cuts[1:]):
-        ids, rec = tokens.ids[a:b], tokens.rec[a:b]
-        if keep_prob is not None:
-            draws = [
-                np.random.default_rng([seed, p]).random(m)
-                for p, m in enumerate(np.bincount(rec)[start:].tolist(), start)
-                if m
-            ]
-            keep = np.concatenate([np.empty(0), *draws]) < keep_prob[ids]
-            ids, rec = ids[keep], rec[keep]
-        parts.append(_window_sums(ids, rec, n, win, target_w, context_w))
+    cuts = [*np.searchsorted(rec, starts).tolist(), len(rec)]
+    parts = [
+        _window_sums(ids[a:b], rec[a:b], n, win, target_w, context_w)
+        for a, b in zip(cuts, cuts[1:])
+    ]
     if len(parts) == 1:
         key, v = parts.pop()
     else:

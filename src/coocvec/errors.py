@@ -30,6 +30,18 @@ def check_seed(seed: int) -> None:
         raise InvalidOptionError(f"seed must be >= 0, got {seed}")
 
 
+def check_min_count(min_count: int) -> None:
+    """Raise InvalidOptionError unless min_count is a valid vocabulary cut-off (>= 1)."""
+    if min_count < 1:
+        raise InvalidOptionError(f"min_count must be >= 1, got {min_count}")
+
+
+def check_shards(shards: int) -> None:
+    """Raise InvalidOptionError unless shards is a valid shard (thread) count (>= 1)."""
+    if shards < 1:
+        raise InvalidOptionError(f"shard count must be >= 1, got {shards}")
+
+
 class InvalidShiftError(WorkbenchError):
     """Shift parameter k outside [1, inf)."""
 

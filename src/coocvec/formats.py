@@ -15,8 +15,8 @@ parser; any malformed content ends in one error that names the file.
 
 Text bodies are written and parsed in fixed blocks: a writer formats
 PAIRS_PER_WRITE stored pairs (or ROWS_PER_WRITE embedding rows) at a time,
-and the parser takes the lines of about CHARS_PER_PARSE characters at a
-time, so neither holds a Python string for every row of a file.
+and the parser takes the lines of about corpus.CHARS_PER_PIECE characters at
+a time, so neither holds a Python string for every row of a file.
 """
 from __future__ import annotations
 
@@ -39,7 +39,6 @@ BINARY_MAGIC = b"CWB1"
 STAMPS = ("# provenance ", "# meta ")
 ROWS_PER_WRITE = 256  # embedding or vocabulary rows held as Python objects at a time
 PAIRS_PER_WRITE = 4096  # stored pairs held as Python numbers and strings at a time
-CHARS_PER_PARSE = 1 << 18  # body text split into lines at a time
 
 
 # ---------------------------------------------------------------- provenance
@@ -195,7 +194,7 @@ def _table(text: str, start: int, dtype: np.dtype, layout: str, delimiter=None) 
     """
     if _BLANK.match(text, start).end() == len(text):
         return np.empty(0, dtype=dtype)
-    pieces = text_pieces(text, start, CHARS_PER_PARSE)
+    pieces = text_pieces(text, start)
     lines = itertools.chain.from_iterable(map(str.splitlines, pieces))
     try:
         return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)

@@ -442,6 +442,10 @@ class TestOptionErrors:
             ["count", "--subsample", "0"],
             ["count", "--context-subsample-threshold", "-1"],
             ["count", "--seed", "-1"],
+            ["count", "--threads", "0"],
+            ["count", "--min-count", "0"],
+            ["count", "--stochastic", "--subsample", "1e-3", "--context-subsample-threshold", "0.5"],
+            ["train-convex", "--min-count", "0"],
             ["train-convex", "--right", "-1"],
             ["train-convex", "--epochs", "-1"],
             ["train-convex", "--l1", "nan"],

@@ -110,7 +110,7 @@ class TestOnePassEncoder:
     @pytest.mark.parametrize("chars", [1, 2, 3, 5, 64])
     def test_text_split_in_pieces_keeps_the_lines(self, monkeypatch, chars):
         text = "a b\r\nc\r\n\r\nb\x85a\u2028 \u3000\nc\x0bq\x0c\x1ca  b\rzz \n\n"
-        monkeypatch.setattr(corpus, "CHARS_PER_SPLIT", chars)
+        monkeypatch.setattr(corpus, "CHARS_PER_PIECE", chars)
         for min_count in (1, 2):
             self.assert_encodes_like_the_oracle(text, min_count)
         assert tokenize_whole(text) == [
@@ -162,15 +162,6 @@ class TestWindowSpec:
         win = WindowSpec(left=2, right=2, positional_weight="reciprocal")
         assert win.positional(-2) == 0.5
         assert win.positional(1) == 1.0
-
-    def test_symmetric_flag(self):
-        assert WindowSpec(left=2, right=2).symmetric()
-        assert not WindowSpec(left=1, right=0).symmetric()
-        assert WindowSpec(left=1, right=1, positional_weight="reciprocal").symmetric()
-        lopsided = WindowSpec(left=1, right=1, subsample_threshold=0.1)
-        assert not lopsided.symmetric()  # targets down-weighted, contexts not
-        both = WindowSpec(left=1, right=1, subsample_threshold=0.1, context_subsample=True)
-        assert both.symmetric()
 
 
 class TestCounting:
@@ -292,7 +283,6 @@ class TestCounting:
         assert s1.pairs != s3.pairs  # a different seed drops different tokens
         ok, worst = check_symmetry(s1)
         assert ok and worst == 0.0
-        assert win.symmetric()
 
     def test_stochastic_subsample_reduces_total(self):
         vocab, tokens = encode_records([["a", "b"] * 50])
@@ -302,11 +292,11 @@ class TestCounting:
         assert stats.total < plain.total
 
 
-    @pytest.mark.parametrize("seed, lead", [(3, 0), (3, 7), (11, 2)])
-    def test_stochastic_drops_follow_per_record_draws(self, seed, lead):
-        # all-OOV ("x", "y q") and empty records, the lead ones too, still take up a record
-        # index; text has no empty record, so the ids come from the oracle's token lookup
-        records = [[]] * lead + [
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_stochastic_drops_follow_one_draw_per_retained_token(self, seed):
+        # all-OOV ("x", "y q") and empty records take up a record index but draw nothing;
+        # text has no empty record, so the ids come from the oracle's token lookup
+        records = [
             ["a", "b", "a", "c", "a"], ["x"], [], ["b", "a", "a", "b", "c", "a", "a"],
             ["y", "q"], ["a", "b", "c", "a", "b", "a", "a", "b"], ["c", "a", "b", "a"],
         ]
@@ -314,17 +304,19 @@ class TestCounting:
         tau = 0.05
         win = WindowSpec(left=2, right=1, positional_weight="reciprocal",
                          subsample_threshold=tau, stochastic_subsample=True)
-        kept = []
-        for p, record in enumerate(records):
-            ids = [vocab.id_of(t) for t in record if t in vocab]
-            draws = np.random.default_rng([seed, p]).random(len(ids))
-            keep = [min(1.0, math.sqrt(tau / vocab.relative_frequency(w))) for w in ids]
-            kept.append([w for w, u, k in zip(ids, draws, keep) if u < k])
+        ids = [[vocab.id_of(t) for t in record if t in vocab] for record in records]
+        draws = iter(np.random.default_rng(seed).random(sum(map(len, ids))))
+        keep = [min(1.0, math.sqrt(tau * vocab.total_tokens / f)) for f in vocab.freq]
+        kept = [[w for w in record if next(draws) < keep[w]] for record in ids]
         assert 0 < sum(map(len, kept)) < vocab.total_tokens
         want = brute_count_dense(kept, len(vocab), 2, 1, reciprocal=True)
-        got = count_encoded(lookup_encoded(records, vocab), vocab, win, seed=seed)
-        np.testing.assert_array_equal(got.to_dense() != 0, want != 0)
-        np.testing.assert_allclose(got.to_dense(), want, rtol=1e-12)
+        first = count_encoded(lookup_encoded(records, vocab), vocab, win, seed=seed)
+        np.testing.assert_array_equal(first.to_dense() != 0, want != 0)
+        np.testing.assert_allclose(first.to_dense(), want, rtol=1e-12)
+        for lead in (1, 2, 7):  # leading records without retained tokens draw nothing
+            led = [[]] * lead + [["x", "q"]] * lead + records
+            got = count_encoded(lookup_encoded(led, vocab), vocab, win, seed=seed)
+            assert got.pairs == first.pairs
 
 
 class TestStatsInvariants:

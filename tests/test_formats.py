@@ -27,7 +27,7 @@ from coocvec import (
     write_matrix,
     write_vocab,
 )
-from coocvec import formats
+from coocvec import corpus
 from coocvec.formats import PAIRS_PER_WRITE, parse_provenance_line, provenance_line
 from oracles import write_embedding_whole, write_triplets_whole
 
@@ -312,7 +312,7 @@ class TestBlockedTriplets:
 
         whole = outcome()
         for chars in (1, 2, 5, 9):
-            monkeypatch.setattr(formats, "CHARS_PER_PARSE", chars)
+            monkeypatch.setattr(corpus, "CHARS_PER_PIECE", chars)
             assert outcome() == whole
 
 
