@@ -5,8 +5,10 @@ regularization strength, printing the relative error of the chord formula at
 each grid point plus the overall worst case.  The chord interpolates between
 the unregularized solution and the origin, so it is exact in the lam -> 0
 limit and degrades as lam grows toward the curvature scale of the objective.
-This is the raw chord `l2_chord`, the starting point that `solve_l2` polishes;
-the exact solutions come from one elementwise `solve_exact` call over the grid.
+This is the raw chord `l2_chord`, the starting point that `solve_l2` polishes.
+Both are elementwise on either side of log k; the grid sweeps the side above
+it.  The chords come from one `l2_chord` call per lam and the exact solutions
+from one elementwise `solve_exact` call over the grid.
 """
 import argparse
 import math
@@ -30,17 +32,13 @@ def main() -> None:
     print(header)
     pmis = math.log(args.k) + gaps
     exact = solve_exact(pmis[:, None], args.k, lams, "l2")
-    worst = (0.0, 0.0, 0.0)
-    for gap, pmi, exact_row in zip(gaps, pmis, exact):
-        cells = []
-        for lam, ex in zip(lams, exact_row):
-            chord = l2_chord(float(pmi), args.k, float(lam))
-            rel = abs(chord - ex) / abs(ex)
-            cells.append(f"{rel:8.1%}")
-            if rel > worst[0]:
-                worst = (rel, float(gap), float(lam))
-        print(f"{gap:7.2f} " + " ".join(cells))
-    print(f"\nworst relative error {worst[0]:.1%} at gap={worst[1]:.2f}, lam={worst[2]:.3g}")
+    chord = np.column_stack([l2_chord(pmis, args.k, float(lam)) for lam in lams])
+    rel = np.abs(chord - exact) / np.abs(exact)
+    for gap, row in zip(gaps, rel):
+        print(f"{gap:7.2f} " + " ".join(f"{r:8.1%}" for r in row))
+    at_gap, at_lam = np.unravel_index(np.argmax(rel), rel.shape)
+    print(f"\nworst relative error {rel[at_gap, at_lam]:.1%} at gap={gaps[at_gap]:.2f}, "
+          f"lam={lams[at_lam]:.3g}")
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ _EXPORTS = {
         "read_matrix", "read_provenance", "read_similarity", "read_vocab", "write_cooc",
         "write_embedding", "write_matrix", "write_vocab",
     ),
-    "pmi": ("build_matrix", "pmi_value", "shifted_pmi"),
+    "pmi": ("build_matrix", "shifted_pmi"),
     "regularization": (
         "RegSpec", "h_function", "l2_chord", "regularize_stats", "solve_exact",
         "solve_l1", "solve_l2",

@@ -317,7 +317,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     import numpy as np
 
     from . import formats, regularization
-    from .closed_form import LOSS_NAMES, minimize_pair_numeric, solve_pairs
+    from .closed_form import LOSS_NAMES, minimize_pair_numeric, solve_pair
     from .pmi import pmi_values
 
     stats, cooc_prov = formats.read_cooc(args.cooc)
@@ -347,7 +347,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     lines = [formats.provenance_line(prov)]
     for loss in LOSS_NAMES:
-        x = solve_pairs(loss, joint, n_w, n_c, stats.total, args.k).x_star
+        x = solve_pair(loss, joint, n_w, n_c, stats.total, args.k).x_star
         numeric = minimize_pair_numeric(loss, joint, n_w, n_c, stats.total, args.k)
         worst = float(np.max(np.abs(x - numeric), initial=0.0))
         if loss == "hinge":
@@ -364,9 +364,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         exact1, exact2 = (
             regularization.solve_exact(pmi, args.k, lam, kind) for kind in ("l1", "l2")
         )
-        l1_err = np.abs(regularization.l1_scores(pmi, args.k, lam) - exact1)
+        l1_err = np.abs(regularization.solve_l1(pmi, args.k, lam) - exact1)
         nonzero = exact2 != 0.0
-        l2_err = np.abs(regularization.l2_scores(pmi, args.k, lam) - exact2)[nonzero]
+        l2_err = np.abs(regularization.solve_l2(pmi, args.k, lam) - exact2)[nonzero]
         l1_worst = max(l1_worst, float(np.max(l1_err, initial=0.0)))
         l2_worst = max(l2_worst, float(np.max(l2_err / np.abs(exact2[nonzero]), initial=0.0)))
     lines.append(f"l1_closed_form_max_abs_err\t{l1_worst!r}")

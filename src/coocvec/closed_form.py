@@ -23,8 +23,9 @@ logistic minimizer is `pmi.shifted_pmi` itself, so SGNS = SPMI by
 construction.  A pair with #(w,c) = 0 drives the logistic score to minus
 infinity: an undefined implicit value in a sparse matrix, a mask beside a
 dense one, never a float infinity inside a matrix.  Every function is
-elementwise, the numeric reference `minimize_pair_numeric` included: it
-bisects all pairs at once with `bisect_decreasing`, as `solve_exact` does.
+elementwise, with one entry point for arrays and scalars alike (scalar inputs
+give Python scalars), the numeric reference `minimize_pair_numeric` included:
+it bisects all pairs at once with `bisect_decreasing`, as `solve_exact` does.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from .corpus import CooccurrenceStats
 from .errors import (
     DegenerateMarginalError,
     DimensionMismatchError,
+    DomainError,
     MarkerContaminationError,
     check_shift,
 )
@@ -52,8 +54,8 @@ def _sigmoid(t):
 
 
 def _float_if_scalar(a):
-    """A 0-d result as a float; arrays pass through."""
-    return float(a) if np.ndim(a) == 0 else a
+    """A 0-d result as a Python scalar (a float, or a bool from a mask); arrays pass through."""
+    return a.item() if np.ndim(a) == 0 else a
 
 
 def _check_kind(kind: str) -> None:
@@ -134,14 +136,14 @@ def pair_objective(
 
 @dataclass
 class PairSolution:
-    """Minimizer of one pair objective plus its local curvature.
+    """Minimizers of pair objectives plus their local curvature, elementwise.
 
     neg_inf marks the logistic zero-count case whose score runs off to minus
     infinity; x_star is -inf there.  alpha is the second derivative of
     the pair objective at the minimizer (None for hinge), delta the total
     pair weight #(w,c) + k #(w,.) #(.,c) / |D|, and pos_condition records
-    whether pmi strictly exceeds log k.  `solve_pairs` fills the fields with
-    arrays, `solve_pair` with scalars.
+    whether pmi strictly exceeds log k.  Each field is an array of the
+    counts' broadcast shape, or a Python scalar when every count is one.
     """
 
     x_star: float
@@ -151,39 +153,44 @@ class PairSolution:
     pos_condition: bool
 
 
-def solve_pairs(kind: str, n_wc, n_w, n_c, total: float, k: float) -> PairSolution:
-    """Closed-form minimizers of many pair objectives, elementwise.
+def solve_pair(kind: str, n_wc, n_w, n_c, total: float, k: float) -> PairSolution:
+    """Closed-form minimizers of pair objectives, elementwise.
 
     The count arguments broadcast against each other.  The curvature
     reported for the logistic loss is sigma(x*) sigma(-x*) delta, which
     equals #(w,c) times the expected negative mass divided by delta; the
     squared family has constant curvature delta.  Zero counts need no branch:
     they give the logistic score log 0 = -inf with alpha 0, and -1 for the
-    squared family and the hinge.
+    squared family and the hinge.  A negative mass that overflows a float
+    gives NaN without a warning; `solve_stats` refuses it.
     """
     _check_kind(kind)
     _check_counts(n_wc, n_w, n_c, total, k)
     n_wc, n_w, n_c = (np.asarray(a, dtype=float) for a in (n_wc, n_w, n_c))
     if np.any(n_w == 0.0) or np.any(n_c == 0.0):
         raise DegenerateMarginalError("marginals must be positive to place a pair")
-    neg_mass = k * n_w * n_c / total
-    delta = n_wc + neg_mass
-    if kind == "logistic":
-        x = shifted_pmi(n_wc, n_w, n_c, total, k)
-        alpha = n_wc * neg_mass / delta
-    elif kind == "hinge":
-        x, alpha = np.where(n_wc * total >= k * n_w * n_c, 1.0, -1.0), None
-    else:
-        x, alpha = (n_wc - neg_mass) / delta, delta
-    return PairSolution(x, np.isneginf(x), alpha, delta, n_wc * total > k * n_w * n_c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        neg_mass = k * n_w * n_c / total
+        delta = n_wc + neg_mass
+        if kind == "logistic":
+            x = shifted_pmi(n_wc, n_w, n_c, total, k)
+            alpha = n_wc * neg_mass / delta
+        elif kind == "hinge":
+            x, alpha = np.where(n_wc * total >= k * n_w * n_c, 1.0, -1.0), None
+        else:
+            x, alpha = (n_wc - neg_mass) / delta, delta
+        fields = (x, np.isneginf(x), alpha, delta, n_wc * total > k * n_w * n_c)
+    return PairSolution(*(None if f is None else _float_if_scalar(f) for f in fields))
 
 
-def solve_pair(
-    kind: str, n_wc: float, n_w: float, n_c: float, total: float, k: float
-) -> PairSolution:
-    """Closed-form minimizer of one pair objective, in Python scalars; see `solve_pairs`."""
-    sol = solve_pairs(kind, n_wc, n_w, n_c, total, k)
-    return PairSolution(*(None if f is None else f.item() for f in vars(sol).values()))
+def _refuse_nan(m: SparseMatrix, what: str) -> None:
+    """Raise DomainError, naming the first pair, if a stored value of m is NaN."""
+    bad = np.isnan(m.v)
+    if bad.any():
+        raise DomainError(
+            f"{what} of pair {m.pair(int(np.argmax(bad)))} is NaN: "
+            "these counts and parameters overflow a float"
+        )
 
 
 def solve_stats(
@@ -196,15 +203,19 @@ def solve_stats(
     matrix records as undefined (None).  alpha holds the curvature at the
     stored pairs and is None for the hinge.  An absent pair's logistic
     curvature is 0; the squared family's is k n_w n_c / |D|, one value per
-    pair, so no single implicit value holds (None).
+    pair, so no single implicit value holds (None).  A NaN score or weight,
+    which only float overflow can make, is refused (DomainError).
     """
     c = stats.counts
-    sol = solve_pairs(kind, c.v, stats.row_marginal[c.i], stats.col_marginal[c.j], stats.total, k)
+    sol = solve_pair(kind, c.v, stats.row_marginal[c.i], stats.col_marginal[c.j], stats.total, k)
     logistic = kind == "logistic"
     scores = replace(c, v=sol.x_star, implicit_value=None if logistic else -1.0)
+    _refuse_nan(scores, "score")
     if sol.alpha is None:
         return scores, None
-    return scores, replace(c, v=sol.alpha, implicit_value=0.0 if logistic else None)
+    alpha = replace(c, v=sol.alpha, implicit_value=0.0 if logistic else None)
+    _refuse_nan(alpha, "curvature weight")
+    return scores, alpha
 
 
 def bisect_decreasing(g, lo, hi):

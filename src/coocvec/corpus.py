@@ -18,7 +18,7 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -150,7 +150,9 @@ class WindowSpec:
     down-weighted too when context_subsample is true, using
     context_subsample_threshold if given and the shared threshold otherwise.
     stochastic_subsample switches from deterministic expected weights to
-    seeded drops from the token stream, which take no context threshold.
+    seeded drops from the token stream, which need subsample_threshold and
+    take no context subsampling.  A combination that would change nothing is
+    refused (InvalidOptionError).
     """
 
     left: int = 2
@@ -171,8 +173,17 @@ class WindowSpec:
         for tau in (self.subsample_threshold, self.context_subsample_threshold):
             if tau is not None and not tau > 0:
                 raise InvalidOptionError(f"subsample thresholds must be positive, got {tau}")
-        if self.stochastic_subsample and self.context_subsample_threshold is not None:
-            raise InvalidOptionError("stochastic drops take no context subsample threshold")
+        # each flag below would change nothing, so it is refused rather than ignored
+        if self.stochastic_subsample and self.subsample_threshold is None:
+            raise InvalidOptionError("stochastic drops need a subsample threshold")
+        if self.stochastic_subsample and (
+            self.context_subsample or self.context_subsample_threshold is not None
+        ):
+            raise InvalidOptionError(
+                "stochastic drops take no context subsampling: a dropped token leaves both roles"
+            )
+        if self.context_subsample and self.context_threshold() is None:
+            raise InvalidOptionError("context subsampling needs a subsample threshold")
 
     def offsets(self) -> list[int]:
         return list(range(-self.left, 0)) + list(range(1, self.right + 1))
@@ -220,24 +231,9 @@ class CooccurrenceStats:
         col = np.bincount(counts.j, weights=counts.v, minlength=counts.cols)
         return cls(counts, row, col, float(row.sum()))
 
-    @classmethod
-    def from_pairs(cls, pairs: dict[tuple[int, int], float], n_words: int) -> "CooccurrenceStats":
-        return cls.from_counts(SparseMatrix.from_entries(n_words, n_words, pairs))
-
     @property
     def n_words(self) -> int:
         return self.counts.rows
-
-    @property
-    def pairs(self) -> Mapping[tuple[int, int], float]:
-        """Read-only view of the stored weights keyed by (word_id, context_id)."""
-        return self.counts.entries
-
-    def count(self, w: int, c: int) -> float:
-        return self.counts.get(w, c)
-
-    def to_dense(self) -> np.ndarray:
-        return self.counts.to_dense()
 
 
 def _reach(rec: np.ndarray, win: WindowSpec) -> Iterator[int]:

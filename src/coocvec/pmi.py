@@ -41,18 +41,6 @@ def pmi_values(
     return shifted_pmi(joint, stats.row_marginal[rows], stats.col_marginal[cols], stats.total, k)
 
 
-def pmi_value(stats: CooccurrenceStats, w: int, c: int) -> float | None:
-    """Pointwise mutual information of one pair, or None when undefined.
-
-    Undefined covers #(w,c) = 0 and degenerate zero marginals; it is a value
-    of the map, not an error.
-    """
-    joint = stats.count(w, c)
-    if joint == 0.0 or stats.row_marginal[w] == 0.0 or stats.col_marginal[c] == 0.0:
-        return None
-    return float(pmi_values(stats, w, c, joint))
-
-
 def build_matrix(stats: CooccurrenceStats, variant: str, k: float = 1.0) -> SparseMatrix:
     """Assemble one PMI-family matrix over the stored pairs.
 

@@ -17,8 +17,8 @@ Newton steps on the log form of the stationarity condition.  Below log k it
 uses the mirror identity: x = -x' turns the problem, divided by e^pmi, into
 the positive-side one with k' = 1, pmi' = log k - pmi and lam' = lam e^-pmi.
 The L1 case splits on the soft threshold at h(0).  Each closed form is one
-array expression over all pairs; the scalar functions are validating entry
-points to it.  The reference `solve_exact` is one elementwise bisection of
+elementwise function over arrays or scalars (scalar inputs give floats).
+The reference `solve_exact` is one elementwise bisection of
 the stationarity condition, independent of the closed forms.  Zero-count
 pairs are handled by letting e^pmi = 0, which keeps every regularized
 solution with lam > 0 finite.
@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closed_form import _float_if_scalar, bisect_decreasing
+from .closed_form import _float_if_scalar, _refuse_nan, bisect_decreasing
 from .corpus import CooccurrenceStats
 from .errors import DomainError, InvalidOptionError, check_shift
 from .pmi import pmi_values
@@ -60,12 +60,6 @@ def _check_params(k: float, lam) -> None:
         raise InvalidOptionError(f"lam must be a finite real >= 0, got {lam}")
 
 
-def _check_positive_side(pmi: float, k: float, lam: float) -> None:
-    _check_params(k, lam)
-    if not pmi - math.log(k) > 0.0:
-        raise DomainError(f"needs pmi > log k, got pmi - log k = {pmi - math.log(k)!r}")
-
-
 def h_function(pmi, k: float, x):
     """(e^pmi - k e^x) / (1 + e^x), elementwise, without overflow for large |x|.
 
@@ -78,30 +72,29 @@ def h_function(pmi, k: float, x):
     return _float_if_scalar(top / (1.0 + e))
 
 
-def _chord(pmi: np.ndarray, k: float, lam: float) -> np.ndarray:
-    """|A| |B| / (|A| + |B|), the chord crossing's distance from 0 on either side."""
-    gap = np.abs(pmi - math.log(k))
-    if lam == 0.0:
-        return gap
-    b = np.abs(np.exp(pmi) - k) / (2.0 * lam)
-    with np.errstate(invalid="ignore"):
-        return np.where(gap > 0.0, gap * b / (gap + b), 0.0)
-
-
-def l2_chord(pmi: float, k: float, lam: float) -> float:
-    """Chord approximation to the L2-regularized score.
+def l2_chord(pmi, k: float, lam: float):
+    """Chord approximation to the L2-regularized score, elementwise over finite pmi.
 
     With A = pmi - log k and B = (e^pmi - k) / (2 lam), intersecting the
     chord with the line lam * x gives A * B / (A + B): half the harmonic mean
     of A and B, the root that tends to A as lam -> 0 and to 0 as lam -> inf.
-    Only defined on the positive side pmi > log k.
+    A and B share a sign, so the chord does too; |A| |B| / (|A| + |B|) is its
+    distance from 0 on either side of log k.  Where |A| |B| overflows a
+    float, it takes the lam -> 0 limit A.
     """
-    _check_positive_side(pmi, k, lam)
-    return float(_chord(np.float64(pmi), k, lam))
+    _check_params(k, lam)
+    pmi = np.asarray(pmi, dtype=float)
+    dist = np.abs(pmi - math.log(k))
+    if lam != 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = np.abs(np.exp(pmi) - k) / (2.0 * lam)
+            top = dist * b
+            dist = np.where((dist > 0.0) & np.isfinite(top), top / (dist + b), dist)
+    return _float_if_scalar(np.where(pmi < math.log(k), -dist, dist))
 
 
-def l2_scores(pmi: np.ndarray, k: float, lam: float) -> np.ndarray:
-    """Closed-form L2-regularized scores for finite pmi on either side of log k.
+def solve_l2(pmi, k: float, lam: float):
+    """Closed-form L2-regularized scores, elementwise over finite pmi on either side of log k.
 
     Starts from the chord and takes NEWTON_STEPS Newton steps on the log form
     of lam * x = h(x), g(x) = log(e^pmi + k) - softplus(x) - log(k + lam * x),
@@ -112,12 +105,11 @@ def l2_scores(pmi: np.ndarray, k: float, lam: float) -> np.ndarray:
     the same |A| |B| / (|A| + |B|) and its g, with the log arguments scaled
     by e^pmi, is g with e^pmi in place of k in the last term.
     """
-    _check_params(k, lam)
+    t = np.abs(l2_chord(pmi, k, lam))  # checks k and lam
     pmi = np.asarray(pmi, dtype=float)
     mirror = pmi < math.log(k)
-    gap = np.abs(pmi - math.log(k))
-    t = _chord(pmi, k, lam)
     if lam != 0.0:
+        gap = np.abs(pmi - math.log(k))
         log_top = np.logaddexp(pmi, math.log(k))
         c = np.where(mirror, np.exp(pmi), k)
         for _ in range(NEWTON_STEPS):
@@ -126,21 +118,11 @@ def l2_scores(pmi: np.ndarray, k: float, lam: float) -> np.ndarray:
             g = log_top - (t + np.log1p(e)) - np.log(d)
             dg = -1.0 / (1.0 + e) - lam / d
             t = np.clip(t - g / dg, 0.0, gap)
-    return np.where(mirror, -t, t)
+    return _float_if_scalar(np.where(mirror, -t, t))
 
 
-def solve_l2(pmi: float, k: float, lam: float) -> float:
-    """Closed-form L2-regularized score of one pair on the positive side.
-
-    A validating entry point to `l2_scores`; like the chord it accepts only
-    pmi > log k and raises DomainError otherwise.
-    """
-    _check_positive_side(pmi, k, lam)
-    return float(l2_scores(pmi, k, lam))
-
-
-def l1_scores(pmi: np.ndarray, k: float, lam: float) -> np.ndarray:
-    """Exact L1-regularized scores via the soft threshold on h(0).
+def solve_l1(pmi, k: float, lam: float):
+    """Exact L1-regularized scores via the soft threshold on h(0), elementwise.
 
     h0 = (e^pmi - k) / 2 decides the case: |h0| <= lam pins the score at 0;
     otherwise the stationarity equation h(x) = +/- lam has the closed-form
@@ -154,12 +136,7 @@ def l1_scores(pmi: np.ndarray, k: float, lam: float) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         up = np.log((e_p - lam) / (k + lam))
         down = np.log((e_p + lam) / (k - lam))
-    return np.where(h0 > lam, up, np.where(h0 < -lam, down, 0.0))
-
-
-def solve_l1(pmi: float, k: float, lam: float) -> float:
-    """Exact L1-regularized score of one pair; see `l1_scores`."""
-    return float(l1_scores(pmi, k, lam))
+    return _float_if_scalar(np.where(h0 > lam, up, np.where(h0 < -lam, down, 0.0)))
 
 
 def solve_exact(pmi, k: float, lam, kind: str):
@@ -200,11 +177,14 @@ def regularize_stats(stats: CooccurrenceStats, spec: RegSpec) -> SparseMatrix:
     The normalization by expected negative mass makes the effective strength
     the same lam for every pair, so absent pairs share one finite score; it
     becomes the matrix's implicit value.  Both closed forms cover every
-    stored pair, on either side of log k.
+    stored pair, on either side of log k.  A NaN score, which only float
+    overflow can make, is refused (DomainError).
     """
     counts = stats.counts
     pmi = pmi_values(stats, counts.i, counts.j, counts.v)
-    scores = l1_scores if spec.kind == "l1" else l2_scores
-    return replace(
-        counts, v=scores(pmi, spec.k, spec.lam), implicit_value=absent_pair_solution(spec)
+    solve = solve_l1 if spec.kind == "l1" else solve_l2
+    matrix = replace(
+        counts, v=solve(pmi, spec.k, spec.lam), implicit_value=absent_pair_solution(spec)
     )
+    _refuse_nan(matrix, "score")
+    return matrix

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -74,23 +72,10 @@ class SparseMatrix:
             raise FormatError(f"pair {self.pair(int(np.argmax(repeated)))} is stored twice")
 
     @classmethod
-    def from_entries(
-        cls, rows: int, cols: int, entries: dict[tuple[int, int], float], implicit_value=0.0
-    ) -> "SparseMatrix":
-        ij = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
-        v = np.fromiter(entries.values(), dtype=float, count=len(entries))
-        return cls(rows, cols, ij[:, 0], ij[:, 1], v, implicit_value)
-
-    @classmethod
     def summed(cls, rows: int, cols: int, key: np.ndarray, v: np.ndarray) -> "SparseMatrix":
         """Matrix whose entry (i, j) is the sum of v over key == i * cols + j, in input order."""
         key, v = sum_by_key(key, v)
         return cls(rows, cols, key // cols, key % cols, v)
-
-    @property
-    def entries(self) -> Mapping[tuple[int, int], float]:
-        """Read-only view of the stored entries keyed by (i, j), built on each access."""
-        return MappingProxyType(dict(zip(zip(self.i.tolist(), self.j.tolist()), self.v.tolist())))
 
     @property
     def nnz(self) -> int:
@@ -110,10 +95,6 @@ class SparseMatrix:
         pos = np.searchsorted(keys, want)
         # a -1 sentinel past the end matches no pair, so pos == nnz needs no branch
         return pos, np.append(keys, -1)[pos] == want
-
-    def get(self, i: int, j: int) -> float | None:
-        pos, found = self.find(i, j)
-        return float(self.v[pos]) if found else self.implicit_value
 
     def to_dense(self) -> np.ndarray:
         if self.implicit_value is None:

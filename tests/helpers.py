@@ -23,8 +23,21 @@ def lookup_encoded(records, vocab: Vocabulary) -> Encoded:
     return Encoded(np.array(ids, dtype=np.int64), np.array(rec, dtype=np.int64), len(records))
 
 
+def sparse(
+    rows: int, cols: int, entries: dict[tuple[int, int], float], implicit_value=0.0
+) -> SparseMatrix:
+    """A SparseMatrix from an (i, j) -> value dict, through its (i, j, v) columns."""
+    ij = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+    return SparseMatrix(rows, cols, ij[:, 0], ij[:, 1], list(entries.values()), implicit_value)
+
+
 def make_stats(pairs: dict[tuple[int, int], float], n_words: int) -> CooccurrenceStats:
-    return CooccurrenceStats.from_pairs(pairs, n_words)
+    return CooccurrenceStats.from_counts(sparse(n_words, n_words, pairs))
+
+
+def same_pairs(a: SparseMatrix, b: SparseMatrix) -> bool:
+    """Whether a and b store the same (i, j) pairs with equal values."""
+    return all(np.array_equal(x, y) for x, y in ((a.i, b.i), (a.j, b.j), (a.v, b.v)))
 
 
 def weighted_problem(
@@ -34,7 +47,7 @@ def weighted_problem(
     weights: dict[tuple[int, int], float],
 ) -> tuple[SparseMatrix, np.ndarray]:
     """Targets and their weight column from (i, j) -> value dicts on one support."""
-    matrix = SparseMatrix.from_entries(n_rows, n_cols, targets)
+    matrix = sparse(n_rows, n_cols, targets)
     return matrix, np.array([weights[key] for key in zip(matrix.i.tolist(), matrix.j.tolist())])
 
 
@@ -57,7 +70,7 @@ def random_stats(
         pairs[(0, j)] = 1.0
         if symmetric and j != 0:
             pairs[(j, 0)] = 1.0
-    return CooccurrenceStats.from_pairs(pairs, n_words)
+    return make_stats(pairs, n_words)
 
 
 def random_count_tuples(

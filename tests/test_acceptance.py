@@ -179,7 +179,7 @@ def test_criterion_06_l1_solution_exact_and_sparsifying():
     zero_counts = []
     for lam in (0.01, 0.1, 1.0, 10.0):
         mat = regularize_stats(stats, RegSpec(kind="l1", k=1.0, lam=lam))
-        zero_counts.append(sum(1 for v in mat.entries.values() if v == 0.0))
+        zero_counts.append(int(np.count_nonzero(mat.v == 0.0)))
     monotone = all(a <= b for a, b in zip(zero_counts, zero_counts[1:]))
     ok = worst <= 1e-10 and monotone
     _verdict(
@@ -341,7 +341,8 @@ def test_criterion_11_full_batch_single_mode_recovers_pairwise_logistic():
     stats = count_encoded(tokens, vocab, spec.window)
     noise = noise_distribution(vocab, "unigram")
     worst = 0.0
-    for (w, c), n_wc in stats.pairs.items():
+    counts = stats.counts
+    for w, c, n_wc in zip(counts.i.tolist(), counts.j.tolist(), counts.v.tolist()):
         sol = solve_pair(
             "logistic", n_wc, float(noise[w]), float(stats.col_marginal[c]), 1.0, cfg.k_neg
         )
@@ -350,7 +351,7 @@ def test_criterion_11_full_batch_single_mode_recovers_pairwise_logistic():
     _verdict(
         11,
         ok,
-        f"full-batch trainer vs per-pair logistic closed form on {len(stats.pairs)} "
+        f"full-batch trainer vs per-pair logistic closed form on {counts.nnz} "
         f"stored pairs of a 500-token corpus: max abs gap {worst:.2e} (bound 1e-3) "
         f"in {elapsed:.1f}s (bound 60s)",
     )

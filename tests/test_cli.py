@@ -26,7 +26,7 @@ from coocvec import (
     write_vocab,
 )
 from coocvec.cli import main
-from helpers import bench_gen, lookup_encoded
+from helpers import bench_gen, lookup_encoded, same_pairs
 from oracles import tokenize_whole, vocabulary_by_counter
 
 CORPUS = "the quick fox saw the slow fox\nthe slow fox saw the quick cat\n"
@@ -106,7 +106,7 @@ class TestCount:
         four = str(tmp_path / "four.txt")
         assert run("count", "--input", corpus_path, "--output", one, "--threads", "1") == 0
         assert run("count", "--input", corpus_path, "--output", four, "--threads", "4") == 0
-        assert read_cooc(one)[0].pairs == read_cooc(four)[0].pairs
+        assert same_pairs(read_cooc(one)[0].counts, read_cooc(four)[0].counts)
 
     def test_threads_default_from_environment(self, tmp_path, corpus_path, monkeypatch):
         monkeypatch.setenv("COOC_THREADS", "3")
@@ -152,7 +152,7 @@ class TestPmiAndSolve:
         mat, info = read_matrix(out)
         assert info.tag == "ppmi"
         assert mat.implicit_value == 0.0
-        assert all(v > 0 for v in mat.entries.values())
+        assert (mat.v > 0).all()
 
     @pytest.mark.parametrize(
         "argv",
@@ -181,11 +181,11 @@ class TestPmiAndSolve:
         sol, info = read_matrix(out)
         assert info.tag == "solution:squared"
         assert sol.implicit_value == -1.0
-        assert all(-1.0 <= v <= 1.0 for v in sol.entries.values())
+        assert ((-1.0 <= sol.v) & (sol.v <= 1.0)).all()
         amat, ainfo = read_matrix(alpha)
         assert ainfo.tag == "alpha:squared"
-        assert set(amat.entries) == set(sol.entries)
-        assert all(v > 0 for v in amat.entries.values())
+        assert np.array_equal(amat.i, sol.i) and np.array_equal(amat.j, sol.j)
+        assert (amat.v > 0).all()
 
     def test_logistic_solution_keeps_undefined_absences(self, tmp_path, corpus_path):
         counts = counted(tmp_path, corpus_path)
@@ -204,6 +204,32 @@ class TestPmiAndSolve:
         assert capsys.readouterr().err.startswith("error domain-error:")
         assert not os.path.exists(out) and not os.path.exists(alpha)
 
+    @pytest.mark.parametrize("loss, alpha_out", [("squared", False), ("logistic", True)])
+    def test_nan_score_or_weight_is_one_domain_error(
+        self, tmp_path, corpus_path, capsys, loss, alpha_out
+    ):
+        # k n_w n_c / |D| overflows, so the closed form is inf / inf
+        counts = counted(tmp_path, corpus_path)
+        out, alpha = str(tmp_path / "s"), str(tmp_path / "a")
+        argv = ["solve", "--cooc", counts, "--output", out, "--loss", loss, "--k", "1e308"]
+        capsys.readouterr()
+        assert run(*argv, *(["--alpha-out", alpha] if alpha_out else [])) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error domain-error:"), err
+        assert "NaN" in err[0] and "of pair (" in err[0]
+        assert not os.path.exists(out) and not os.path.exists(alpha)
+
+    def test_l2_at_subnormal_lambda_gives_the_shifted_pmi(self, tmp_path, corpus_path):
+        # (e^pmi - k) / (2 lam) overflows, so the chord takes its lam -> 0 limit
+        counts = counted(tmp_path, corpus_path)
+        reg, pmi = str(tmp_path / "r.txt"), str(tmp_path / "p.txt")
+        assert run("regularize", "--cooc", counts, "--output", reg, "--reg", "l2",
+                   "--lam", "1e-310") == 0
+        assert run("pmi", "--cooc", counts, "--output", pmi, "--variant", "pmi") == 0
+        got, want = read_matrix(reg)[0], read_matrix(pmi)[0]
+        assert np.array_equal(got.i, want.i) and np.array_equal(got.j, want.j)
+        np.testing.assert_allclose(got.v, want.v, rtol=0.0, atol=1e-12)
+
     def test_regularize_shrinks_toward_zero(self, tmp_path, corpus_path):
         counts = counted(tmp_path, corpus_path)
         loose = str(tmp_path / "l0.txt")
@@ -213,8 +239,7 @@ class TestPmiAndSolve:
         a, ainfo = read_matrix(loose)
         b, binfo = read_matrix(tight)
         assert ainfo.lam == 0.01 and binfo.lam == 5.0
-        norm = lambda m: sum(abs(v) for v in m.entries.values())
-        assert norm(b) <= norm(a)
+        assert np.abs(b.v).sum() <= np.abs(a.v).sum()
 
 
 class TestMalformedInput:
@@ -445,6 +470,9 @@ class TestOptionErrors:
             ["count", "--threads", "0"],
             ["count", "--min-count", "0"],
             ["count", "--stochastic", "--subsample", "1e-3", "--context-subsample-threshold", "0.5"],
+            ["count", "--stochastic"],
+            ["count", "--stochastic", "--subsample", "1e-3", "--context-subsample"],
+            ["count", "--context-subsample"],
             ["train-convex", "--min-count", "0"],
             ["train-convex", "--right", "-1"],
             ["train-convex", "--epochs", "-1"],
@@ -874,7 +902,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("word, stochastic", [("TRUE", True), ("Off", False), ("ture", None)])
     def test_config_boolean_words(self, tmp_path, corpus_path, capsys, word, stochastic):
         cfg = tmp_path / "count.cfg"
-        cfg.write_text(f"stochastic={word}\n")
+        cfg.write_text(f"stochastic={word}\nsubsample=0.01\n")
         out = str(tmp_path / "c.txt")
         code = run("count", "--input", corpus_path, "--output", out, "--config", str(cfg))
         if stochastic is not None:

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coocvec import (
-    CooccurrenceStats,
     DegenerateMarginalError,
     DimensionMismatchError,
     InvalidShiftError,
     LOSS_NAMES,
     MarkerContaminationError,
     assemble_spmi_solution,
+    l2_chord,
     loss_derivative,
     loss_second_derivative,
     loss_value,
@@ -20,12 +20,11 @@ from coocvec import (
     objective_value,
     pair_objective,
     solve_l1,
+    solve_l2,
     solve_pair,
     solve_stats,
 )
-from coocvec.closed_form import solve_pairs
-from coocvec.regularization import l1_scores
-from helpers import random_count_tuples, random_stats
+from helpers import make_stats, random_count_tuples, random_stats
 from oracles import minimize_rho, ref_rho
 
 LOG2 = math.log(2.0)
@@ -209,27 +208,39 @@ class TestSolvePair:
                     assert gap == pytest.approx(quad, rel=0.05), (kind, dx)
 
 
-@pytest.mark.parametrize("kind", LOSS_NAMES + ("l1",))
+@pytest.mark.parametrize("kind", LOSS_NAMES + ("l1", "l2", "chord"))
 def test_array_closed_forms_equal_scalar_entry_points(kind, rng):
+    """One function per closed form: an array call equals the per-element scalar
+    calls bit for bit, on both sides of log k, and scalars give Python scalars."""
     tuples = random_count_tuples(rng, 40, zero_fraction=0.25)
     n_wc, n_w, n_c = (np.array(col) for col in list(zip(*tuples))[:3])
     total, k = 40.0, 3.0
     assert (n_wc == 0.0).any()
-    if kind == "l1":
-        with np.errstate(divide="ignore"):
-            pmi = np.log(n_wc * total / (n_w * n_c))
-        for lam in (0.0, 0.3, 2.5):
-            got = l1_scores(pmi, k, lam)
-            assert got.tolist() == [solve_l1(p, k, lam) for p in pmi.tolist()]
+    if kind in LOSS_NAMES:
+        sol = solve_pair(kind, n_wc, n_w, n_c, total, k)
+        assert sol.pos_condition.any() and not sol.pos_condition.all()
+        for i, t in enumerate(zip(n_wc.tolist(), n_w.tolist(), n_c.tolist())):
+            one = solve_pair(kind, *t, total, k)
+            types = [type(f) for f in (one.x_star, one.neg_inf, one.delta, one.pos_condition)]
+            assert types == [float, bool, float, bool]
+            assert type(one.alpha) is (type(None) if kind == "hinge" else float)
+            assert np.float64(one.x_star).tobytes() == sol.x_star[i].tobytes()
+            assert one.neg_inf == sol.neg_inf[i]
+            assert one.alpha == (None if sol.alpha is None else sol.alpha[i])
+            assert one.delta == sol.delta[i]
+            assert one.pos_condition == sol.pos_condition[i]
         return
-    sol = solve_pairs(kind, n_wc, n_w, n_c, total, k)
-    for i, t in enumerate(zip(n_wc.tolist(), n_w.tolist(), n_c.tolist())):
-        one = solve_pair(kind, *t, total, k)
-        assert one.x_star == sol.x_star[i]
-        assert one.neg_inf == sol.neg_inf[i]
-        assert one.alpha == (None if sol.alpha is None else sol.alpha[i])
-        assert one.delta == sol.delta[i]
-        assert one.pos_condition == sol.pos_condition[i]
+    with np.errstate(divide="ignore"):
+        pmi = np.log(n_wc * total / (n_w * n_c))
+    if kind != "l1":  # the L2 forms take finite pmi
+        pmi = pmi[np.isfinite(pmi)]
+    assert (pmi < math.log(k)).any() and (pmi > math.log(k)).any()
+    fn = {"l1": solve_l1, "l2": solve_l2, "chord": l2_chord}[kind]
+    for lam in (0.0, 0.3, 2.5):
+        got = fn(pmi, k, lam)
+        stacked = [fn(p, k, lam) for p in pmi.tolist()]
+        assert all(type(x) is float for x in stacked)
+        assert got.tobytes() == np.array(stacked).tobytes()
 
 
 class TestAssembleOneHot:
@@ -247,7 +258,7 @@ class TestAssembleOneHot:
 
     def test_squared_at_independence_scores_zero(self):
         pairs = {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 1.0}
-        stats = CooccurrenceStats.from_pairs(pairs, 2)
+        stats = make_stats(pairs, 2)
         W, _ = assemble_spmi_solution(stats, "squared", 1.0)
         assert np.allclose(W, 0.0)
 
@@ -280,17 +291,18 @@ class TestObjectiveValue:
     def test_masked_absent_pairs_contribute_zero(self, abab_stats):
         W, mask = assemble_spmi_solution(abab_stats, "logistic", 1.0)
         got = objective_value(W, np.eye(2), abab_stats, "logistic", 1.0, neg_inf_mask=mask)
+        c = abab_stats.counts
         expected = sum(
             pair_objective(
                 "logistic",
-                abab_stats.count(w, c),
+                n_wc,
                 float(abab_stats.row_marginal[w]),
-                float(abab_stats.col_marginal[c]),
+                float(abab_stats.col_marginal[v]),
                 abab_stats.total,
                 1.0,
-                float(W[w, c]),
+                float(W[w, v]),
             )
-            for (w, c) in abab_stats.pairs
+            for w, v, n_wc in zip(c.i.tolist(), c.j.tolist(), c.v.tolist())
         )
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -355,7 +367,7 @@ def test_property_sign_agreement_with_shifted_pmi(seed, kind):
 )
 def test_property_solve_stats_absent_value_and_dense_oracle(seed, kind, k):
     """solve_stats' implicit value is the closed form of an absent pair, and
-    assemble_spmi_solution equals `solve_pairs` over every dense pair."""
+    assemble_spmi_solution equals `solve_pair` over every dense pair."""
     stats = random_stats(np.random.default_rng(seed), n_words=5, density=0.6)
     scores, alpha = solve_stats(stats, kind, k)
     n_w, n_c = float(stats.row_marginal.max()), float(stats.col_marginal.max())
@@ -379,9 +391,9 @@ def test_property_solve_stats_absent_value_and_dense_oracle(seed, kind, k):
         with pytest.raises(MarkerContaminationError):
             alpha.to_dense()
 
-    dense = (stats.to_dense(), stats.row_marginal[:, None], stats.col_marginal, stats.total, k)
+    dense = (c.to_dense(), stats.row_marginal[:, None], stats.col_marginal, stats.total, k)
     try:
-        oracle = solve_pairs(kind, *dense)
+        oracle = solve_pair(kind, *dense)
     except DegenerateMarginalError:
         with pytest.raises(DegenerateMarginalError):
             assemble_spmi_solution(stats, kind, k)

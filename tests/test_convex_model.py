@@ -436,7 +436,8 @@ class TestFullBatchTraining:
         emb = train(tokens, vocab, spec, cfg)
         stats = count_encoded(tokens, vocab, spec.window)
         noise = noise_distribution(vocab, "unigram")
-        for (w, c), n_wc in stats.pairs.items():
+        counts = stats.counts
+        for w, c, n_wc in zip(counts.i.tolist(), counts.j.tolist(), counts.v.tolist()):
             sol = solve_pair(
                 "logistic",
                 n_wc,

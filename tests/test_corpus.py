@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coocvec import (
-    CooccurrenceStats,
     DimensionMismatchError,
     EmptyVocabularyError,
     InvalidOptionError,
@@ -17,7 +16,15 @@ from coocvec import (
     encode_text,
 )
 from coocvec import corpus
-from helpers import assert_marginals_match_counts, bench_gen, encode_records, lookup_encoded
+from helpers import (
+    assert_marginals_match_counts,
+    bench_gen,
+    encode_records,
+    lookup_encoded,
+    make_stats,
+    same_pairs,
+    sparse,
+)
 from oracles import brute_count_dense, encode_by_lookup, tokenize_whole, vocabulary_by_counter
 
 ABAB = [["a", "b", "a", "b"]]
@@ -163,25 +170,28 @@ class TestWindowSpec:
         assert win.positional(-2) == 0.5
         assert win.positional(1) == 1.0
 
+    def test_context_subsample_takes_either_threshold(self):
+        shared = WindowSpec(subsample_threshold=0.1, context_subsample=True)
+        assert shared.context_threshold() == 0.1
+        own = WindowSpec(context_subsample=True, context_subsample_threshold=0.2)
+        assert own.context_threshold() == 0.2
+
 
 class TestCounting:
     def test_symmetric_window_hand_enumeration(self, abab_stats):
-        assert abab_stats.count(0, 1) == 3.0
-        assert abab_stats.count(1, 0) == 3.0
-        assert abab_stats.count(0, 0) == 0.0
+        assert abab_stats.counts.to_dense().tolist() == [[0.0, 3.0], [3.0, 0.0]]
         assert abab_stats.row_marginal.tolist() == [3.0, 3.0]
         assert abab_stats.col_marginal.tolist() == [3.0, 3.0]
         assert abab_stats.total == 6.0
 
     def test_left_window_hand_enumeration(self, abab_left_stats):
-        assert abab_left_stats.count(0, 1) == 1.0
-        assert abab_left_stats.count(1, 0) == 2.0
+        assert abab_left_stats.counts.to_dense().tolist() == [[0.0, 1.0], [2.0, 0.0]]
         assert abab_left_stats.total == 3.0
 
     def test_single_token_record_has_no_pairs(self):
         vocab, tokens = encode_records([["a"]])
         stats = count_encoded(tokens, vocab, WindowSpec(left=1, right=1))
-        assert stats.pairs == {}
+        assert stats.counts.nnz == 0
         assert stats.total == 0.0
 
     def test_oov_tokens_removed_before_windowing(self):
@@ -191,14 +201,15 @@ class TestCounting:
         assert "b" not in vocab
         stats = count_encoded(tokens, vocab, WindowSpec(left=1, right=1))
         a, c = vocab.id_of("a"), vocab.id_of("c")
-        assert stats.count(a, c) == 4.0
-        assert stats.count(c, a) == 4.0
+        dense = stats.counts.to_dense()
+        assert dense[a, c] == 4.0
+        assert dense[c, a] == 4.0
         assert stats.total == 8.0
 
     def test_windows_do_not_span_records(self):
         vocab, tokens = encode_records([["a"], ["b"]])
         stats = count_encoded(tokens, vocab, WindowSpec(left=2, right=2))
-        assert stats.pairs == {}
+        assert stats.counts.nnz == 0
 
     def test_reciprocal_weight_halves_distance_two(self):
         records = [["a", "b", "c"]]
@@ -207,8 +218,9 @@ class TestCounting:
             tokens, vocab, WindowSpec(left=2, right=2, positional_weight="reciprocal")
         )
         a, c = vocab.id_of("a"), vocab.id_of("c")
-        assert stats.count(a, c) == 0.5
-        assert stats.count(c, a) == 0.5
+        dense = stats.counts.to_dense()
+        assert dense[a, c] == 0.5
+        assert dense[c, a] == 0.5
 
     def test_matches_brute_force_on_random_corpus(self, rng):
         records = [
@@ -225,22 +237,23 @@ class TestCounting:
             stats = count_encoded(tokens, vocab, win)
             ids = [[vocab.id_of(t) for t in r] for r in records]
             dense = brute_count_dense(ids, len(vocab), left, right, reciprocal)
-            assert np.allclose(stats.to_dense(), dense)
+            assert np.allclose(stats.counts.to_dense(), dense)
 
     def test_deterministic_downsampling_weights(self):
         vocab, tokens = encode_records([["a"] * 8 + ["b", "b"]])
         tau = 0.16
         win = WindowSpec(left=1, right=1, subsample_threshold=tau)
         stats = count_encoded(tokens, vocab, win)
-        plain = count_encoded(tokens, vocab, WindowSpec(left=1, right=1))
+        plain = count_encoded(tokens, vocab, WindowSpec(left=1, right=1)).counts.to_dense()
+        got = stats.counts.to_dense()
         a = vocab.id_of("a")
         b = vocab.id_of("b")
         w_a = math.sqrt(tau / 0.8)
         w_b = math.sqrt(tau / 0.2)
         # only targets are down-weighted, by their own frequency weight
-        assert stats.count(a, a) == pytest.approx(plain.count(a, a) * w_a, rel=1e-12)
-        assert stats.count(a, b) == pytest.approx(plain.count(a, b) * w_a, rel=1e-12)
-        assert stats.count(b, a) == pytest.approx(plain.count(b, a) * w_b, rel=1e-12)
+        assert got[a, a] == pytest.approx(plain[a, a] * w_a, rel=1e-12)
+        assert got[a, b] == pytest.approx(plain[a, b] * w_a, rel=1e-12)
+        assert got[b, a] == pytest.approx(plain[b, a] * w_b, rel=1e-12)
 
     def test_rare_word_weight_clamped_to_one(self):
         vocab, tokens = encode_records([["a"] * 9 + ["b"]])
@@ -248,8 +261,8 @@ class TestCounting:
         win = WindowSpec(left=1, right=1, subsample_threshold=0.5)
         stats = count_encoded(tokens, vocab, win)
         plain = count_encoded(tokens, vocab, WindowSpec(left=1, right=1))
-        b = vocab.id_of("b")
-        assert stats.count(b, vocab.id_of("a")) == plain.count(b, vocab.id_of("a"))
+        b, a = vocab.id_of("b"), vocab.id_of("a")
+        assert stats.counts.to_dense()[b, a] == plain.counts.to_dense()[b, a]
 
     def test_context_subsample_uses_own_threshold(self):
         vocab, tokens = encode_records([["a"] * 8 + ["b", "b"]])
@@ -264,8 +277,8 @@ class TestCounting:
         a = vocab.id_of("a")
         w_t = min(1.0, math.sqrt(0.2 / 0.8))
         w_c = min(1.0, math.sqrt(0.05 / 0.8))
-        plain = count_encoded(tokens, vocab, WindowSpec(left=1, right=1))
-        assert stats.count(a, a) == pytest.approx(plain.count(a, a) * w_t * w_c, rel=1e-12)
+        plain = count_encoded(tokens, vocab, WindowSpec(left=1, right=1)).counts.to_dense()
+        assert stats.counts.to_dense()[a, a] == pytest.approx(plain[a, a] * w_t * w_c, rel=1e-12)
 
     def test_stochastic_subsample_is_seeded_and_symmetric(self):
         rng = np.random.default_rng(7)
@@ -279,8 +292,8 @@ class TestCounting:
         s1 = count_encoded(tokens, vocab, win, seed=3)
         s2 = count_encoded(tokens, vocab, win, seed=3)
         s3 = count_encoded(tokens, vocab, win, seed=4)
-        assert s1.pairs == s2.pairs
-        assert s1.pairs != s3.pairs  # a different seed drops different tokens
+        assert same_pairs(s1.counts, s2.counts)
+        assert not same_pairs(s1.counts, s3.counts)  # a different seed drops different tokens
         ok, worst = check_symmetry(s1)
         assert ok and worst == 0.0
 
@@ -311,20 +324,20 @@ class TestCounting:
         assert 0 < sum(map(len, kept)) < vocab.total_tokens
         want = brute_count_dense(kept, len(vocab), 2, 1, reciprocal=True)
         first = count_encoded(lookup_encoded(records, vocab), vocab, win, seed=seed)
-        np.testing.assert_array_equal(first.to_dense() != 0, want != 0)
-        np.testing.assert_allclose(first.to_dense(), want, rtol=1e-12)
+        np.testing.assert_array_equal(first.counts.to_dense() != 0, want != 0)
+        np.testing.assert_allclose(first.counts.to_dense(), want, rtol=1e-12)
         for lead in (1, 2, 7):  # leading records without retained tokens draw nothing
             led = [[]] * lead + [["x", "q"]] * lead + records
             got = count_encoded(lookup_encoded(led, vocab), vocab, win, seed=seed)
-            assert got.pairs == first.pairs
+            assert same_pairs(got.counts, first.counts)
 
 
 class TestStatsInvariants:
-    def test_from_pairs_drops_zeros_and_checks_bounds(self):
-        stats = CooccurrenceStats.from_pairs({(0, 1): 2.0, (1, 0): 0.0}, 2)
-        assert (1, 0) not in stats.pairs
+    def test_from_counts_drops_zeros_and_checks_bounds(self):
+        stats = make_stats({(0, 1): 2.0, (1, 0): 0.0}, 2)
+        assert stats.counts.nnz == 1 and stats.counts.pair(0) == (0, 1)
         with pytest.raises(DimensionMismatchError):
-            CooccurrenceStats.from_pairs({(0, 5): 1.0}, 2)
+            make_stats({(0, 5): 1.0}, 2)
 
     def test_counted_marginals_match_stored_pairs(self, abab_stats):
         assert_marginals_match_counts(abab_stats)
@@ -341,15 +354,14 @@ class TestSharding:
         whole = count_encoded(tokens, vocab, win)
         for shards in (2, 3, 7):
             sharded = count_encoded(tokens, vocab, win, shards=shards)
-            assert sharded.pairs == whole.pairs
+            assert same_pairs(sharded.counts, whole.counts)
             assert sharded.total == whole.total
 
     def test_single_shard_is_plain_counting(self, rng):
         vocab, tokens = encode_records([["a", "b", "c"], ["b", "a"]])
         win = WindowSpec(left=1, right=1)
-        assert count_encoded(tokens, vocab, win, shards=1).pairs == count_encoded(
-            tokens, vocab, win
-        ).pairs
+        one = count_encoded(tokens, vocab, win, shards=1)
+        assert same_pairs(one.counts, count_encoded(tokens, vocab, win).counts)
 
 
     @pytest.mark.parametrize("shards", [1, 2, 3, 4])
@@ -382,12 +394,12 @@ class TestSharding:
         want = {}
         for start in range(0, len(records), chunk):
             part = lookup_encoded(records[start : start + chunk], vocab)
-            alone = count_encoded(part, vocab, win)
-            for pair, v in alone.pairs.items():
+            alone = count_encoded(part, vocab, win).counts
+            for pair, v in zip(zip(alone.i.tolist(), alone.j.tolist()), alone.v.tolist()):
                 want[pair] = want.get(pair, 0.0) + v
         got = count_encoded(tokens, vocab, win, shards=shards)
         assert not np.all(got.counts.v == np.round(got.counts.v))
-        assert got.pairs == want
+        assert same_pairs(got.counts, sparse(len(vocab), len(vocab), want))
         c, n = got.counts, len(vocab)
         row = np.bincount(c.i, weights=c.v, minlength=n)
         np.testing.assert_array_equal(got.row_marginal, row)
@@ -409,7 +421,7 @@ class TestSymmetryCheck:
         assert worst == 1.0  # |#(a,b) - #(b,a)| = |1 - 2|
 
     def test_empty_stats_vacuously_symmetric(self):
-        stats = CooccurrenceStats.from_pairs({}, 3)
+        stats = make_stats({}, 3)
         ok, worst = check_symmetry(stats)
         assert ok and worst == 0.0
 
@@ -442,7 +454,7 @@ def test_property_shard_merge_is_exact(data, shards):
     win = WindowSpec(left=1, right=2)
     whole = count_encoded(tokens, vocab, win)
     sharded = count_encoded(tokens, vocab, win, shards=shards)
-    assert whole.pairs == sharded.pairs
+    assert same_pairs(whole.counts, sharded.counts)
 
 
 @settings(max_examples=40, deadline=None)

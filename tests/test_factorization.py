@@ -18,7 +18,7 @@ from coocvec import (
     word_vectors,
 )
 from coocvec import factorization
-from helpers import random_stats, weighted_problem
+from helpers import random_stats, sparse, weighted_problem
 from oracles import als_residual, randomized_svd_whole
 
 
@@ -92,7 +92,7 @@ class TestTruncatedSvd:
         "stored, implicit", [(math.nan, 0.0), (-math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)]
     )
     def test_refuses_non_finite_stored_or_implicit_values(self, stored, implicit):
-        mat = SparseMatrix.from_entries(3, 3, {(0, 1): stored, (2, 2): 1.0}, implicit)
+        mat = sparse(3, 3, {(0, 1): stored, (2, 2): 1.0}, implicit)
         with pytest.raises(MarkerContaminationError, match="non-finite"):
             truncated_svd(mat, dim=1)
         with pytest.raises(MarkerContaminationError, match="non-finite"):
@@ -112,12 +112,12 @@ class TestTruncatedSvd:
         assert peak < 8 * n * n / 4
 
     def test_refuses_undefined_absences(self):
-        mat = SparseMatrix.from_entries(3, 3, {(0, 1): 1.0}, None)
+        mat = sparse(3, 3, {(0, 1): 1.0}, None)
         with pytest.raises(MarkerContaminationError):
             truncated_svd(mat, dim=1)
 
     def test_accepts_sparse_with_exact_zero_absences(self):
-        mat = SparseMatrix.from_entries(3, 3, {(0, 1): 2.0}, 0.0)
+        mat = sparse(3, 3, {(0, 1): 2.0}, 0.0)
         svd = truncated_svd(mat, dim=1)
         assert svd.sigma[0] == pytest.approx(2.0)
 
@@ -303,16 +303,9 @@ class TestDiscardingSupportHook:
             stats = random_stats(np.random.default_rng(seed), n_words=6, density=0.5)
             k = 1.5
             sppmi = build_matrix(stats, "sppmi", k=k)
-            expected = set()
-            for (w, c) in stats.pairs:
-                sol = solve_pair(
-                    "logistic",
-                    stats.count(w, c),
-                    float(stats.row_marginal[w]),
-                    float(stats.col_marginal[c]),
-                    stats.total,
-                    k,
-                )
-                if sol.pos_condition:
-                    expected.add((w, c))
-            assert set(sppmi.entries) == expected
+            c = stats.counts
+            sol = solve_pair(
+                "logistic", c.v, stats.row_marginal[c.i], stats.col_marginal[c.j], stats.total, k
+            )
+            keep = sol.pos_condition
+            assert np.array_equal(sppmi.i, c.i[keep]) and np.array_equal(sppmi.j, c.j[keep])

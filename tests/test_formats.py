@@ -29,12 +29,13 @@ from coocvec import (
 )
 from coocvec import corpus
 from coocvec.formats import PAIRS_PER_WRITE, parse_provenance_line, provenance_line
+from helpers import make_stats, same_pairs, sparse
 from oracles import write_embedding_whole, write_triplets_whole
 
 
 @pytest.fixture
 def stats():
-    return CooccurrenceStats.from_pairs({(0, 1): 2.5, (1, 0): 2.5, (0, 0): 1.0}, 2)
+    return make_stats({(0, 1): 2.5, (1, 0): 2.5, (0, 0): 1.0}, 2)
 
 
 @pytest.fixture
@@ -93,7 +94,7 @@ class TestCoocFiles:
         path = str(tmp_path / "c.txt")
         write_cooc(stats, path)
         back, _ = read_cooc(path)
-        assert back.pairs == stats.pairs
+        assert same_pairs(back.counts, stats.counts)
         assert back.n_words == stats.n_words
         assert back.total == stats.total
 
@@ -101,7 +102,7 @@ class TestCoocFiles:
         path = str(tmp_path / "c.bin")
         write_cooc(stats, path, prov=prov, binary=True)
         back, _ = read_cooc(path)
-        assert back.pairs == stats.pairs
+        assert same_pairs(back.counts, stats.counts)
         assert back.total == stats.total
         assert read_provenance(path).hash() == prov.hash()
 
@@ -110,7 +111,7 @@ class TestCoocFiles:
         b = str(tmp_path / "c.bin")
         write_cooc(stats, t)
         write_cooc(stats, b, binary=True)
-        assert read_cooc(t)[0].pairs == read_cooc(b)[0].pairs
+        assert same_pairs(read_cooc(t)[0].counts, read_cooc(b)[0].counts)
 
     def test_write_is_deterministic(self, tmp_path, stats, prov):
         a = tmp_path / "a.txt"
@@ -139,20 +140,21 @@ class TestCoocFiles:
 
     def test_fractional_weights_round_trip_exactly(self, tmp_path):
         value = 1.0 / 3.0 + 1e-16
-        stats = CooccurrenceStats.from_pairs({(0, 1): value, (1, 0): value}, 2)
+        stats = make_stats({(0, 1): value, (1, 0): value}, 2)
         path = str(tmp_path / "c.txt")
         write_cooc(stats, path)
-        assert read_cooc(path)[0].pairs[(0, 1)] == value
+        back = read_cooc(path)[0].counts
+        assert back.pair(0) == (0, 1) and back.v[0] == value
 
 
 class TestMatrixFiles:
     def test_pmi_tag_infers_undefined_absences(self, tmp_path):
-        mat = SparseMatrix.from_entries(2, 2, {(0, 1): 0.7}, None)
+        mat = sparse(2, 2, {(0, 1): 0.7}, None)
         path = str(tmp_path / "m.txt")
         write_matrix(mat, path, tag="pmi", k=1.0)
         back, info = read_matrix(path)
         assert back.implicit_value is None
-        assert back.entries == mat.entries
+        assert same_pairs(back, mat)
         assert info.tag == "pmi"
         assert info.k == 1.0
         assert info.lam is None
@@ -160,7 +162,7 @@ class TestMatrixFiles:
         assert len(header) == 4
 
     def test_clamped_tags_infer_zero(self, tmp_path):
-        mat = SparseMatrix.from_entries(2, 2, {(0, 1): 0.7}, 0.0)
+        mat = sparse(2, 2, {(0, 1): 0.7}, 0.0)
         for tag in ("ppmi", "sppmi"):
             path = str(tmp_path / f"{tag}.txt")
             write_matrix(mat, path, tag=tag, k=2.0)
@@ -169,7 +171,7 @@ class TestMatrixFiles:
             assert info.k == 2.0
 
     def test_other_tags_record_implicit_explicitly(self, tmp_path):
-        mat = SparseMatrix.from_entries(2, 2, {(0, 0): 0.4}, -1.0)
+        mat = sparse(2, 2, {(0, 0): 0.4}, -1.0)
         path = str(tmp_path / "m.txt")
         write_matrix(mat, path, tag="solution:squared", k=1.0)
         assert "implicit=-1.0" in open(path).readline()
@@ -178,7 +180,7 @@ class TestMatrixFiles:
         assert info.tag == "solution:squared"
 
     def test_marker_implicit_serializes_as_none(self, tmp_path):
-        mat = SparseMatrix.from_entries(2, 2, {(0, 0): 0.4}, None)
+        mat = sparse(2, 2, {(0, 0): 0.4}, None)
         path = str(tmp_path / "m.txt")
         write_matrix(mat, path, tag="solution:logistic", k=1.5)
         assert "implicit=none" in open(path).readline()
@@ -192,7 +194,7 @@ class TestMatrixFiles:
             read_matrix(str(path))
 
     def test_lambda_field_round_trips(self, tmp_path):
-        mat = SparseMatrix.from_entries(1, 1, {(0, 0): 0.25}, 0.0)
+        mat = sparse(1, 1, {(0, 0): 0.25}, 0.0)
         path = str(tmp_path / "m.txt")
         write_matrix(mat, path, tag="reg:l1", k=1.0, lam=0.125)
         _, info = read_matrix(path)
@@ -206,21 +208,21 @@ class TestMatrixFiles:
 
     def test_binary_matrix_round_trip(self, tmp_path, prov):
         entries = {(0, 1): -0.5, (3, 2): 1.75}
-        mat = SparseMatrix.from_entries(4, 4, entries, None)
+        mat = sparse(4, 4, entries, None)
         path = str(tmp_path / "m.bin")
         write_matrix(mat, path, tag="spmi", k=3.0, prov=prov, binary=True)
         back, info = read_matrix(path)
-        assert back.entries == entries
+        assert same_pairs(back, mat)
         assert back.rows == 4 and back.cols == 4
         assert info.tag == "spmi" and info.k == 3.0
         assert read_provenance(path).hash() == prov.hash()
 
     def test_empty_matrix_round_trips(self, tmp_path):
-        mat = SparseMatrix.from_entries(3, 3, {}, 0.0)
+        mat = sparse(3, 3, {}, 0.0)
         path = str(tmp_path / "m.txt")
         write_matrix(mat, path, tag="sppmi", k=5.0)
         back, _ = read_matrix(path)
-        assert back.entries == {}
+        assert back.nnz == 0
         assert back.rows == 3
 
 
@@ -494,7 +496,7 @@ class TestFloatSerialization:
         assert float(repr(value)) == value
 
     def test_numpy_scalars_serialize_as_plain_floats(self, tmp_path):
-        stats = CooccurrenceStats.from_pairs({(0, 1): np.float64(2.5)}, 2)
+        stats = make_stats({(0, 1): np.float64(2.5)}, 2)
         path = str(tmp_path / "c.txt")
         write_cooc(stats, path)
         text = open(path).read()
@@ -527,7 +529,7 @@ def test_property_sparse_matrix_sorts_and_round_trips(tmp_path_factory, case):
     v = [value for _, value in order]
     mat = SparseMatrix(rows, cols, i, j, v, None)
     assert list(zip(mat.i.tolist(), mat.j.tolist())) == sorted(entries)
-    assert mat.entries == entries
+    assert mat.v.tolist() == [entries[key] for key in sorted(entries)]
 
     work = tmp_path_factory.mktemp("triplets")
     for binary in (False, True):

@@ -6,57 +6,59 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coocvec import (
-    CooccurrenceStats,
     InvalidShiftError,
     MarkerContaminationError,
-    SparseMatrix,
     WindowSpec,
     build_matrix,
     count_encoded,
     encode_text,
-    pmi_value,
     solve_stats,
 )
-from helpers import bench_gen, random_stats
+from coocvec.pmi import pmi_values
+from helpers import bench_gen, make_stats, random_stats, same_pairs, sparse
 
 LOG2 = math.log(2.0)
 
 
-class TestPmiValue:
+class TestPmiValues:
     def test_hand_computed_example(self, abab_stats):
-        assert pmi_value(abab_stats, 0, 1) == pytest.approx(LOG2, abs=1e-15)
-        assert pmi_value(abab_stats, 1, 0) == pytest.approx(LOG2, abs=1e-15)
+        c = abab_stats.counts
+        assert [c.pair(p) for p in range(c.nnz)] == [(0, 1), (1, 0)]
+        np.testing.assert_allclose(pmi_values(abab_stats, c.i, c.j, c.v), LOG2, atol=1e-15)
 
     def test_absent_pair_is_undefined(self, abab_stats):
-        assert pmi_value(abab_stats, 0, 0) is None
+        assert pmi_values(abab_stats, 0, 0, 0.0) == -math.inf
+        mat = build_matrix(abab_stats, "pmi")
+        assert not mat.find(0, 0)[1] and mat.implicit_value is None
 
     def test_zero_marginal_is_undefined(self):
-        stats = CooccurrenceStats.from_pairs({(0, 1): 2.0}, 3)
-        assert pmi_value(stats, 2, 1) is None
-        assert pmi_value(stats, 0, 2) is None
+        # a word with no pairs has zero marginals, so the matrix stores nothing for it
+        mat = build_matrix(make_stats({(0, 1): 2.0}, 3), "pmi")
+        assert not mat.find([2, 0], [1, 2])[1].any() and mat.implicit_value is None
 
     def test_independence_gives_zero(self):
         pairs = {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 1.0}
-        stats = CooccurrenceStats.from_pairs(pairs, 2)
-        for key in pairs:
-            assert pmi_value(stats, *key) == pytest.approx(0.0, abs=1e-15)
+        mat = build_matrix(make_stats(pairs, 2), "pmi")
+        assert mat.nnz == 4
+        np.testing.assert_allclose(mat.v, 0.0, atol=1e-15)
 
 
 class TestBuildMatrix:
     def test_spmi_shift_cancels_log2(self, abab_stats):
         mat = build_matrix(abab_stats, "spmi", k=2.0)
-        assert mat.get(0, 1) == pytest.approx(0.0, abs=1e-15)
+        assert mat.pair(0) == (0, 1) and mat.v[0] == pytest.approx(0.0, abs=1e-15)
         assert mat.implicit_value is None
 
     def test_sppmi_drops_non_positive_entries(self, abab_stats):
         mat = build_matrix(abab_stats, "sppmi", k=2.0)
-        assert mat.entries == {}
+        assert mat.nnz == 0
         assert mat.implicit_value == 0.0
 
     def test_ppmi_keeps_positive_entries(self, abab_stats):
         mat = build_matrix(abab_stats, "ppmi")
-        assert mat.get(0, 1) == pytest.approx(LOG2, abs=1e-15)
-        assert mat.get(1, 0) == pytest.approx(LOG2, abs=1e-15)
+        dense = mat.to_dense()
+        assert dense[0, 1] == pytest.approx(LOG2, abs=1e-15)
+        assert dense[1, 0] == pytest.approx(LOG2, abs=1e-15)
         assert mat.nnz == 2
 
     def test_invalid_shift_rejected(self, abab_stats):
@@ -78,33 +80,34 @@ class TestBuildMatrix:
         stats = random_stats(rng, n_words=5, density=0.6)
         a = build_matrix(stats, "ppmi")
         b = build_matrix(stats, "sppmi", k=1.0)
-        assert a.entries == b.entries
+        assert same_pairs(a, b)
 
     def test_negative_pmi_kept_by_unclamped_variants(self):
         # (0,1) is rarer than independence predicts, so its PMI is negative
         pairs = {(0, 0): 8.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 2.0}
-        stats = CooccurrenceStats.from_pairs(pairs, 2)
-        assert pmi_value(stats, 0, 1) < 0
+        stats = make_stats(pairs, 2)
         pmi = build_matrix(stats, "pmi")
         ppmi = build_matrix(stats, "ppmi")
-        assert (0, 1) in pmi.entries
-        assert (0, 1) not in ppmi.entries
+        pos, found = pmi.find(0, 1)
+        assert found and pmi.v[pos] < 0
+        assert not ppmi.find(0, 1)[1]
 
 
 class TestSparseMatrixMarkers:
-    def test_get_returns_implicit_for_absent(self):
-        mat = SparseMatrix.from_entries(2, 2, {(0, 1): 1.5}, 0.0)
-        assert mat.get(0, 0) == 0.0
-        assert mat.get(0, 1) == 1.5
+    def test_find_locates_stored_pairs(self):
+        mat = sparse(2, 2, {(0, 1): 1.5}, 0.0)
+        pos, found = mat.find([0, 0, 1], [0, 1, 1])
+        assert found.tolist() == [False, True, False]
+        assert mat.v[pos[1]] == 1.5
 
     def test_undefined_absence_blocks_densify(self):
-        mat = SparseMatrix.from_entries(2, 2, {(0, 1): 1.5}, None)
-        assert mat.get(0, 0) is None
+        mat = sparse(2, 2, {(0, 1): 1.5}, None)
+        assert mat.implicit_value is None
         with pytest.raises(MarkerContaminationError):
             mat.to_dense()
 
     def test_dense_fills_implicit(self):
-        mat = SparseMatrix.from_entries(2, 2, {(1, 0): 2.0}, -1.0)
+        mat = sparse(2, 2, {(1, 0): 2.0}, -1.0)
         assert mat.to_dense().tolist() == [[-1.0, -1.0], [2.0, -1.0]]
 
 
@@ -114,14 +117,11 @@ def test_property_sppmi_matches_clamped_pmi(seed, k):
     rng = np.random.default_rng(seed)
     stats = random_stats(rng, n_words=5, density=0.5)
     mat = build_matrix(stats, "sppmi", k=k)
-    log_k = math.log(k)
-    for (w, c) in stats.pairs:
-        expected = max((pmi_value(stats, w, c) or 0.0) - log_k, 0.0)
-        got = mat.get(w, c)
-        if expected > 0.0:
-            assert got == pytest.approx(expected, rel=1e-12)
-        else:
-            assert (w, c) not in mat.entries
+    c = stats.counts
+    expected = np.maximum(pmi_values(stats, c.i, c.j, c.v) - math.log(k), 0.0)
+    pos, found = mat.find(c.i, c.j)
+    assert np.array_equal(found, expected > 0.0)
+    np.testing.assert_allclose(mat.v[pos[found]], expected[found], rtol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,8 +131,9 @@ def test_property_symmetric_stats_give_symmetric_matrices(seed):
     stats = random_stats(rng, n_words=5, density=0.5, symmetric=True)
     for variant, k in (("pmi", 1.0), ("ppmi", 1.0), ("spmi", 2.5), ("sppmi", 2.5)):
         mat = build_matrix(stats, variant, k=k)
-        for (i, j), v in mat.entries.items():
-            assert mat.entries[(j, i)] == pytest.approx(v, rel=1e-12)
+        pos, found = mat.find(mat.j, mat.i)
+        assert found.all()
+        np.testing.assert_allclose(mat.v[pos], mat.v, rtol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -143,9 +144,9 @@ def test_property_sppmi_monotone_in_k(seed):
     previous = build_matrix(stats, "sppmi", k=1.0)
     for k in (1.5, 2.5, 5.0):
         current = build_matrix(stats, "sppmi", k=k)
-        assert set(current.entries) <= set(previous.entries)
-        for key, v in current.entries.items():
-            assert v <= previous.entries[key] + 1e-12
+        pos, found = previous.find(current.i, current.j)
+        assert found.all()
+        assert (current.v <= previous.v[pos] + 1e-12).all()
         previous = current
 
 

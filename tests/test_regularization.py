@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coocvec import (
-    CooccurrenceStats,
     DomainError,
     InvalidShiftError,
     RegSpec,
@@ -17,7 +16,8 @@ from coocvec import (
     solve_l1,
     solve_l2,
 )
-from helpers import random_stats
+from coocvec.pmi import pmi_values
+from helpers import make_stats, random_stats
 from oracles import reg_objective, reg_root
 
 
@@ -66,11 +66,19 @@ class TestSolveL2:
             x = solve_l2(0.8, 1.0, lam)
             assert 0.0 < x < 0.8
 
-    def test_rejects_non_positive_side(self):
-        with pytest.raises(DomainError):
-            solve_l2(math.log(2.0), 2.0, 0.5)
-        with pytest.raises(DomainError):
-            solve_l2(-1.0, 1.0, 0.5)
+    def test_matches_exact_below_log_k(self):
+        # the mirror identity carries the positive-side closed form below log k,
+        # and the chord overshoots the root on both sides
+        gaps = np.linspace(0.1, 5.0, 25)
+        for k in (1.0, 2.0, 5.0):
+            pmi = math.log(k) + np.concatenate([-gaps, gaps])
+            for lam in np.geomspace(1e-3, 10.0, 25):
+                got = solve_l2(pmi, k, lam)
+                exact = solve_exact(pmi, k, lam, "l2")
+                nonzero = exact != 0.0
+                rel = np.abs(got - exact)[nonzero] / np.abs(exact[nonzero])
+                assert rel.max(initial=0.0) <= 1e-10, (k, lam)
+                assert np.all(np.abs(l2_chord(pmi, k, lam)) >= np.abs(exact)), (k, lam)
 
     def test_within_ten_percent_of_exact_on_hand_example(self):
         lam = (math.e - 1.0) / 2.0
@@ -112,8 +120,6 @@ class TestL2Chord:
             assert l2_chord(2.0, 1.0, lam) > solve_exact(2.0, 1.0, lam, "l2")
 
     def test_validation_matches_solve_l2(self):
-        with pytest.raises(DomainError):
-            l2_chord(math.log(2.0), 2.0, 0.5)
         with pytest.raises(InvalidShiftError):
             l2_chord(1.0, 0.5, 0.1)
         with pytest.raises(ValueError):
@@ -208,26 +214,25 @@ class TestRegularizeStats:
         spec = RegSpec(kind="l1", k=1.0, lam=0.1)
         mat = regularize_stats(abab_stats, spec)
         assert mat.implicit_value == pytest.approx(math.log(0.1 / 0.9), rel=1e-12)
-        assert mat.get(0, 1) == pytest.approx(solve_l1(math.log(2.0), 1.0, 0.1), rel=1e-12)
+        assert mat.pair(0) == (0, 1)
+        assert mat.v[0] == pytest.approx(solve_l1(math.log(2.0), 1.0, 0.1), rel=1e-12)
 
     def test_l2_used_where_chord_defined_else_exact(self, rng):
-        from coocvec import pmi_value
-
         # unit diagonal plus off-diagonal weights down to e^-16.5 puts pmi as
         # far as 15 below log k = log 2
         off = iter(np.exp(-np.linspace(0.0, 16.5, 30)))
         pairs = {(i, j): 1.0 if i == j else float(next(off)) for i in range(6) for j in range(6)}
-        far_below = CooccurrenceStats.from_pairs(pairs, 6)
-        assert min(pmi_value(far_below, w, c) for (w, c) in pairs) - math.log(2.0) < -15.0
+        far_below = make_stats(pairs, 6)
+        c = far_below.counts
+        assert pmi_values(far_below, c.i, c.j, c.v).min() - math.log(2.0) < -15.0
         near = random_stats(rng, n_words=5, density=0.6)
         for stats, lam in ((near, 0.25), (far_below, 0.25), (far_below, 100.0)):
             mat = regularize_stats(stats, RegSpec(kind="l2", k=2.0, lam=lam))
-            for (w, c), got in mat.entries.items():
-                pmi = pmi_value(stats, w, c)
-                if pmi - math.log(2.0) > 0:
-                    assert got == pytest.approx(solve_l2(pmi, 2.0, lam), rel=1e-12)
-                else:
-                    assert got == pytest.approx(solve_exact(pmi, 2.0, lam, "l2"), abs=1e-10)
+            c = stats.counts
+            pmi = pmi_values(stats, c.i, c.j, c.v)
+            assert mat.v.tobytes() == solve_l2(pmi, 2.0, lam).tobytes()
+            exact = solve_exact(pmi, 2.0, lam, "l2")
+            np.testing.assert_allclose(mat.v, exact, rtol=0.0, atol=1e-10)
 
     def test_absent_pairs_need_positive_lambda(self, abab_stats):
         # the unregularized zero-count score is -inf, never a finite implicit value
@@ -240,7 +245,7 @@ class TestRegularizeStats:
         previous = -1
         for lam in (0.01, 0.1, 0.5, 1.0, 3.0, 10.0):
             mat = regularize_stats(stats, RegSpec(kind="l1", k=1.5, lam=lam))
-            zeros = sum(1 for v in mat.entries.values() if v == 0.0)
+            zeros = int(np.count_nonzero(mat.v == 0.0))
             assert zeros >= previous
             previous = zeros
 

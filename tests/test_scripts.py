@@ -1,4 +1,7 @@
-"""Smoke tests: the example scripts and the README's Python API example run end to end."""
+"""Smoke tests: the example scripts and the README's Python API example run end to end,
+and the package names the README cites exist."""
+import dataclasses
+import functools
 import os
 import re
 import subprocess
@@ -39,6 +42,32 @@ def test_readme_python_api_example_runs():
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     done = run_python("-c", code)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_dotted_names_resolve():
+    """Every backticked dotted name headed by a coocvec export or submodule, such as
+    `pmi.shifted_pmi` or `factorization.ROWS_PER_BLOCK`, is an attribute path from
+    coocvec; the last step may name a dataclass field."""
+    import coocvec
+
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        prose = re.sub(r"```.*?```", "", fh.read(), flags=re.S)
+    heads = set(coocvec.__all__) | set(coocvec._EXPORTS)
+    names = {
+        m.group(1)
+        for span in prose.split("`")[1::2]
+        for m in re.finditer(r"\b([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)", span)
+        if m.group(1).split(".")[0] in heads and not m.group(1).endswith(".py")
+    }
+    assert len(names) >= 10
+    missing = []
+    for name in sorted(names):
+        *path, last = name.split(".")
+        owner = functools.reduce(getattr, path, coocvec)
+        fields = dataclasses.fields(owner) if dataclasses.is_dataclass(owner) else ()
+        if not (hasattr(owner, last) or last in [f.name for f in fields]):
+            missing.append(name)
+    assert not missing, missing
 
 
 def test_count_memory_reports_time_and_peak_rss(tmp_path):
