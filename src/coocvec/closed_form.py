@@ -29,6 +29,7 @@ it bisects all pairs at once with `bisect_decreasing`, as `solve_exact` does.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,6 +46,8 @@ from .pmi import shifted_pmi
 from .vectors import SparseMatrix
 
 LOSS_NAMES = ("logistic", "squared", "squared_hinge", "hinge", "huber")
+# a bisection bracket's widest half: past it, e^-|x| is no longer a normal float
+MAX_HALF_WIDTH = -math.log(np.finfo(float).tiny)
 
 
 def _sigmoid(t):
@@ -240,13 +243,17 @@ def bisect_decreasing(g, lo, hi):
     return _float_if_scalar(np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi))))
 
 
-def minimize_pair_numeric(kind: str, n_wc, n_w, n_c, total: float, k: float, lo=-60.0, hi=60.0):
+def minimize_pair_numeric(kind: str, n_wc, n_w, n_c, total: float, k: float):
     """Minimize pair objectives numerically, elementwise, without the closed forms.
 
     Hinge objectives are piecewise linear with the optimum at a margin vertex,
     so those are compared directly (a tie picks -1); the smooth losses are
     solved by bisecting the sign change of the first derivative, which every
-    convex member has.  The counts and the bracket broadcast together.
+    convex member has.  Each pair's minimizer lies between 0 and pmi - log k,
+    so its bracket is [-B, B] with B = 1 + |pmi - log k| clipped to
+    [60, MAX_HALF_WIDTH]; the gap is taken as log #(w,c) minus the log of
+    the negative mass, so a tiny count does not underflow to pmi = -inf.
+    The counts broadcast together.
     """
     _check_kind(kind)
     if kind == "hinge":
@@ -258,7 +265,9 @@ def minimize_pair_numeric(kind: str, n_wc, n_w, n_c, total: float, k: float, lo=
         # minus the slope of the objective, which rises through its minimum
         return -(n_wc * loss_derivative(kind, x, 1.0) + neg_mass * loss_derivative(kind, x, -1.0))
 
-    return bisect_decreasing(falling, lo, hi)
+    with np.errstate(divide="ignore"):  # a zero count reaches inf: B = MAX_HALF_WIDTH
+        B = np.clip(1.0 + np.abs(np.log(n_wc) - np.log(neg_mass)), 60.0, MAX_HALF_WIDTH)
+    return bisect_decreasing(falling, -B, B)
 
 
 def assemble_spmi_solution(

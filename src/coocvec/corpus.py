@@ -36,12 +36,15 @@ class Vocabulary:
 
     words: list[str]
     freq: np.ndarray
-    total_tokens: int
     index: dict[str, int] = field(init=False)
 
     def __post_init__(self) -> None:
         self.freq = np.asarray(self.freq, dtype=np.int64)
         self.index = word_index(self.words)
+
+    @property
+    def total_tokens(self) -> int:
+        return int(self.freq.sum())
 
     def __len__(self) -> int:
         return len(self.words)
@@ -115,9 +118,7 @@ def _vocabulary(types: list[str], ids: np.ndarray, min_count: int) -> tuple[Voca
     kept.sort(key=lambda p: (-count_of[p], types[p]))
     word_id = np.full(len(types), -1, dtype=np.int64)
     word_id[kept] = np.arange(len(kept))
-    freq = counts[kept]
-    vocab = Vocabulary(words=[types[p] for p in kept], freq=freq, total_tokens=int(freq.sum()))
-    return vocab, word_id
+    return Vocabulary(words=[types[p] for p in kept], freq=counts[kept]), word_id
 
 
 def encode_text(text: str, min_count: int = 1) -> tuple[Vocabulary, Encoded]:

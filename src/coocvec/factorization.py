@@ -37,44 +37,21 @@ class SvdResult:
     sigma: np.ndarray
     V: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.sigma)
 
-
-def _checked(M: SparseMatrix | np.ndarray) -> SparseMatrix | np.ndarray:
-    """M as a SparseMatrix or a float array, refused if an entry it stands for is not finite.
-
-    A sparse matrix is checked by its stored values and its implicit value,
-    so no array of its full shape is made.
-    """
-    if not isinstance(M, SparseMatrix):
-        M = values = np.asarray(M, dtype=float)
-    elif M.implicit_value is None:
+def _check_finite(M: SparseMatrix) -> None:
+    """Refuse M if an entry it stands for is not finite, checking no more than nnz + 1 values."""
+    if M.implicit_value is None:
         raise MarkerContaminationError("matrix has undefined absent entries; cannot densify")
-    else:
-        values = np.append(M.v, M.implicit_value)
-    if not np.isfinite(values).all():
+    if not np.isfinite(np.append(M.v, M.implicit_value)).all():
         raise MarkerContaminationError("matrix contains non-finite entries")
-    return M
 
 
-def _as_dense(M: SparseMatrix | np.ndarray) -> np.ndarray:
-    M = _checked(M)
-    return M.to_dense() if isinstance(M, SparseMatrix) else M
-
-
-def _row_blocks(M: SparseMatrix | np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+def _row_blocks(M: SparseMatrix) -> Iterator[tuple[int, np.ndarray]]:
     """(a, rows a to a + ROWS_PER_BLOCK - 1 of M as a dense array), for each block in order.
 
-    An array yields views of its rows.  A sparse matrix yields one buffer,
-    refilled for each block with the implicit value and the block's stored
-    pairs, so a block is valid only until the next one is taken.
+    One buffer is refilled for each block with the implicit value and the
+    block's stored pairs, so a block is valid only until the next one is taken.
     """
-    if not isinstance(M, SparseMatrix):
-        for a in range(0, len(M), ROWS_PER_BLOCK):
-            yield a, M[a : a + ROWS_PER_BLOCK]
-        return
     starts = np.arange(0, M.rows, ROWS_PER_BLOCK)
     ptr = np.searchsorted(M.i, np.append(starts, M.rows))  # stored pairs are sorted by row
     buffer = np.empty((min(ROWS_PER_BLOCK, M.rows), M.cols))
@@ -86,7 +63,7 @@ def _row_blocks(M: SparseMatrix | np.ndarray) -> Iterator[tuple[int, np.ndarray]
         yield a, block
 
 
-def _times(M: SparseMatrix | np.ndarray, n_rows: int, X: np.ndarray) -> np.ndarray:
+def _times(M: SparseMatrix, n_rows: int, X: np.ndarray) -> np.ndarray:
     """M @ X, a block of M's rows at a time."""
     out = np.empty((n_rows, X.shape[1]))
     for a, block in _row_blocks(M):
@@ -94,7 +71,7 @@ def _times(M: SparseMatrix | np.ndarray, n_rows: int, X: np.ndarray) -> np.ndarr
     return out
 
 
-def _times_transposed(M: SparseMatrix | np.ndarray, n_cols: int, Y: np.ndarray) -> np.ndarray:
+def _times_transposed(M: SparseMatrix, n_cols: int, Y: np.ndarray) -> np.ndarray:
     """M^T @ Y, summed over blocks of M's rows."""
     out = np.zeros((n_cols, Y.shape[1]))
     term = np.empty_like(out)  # one buffer: a fresh product per block would be mapped anew
@@ -104,7 +81,7 @@ def _times_transposed(M: SparseMatrix | np.ndarray, n_cols: int, Y: np.ndarray) 
 
 
 def truncated_svd(
-    M: SparseMatrix | np.ndarray,
+    M: SparseMatrix,
     dim: int,
     seed: int = 0,
     oversample: int = 8,
@@ -115,11 +92,11 @@ def truncated_svd(
     A Gaussian sketch of dim + oversample columns is refined by QR-stabilized
     power iterations before a small dense SVD.  Deterministic for a fixed
     seed.  M enters only through products with dense blocks of
-    ROWS_PER_BLOCK rows, so a sparse M is never held whole: memory is
+    ROWS_PER_BLOCK rows, so it is never held whole: memory is
     O(nnz + ROWS_PER_BLOCK * cols + (rows + cols) * (dim + oversample)).
     """
-    M = _checked(M)
-    n_rows, n_cols = (M.rows, M.cols) if isinstance(M, SparseMatrix) else M.shape
+    _check_finite(M)
+    n_rows, n_cols = M.rows, M.cols
     if not 1 <= dim <= min(n_rows, n_cols):
         raise DimensionMismatchError(
             f"dim must lie in [1, {min(n_rows, n_cols)}], got {dim}"
@@ -164,19 +141,20 @@ def word_vectors(svd: SvdResult, flavor: str, words: list[str] | None = None) ->
     return Embedding(words=list(words), vectors=vectors)
 
 
-def consistency_report(M: SparseMatrix | np.ndarray, flavor: str) -> float:
+def consistency_report(M: SparseMatrix, flavor: str) -> float:
     """Largest absolute gap between W W^T and M M^T at full rank.
 
     The plain flavor keeps the gap at rounding level; the symmetric flavor
     replaces squared singular values by plain ones inside the product, so any
-    spectrum away from 0/1 shows a real gap.
+    spectrum away from 0/1 shows a real gap.  The side is checked before M
+    is made dense, so a refusal allocates nothing of M's full shape.
     """
-    A = _as_dense(M)
-    n = min(A.shape)
-    if max(A.shape) > 500:
+    if max(M.rows, M.cols) > 500:
         raise DimensionMismatchError(
-            f"consistency report is a desk-scale check (max side 500), got {A.shape}"
+            f"consistency report is a desk-scale check (max side 500), got {(M.rows, M.cols)}"
         )
+    _check_finite(M)
+    A = M.to_dense()
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     svd = SvdResult(U=U, sigma=s, V=Vt.T)
     W = word_vectors(svd, flavor).vectors

@@ -289,8 +289,7 @@ def read_vocab(path: str) -> tuple[Vocabulary, Provenance | None]:
     table = _table(text, start, _VOCAB_DTYPE, "word<TAB>count", "\t")
     if not len(table):
         raise FormatError("empty vocabulary file")
-    freq = table["count"]
-    return Vocabulary(words=table["word"].tolist(), freq=freq, total_tokens=int(freq.sum())), prov
+    return Vocabulary(words=table["word"].tolist(), freq=table["count"]), prov
 
 
 # ------------------------------------------------------------- co-occurrence

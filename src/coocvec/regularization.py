@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closed_form import _float_if_scalar, _refuse_nan, bisect_decreasing
+from .closed_form import MAX_HALF_WIDTH, _float_if_scalar, _refuse_nan, bisect_decreasing
 from .corpus import CooccurrenceStats
 from .errors import DomainError, InvalidOptionError, check_shift
 from .pmi import pmi_values
@@ -143,22 +143,28 @@ def solve_exact(pmi, k: float, lam, kind: str):
     """Solve the regularized stationarity condition by bisection, elementwise.
 
     Serves as the ground-truth companion to the closed forms: the residual of
-    each returned root is below 1e-12 on desk-scale inputs, and the bracket
-    [-50, 50] covers every root those inputs can produce.  pmi and lam
-    broadcast together.  L1 picks each bracket from h(0): [0, 50] above lam,
-    [-50, 0] below -lam, and [0, 0] (the score 0) in between.
+    each returned root is below 1e-12 on desk-scale inputs.  pmi and lam
+    broadcast together.  A root lies between 0 and pmi - log k, or, at
+    pmi = -inf, above min(-1, log lam - log k), so the bracket [-B, B] with
+    B = |pmi - log k| clipped to [50, MAX_HALF_WIDTH], log lam standing in
+    for a pmi of -inf, covers every root a float can resolve.  L1 picks its
+    bracket from h(0): [0, B] above lam, [-B, 0] below -lam, and [0, 0]
+    (the score 0) in between.
     """
     if kind not in REG_KINDS:
         raise ValueError(f"kind must be one of {REG_KINDS}, got {kind!r}")
     _check_params(k, lam)
+    with np.errstate(divide="ignore"):
+        edge = np.where(np.isneginf(pmi), np.log(lam), pmi)
+    B = np.clip(np.abs(edge - math.log(k)), 50.0, MAX_HALF_WIDTH)
     if kind == "l2":
         # lam*x - h(x) is strictly increasing; its negation is decreasing
-        return bisect_decreasing(lambda x: h_function(pmi, k, x) - lam * x, -50.0, 50.0)
+        return bisect_decreasing(lambda x: h_function(pmi, k, x) - lam * x, -B, B)
     h0 = h_function(pmi, k, 0.0)
     up = h0 > lam
     shift = np.where(up, lam, -lam)
-    lo = np.where(up | (np.abs(h0) <= lam), 0.0, -50.0)
-    hi = np.where(up, 50.0, 0.0)
+    lo = np.where(up | (np.abs(h0) <= lam), 0.0, -B)
+    hi = np.where(up, B, 0.0)
     return bisect_decreasing(lambda x: h_function(pmi, k, x) - shift, lo, hi)
 
 

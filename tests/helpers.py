@@ -31,6 +31,13 @@ def sparse(
     return SparseMatrix(rows, cols, ij[:, 0], ij[:, 1], list(entries.values()), implicit_value)
 
 
+def from_dense(A, implicit_value=0.0) -> SparseMatrix:
+    """A SparseMatrix storing every entry of the array A that differs from implicit_value."""
+    A = np.asarray(A, dtype=float)
+    i, j = np.nonzero(A != implicit_value)
+    return SparseMatrix(*A.shape, i, j, A[i, j], implicit_value)
+
+
 def make_stats(pairs: dict[tuple[int, int], float], n_words: int) -> CooccurrenceStats:
     return CooccurrenceStats.from_counts(sparse(n_words, n_words, pairs))
 

@@ -7,6 +7,7 @@ cross-check and not the same code evaluated twice.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -76,7 +77,11 @@ def minimize_rho(
     def slope(x: float) -> float:
         return n_wc * _ref_loss_slope(kind, x, 1.0) + m * _ref_loss_slope(kind, x, -1.0)
 
-    lo, hi = -60.0, 60.0
+    # the minimizer lies between 0 and pmi - log k = log(n_wc / m), a zero count's at -inf;
+    # beyond log of the smallest normal float the slope's terms lose their bits
+    reach = 1.0 + abs(math.log(n_wc) - math.log(m)) if n_wc > 0.0 else math.inf
+    half = min(-math.log(sys.float_info.min), max(60.0, reach))
+    lo, hi = -half, half
     if slope(lo) >= 0.0:
         return lo
     if slope(hi) <= 0.0:

@@ -37,7 +37,7 @@ from coocvec.convex_model import (
     noise_distribution,
     softmax_loss_grad,
 )
-from helpers import encode_records, random_count_tuples, random_stats, weighted_problem
+from helpers import encode_records, from_dense, random_count_tuples, random_stats, weighted_problem
 from oracles import als_residual, minimize_rho, reg_root
 
 VERDICTS: list[str] = []
@@ -219,8 +219,9 @@ def test_criterion_08_gram_consistency_by_flavor():
     plain_worst = 0.0
     symmetric_best = 0.0
     for _ in range(20):
-        M = rng.normal(size=(50, 50))
-        s = np.linalg.svd(M, compute_uv=False)
+        A = rng.normal(size=(50, 50))
+        s = np.linalg.svd(A, compute_uv=False)
+        M = from_dense(A)
         plain_worst = max(plain_worst, consistency_report(M, "plain"))
         if abs(s[0] - s[-1]) > 1e-6:
             symmetric_best = max(symmetric_best, consistency_report(M, "symmetric"))

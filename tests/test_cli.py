@@ -65,7 +65,7 @@ class TestCount:
                        "--min-count", str(min_count), "--stochastic", "--subsample", "0.05",
                        "--seed", "3", *extra) == 0
             words, freq = vocabulary_by_counter(records, min_count)
-            vocab = Vocabulary(words, np.array(freq), sum(freq))
+            vocab = Vocabulary(words, np.array(freq))
             win = WindowSpec(subsample_threshold=0.05, stochastic_subsample=True)
             tokens = lookup_encoded(records, vocab)
             stats = count_encoded(tokens, vocab, win, seed=3, shards=shards)
@@ -853,6 +853,27 @@ class TestReport:
         assert "sign_agreement" in out
         assert "l1_sparsity" in out or "l1" in out
         assert "consistency" in out
+
+    def test_numeric_references_follow_a_large_shift(self, tmp_path, corpus_path, capsys):
+        # at k = 1e30 each stored pair's scores lie near pmi - log k, about -69
+        counts = counted(tmp_path, corpus_path)
+        assert run("report", "--cooc", counts, "--k", "1e30") == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+        errors = {name: float(value) for name, value in rows if "err" in name}
+        assert len(errors) == 7 and max(errors.values()) <= 1e-10, errors
+
+    def test_report_refuses_a_matrix_past_the_consistency_cap(self, tmp_path, capsys):
+        corpus = tmp_path / "wide.txt"
+        corpus.write_text(" ".join(f"w{n}" for n in range(501)) + "\n")
+        counts, mat = str(tmp_path / "c.txt"), str(tmp_path / "ppmi.txt")
+        assert run("count", "--input", str(corpus), "--output", counts) == 0
+        assert run("pmi", "--cooc", counts, "--output", mat, "--variant", "ppmi") == 0
+        capsys.readouterr()
+        out = tmp_path / "report.txt"
+        assert run("report", "--cooc", counts, "--matrix", mat, "--output", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error dimension-mismatch:"), err
+        assert not out.exists()
 
     def test_report_refuses_mixed_ancestry(self, tmp_path, capsys):
         a = tmp_path / "one.txt"

@@ -18,29 +18,24 @@ from coocvec import (
     word_vectors,
 )
 from coocvec import factorization
-from helpers import random_stats, sparse, weighted_problem
+from helpers import from_dense, random_stats, sparse, weighted_problem
 from oracles import als_residual, randomized_svd_whole
-
-
-def dense_matrix(values) -> np.ndarray:
-    return np.asarray(values, dtype=float)
 
 
 def sparse_and_dense(rng, rows: int, cols: int, implicit: float, density: float = 0.1):
     """A random SparseMatrix with the given implicit value, and the same matrix as an array."""
     A = np.where(rng.random((rows, cols)) < density, rng.normal(size=(rows, cols)), implicit)
-    i, j = np.nonzero(A != implicit)
-    return SparseMatrix(rows, cols, i, j, A[i, j], implicit), A
+    return from_dense(A, implicit), A
 
 
 class TestTruncatedSvd:
     def test_identity(self):
-        svd = truncated_svd(np.eye(2), dim=2)
+        svd = truncated_svd(from_dense(np.eye(2)), dim=2)
         assert np.allclose(svd.sigma, [1.0, 1.0])
         assert np.allclose(svd.U @ np.diag(svd.sigma) @ svd.V.T, np.eye(2))
 
     def test_diagonal_dominant_axis(self):
-        svd = truncated_svd(np.diag([3.0, 1.0]), dim=1)
+        svd = truncated_svd(from_dense(np.diag([3.0, 1.0])), dim=1)
         assert svd.sigma.shape == (1,)
         assert svd.sigma[0] == pytest.approx(3.0)
         approx = svd.U @ np.diag(svd.sigma) @ svd.V.T
@@ -50,7 +45,7 @@ class TestTruncatedSvd:
         A = np.zeros((50, 50))
         for _ in range(300):
             A[rng.integers(0, 50), rng.integers(0, 50)] = rng.normal()
-        svd = truncated_svd(A, dim=10, seed=0)
+        svd = truncated_svd(from_dense(A), dim=10, seed=0)
         got = np.linalg.norm(A - svd.U @ np.diag(svd.sigma) @ svd.V.T)
         s = np.linalg.svd(A, compute_uv=False)
         best = math.sqrt(float(np.sum(s[10:] ** 2)))
@@ -60,7 +55,7 @@ class TestTruncatedSvd:
 
     def test_orthonormal_factors(self, rng):
         A = rng.normal(size=(30, 20))
-        svd = truncated_svd(A, dim=6, seed=1)
+        svd = truncated_svd(from_dense(A), dim=6, seed=1)
         assert np.allclose(svd.U.T @ svd.U, np.eye(6), atol=1e-8)
         assert np.allclose(svd.V.T @ svd.V, np.eye(6), atol=1e-8)
         assert all(a >= b for a, b in zip(svd.sigma, svd.sigma[1:]))
@@ -68,8 +63,8 @@ class TestTruncatedSvd:
 
     def test_deterministic_under_seed(self, rng):
         A = rng.normal(size=(15, 15))
-        a = truncated_svd(A, dim=4, seed=9)
-        b = truncated_svd(A, dim=4, seed=9)
+        a = truncated_svd(from_dense(A), dim=4, seed=9)
+        b = truncated_svd(from_dense(A), dim=4, seed=9)
         assert np.array_equal(a.U, b.U)
         assert np.array_equal(a.sigma, b.sigma)
 
@@ -78,15 +73,14 @@ class TestTruncatedSvd:
         [(300, 300, 0.0), (257, 90, -0.5), (90, 257, 0.3), (1, 40, 2.0),
          (factorization.ROWS_PER_BLOCK, 60, 1.0)],
     )
-    def test_sparse_matches_the_dense_array_and_the_whole_matrix(self, rng, rows, cols, implicit):
+    def test_sparse_matches_the_whole_matrix(self, rng, rows, cols, implicit):
         S, A = sparse_and_dense(rng, rows, cols, implicit)
         dim = min(rows, cols, 10)
-        sparse, dense = truncated_svd(S, dim, seed=3), truncated_svd(A, dim, seed=3)
+        got = truncated_svd(S, dim, seed=3)
         U, sigma, V = randomized_svd_whole(A, dim, seed=3)
-        for got in (sparse, dense):
-            assert np.abs(got.sigma - sigma).max() <= 1e-10
-            assert np.abs(got.U * got.sigma - U * sigma).max() <= 1e-10
-            assert np.abs(got.V * got.sigma - V * sigma).max() <= 1e-10
+        assert np.abs(got.sigma - sigma).max() <= 1e-10
+        assert np.abs(got.U * got.sigma - U * sigma).max() <= 1e-10
+        assert np.abs(got.V * got.sigma - V * sigma).max() <= 1e-10
 
     @pytest.mark.parametrize(
         "stored, implicit", [(math.nan, 0.0), (-math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)]
@@ -95,8 +89,6 @@ class TestTruncatedSvd:
         mat = sparse(3, 3, {(0, 1): stored, (2, 2): 1.0}, implicit)
         with pytest.raises(MarkerContaminationError, match="non-finite"):
             truncated_svd(mat, dim=1)
-        with pytest.raises(MarkerContaminationError, match="non-finite"):
-            truncated_svd(mat.to_dense(), dim=1)
 
     def test_sparse_svd_holds_no_dense_copy(self, rng):
         n = 2_000  # 32 MB as a dense float array
@@ -123,13 +115,13 @@ class TestTruncatedSvd:
 
     def test_dim_bounds(self):
         with pytest.raises(DimensionMismatchError):
-            truncated_svd(np.eye(3), dim=4)
+            truncated_svd(from_dense(np.eye(3)), dim=4)
         with pytest.raises(DimensionMismatchError):
-            truncated_svd(np.eye(3), dim=0)
+            truncated_svd(from_dense(np.eye(3)), dim=0)
 
     def test_rank_deficiency_gives_zero_singular_values(self):
         A = np.outer([1.0, 2.0, 3.0], [1.0, 0.0, 1.0])
-        svd = truncated_svd(A, dim=3)
+        svd = truncated_svd(from_dense(A), dim=3)
         assert svd.sigma[0] > 1.0
         assert np.allclose(svd.sigma[1:], 0.0, atol=1e-10)
 
@@ -137,7 +129,7 @@ class TestTruncatedSvd:
 class TestWordVectors:
     def test_flavors_scale_columns(self):
         U = np.eye(2)
-        svd_like = truncated_svd(np.diag([4.0, 1.0]), dim=2)
+        svd_like = truncated_svd(from_dense(np.diag([4.0, 1.0])), dim=2)
         plain = word_vectors(svd_like, "plain")
         symm = word_vectors(svd_like, "symmetric")
         assert np.allclose(np.abs(plain.vectors), np.diag([4.0, 1.0]))
@@ -145,13 +137,13 @@ class TestWordVectors:
         assert np.allclose(np.abs(U), np.eye(2))
 
     def test_identity_spectrum_makes_flavors_agree(self):
-        svd = truncated_svd(np.eye(3), dim=3)
+        svd = truncated_svd(from_dense(np.eye(3)), dim=3)
         a = word_vectors(svd, "plain").vectors
         b = word_vectors(svd, "symmetric").vectors
         assert np.allclose(a, b)
 
     def test_labels_default_to_row_ids(self):
-        svd = truncated_svd(np.eye(2), dim=2)
+        svd = truncated_svd(from_dense(np.eye(2)), dim=2)
         emb = word_vectors(svd, "plain")
         assert emb.words == ["0", "1"]
         named = word_vectors(svd, "plain", words=["x", "y"])
@@ -160,33 +152,45 @@ class TestWordVectors:
             word_vectors(svd, "plain", words=["only-one"])
 
     def test_unknown_flavor_rejected(self):
-        svd = truncated_svd(np.eye(2), dim=2)
+        svd = truncated_svd(from_dense(np.eye(2)), dim=2)
         with pytest.raises(ValueError):
             word_vectors(svd, "fancy")
 
     def test_full_rank_plain_preserves_gram(self, rng):
         A = rng.normal(size=(12, 12))
-        svd = truncated_svd(A, dim=12, power_iters=8)
+        svd = truncated_svd(from_dense(A), dim=12, power_iters=8)
         W = word_vectors(svd, "plain").vectors
         assert np.abs(W @ W.T - A @ A.T).max() <= 1e-6
 
 
 class TestConsistencyReport:
     def test_identity_is_consistent_both_ways(self):
-        assert consistency_report(np.eye(4), "plain") == pytest.approx(0.0, abs=1e-10)
-        assert consistency_report(np.eye(4), "symmetric") == pytest.approx(0.0, abs=1e-10)
+        assert consistency_report(from_dense(np.eye(4)), "plain") == pytest.approx(0.0, abs=1e-10)
+        assert consistency_report(from_dense(np.eye(4)), "symmetric") == pytest.approx(
+            0.0, abs=1e-10
+        )
 
     def test_plain_flavor_gap_is_rounding_level(self, rng):
         A = rng.normal(size=(20, 20))
-        assert consistency_report(A, "plain") <= 1e-6
+        assert consistency_report(from_dense(A), "plain") <= 1e-6
 
     def test_symmetric_flavor_gap_on_diag_4_1(self):
-        gap = consistency_report(np.diag([4.0, 1.0]), "symmetric")
+        gap = consistency_report(from_dense(np.diag([4.0, 1.0])), "symmetric")
         assert gap == pytest.approx(12.0, rel=1e-9)
 
-    def test_desk_scale_guard(self):
-        with pytest.raises(DimensionMismatchError):
-            consistency_report(np.zeros((501, 501)), "plain")
+    def test_desk_scale_guard(self, rng):
+        # the side is refused before M is made dense: 288 MB at side 6,000
+        for n in (501, 6_000):
+            flat = np.unique(rng.integers(0, n * n, size=50_000))
+            S = SparseMatrix(n, n, flat // n, flat % n, rng.random(len(flat)))
+            tracemalloc.start()
+            try:
+                with pytest.raises(DimensionMismatchError, match=rf"got \({n}, {n}\)"):
+                    consistency_report(S, "plain")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, n
 
 
 class TestWeightedProblemValidation:

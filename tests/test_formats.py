@@ -80,7 +80,7 @@ class TestVocabFiles:
         with pytest.raises(FormatError, match=f"{path}: word 'a' is repeated"):
             read_vocab(str(path))
         with pytest.raises(FormatError, match="word 'a' is repeated"):
-            Vocabulary(words=["a", "b", "a"], freq=[3, 2, 1], total_tokens=6)
+            Vocabulary(words=["a", "b", "a"], freq=[3, 2, 1])
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.tsv"
@@ -347,7 +347,7 @@ class TestEmbeddingFiles:
         back, _ = read_embedding(path)
         assert back.words == words
         assert np.array_equal(back.vectors, emb.vectors)
-        vocab = Vocabulary(words=words, freq=np.arange(6, 0, -1), total_tokens=21)
+        vocab = Vocabulary(words=words, freq=np.arange(6, 0, -1))
         write_vocab(vocab, path, prov=prov)
         assert read_vocab(path)[0].words == words
         assert read_provenance(path).hash() == prov.hash()
@@ -477,7 +477,7 @@ class TestProvenance:
             parse_provenance_line("# provenance deadbeef {not json")
 
     def test_read_provenance_absent(self, tmp_path):
-        vocab = Vocabulary(words=["a"], freq=np.array([1]), total_tokens=1)
+        vocab = Vocabulary(words=["a"], freq=np.array([1]))
         path = str(tmp_path / "v.tsv")
         write_vocab(vocab, path)
         assert read_provenance(path) is None

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from coocvec import (
     solve_l2,
 )
 from coocvec.pmi import pmi_values
+from coocvec.regularization import absent_pair_solution
 from helpers import make_stats, random_stats
 from oracles import reg_objective, reg_root
 
@@ -233,6 +235,16 @@ class TestRegularizeStats:
             assert mat.v.tobytes() == solve_l2(pmi, 2.0, lam).tobytes()
             exact = solve_exact(pmi, 2.0, lam, "l2")
             np.testing.assert_allclose(mat.v, exact, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("k, lam", [(1.0, 1e-30), (5.0, 1e-30), (1.0, 1e-310)])
+    def test_absent_pair_l2_score_at_a_tiny_lambda(self, k, lam):
+        # the root of lam * x = -k e^x / (1 + e^x) lies near log lam - log k, far below -50
+        def g(x: float) -> float:
+            return -k * math.exp(x) / (1.0 + math.exp(x)) - lam * x
+
+        want = scipy.optimize.brentq(g, -1000.0, 0.0, xtol=1e-14, rtol=8.9e-16)
+        got = absent_pair_solution(RegSpec(kind="l2", k=k, lam=lam))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_absent_pairs_need_positive_lambda(self, abab_stats):
         # the unregularized zero-count score is -inf, never a finite implicit value
