@@ -15,9 +15,9 @@ __version__ = "0.1.0"
 # module -> the public names it defines; the one list of the package's API
 _EXPORTS = {
     "closed_form": (
-        "LOSS_NAMES", "PairSolution", "assemble_spmi_solution", "loss_derivative",
-        "loss_second_derivative", "loss_value", "minimize_pair_numeric",
-        "objective_value", "pair_objective", "solve_pair", "solve_stats",
+        "LOSS_NAMES", "PairSolution", "loss_derivative", "loss_second_derivative",
+        "loss_value", "minimize_pair_numeric", "objective_value", "pair_objective",
+        "solve_pair", "solve_stats",
     ),
     "convex_model": ("ContextSpec", "TrainConfig", "build_examples", "explain", "train"),
     "corpus": (

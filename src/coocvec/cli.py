@@ -95,13 +95,6 @@ def cmd_count(args: argparse.Namespace) -> int:
     from . import formats
     from .corpus import WindowSpec, count_encoded, encode_text
 
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("COOC_THREADS", "1")
-        try:
-            threads = int(env)
-        except ValueError:
-            raise InvalidOptionError(f"COOC_THREADS must be an integer, got {env!r}") from None
     vocab_out = _count_vocab_out(args)
     win = WindowSpec(
         left=args.left,
@@ -113,15 +106,13 @@ def cmd_count(args: argparse.Namespace) -> int:
         stochastic_subsample=args.stochastic,
     )
     check_seed(args.seed)
-    check_shards(threads)
+    check_shards(args.threads)
     check_min_count(args.min_count)
     # the corpus is read only once every option has passed its check
     vocab, tokens = encode_text(formats.read_text(args.input), min_count=args.min_count)
-    stats = count_encoded(tokens, vocab, win, seed=args.seed, shards=threads)
+    stats = count_encoded(tokens, vocab, win, seed=args.seed, shards=args.threads)
     del tokens  # free the token arrays before the write
-    config = _config_dict(args)
-    config["threads"] = threads
-    prov = formats.make_provenance("count", config)
+    prov = formats.make_provenance("count", _config_dict(args))
     formats.write_cooc(stats, args.output, prov=prov, binary=args.binary)
     formats.write_vocab(vocab, vocab_out, prov=prov)
     return 0
@@ -178,7 +169,9 @@ def cmd_regularize(args: argparse.Namespace) -> int:
     return 0
 
 
-# factorize options that one mode reads and the other refuses, with their defaults
+# factorize options that one mode reads and the other refuses, with the
+# defaults that fill them once they pass (the parser leaves them None, so
+# the refusal also catches a value equal to the default)
 SVD_OPTIONS = {"flavor": "plain", "oversample": 8, "power_iters": 4}
 ALS_OPTIONS = {"alpha": None, "epochs": 200, "ridge": 1e-8, "tol": 1e-8, "context_out": None}
 
@@ -189,12 +182,15 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     from . import factorization, formats
     from .vectors import Embedding
 
-    for dest, default in (SVD_OPTIONS if args.weighted else ALS_OPTIONS).items():
-        if getattr(args, dest) != default:  # also true for a nan
+    for dest in SVD_OPTIONS if args.weighted else ALS_OPTIONS:
+        if getattr(args, dest) is not None:
             flag = "--" + dest.replace("_", "-")
             raise InvalidOptionError(
                 f"{flag} {'is not used with' if args.weighted else 'needs'} --weighted"
             )
+    for dest, default in {**SVD_OPTIONS, **ALS_OPTIONS}.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)  # the stamp records every option's value
     matrix, info = formats.read_matrix(args.matrix)
     upstream = {"matrix": info.prov}
     words = None
@@ -403,8 +399,8 @@ def _count_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--context-subsample-threshold", type=float, default=None)
     p.add_argument("--stochastic", action="store_true", help="sampled drops instead of weights")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None, help="record shards (>= 1), counted one "
-                   "after another: same pairs, values equal up to rounding order (default COOC_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="record shards (>= 1), counted one "
+                   "after another: same pairs, values equal up to rounding order")
     p.add_argument("--binary", action="store_true")
 
 
@@ -457,7 +453,6 @@ def _factorize_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ridge", type=float, help="weighted mode")
     p.add_argument("--tol", type=float, help="weighted mode")
     p.add_argument("--context-out", help="also write context vectors (weighted mode)")
-    p.set_defaults(**SVD_OPTIONS, **ALS_OPTIONS)
 
 
 def _train_convex_options(p: argparse.ArgumentParser) -> None:

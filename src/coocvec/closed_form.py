@@ -21,8 +21,8 @@ The squared family (squared, squared hinge, huber) shares one formula because
 the three losses agree on the interval where the minimizer lands.  The
 logistic minimizer is `pmi.shifted_pmi` itself, so SGNS = SPMI by
 construction.  A pair with #(w,c) = 0 drives the logistic score to minus
-infinity: an undefined implicit value in a sparse matrix, a mask beside a
-dense one, never a float infinity inside a matrix.  Every function is
+infinity: an undefined implicit value in a sparse matrix, never a float
+infinity inside a matrix.  Every function is
 elementwise, with one entry point for arrays and scalars alike (scalar inputs
 give Python scalars), the numeric reference `minimize_pair_numeric` included:
 it bisects all pairs at once with `bisect_decreasing`, as `solve_exact` does.
@@ -39,7 +39,6 @@ from .errors import (
     DegenerateMarginalError,
     DimensionMismatchError,
     DomainError,
-    MarkerContaminationError,
     check_shift,
 )
 from .pmi import shifted_pmi
@@ -270,42 +269,17 @@ def minimize_pair_numeric(kind: str, n_wc, n_w, n_c, total: float, k: float):
     return bisect_decreasing(falling, -B, B)
 
 
-def assemble_spmi_solution(
-    stats: CooccurrenceStats, kind: str, k: float
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Word matrix W of the one-hot solution (C is the identity) and its minus-infinity mask.
-
-    W[w, c] is the pair's closed form: `solve_stats` at the stored pairs and
-    its implicit value elsewhere.  For the logistic loss W is the SPMI matrix
-    with 0.0 at the absent pairs, which the mask marks; other losses give None.
-    """
-    scores, _ = solve_stats(stats, kind, k)
-    if not (stats.row_marginal.all() and stats.col_marginal.all()):
-        raise DegenerateMarginalError("marginals must be positive to place a pair")
-    n = stats.n_words
-    W = np.full((n, n), 0.0 if scores.implicit_value is None else scores.implicit_value)
-    W[scores.i, scores.j] = scores.v
-    if scores.implicit_value is not None:
-        return W, None
-    mask = np.ones((n, n), dtype=bool)
-    mask[scores.i, scores.j] = False
-    return W, mask
-
-
 def objective_value(
     W: np.ndarray,
     C: np.ndarray,
     stats: CooccurrenceStats,
     kind: str,
     k: float,
-    neg_inf_mask: np.ndarray | None = None,
 ) -> float:
     """Full corpus objective: sum of pair objectives at scores X = W C^T.
 
     The negative term ranges over every pair with positive marginals, not
-    just the stored ones.  neg_inf_mask marks score entries that sit at minus
-    infinity (only the logistic loss produces them); masked stored pairs are
-    not allowed, and masked absent pairs contribute the limit value zero.
+    just the stored ones.
     """
     _check_kind(kind)
     check_shift(k)
@@ -320,23 +294,13 @@ def objective_value(
         raise DimensionMismatchError(
             f"inner dimensions differ: {W.shape[1]} vs {C.shape[1]}"
         )
-    if neg_inf_mask is not None and kind != "logistic":
-        raise MarkerContaminationError(
-            "minus-infinity score markers only make sense for the logistic loss"
-        )
 
     X = W @ C.T
     counts = stats.counts
     rows, cols, joint = counts.i, counts.j, counts.v
-    if neg_inf_mask is not None and neg_inf_mask[rows, cols].any():
-        first = counts.pair(int(np.argmax(neg_inf_mask[rows, cols])))
-        raise MarkerContaminationError(f"stored pair {first} has a minus-infinity score")
     pos = float(joint @ loss_value(kind, X[rows, cols], 1.0))
 
     neg_losses = loss_value(kind, X, -1.0)
-    if neg_inf_mask is not None:
-        # logistic L(x, -1) = log(1 + e^x) -> 0 as x -> -inf
-        neg_losses = np.where(neg_inf_mask, 0.0, neg_losses)
     weights = np.outer(stats.row_marginal, stats.col_marginal)
     neg = float((weights * neg_losses).sum()) * k / stats.total
     return pos + neg

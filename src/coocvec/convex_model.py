@@ -213,43 +213,6 @@ def _kernel(
     return float(value), dS
 
 
-def _example_coef(
-    W: np.ndarray, ex: Example, negatives: np.ndarray | None = None
-) -> tuple[float, slice | np.ndarray, np.ndarray]:
-    """Loss of one example and its gradient outer(coef, ex.val) at W[rows, ex.idx].
-
-    negatives=None means softmax, whose gradient touches every row (rows is
-    a full slice); negative sampling touches the target and the drawn rows
-    (rows is a column of row ids), each drawn row weighted by its draw count.
-    """
-    rows, target, draws = slice(None), ex.target, None
-    if negatives is not None:
-        rows, at = np.unique(np.append(np.int64(ex.target), negatives), return_inverse=True)
-        rows, target = rows[:, None], at[0]
-        draws = np.bincount(at[1:], minlength=len(rows)).astype(float)
-    loss, coef = _kernel(W[rows, ex.idx] @ ex.val, 1.0, target, 1.0, draws)
-    return loss, rows, coef
-
-
-def _example_grad(W: np.ndarray, ex: Example, negatives) -> tuple[float, np.ndarray]:
-    loss, rows, coef = _example_coef(W, ex, negatives)
-    grad = np.zeros_like(W)
-    grad[rows, ex.idx] = np.outer(coef, ex.val)
-    return loss, grad
-
-
-def softmax_loss_grad(W: np.ndarray, ex: Example) -> tuple[float, np.ndarray]:
-    """Cross-entropy of the target under softmax scores, with its W-gradient."""
-    return _example_grad(W, ex, None)
-
-
-def negative_sampling_loss_grad(
-    W: np.ndarray, ex: Example, negatives: Sequence[int]
-) -> tuple[float, np.ndarray]:
-    """Negative-sampling objective for one example and fixed negative draws."""
-    return _example_grad(W, ex, np.asarray(negatives, dtype=np.int64))
-
-
 @dataclass
 class _Aggregate:
     """Examples grouped by context input, for deterministic full batches.

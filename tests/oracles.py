@@ -220,6 +220,28 @@ def brute_neighbors(vectors: np.ndarray, words: list[str], qi: int, metric: str)
     return [(words[i], s) for i, s in sims]
 
 
+def example_loss_grad(W, ex, negatives=None):
+    """Loss of one convex-model example, its W-gradient and the rows the gradient touches.
+
+    negatives=None is softmax, whose gradient touches every row (a full
+    slice); negative sampling touches the target and the drawn rows, np.unique
+    of both as a column of row ids, each drawn row weighted by its draw count.
+    The scores go through the training kernel, and its dLoss/dS is scattered
+    as outer(dLoss/dS, ex.val) into a zero array of W's shape.
+    """
+    from coocvec.convex_model import _kernel
+
+    rows, target, draws = slice(None), ex.target, None
+    if negatives is not None:
+        rows, at = np.unique(np.append(np.int64(ex.target), negatives), return_inverse=True)
+        rows, target = rows[:, None], at[0]
+        draws = np.bincount(at[1:], minlength=len(rows)).astype(float)
+    loss, coef = _kernel(W[rows, ex.idx] @ ex.val, 1.0, target, 1.0, draws)
+    grad = np.zeros_like(W)
+    grad[rows, ex.idx] = np.outer(coef, ex.val)
+    return loss, grad, rows
+
+
 def sgd_per_example(tokens, vocab, spec, cfg) -> np.ndarray:
     """The convex model's SGD weights, drawing each example's negatives just before its step.
 
@@ -228,7 +250,6 @@ def sgd_per_example(tokens, vocab, spec, cfg) -> np.ndarray:
     this loop's, which takes np.unique of every step's draws, bit for bit.
     """
     from coocvec.convex_model import (
-        _example_coef,
         build_examples,
         context_dim,
         noise_distribution,
@@ -254,9 +275,9 @@ def sgd_per_example(tokens, vocab, spec, cfg) -> np.ndarray:
             negatives = None
             if cfg.objective == "negative_sampling":
                 negatives = np.searchsorted(noise_cdf, rng.random(cfg.k_neg), side="right")
-            _, rows, coef = _example_coef(W, ex, negatives)
+            _, grad, rows = example_loss_grad(W, ex, negatives)
             W[rows, ex.idx] = soft_threshold(
-                W[rows, ex.idx] - eta * np.outer(coef, ex.val), eta * cfg.l1
+                W[rows, ex.idx] - eta * grad[rows, ex.idx], eta * cfg.l1
             )
     return W
 

@@ -16,7 +16,6 @@ from coocvec import (
     RegSpec,
     TrainConfig,
     WindowSpec,
-    assemble_spmi_solution,
     consistency_report,
     count_encoded,
     objective_value,
@@ -26,19 +25,14 @@ from coocvec import (
     solve_l1,
     solve_l2,
     solve_pair,
+    solve_stats,
     train,
     weighted_factorize,
 )
 from coocvec.cli import main as cli_main
-from coocvec.convex_model import (
-    Example,
-    corpus_objective,
-    negative_sampling_loss_grad,
-    noise_distribution,
-    softmax_loss_grad,
-)
+from coocvec.convex_model import Example, corpus_objective, noise_distribution
 from helpers import encode_records, from_dense, random_count_tuples, random_stats, weighted_problem
-from oracles import als_residual, minimize_rho, reg_root
+from oracles import als_residual, example_loss_grad, minimize_rho, reg_root
 
 VERDICTS: list[str] = []
 
@@ -143,7 +137,7 @@ def test_criterion_05_one_hot_assembly_minimizes_squared_objective():
     stream = [words[int(rng.integers(0, 30))] for _ in range(600)]
     vocab, tokens = encode_records([stream[i : i + 60] for i in range(0, 600, 60)])
     stats = count_encoded(tokens, vocab, WindowSpec(left=2, right=2))
-    W0, _ = assemble_spmi_solution(stats, "squared", k=1.0)
+    W0 = solve_stats(stats, "squared", 1.0)[0].to_dense()
     n = stats.n_words
     C = np.eye(n)
     base = objective_value(W0, C, stats, "squared", 1.0)
@@ -285,12 +279,11 @@ def test_criterion_10_convex_gradients_exact_and_descent_monotone():
         idx = np.sort(rng.choice(m, size=nnz, replace=False)).astype(np.int64)
         val = rng.uniform(0.5, 2.0, size=nnz)
         ex = Example(target=int(rng.integers(0, n)), idx=idx, val=val)
-        if trial % 2 == 0:
-            loss_grad = lambda M: softmax_loss_grad(M, ex)
-        else:
+        negatives = None
+        if trial % 2 == 1:
             negatives = [int(g) for g in rng.integers(0, n, size=3)]
-            loss_grad = lambda M: negative_sampling_loss_grad(M, ex, negatives)
-        _, G = loss_grad(W)
+        loss_grad = lambda M: example_loss_grad(M, ex, negatives)
+        _, G, _ = loss_grad(W)
         num = np.zeros_like(W)
         h = 1e-6
         for pos in np.ndindex(W.shape):

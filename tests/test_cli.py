@@ -108,22 +108,6 @@ class TestCount:
         assert run("count", "--input", corpus_path, "--output", four, "--threads", "4") == 0
         assert same_pairs(read_cooc(one)[0].counts, read_cooc(four)[0].counts)
 
-    def test_threads_default_from_environment(self, tmp_path, corpus_path, monkeypatch):
-        monkeypatch.setenv("COOC_THREADS", "3")
-        out = counted(tmp_path, corpus_path)
-        prov = read_provenance(out)
-        assert prov.config["threads"] == 3
-
-    def test_non_integer_threads_environment_is_one_error_line(
-        self, tmp_path, corpus_path, capsys, monkeypatch
-    ):
-        monkeypatch.setenv("COOC_THREADS", "abc")
-        out = str(tmp_path / "c.txt")
-        assert run("count", "--input", corpus_path, "--output", out) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error invalid-option:"), err
-        assert "COOC_THREADS" in err[0] and not os.path.exists(out)
-
     def test_window_past_the_longest_record_is_skipped(self, tmp_path, corpus_path):
         longest = max(len(line.split()) for line in CORPUS.splitlines())
         far, near = str(tmp_path / "far.txt"), str(tmp_path / "near.txt")
@@ -434,6 +418,10 @@ class TestOptionErrors:
             ["factorize", "--weighted", "--oversample", "-20"],
             ["factorize", "--weighted", "--power-iters", "-3"],
             ["factorize", "--weighted", "--flavor", "symmetric"],
+            # the other mode's options are refused at their defaults too
+            ["factorize", "--weighted", "--flavor", "plain", "--oversample", "8",
+             "--power-iters", "4"],
+            ["factorize", "--epochs", "200", "--ridge", "1e-8", "--tol", "1e-8"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -529,7 +517,8 @@ class TestOptionErrors:
         assert not os.path.exists(out) and not os.path.exists(tmp_path / "ctx.txt")
 
     @pytest.mark.parametrize(
-        "weighted, line", [(False, "epochs=3"), (False, "ridge=0.5"), (True, "flavor=symmetric")]
+        "weighted, line",
+        [(False, "epochs=3"), (False, "ridge=0.5"), (True, "flavor=symmetric"), (True, "flavor=plain")],
     )
     def test_other_mode_option_from_config(self, tmp_path, corpus_path, capsys, weighted, line):
         counts = counted(tmp_path, corpus_path)

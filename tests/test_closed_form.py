@@ -11,7 +11,6 @@ from coocvec import (
     InvalidShiftError,
     LOSS_NAMES,
     MarkerContaminationError,
-    assemble_spmi_solution,
     l2_chord,
     loss_derivative,
     loss_second_derivative,
@@ -24,7 +23,7 @@ from coocvec import (
     solve_pair,
     solve_stats,
 )
-from helpers import make_stats, random_count_tuples, random_stats
+from helpers import random_count_tuples, random_stats
 from oracles import minimize_rho, ref_rho
 
 LOG2 = math.log(2.0)
@@ -189,6 +188,21 @@ class TestSolvePair:
                 sol = solve_pair(kind, n_wc, n_w, n_c, total, k)
                 assert internal == pytest.approx(sol.x_star, abs=1e-8)
 
+    @pytest.mark.parametrize("k", [1.0, 5.0])
+    @pytest.mark.parametrize("kind", ["logistic", "squared", "squared_hinge", "huber"])
+    def test_alpha_is_the_pair_objectives_curvature(self, rng, kind, k):
+        # alpha, which factorize --weighted reads, against the losses' own second derivatives
+        n_wc, n_w, n_c, total, _ = np.array(random_count_tuples(rng, 2000)).T
+        # scaling a tuple's counts and total by one factor keeps its pmi: one total for all
+        n_wc, n_w, n_c = (a * (100.0 / total) for a in (n_wc, n_w, n_c))
+        sol = solve_pair(kind, n_wc, n_w, n_c, 100.0, k)
+        neg_mass = k * n_w * n_c / 100.0
+        want = n_wc * loss_second_derivative(kind, sol.x_star, 1.0) + neg_mass * (
+            loss_second_derivative(kind, sol.x_star, -1.0)
+        )
+        assert (n_wc > 0).all()
+        np.testing.assert_allclose(sol.alpha, want, rtol=1e-14, atol=0.0)
+
     def test_taylor_expansion_around_minimum(self, rng):
         for kind in ("logistic", "squared", "squared_hinge", "huber"):
             for _ in range(20):
@@ -243,32 +257,6 @@ def test_array_closed_forms_equal_scalar_entry_points(kind, rng):
         assert got.tobytes() == np.array(stacked).tobytes()
 
 
-class TestAssembleOneHot:
-    def test_logistic_reproduces_spmi_with_markers(self, abab_stats):
-        W, mask = assemble_spmi_solution(abab_stats, "logistic", 1.0)
-        assert W[0, 1] == pytest.approx(LOG2)
-        assert W[1, 0] == pytest.approx(LOG2)
-        assert mask[0, 0] and mask[1, 1]
-        assert not mask[0, 1]
-
-    def test_hinge_entries_are_signs(self, rng):
-        stats = random_stats(rng, n_words=4, density=0.7, symmetric=True)
-        W, _ = assemble_spmi_solution(stats, "hinge", 1.5)
-        assert set(np.unique(W)) <= {-1.0, 1.0}
-
-    def test_squared_at_independence_scores_zero(self):
-        pairs = {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 1.0}
-        stats = make_stats(pairs, 2)
-        W, _ = assemble_spmi_solution(stats, "squared", 1.0)
-        assert np.allclose(W, 0.0)
-
-    def test_squared_absent_pairs_score_minus_one(self, abab_stats):
-        W, mask = assemble_spmi_solution(abab_stats, "squared", 1.0)
-        assert W[0, 0] == -1.0
-        assert W[1, 1] == -1.0
-        assert mask is None
-
-
 class TestObjectiveValue:
     def test_zero_scores_weigh_log2(self, abab_stats):
         W = np.zeros((2, 3))
@@ -279,7 +267,7 @@ class TestObjectiveValue:
 
     def test_assembled_squared_solution_is_a_minimum(self, rng):
         stats = random_stats(rng, n_words=4, density=0.6)
-        W0, _ = assemble_spmi_solution(stats, "squared", 1.0)
+        W0 = solve_stats(stats, "squared", 1.0)[0].to_dense()
         C = np.eye(stats.n_words)
         base = objective_value(W0, C, stats, "squared", 1.0)
         for _ in range(30):
@@ -287,35 +275,6 @@ class TestObjectiveValue:
             i, j = int(rng.integers(0, 4)), int(rng.integers(0, 4))
             W[i, j] += float(rng.normal(0.0, 0.5))
             assert objective_value(W, C, stats, "squared", 1.0) >= base - 1e-12
-
-    def test_masked_absent_pairs_contribute_zero(self, abab_stats):
-        W, mask = assemble_spmi_solution(abab_stats, "logistic", 1.0)
-        got = objective_value(W, np.eye(2), abab_stats, "logistic", 1.0, neg_inf_mask=mask)
-        c = abab_stats.counts
-        expected = sum(
-            pair_objective(
-                "logistic",
-                n_wc,
-                float(abab_stats.row_marginal[w]),
-                float(abab_stats.col_marginal[v]),
-                abab_stats.total,
-                1.0,
-                float(W[w, v]),
-            )
-            for w, v, n_wc in zip(c.i.tolist(), c.j.tolist(), c.v.tolist())
-        )
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_masked_stored_pair_rejected(self, abab_stats):
-        mask = np.zeros((2, 2), dtype=bool)
-        mask[0, 1] = True
-        with pytest.raises(MarkerContaminationError):
-            objective_value(np.eye(2), np.eye(2), abab_stats, "logistic", 1.0, neg_inf_mask=mask)
-
-    def test_mask_only_makes_sense_for_logistic(self, abab_stats):
-        mask = np.zeros((2, 2), dtype=bool)
-        with pytest.raises(MarkerContaminationError):
-            objective_value(np.eye(2), np.eye(2), abab_stats, "squared", 1.0, neg_inf_mask=mask)
 
     def test_dimension_checks(self, abab_stats):
         with pytest.raises(DimensionMismatchError):
@@ -367,7 +326,7 @@ def test_property_sign_agreement_with_shifted_pmi(seed, kind):
 )
 def test_property_solve_stats_absent_value_and_dense_oracle(seed, kind, k):
     """solve_stats' implicit value is the closed form of an absent pair, and
-    assemble_spmi_solution equals `solve_pair` over every dense pair."""
+    its scores equal `solve_pair` over every dense pair with positive marginals."""
     stats = random_stats(np.random.default_rng(seed), n_words=5, density=0.6)
     scores, alpha = solve_stats(stats, kind, k)
     n_w, n_c = float(stats.row_marginal.max()), float(stats.col_marginal.max())
@@ -395,15 +354,14 @@ def test_property_solve_stats_absent_value_and_dense_oracle(seed, kind, k):
     try:
         oracle = solve_pair(kind, *dense)
     except DegenerateMarginalError:
-        with pytest.raises(DegenerateMarginalError):
-            assemble_spmi_solution(stats, kind, k)
         return
-    W, mask = assemble_spmi_solution(stats, kind, k)
-    assert W.tobytes() == np.where(oracle.neg_inf, 0.0, oracle.x_star).tobytes()
-    if kind == "logistic":
-        assert np.array_equal(mask, oracle.neg_inf)
+    if kind == "logistic":  # no dense home for minus infinity: the oracle's -inf are the absent pairs
+        absent = np.ones(oracle.neg_inf.shape, dtype=bool)
+        absent[c.i, c.j] = False
+        assert np.array_equal(absent, oracle.neg_inf)
+        assert scores.v.tobytes() == oracle.x_star[c.i, c.j].tobytes()
     else:
-        assert mask is None
+        assert scores.to_dense().tobytes() == oracle.x_star.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

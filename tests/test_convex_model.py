@@ -29,13 +29,17 @@ from coocvec.convex_model import (
     corpus_objective,
     feature_names,
     full_batch_smooth,
-    negative_sampling_loss_grad,
     noise_distribution,
     soft_threshold,
-    softmax_loss_grad,
 )
 from helpers import bench_gen, encode_records, lookup_encoded, random_corpus
-from oracles import aggregate_by_unique, brute_examples, full_batch_train, sgd_per_example
+from oracles import (
+    aggregate_by_unique,
+    brute_examples,
+    example_loss_grad,
+    full_batch_train,
+    sgd_per_example,
+)
 
 
 def spec11(mode: str) -> ContextSpec:
@@ -259,27 +263,25 @@ class TestGradients:
     def test_softmax_gradient_matches_numeric(self, rng):
         W = rng.normal(size=(4, 5))
         ex = Example(target=2, idx=np.array([0, 3], dtype=np.int64), val=np.array([1.0, 2.0]))
-        loss, grad = softmax_loss_grad(W, ex)
+        loss, grad, _ = example_loss_grad(W, ex)
         assert loss > 0
-        num = numeric_grad(lambda M: softmax_loss_grad(M, ex)[0], W)
+        num = numeric_grad(lambda M: example_loss_grad(M, ex)[0], W)
         assert np.abs(grad - num).max() < 1e-6
 
     def test_negative_sampling_gradient_matches_numeric(self, rng):
         W = rng.normal(size=(4, 5))
         ex = Example(target=1, idx=np.array([2, 4], dtype=np.int64), val=np.array([0.5, 1.0]))
         negatives = [0, 3, 3]
-        loss, grad = negative_sampling_loss_grad(W, ex, negatives)
+        loss, grad, _ = example_loss_grad(W, ex, negatives)
         assert loss > 0
-        num = numeric_grad(
-            lambda M: negative_sampling_loss_grad(M, ex, negatives)[0], W
-        )
+        num = numeric_grad(lambda M: example_loss_grad(M, ex, negatives)[0], W)
         assert np.abs(grad - num).max() < 1e-6
 
     def test_negative_sampling_repeated_negative_accumulates(self, rng):
         W = rng.normal(size=(3, 3))
         ex = Example(target=0, idx=np.array([1], dtype=np.int64), val=np.array([1.0]))
-        _, g2 = negative_sampling_loss_grad(W, ex, [2, 2])
-        _, g1 = negative_sampling_loss_grad(W, ex, [2])
+        _, g2, _ = example_loss_grad(W, ex, [2, 2])
+        _, g1, _ = example_loss_grad(W, ex, [2])
         target_rows = g2[0] - g1[0]
         assert np.allclose(target_rows, 0.0)
         assert np.allclose(g2[2], 2 * g1[2])
@@ -330,7 +332,7 @@ class TestGradients:
 
         want = {"softmax": [0.0, np.zeros_like(W)], "negative_sampling": [0.0, np.zeros_like(W)]}
         for ex in exs:
-            loss, grad = softmax_loss_grad(W, ex)
+            loss, grad, _ = example_loss_grad(W, ex)
             want["softmax"][0] += loss / len(exs)
             want["softmax"][1] += grad / len(exs)
             s = W[:, ex.idx] @ ex.val
@@ -348,7 +350,7 @@ class TestGradients:
             np.testing.assert_allclose(got_grad, grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max())
 
     @pytest.mark.parametrize("objective", ["softmax", "negative_sampling"])
-    def test_one_sgd_step_is_prox_of_public_gradient(self, objective):
+    def test_one_sgd_step_is_prox_of_the_reference_gradient(self, objective):
         vocab, _ = encode_records([["a", "b", "c", "d", "a", "b", "a"]])
         tokens = lookup_encoded([["c", "a"]], vocab)
         spec = ContextSpec(mode="bag", window=WindowSpec(left=1, right=0))
@@ -358,12 +360,12 @@ class TestGradients:
         rng.permutation(1)
         W0 = np.zeros((len(vocab), len(vocab)))
         if objective == "softmax":
-            _, grad = softmax_loss_grad(W0, ex)
+            _, grad, _ = example_loss_grad(W0, ex)
         else:
             cdf = np.cumsum(noise_distribution(vocab, cfg.noise))
             cdf[-1] = 1.0
             draws = np.searchsorted(cdf, rng.random(cfg.k_neg), side="right")
-            _, grad = negative_sampling_loss_grad(W0, ex, draws)
+            _, grad, _ = example_loss_grad(W0, ex, draws)
         want = soft_threshold(W0 - cfg.step_initial * grad, cfg.step_initial * cfg.l1)
         got = train(tokens, vocab, spec, cfg).vectors
         assert np.count_nonzero(want) > 0
@@ -373,7 +375,7 @@ class TestGradients:
         # uniform scores over V words: loss log V, gradient 1/V at every row, 1/V - 1 at the target
         W = np.zeros((2001, 2))
         ex = Example(target=3, idx=np.array([0], dtype=np.int64), val=np.array([1.0]))
-        loss, grad = softmax_loss_grad(W, ex)
+        loss, grad, _ = example_loss_grad(W, ex)
         assert loss == pytest.approx(np.log(2001.0), rel=1e-15)
         want = np.zeros_like(W)
         want[:, 0] = 1.0 / 2001.0

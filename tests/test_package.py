@@ -1,4 +1,6 @@
 """The package's export table: names resolve on first use, each to its defining module's object."""
+import ast
+import glob
 import importlib
 import os
 import subprocess
@@ -45,3 +47,30 @@ def test_star_import_binds_exactly_all():
 def test_submodules_stay_reachable_as_attributes():
     assert coocvec.pmi.SparseMatrix is coocvec.SparseMatrix
     assert coocvec.formats.read_cooc is coocvec.read_cooc
+
+
+# exports that no module of the package uses, each kept for a stated reason
+UNCALLED_EXPORTS = {
+    "explain",  # the command that prints a convex model's coordinates (ROADMAP item 5)
+    "objective_value",  # becomes the all-pairs objective (ROADMAP item 1)
+    "read_provenance",  # the `inspect` command (ROADMAP item 6)
+    "check_symmetry",  # a test reference
+    "loss_second_derivative",  # a test reference: solve_pair's alpha is its curvature
+}
+
+
+def test_every_export_has_a_caller():
+    used = set()
+    for path in glob.glob(os.path.join(ROOT, "src", "coocvec", "*.py")):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert sorted(set(coocvec.__all__) - used) == sorted(UNCALLED_EXPORTS)
