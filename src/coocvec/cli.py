@@ -314,7 +314,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     from . import formats, regularization
     from .closed_form import LOSS_NAMES, minimize_pair_numeric, solve_pair
-    from .pmi import pmi_values
+    from .pmi import build_matrix
 
     stats, cooc_prov = formats.read_cooc(args.cooc)
     upstream = {"cooc": cooc_prov}
@@ -332,13 +332,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise InvalidOptionError(f"--samples must be >= 0, got {args.samples}")
     check_seed(args.seed)
     check_shift(args.k)
+    pmi = build_matrix(stats, "pmi").v  # of every stored pair, so report refuses what pmi refuses
     rng = np.random.default_rng(args.seed)
-    rows, cols, joint = stats.counts.i, stats.counts.j, stats.counts.v
-    if len(joint) > args.samples:
-        chosen = np.sort(rng.choice(len(joint), size=args.samples, replace=False))
-        rows, cols, joint = rows[chosen], cols[chosen], joint[chosen]
-    n_w, n_c = stats.row_marginal[rows], stats.col_marginal[cols]
-    pmi = pmi_values(stats, rows, cols, joint)
+    n = len(pmi)
+    chosen = (np.sort(rng.choice(n, args.samples, replace=False)) if n > args.samples
+              else np.arange(n))
+    joint, n_w, n_c = stats.pair_counts(chosen)
+    pmi = pmi[chosen]
     shifted = pmi - math.log(args.k)
 
     lines = [formats.provenance_line(prov)]

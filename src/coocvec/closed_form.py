@@ -30,17 +30,12 @@ it bisects all pairs at once with `bisect_decreasing`, as `solve_exact` does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import CooccurrenceStats
-from .errors import (
-    DegenerateMarginalError,
-    DimensionMismatchError,
-    DomainError,
-    check_shift,
-)
+from .errors import DegenerateMarginalError, DimensionMismatchError, check_shift
 from .pmi import shifted_pmi
 from .vectors import SparseMatrix
 
@@ -138,33 +133,29 @@ def pair_objective(
 
 @dataclass
 class PairSolution:
-    """Minimizers of pair objectives plus their local curvature, elementwise.
+    """Minimizers of pair objectives and their local curvature, elementwise.
 
-    neg_inf marks the logistic zero-count case whose score runs off to minus
-    infinity; x_star is -inf there.  alpha is the second derivative of
-    the pair objective at the minimizer (None for hinge), delta the total
-    pair weight #(w,c) + k #(w,.) #(.,c) / |D|, and pos_condition records
-    whether pmi strictly exceeds log k.  Each field is an array of the
-    counts' broadcast shape, or a Python scalar when every count is one.
+    x_star is -inf for the logistic zero-count case, whose score runs off to
+    minus infinity.  alpha is the second derivative of the pair objective at
+    the minimizer (None for hinge).  Each field is an array of the counts'
+    broadcast shape, or a Python float when every count is one.
     """
 
     x_star: float
-    neg_inf: bool
     alpha: float | None
-    delta: float
-    pos_condition: bool
 
 
 def solve_pair(kind: str, n_wc, n_w, n_c, total: float, k: float) -> PairSolution:
     """Closed-form minimizers of pair objectives, elementwise.
 
-    The count arguments broadcast against each other.  The curvature
-    reported for the logistic loss is sigma(x*) sigma(-x*) delta, which
-    equals #(w,c) times the expected negative mass divided by delta; the
-    squared family has constant curvature delta.  Zero counts need no branch:
-    they give the logistic score log 0 = -inf with alpha 0, and -1 for the
-    squared family and the hinge.  A negative mass that overflows a float
-    gives NaN without a warning; `solve_stats` refuses it.
+    The count arguments broadcast against each other.  With delta the total
+    pair weight #(w,c) + k #(w,.) #(.,c) / |D|, the curvature reported for
+    the logistic loss is sigma(x*) sigma(-x*) delta, which equals #(w,c)
+    times the expected negative mass divided by delta; the squared family
+    has constant curvature delta.  Zero counts need no branch: they give the
+    logistic score log 0 = -inf with alpha 0, and -1 for the squared family
+    and the hinge.  A negative mass that overflows a float gives NaN without
+    a warning; `solve_stats` refuses it.
     """
     _check_kind(kind)
     _check_counts(n_wc, n_w, n_c, total, k)
@@ -175,24 +166,12 @@ def solve_pair(kind: str, n_wc, n_w, n_c, total: float, k: float) -> PairSolutio
         neg_mass = k * n_w * n_c / total
         delta = n_wc + neg_mass
         if kind == "logistic":
-            x = shifted_pmi(n_wc, n_w, n_c, total, k)
-            alpha = n_wc * neg_mass / delta
+            x, alpha = shifted_pmi(n_wc, n_w, n_c, total, k), n_wc * neg_mass / delta
         elif kind == "hinge":
             x, alpha = np.where(n_wc * total >= k * n_w * n_c, 1.0, -1.0), None
         else:
             x, alpha = (n_wc - neg_mass) / delta, delta
-        fields = (x, np.isneginf(x), alpha, delta, n_wc * total > k * n_w * n_c)
-    return PairSolution(*(None if f is None else _float_if_scalar(f) for f in fields))
-
-
-def _refuse_nan(m: SparseMatrix, what: str) -> None:
-    """Raise DomainError, naming the first pair, if a stored value of m is NaN."""
-    bad = np.isnan(m.v)
-    if bad.any():
-        raise DomainError(
-            f"{what} of pair {m.pair(int(np.argmax(bad)))} is NaN: "
-            "these counts and parameters overflow a float"
-        )
+    return PairSolution(_float_if_scalar(x), None if alpha is None else _float_if_scalar(alpha))
 
 
 def solve_stats(
@@ -205,19 +184,15 @@ def solve_stats(
     matrix records as undefined (None).  alpha holds the curvature at the
     stored pairs and is None for the hinge.  An absent pair's logistic
     curvature is 0; the squared family's is k n_w n_c / |D|, one value per
-    pair, so no single implicit value holds (None).  A NaN score or weight,
-    which only float overflow can make, is refused (DomainError).
+    pair, so no single implicit value holds (None).  `pair_matrix` refuses
+    a score or weight that is not finite (DomainError).
     """
-    c = stats.counts
-    sol = solve_pair(kind, c.v, stats.row_marginal[c.i], stats.col_marginal[c.j], stats.total, k)
+    sol = solve_pair(kind, *stats.pair_counts(), stats.total, k)
     logistic = kind == "logistic"
-    scores = replace(c, v=sol.x_star, implicit_value=None if logistic else -1.0)
-    _refuse_nan(scores, "score")
+    scores = stats.pair_matrix(sol.x_star, None if logistic else -1.0, "score")
     if sol.alpha is None:
         return scores, None
-    alpha = replace(c, v=sol.alpha, implicit_value=0.0 if logistic else None)
-    _refuse_nan(alpha, "curvature weight")
-    return scores, alpha
+    return scores, stats.pair_matrix(sol.alpha, 0.0 if logistic else None, "curvature weight")
 
 
 def bisect_decreasing(g, lo, hi):

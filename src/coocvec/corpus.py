@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyVocabularyError, FormatError, InvalidOptionError
+from .errors import DomainError, EmptyVocabularyError, FormatError, InvalidOptionError
 from .errors import check_min_count, check_seed, check_shards
 from .vectors import SparseMatrix, sum_by_key, word_index
 
@@ -235,6 +235,43 @@ class CooccurrenceStats:
     @property
     def n_words(self) -> int:
         return self.counts.rows
+
+    def pair_counts(self, select=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(#(w,c), #(w,.), #(.,c)) of the stored pairs, or of those at positions select.
+
+        The one place a pair meets its marginals.  Every closed form is a
+        function of the pmi, so a pair whose #(w,c)|D| or #(w,.)#(.,c) leaves
+        the float range (inf, or 0 from positive factors) is refused.  The
+        negative mass's k#(w,.)#(.,c) is then nonzero too (k >= 1); a huge k
+        that overflows it makes a NaN score or weight, which `pair_matrix` refuses.
+        """
+        c = self.counts
+        i, j, n_wc = (c.i, c.j, c.v) if select is None else (c.i[select], c.j[select], c.v[select])
+        n_w, n_c = self.row_marginal[i], self.col_marginal[j]
+        with np.errstate(over="ignore"):
+            for name, a, b in (("#(w,c)|D|", n_wc, self.total), ("#(w,.)#(.,c)", n_w, n_c)):
+                product = a * b
+                _refuse_pair(~((product > 0.0) & (product < np.inf)), i, j, name,
+                             "leaves the float range")
+        return n_wc, n_w, n_c
+
+    def pair_matrix(self, v, implicit_value: float | None, what: str, keep=None) -> SparseMatrix:
+        """The stored pairs, or those where keep is true, with values v; absent ones implicit_value.
+
+        The one home of per-pair matrices: it refuses a stored value that is
+        not finite, which only the edges of the float range make.
+        """
+        c = self.counts
+        i, j, v = (c.i, c.j, v) if keep is None else (c.i[keep], c.j[keep], v[keep])
+        _refuse_pair(~np.isfinite(v), i, j, what, "is not finite (NaN or inf)")
+        return SparseMatrix(c.rows, c.cols, i, j, v, implicit_value)
+
+
+def _refuse_pair(bad: np.ndarray, i: np.ndarray, j: np.ndarray, what: str, problem: str) -> None:
+    """Raise DomainError naming the first pair (i, j) where bad holds."""
+    if bad.any():
+        p = int(np.argmax(bad))
+        raise DomainError(f"{what} of pair ({int(i[p])}, {int(j[p])}) {problem}")
 
 
 def _reach(rec: np.ndarray, win: WindowSpec) -> Iterator[int]:

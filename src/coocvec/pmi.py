@@ -14,7 +14,6 @@ minus infinity" (unclamped variants).
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -28,17 +27,11 @@ VARIANTS = ("pmi", "ppmi", "spmi", "sppmi")
 def shifted_pmi(joint, n_w, n_c, total: float, k: float = 1.0):
     """log(joint * total / (n_w * n_c)) - log k, elementwise: the one PMI expression.
 
-    Its arguments are the gathered counts; a zero joint weight gives -inf.
+    Its arguments are the gathered counts (`CooccurrenceStats.pair_counts`);
+    a zero joint weight gives -inf, and a ratio past the float range +inf.
     """
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return np.log(joint * total / (n_w * n_c)) - math.log(k)
-
-
-def pmi_values(
-    stats: CooccurrenceStats, rows: np.ndarray, cols: np.ndarray, joint: np.ndarray, k: float = 1.0
-) -> np.ndarray:
-    """Shifted PMI of the pairs (rows, cols) with joint weights joint, elementwise."""
-    return shifted_pmi(joint, stats.row_marginal[rows], stats.col_marginal[cols], stats.total, k)
 
 
 def build_matrix(stats: CooccurrenceStats, variant: str, k: float = 1.0) -> SparseMatrix:
@@ -53,10 +46,7 @@ def build_matrix(stats: CooccurrenceStats, variant: str, k: float = 1.0) -> Spar
     if variant in ("pmi", "ppmi") and k != 1.0:
         raise InvalidShiftError(f"variant {variant} fixes k = 1, got k = {k}")
 
-    positive = variant in ("ppmi", "sppmi")
-    counts = stats.counts
-    values = pmi_values(stats, counts.i, counts.j, counts.v, k)
-    if positive:
-        keep = values > 0.0
-        return SparseMatrix(counts.rows, counts.cols, counts.i[keep], counts.j[keep], values[keep])
-    return replace(counts, v=values, implicit_value=None)
+    values = shifted_pmi(*stats.pair_counts(), stats.total, k)
+    if variant in ("ppmi", "sppmi"):
+        return stats.pair_matrix(values, 0.0, variant, keep=values > 0.0)
+    return stats.pair_matrix(values, None, variant)

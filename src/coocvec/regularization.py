@@ -26,14 +26,14 @@ solution with lam > 0 finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import MAX_HALF_WIDTH, _float_if_scalar, _refuse_nan, bisect_decreasing
+from .closed_form import MAX_HALF_WIDTH, _float_if_scalar, bisect_decreasing
 from .corpus import CooccurrenceStats
 from .errors import DomainError, InvalidOptionError, check_shift
-from .pmi import pmi_values
+from .pmi import shifted_pmi
 from .vectors import SparseMatrix
 
 REG_KINDS = ("l1", "l2")
@@ -183,14 +183,11 @@ def regularize_stats(stats: CooccurrenceStats, spec: RegSpec) -> SparseMatrix:
     The normalization by expected negative mass makes the effective strength
     the same lam for every pair, so absent pairs share one finite score; it
     becomes the matrix's implicit value.  Both closed forms cover every
-    stored pair, on either side of log k.  A NaN score, which only float
-    overflow can make, is refused (DomainError).
+    stored pair with a finite pmi, on either side of log k; `pair_matrix`
+    refuses a score that is not finite (DomainError).
     """
-    counts = stats.counts
-    pmi = pmi_values(stats, counts.i, counts.j, counts.v)
+    pmi = shifted_pmi(*stats.pair_counts(), stats.total)
     solve = solve_l1 if spec.kind == "l1" else solve_l2
-    matrix = replace(
-        counts, v=solve(pmi, spec.k, spec.lam), implicit_value=absent_pair_solution(spec)
-    )
-    _refuse_nan(matrix, "score")
-    return matrix
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite pmi scores NaN or inf
+        scores = solve(pmi, spec.k, spec.lam)
+    return stats.pair_matrix(scores, absent_pair_solution(spec), "score")

@@ -203,6 +203,28 @@ class TestPmiAndSolve:
         assert "NaN" in err[0] and "of pair (" in err[0]
         assert not os.path.exists(out) and not os.path.exists(alpha)
 
+    @pytest.mark.parametrize("weight, total", [("1e300", "4e300"), ("1e-300", "4e-300")])
+    @pytest.mark.parametrize("argv", [
+        *(f"pmi --variant {v}" for v in ("pmi", "ppmi", "spmi", "sppmi")),
+        *(f"solve --loss {loss}" for loss in ("logistic", "squared", "squared_hinge", "hinge",
+                                              "huber")),
+        *(f"regularize --reg {reg} --lam 0.5" for reg in ("l1", "l2")),
+        "report",
+    ])
+    def test_counts_whose_products_leave_the_float_range_are_one_domain_error(
+        self, tmp_path, capsys, weight, total, argv
+    ):
+        # n_wc |D| and n_w n_c overflow to inf at 1e300 and underflow to 0 at 1e-300
+        counts = tmp_path / "counts.txt"
+        pairs = "".join(f"{i} {j} {weight}\n" for i in (0, 1) for j in (0, 1))
+        counts.write_text(f"2 {total}\n{pairs}")
+        out = tmp_path / "out"
+        command, *options = argv.split()
+        assert run(command, "--cooc", str(counts), "--output", str(out), *options) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error domain-error:"), err
+        assert not out.exists()
+
     def test_l2_at_subnormal_lambda_gives_the_shifted_pmi(self, tmp_path, corpus_path):
         # (e^pmi - k) / (2 lam) overflows, so the chord takes its lam -> 0 limit
         counts = counted(tmp_path, corpus_path)

@@ -130,23 +130,19 @@ class TestSolvePair:
     def test_logistic_hand_example(self):
         sol = solve_pair("logistic", 3.0, 3.0, 3.0, 6.0, 1.0)
         assert sol.x_star == pytest.approx(LOG2, abs=1e-15)
-        assert sol.delta == pytest.approx(4.5)
+        # delta = #(w,c) + k #(w,.) #(.,c) / |D| = 3 + 1.5
         assert sol.alpha == pytest.approx(3.0 * 1.5 / 4.5, rel=1e-12)
-        assert sol.pos_condition
-        assert not sol.neg_inf
 
     def test_squared_hand_example(self):
         sol = solve_pair("squared", 3.0, 2.0, 3.0, 6.0, 1.0)
         assert sol.x_star == pytest.approx(0.5, abs=1e-15)
-        assert sol.alpha == pytest.approx(4.0)
-        assert sol.delta == pytest.approx(4.0)
+        assert sol.alpha == pytest.approx(4.0)  # delta = 3 + 2 * 3 / 6
 
     def test_balance_point_scores_zero(self):
         # PMI equals log k exactly, the positivity boundary
         for kind in ("logistic", "squared"):
             sol = solve_pair(kind, 2.0, 2.0, 3.0, 6.0, 2.0)
             assert sol.x_star == pytest.approx(0.0, abs=1e-15)
-            assert not sol.pos_condition
 
     def test_hinge_boundary_goes_positive(self):
         sol = solve_pair("hinge", 2.0, 2.0, 3.0, 6.0, 2.0)
@@ -157,13 +153,12 @@ class TestSolvePair:
 
     def test_zero_joint_count(self):
         log_sol = solve_pair("logistic", 0.0, 2.0, 3.0, 6.0, 1.0)
-        assert log_sol.neg_inf
+        assert log_sol.x_star == -math.inf
         assert log_sol.alpha == 0.0
-        assert not log_sol.pos_condition
         for kind in ("squared", "squared_hinge", "huber"):
             sol = solve_pair(kind, 0.0, 2.0, 3.0, 6.0, 1.0)
             assert sol.x_star == -1.0
-            assert sol.alpha == pytest.approx(sol.delta)
+            assert sol.alpha == pytest.approx(1.0)  # delta: the negative mass 2 * 3 / 6
         assert solve_pair("hinge", 0.0, 2.0, 3.0, 6.0, 1.0).x_star == -1.0
 
     def test_degenerate_marginals_rejected(self):
@@ -231,18 +226,15 @@ def test_array_closed_forms_equal_scalar_entry_points(kind, rng):
     total, k = 40.0, 3.0
     assert (n_wc == 0.0).any()
     if kind in LOSS_NAMES:
+        above = n_wc * total > k * n_w * n_c
+        assert above.any() and not above.all()
         sol = solve_pair(kind, n_wc, n_w, n_c, total, k)
-        assert sol.pos_condition.any() and not sol.pos_condition.all()
         for i, t in enumerate(zip(n_wc.tolist(), n_w.tolist(), n_c.tolist())):
             one = solve_pair(kind, *t, total, k)
-            types = [type(f) for f in (one.x_star, one.neg_inf, one.delta, one.pos_condition)]
-            assert types == [float, bool, float, bool]
+            assert type(one.x_star) is float
             assert type(one.alpha) is (type(None) if kind == "hinge" else float)
             assert np.float64(one.x_star).tobytes() == sol.x_star[i].tobytes()
-            assert one.neg_inf == sol.neg_inf[i]
             assert one.alpha == (None if sol.alpha is None else sol.alpha[i])
-            assert one.delta == sol.delta[i]
-            assert one.pos_condition == sol.pos_condition[i]
         return
     with np.errstate(divide="ignore"):
         pmi = np.log(n_wc * total / (n_w * n_c))
@@ -315,7 +307,6 @@ def test_property_sign_agreement_with_shifted_pmi(seed, kind):
         assert sol.x_star > 0
     elif shifted < 0:
         assert sol.x_star < 0
-    assert sol.pos_condition == (shifted > 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -332,7 +323,7 @@ def test_property_solve_stats_absent_value_and_dense_oracle(seed, kind, k):
     n_w, n_c = float(stats.row_marginal.max()), float(stats.col_marginal.max())
     absent = solve_pair(kind, 0.0, n_w, n_c, stats.total, k)
     if kind == "logistic":
-        assert absent.neg_inf and scores.implicit_value is None
+        assert absent.x_star == -math.inf and scores.implicit_value is None
     else:
         assert scores.implicit_value == absent.x_star == -1.0
     c = stats.counts
@@ -356,9 +347,9 @@ def test_property_solve_stats_absent_value_and_dense_oracle(seed, kind, k):
     except DegenerateMarginalError:
         return
     if kind == "logistic":  # no dense home for minus infinity: the oracle's -inf are the absent pairs
-        absent = np.ones(oracle.neg_inf.shape, dtype=bool)
+        absent = np.ones(oracle.x_star.shape, dtype=bool)
         absent[c.i, c.j] = False
-        assert np.array_equal(absent, oracle.neg_inf)
+        assert np.array_equal(absent, np.isneginf(oracle.x_star))
         assert scores.v.tobytes() == oracle.x_star[c.i, c.j].tobytes()
     else:
         assert scores.to_dense().tobytes() == oracle.x_star.tobytes()

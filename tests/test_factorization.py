@@ -12,7 +12,6 @@ from coocvec import (
     SparseMatrix,
     build_matrix,
     consistency_report,
-    solve_pair,
     truncated_svd,
     weighted_factorize,
     word_vectors,
@@ -308,8 +307,6 @@ class TestDiscardingSupportHook:
             k = 1.5
             sppmi = build_matrix(stats, "sppmi", k=k)
             c = stats.counts
-            sol = solve_pair(
-                "logistic", c.v, stats.row_marginal[c.i], stats.col_marginal[c.j], stats.total, k
-            )
-            keep = sol.pos_condition
+            n_wc, n_w, n_c = stats.pair_counts()
+            keep = n_wc * stats.total > k * n_w * n_c
             assert np.array_equal(sppmi.i, c.i[keep]) and np.array_equal(sppmi.j, c.j[keep])

@@ -2,19 +2,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coocvec import (
+    LOSS_NAMES,
+    DomainError,
     InvalidShiftError,
     MarkerContaminationError,
+    RegSpec,
     WindowSpec,
     build_matrix,
     count_encoded,
     encode_text,
+    regularize_stats,
     solve_stats,
 )
-from coocvec.pmi import pmi_values
+from coocvec.pmi import VARIANTS, shifted_pmi
+from coocvec.regularization import REG_KINDS
 from helpers import bench_gen, make_stats, random_stats, same_pairs, sparse
 
 LOG2 = math.log(2.0)
@@ -24,10 +29,12 @@ class TestPmiValues:
     def test_hand_computed_example(self, abab_stats):
         c = abab_stats.counts
         assert [c.pair(p) for p in range(c.nnz)] == [(0, 1), (1, 0)]
-        np.testing.assert_allclose(pmi_values(abab_stats, c.i, c.j, c.v), LOG2, atol=1e-15)
+        pmi = shifted_pmi(*abab_stats.pair_counts(), abab_stats.total)
+        np.testing.assert_allclose(pmi, LOG2, atol=1e-15)
 
     def test_absent_pair_is_undefined(self, abab_stats):
-        assert pmi_values(abab_stats, 0, 0, 0.0) == -math.inf
+        n_w, n_c = abab_stats.row_marginal[0], abab_stats.col_marginal[0]
+        assert shifted_pmi(0.0, n_w, n_c, abab_stats.total) == -math.inf
         mat = build_matrix(abab_stats, "pmi")
         assert not mat.find(0, 0)[1] and mat.implicit_value is None
 
@@ -118,10 +125,33 @@ def test_property_sppmi_matches_clamped_pmi(seed, k):
     stats = random_stats(rng, n_words=5, density=0.5)
     mat = build_matrix(stats, "sppmi", k=k)
     c = stats.counts
-    expected = np.maximum(pmi_values(stats, c.i, c.j, c.v) - math.log(k), 0.0)
+    expected = np.maximum(shifted_pmi(*stats.pair_counts(), stats.total, k), 0.0)
     pos, found = mat.find(c.i, c.j)
     assert np.array_equal(found, expected > 0.0)
     np.testing.assert_allclose(mat.v[pos[found]], expected[found], rtol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    exponents=st.lists(st.one_of(st.none(), st.floats(-300.0, 300.0)), min_size=9, max_size=9),
+    k=st.sampled_from([1.0, 5.0]),
+)
+def test_property_builders_store_finite_values_or_refuse(exponents, k):
+    """Counts spanning 1e-300 to 1e300: every builder of per-pair matrices stores
+    only finite values or raises DomainError, and never warns."""
+    pairs = {divmod(p, 3): 10.0**e for p, e in enumerate(exponents) if e is not None}
+    assume(pairs)
+    stats = make_stats(pairs, 3)
+    runs = [(build_matrix, (v, 1.0 if v in ("pmi", "ppmi") else k)) for v in VARIANTS]
+    runs += [(solve_stats, (loss, k)) for loss in LOSS_NAMES]
+    runs += [(regularize_stats, (RegSpec(reg, k, 0.5),)) for reg in REG_KINDS]
+    for build, args in runs:
+        try:
+            out = build(stats, *args)
+        except DomainError:
+            continue
+        for m in out if isinstance(out, tuple) else (out,):
+            assert m is None or np.isfinite(m.v).all(), (build.__name__, args, m.v)
 
 
 @settings(max_examples=40, deadline=None)

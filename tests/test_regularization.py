@@ -17,7 +17,7 @@ from coocvec import (
     solve_l1,
     solve_l2,
 )
-from coocvec.pmi import pmi_values
+from coocvec.pmi import shifted_pmi
 from coocvec.regularization import absent_pair_solution
 from helpers import make_stats, random_stats
 from oracles import reg_objective, reg_root
@@ -225,13 +225,11 @@ class TestRegularizeStats:
         off = iter(np.exp(-np.linspace(0.0, 16.5, 30)))
         pairs = {(i, j): 1.0 if i == j else float(next(off)) for i in range(6) for j in range(6)}
         far_below = make_stats(pairs, 6)
-        c = far_below.counts
-        assert pmi_values(far_below, c.i, c.j, c.v).min() - math.log(2.0) < -15.0
+        assert shifted_pmi(*far_below.pair_counts(), far_below.total).min() - math.log(2.0) < -15.0
         near = random_stats(rng, n_words=5, density=0.6)
         for stats, lam in ((near, 0.25), (far_below, 0.25), (far_below, 100.0)):
             mat = regularize_stats(stats, RegSpec(kind="l2", k=2.0, lam=lam))
-            c = stats.counts
-            pmi = pmi_values(stats, c.i, c.j, c.v)
+            pmi = shifted_pmi(*stats.pair_counts(), stats.total)
             assert mat.v.tobytes() == solve_l2(pmi, 2.0, lam).tobytes()
             exact = solve_exact(pmi, 2.0, lam, "l2")
             np.testing.assert_allclose(mat.v, exact, rtol=0.0, atol=1e-10)
