@@ -42,8 +42,7 @@ _EXPORTS = {
     ),
     "pmi": ("build_matrix", "shifted_pmi"),
     "regularization": (
-        "RegSpec", "h_function", "l2_chord", "regularize_stats", "solve_exact",
-        "solve_l1", "solve_l2",
+        "h_function", "l2_chord", "regularize_stats", "solve_exact", "solve_l1", "solve_l2",
     ),
     "vectors": ("Embedding", "SparseMatrix"),
 }

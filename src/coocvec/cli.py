@@ -154,8 +154,7 @@ def cmd_regularize(args: argparse.Namespace) -> int:
     from . import formats, regularization
 
     stats, cooc_prov = formats.read_cooc(args.cooc)
-    spec = regularization.RegSpec(kind=args.reg, k=args.k, lam=args.lam)
-    matrix = regularization.regularize_stats(stats, spec)
+    matrix = regularization.regularize_stats(stats, args.reg, args.k, args.lam)
     prov = formats.make_provenance("regularize", _config_dict(args), {"cooc": cooc_prov})
     formats.write_matrix(
         matrix,
@@ -312,9 +311,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from . import formats, regularization
-    from .closed_form import LOSS_NAMES, minimize_pair_numeric, solve_pair
+    from . import formats
+    from .closed_form import LOSS_NAMES, MAX_HALF_WIDTH, minimize_pair_numeric, solve_stats
     from .pmi import build_matrix
+    from .regularization import REG_KINDS, regularize_stats, solve_exact
 
     stats, cooc_prov = formats.read_cooc(args.cooc)
     upstream = {"cooc": cooc_prov}
@@ -332,18 +332,27 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise InvalidOptionError(f"--samples must be >= 0, got {args.samples}")
     check_seed(args.seed)
     check_shift(args.k)
-    pmi = build_matrix(stats, "pmi").v  # of every stored pair, so report refuses what pmi refuses
+    stats.pair_counts()  # refuses a bad stored pair, sampled or not, as the builders do
     rng = np.random.default_rng(args.seed)
-    n = len(pmi)
+    n = stats.counts.nnz
     chosen = (np.sort(rng.choice(n, args.samples, replace=False)) if n > args.samples
               else np.arange(n))
-    joint, n_w, n_c = stats.pair_counts(chosen)
-    pmi = pmi[chosen]
+    view = stats.restrict(chosen)  # the builders score each sampled pair as in the whole file
+    pmi = build_matrix(view, "pmi").v
     shifted = pmi - math.log(args.k)
+    far = np.abs(shifted) + 1.0 > MAX_HALF_WIDTH
+    if far.any():
+        p = int(np.argmax(far))
+        gap = float(abs(shifted[p])) + 1.0
+        raise DomainError(
+            f"the numeric references cannot reach the root of pair {view.counts.pair(p)}: "
+            f"|pmi - log k| + 1 = {gap!r} exceeds {MAX_HALF_WIDTH:.1f}, their widest bracket"
+        )
+    joint, n_w, n_c = view.pair_counts()
 
     lines = [formats.provenance_line(prov)]
     for loss in LOSS_NAMES:
-        x = solve_pair(loss, joint, n_w, n_c, stats.total, args.k).x_star
+        x = solve_stats(view, loss, args.k)[0].v
         numeric = minimize_pair_numeric(loss, joint, n_w, n_c, stats.total, args.k)
         worst = float(np.max(np.abs(x - numeric), initial=0.0))
         if loss == "hinge":
@@ -357,12 +366,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     l1_worst = 0.0
     l2_worst = 0.0
     for lam in (0.01, 0.1, 1.0, 10.0):
-        exact1, exact2 = (
-            regularization.solve_exact(pmi, args.k, lam, kind) for kind in ("l1", "l2")
-        )
-        l1_err = np.abs(regularization.solve_l1(pmi, args.k, lam) - exact1)
+        l1, l2 = (regularize_stats(view, kind, args.k, lam).v for kind in REG_KINDS)
+        exact1, exact2 = (solve_exact(pmi, args.k, lam, kind) for kind in REG_KINDS)
+        l1_err = np.abs(l1 - exact1)
         nonzero = exact2 != 0.0
-        l2_err = np.abs(regularization.solve_l2(pmi, args.k, lam) - exact2)[nonzero]
+        l2_err = np.abs(l2 - exact2)[nonzero]
         l1_worst = max(l1_worst, float(np.max(l1_err, initial=0.0)))
         l2_worst = max(l2_worst, float(np.max(l2_err / np.abs(exact2[nonzero]), initial=0.0)))
     lines.append(f"l1_closed_form_max_abs_err\t{l1_worst!r}")

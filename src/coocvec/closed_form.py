@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CooccurrenceStats
-from .errors import DegenerateMarginalError, DimensionMismatchError, check_shift
+from .errors import DegenerateMarginalError, DimensionMismatchError, check_choice, check_shift
 from .pmi import shifted_pmi
 from .vectors import SparseMatrix
 
@@ -55,14 +55,9 @@ def _float_if_scalar(a):
     return a.item() if np.ndim(a) == 0 else a
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in LOSS_NAMES:
-        raise ValueError(f"unknown loss {kind!r}, expected one of {LOSS_NAMES}")
-
-
 def loss_value(kind: str, x, y: float):
     """L(x, y) for y in {+1, -1}, elementwise over x; a scalar x gives a float."""
-    _check_kind(kind)
+    check_choice("loss", kind, LOSS_NAMES)
     x = np.asarray(x, dtype=float)
     yx = y * x
     if kind == "logistic":
@@ -81,7 +76,7 @@ def loss_value(kind: str, x, y: float):
 
 def loss_derivative(kind: str, x, y: float):
     """dL/dx at (x, y), elementwise over x; a scalar x gives a float."""
-    _check_kind(kind)
+    check_choice("loss", kind, LOSS_NAMES)
     x = np.asarray(x, dtype=float)
     yx = y * x
     if kind == "logistic":
@@ -99,7 +94,7 @@ def loss_derivative(kind: str, x, y: float):
 
 def loss_second_derivative(kind: str, x, y: float):
     """d2L/dx2 at (x, y), elementwise over x; None for the hinge (no curvature)."""
-    _check_kind(kind)
+    check_choice("loss", kind, LOSS_NAMES)
     if kind == "hinge":
         return None
     yx = y * np.asarray(x, dtype=float)
@@ -157,7 +152,7 @@ def solve_pair(kind: str, n_wc, n_w, n_c, total: float, k: float) -> PairSolutio
     and the hinge.  A negative mass that overflows a float gives NaN without
     a warning; `solve_stats` refuses it.
     """
-    _check_kind(kind)
+    check_choice("loss", kind, LOSS_NAMES)
     _check_counts(n_wc, n_w, n_c, total, k)
     n_wc, n_w, n_c = (np.asarray(a, dtype=float) for a in (n_wc, n_w, n_c))
     if np.any(n_w == 0.0) or np.any(n_c == 0.0):
@@ -229,7 +224,7 @@ def minimize_pair_numeric(kind: str, n_wc, n_w, n_c, total: float, k: float):
     the negative mass, so a tiny count does not underflow to pmi = -inf.
     The counts broadcast together.
     """
-    _check_kind(kind)
+    check_choice("loss", kind, LOSS_NAMES)
     if kind == "hinge":
         up, down = (pair_objective(kind, n_wc, n_w, n_c, total, k, x) for x in (1.0, -1.0))
         return _float_if_scalar(np.where(up < down, 1.0, -1.0))
@@ -256,7 +251,7 @@ def objective_value(
     The negative term ranges over every pair with positive marginals, not
     just the stored ones.
     """
-    _check_kind(kind)
+    check_choice("loss", kind, LOSS_NAMES)
     check_shift(k)
     W = np.asarray(W, dtype=float)
     C = np.asarray(C, dtype=float)

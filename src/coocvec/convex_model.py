@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Encoded, Vocabulary, WindowSpec, window_pairs
-from .errors import DimensionMismatchError, InvalidOptionError, check_seed
+from .errors import DimensionMismatchError, InvalidOptionError, check_choice, check_seed
 from .vectors import Embedding, SparseMatrix
 
 CONTEXT_MODES = ("single", "bag", "positional")
@@ -43,8 +43,7 @@ class ContextSpec:
     window: WindowSpec = WindowSpec(left=2, right=2)
 
     def __post_init__(self) -> None:
-        if self.mode not in CONTEXT_MODES:
-            raise InvalidOptionError(f"mode must be one of {CONTEXT_MODES}, got {self.mode!r}")
+        check_choice("mode", self.mode, CONTEXT_MODES)
 
 
 def context_dim(spec: ContextSpec, n_words: int) -> int:
@@ -128,10 +127,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.objective not in OBJECTIVES:
-            raise InvalidOptionError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
-        if self.noise not in NOISE_KINDS:
-            raise InvalidOptionError(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
+        check_choice("objective", self.objective, OBJECTIVES)
+        check_choice("noise", self.noise, NOISE_KINDS)
         if not 0.0 <= self.l1 < np.inf:
             raise InvalidOptionError(f"l1 strength must be a finite number >= 0, got {self.l1}")
         if self.k_neg < 1 and self.objective == "negative_sampling":

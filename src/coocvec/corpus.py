@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, EmptyVocabularyError, FormatError, InvalidOptionError
-from .errors import check_min_count, check_seed, check_shards
+from .errors import check_choice, check_min_count, check_seed, check_shards
 from .vectors import SparseMatrix, sum_by_key, word_index
 
 POSITIONAL_WEIGHTS = ("constant", "reciprocal")
@@ -169,8 +169,7 @@ class WindowSpec:
             raise InvalidOptionError(
                 f"window needs left, right >= 0 and left + right >= 1, got {self.left}, {self.right}"
             )
-        if self.positional_weight not in POSITIONAL_WEIGHTS:
-            raise InvalidOptionError(f"positional_weight must be one of {POSITIONAL_WEIGHTS}")
+        check_choice("positional_weight", self.positional_weight, POSITIONAL_WEIGHTS)
         for tau in (self.subsample_threshold, self.context_subsample_threshold):
             if tau is not None and not tau > 0:
                 raise InvalidOptionError(f"subsample thresholds must be positive, got {tau}")
@@ -236,8 +235,19 @@ class CooccurrenceStats:
     def n_words(self) -> int:
         return self.counts.rows
 
-    def pair_counts(self, select=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(#(w,c), #(w,.), #(.,c)) of the stored pairs, or of those at positions select.
+    def restrict(self, positions) -> "CooccurrenceStats":
+        """A view of the stored pairs at positions, each with the whole file's marginals and total.
+
+        Any per-pair builder (`build_matrix`, `solve_stats`, `regularize_stats`)
+        gives a kept pair the value it gives that pair in the whole file.  The
+        view's marginals and total are therefore not the sums of its counts.
+        """
+        c = self.counts
+        kept = SparseMatrix(c.rows, c.cols, c.i[positions], c.j[positions], c.v[positions])
+        return CooccurrenceStats(kept, self.row_marginal, self.col_marginal, self.total)
+
+    def pair_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(#(w,c), #(w,.), #(.,c)) of the stored pairs.
 
         The one place a pair meets its marginals.  Every closed form is a
         function of the pmi, so a pair whose #(w,c)|D| or #(w,.)#(.,c) leaves
@@ -246,14 +256,13 @@ class CooccurrenceStats:
         that overflows it makes a NaN score or weight, which `pair_matrix` refuses.
         """
         c = self.counts
-        i, j, n_wc = (c.i, c.j, c.v) if select is None else (c.i[select], c.j[select], c.v[select])
-        n_w, n_c = self.row_marginal[i], self.col_marginal[j]
+        n_w, n_c = self.row_marginal[c.i], self.col_marginal[c.j]
         with np.errstate(over="ignore"):
-            for name, a, b in (("#(w,c)|D|", n_wc, self.total), ("#(w,.)#(.,c)", n_w, n_c)):
+            for name, a, b in (("#(w,c)|D|", c.v, self.total), ("#(w,.)#(.,c)", n_w, n_c)):
                 product = a * b
-                _refuse_pair(~((product > 0.0) & (product < np.inf)), i, j, name,
+                _refuse_pair(~((product > 0.0) & (product < np.inf)), c.i, c.j, name,
                              "leaves the float range")
-        return n_wc, n_w, n_c
+        return c.v, n_w, n_c
 
     def pair_matrix(self, v, implicit_value: float | None, what: str, keep=None) -> SparseMatrix:
         """The stored pairs, or those where keep is true, with values v; absent ones implicit_value.

@@ -36,6 +36,12 @@ def check_min_count(min_count: int) -> None:
         raise InvalidOptionError(f"min_count must be >= 1, got {min_count}")
 
 
+def check_choice(name: str, value, choices: tuple) -> None:
+    """Raise InvalidOptionError unless value is one of choices; name says which setting."""
+    if value not in choices:
+        raise InvalidOptionError(f"{name} must be one of {choices}, got {value!r}")
+
+
 def check_shards(shards: int) -> None:
     """Raise InvalidOptionError unless shards is a valid shard (thread) count (>= 1)."""
     if shards < 1:

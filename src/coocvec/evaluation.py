@@ -11,15 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientPairsError, InvalidOptionError
+from .errors import DomainError, InsufficientPairsError, InvalidOptionError, check_choice
 from .vectors import Embedding
 
 METRICS = ("cosine", "dot")
-
-
-def _check_metric(metric: str) -> None:
-    if metric not in METRICS:
-        raise InvalidOptionError(f"metric must be one of {METRICS}, got {metric!r}")
 
 
 def _check_range(emb: Embedding) -> None:
@@ -66,7 +61,7 @@ def neighbors(emb: Embedding, word: str, n: int, metric: str = "cosine") -> list
     Ties are broken by word id ascending; a zero-vector query under cosine
     has an empty answer.
     """
-    _check_metric(metric)
+    check_choice("metric", metric, METRICS)
     if n < 0:
         raise InvalidOptionError(f"n must be non-negative, got {n}")
     qi = emb.index(word)
@@ -107,7 +102,7 @@ def spearman(
     coverage; fewer than two scorable pairs is an error.  Ranks use average
     tie handling, and a constant similarity list correlates as 0.
     """
-    _check_metric(metric)
+    check_choice("metric", metric, METRICS)
     _check_range(emb)
     if not dataset:
         raise InsufficientPairsError("similarity dataset is empty")

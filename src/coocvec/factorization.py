@@ -20,6 +20,7 @@ from .errors import (
     DivergenceError,
     InvalidOptionError,
     MarkerContaminationError,
+    check_choice,
     check_seed,
 )
 from .vectors import Embedding, SparseMatrix
@@ -128,8 +129,7 @@ def word_vectors(svd: SvdResult, flavor: str, words: list[str] | None = None) ->
     plain:     U diag(sigma)        (rows reproduce the row space of M)
     symmetric: U diag(sqrt(sigma))  (splits the spectrum with the context side)
     """
-    if flavor not in FLAVORS:
-        raise InvalidOptionError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
+    check_choice("flavor", flavor, FLAVORS)
     scale = svd.sigma if flavor == "plain" else np.sqrt(svd.sigma)
     vectors = svd.U * scale
     if words is None:

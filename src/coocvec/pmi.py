@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .corpus import CooccurrenceStats
-from .errors import InvalidShiftError, check_shift
+from .errors import InvalidShiftError, check_choice, check_shift
 from .vectors import SparseMatrix
 
 VARIANTS = ("pmi", "ppmi", "spmi", "sppmi")
@@ -40,8 +40,7 @@ def build_matrix(stats: CooccurrenceStats, variant: str, k: float = 1.0) -> Spar
     variant is one of pmi | ppmi | spmi | sppmi; the unshifted variants are
     the k = 1 cases and reject any other shift.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    check_choice("variant", variant, VARIANTS)
     check_shift(k)
     if variant in ("pmi", "ppmi") and k != 1.0:
         raise InvalidShiftError(f"variant {variant} fixes k = 1, got k = {k}")

@@ -26,32 +26,17 @@ solution with lam > 0 finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_form import MAX_HALF_WIDTH, _float_if_scalar, bisect_decreasing
 from .corpus import CooccurrenceStats
-from .errors import DomainError, InvalidOptionError, check_shift
+from .errors import DomainError, InvalidOptionError, check_choice, check_shift
 from .pmi import shifted_pmi
 from .vectors import SparseMatrix
 
 REG_KINDS = ("l1", "l2")
 NEWTON_STEPS = 4
-
-
-@dataclass(frozen=True)
-class RegSpec:
-    """Which regularizer to apply and with what strength."""
-
-    kind: str
-    k: float = 1.0
-    lam: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in REG_KINDS:
-            raise InvalidOptionError(f"kind must be one of {REG_KINDS}, got {self.kind!r}")
-        _check_params(self.k, self.lam)
 
 
 def _check_params(k: float, lam) -> None:
@@ -151,8 +136,7 @@ def solve_exact(pmi, k: float, lam, kind: str):
     bracket from h(0): [0, B] above lam, [-B, 0] below -lam, and [0, 0]
     (the score 0) in between.
     """
-    if kind not in REG_KINDS:
-        raise ValueError(f"kind must be one of {REG_KINDS}, got {kind!r}")
+    check_choice("kind", kind, REG_KINDS)
     _check_params(k, lam)
     with np.errstate(divide="ignore"):
         edge = np.where(np.isneginf(pmi), np.log(lam), pmi)
@@ -168,26 +152,28 @@ def solve_exact(pmi, k: float, lam, kind: str):
     return bisect_decreasing(lambda x: h_function(pmi, k, x) - shift, lo, hi)
 
 
-def absent_pair_solution(spec: RegSpec) -> float:
-    """Regularized score shared by every pair with zero joint count."""
-    if spec.lam == 0.0:
+def absent_pair_solution(kind: str, k: float, lam: float) -> float:
+    """Regularized score shared by every pair with zero joint count; checks kind, k, lam first."""
+    check_choice("kind", kind, REG_KINDS)
+    _check_params(k, lam)
+    if lam == 0.0:
         raise DomainError("absent pairs have no finite score without regularization (lam = 0)")
-    if spec.kind == "l1":
-        return solve_l1(-math.inf, spec.k, spec.lam)
-    return solve_exact(-math.inf, spec.k, spec.lam, "l2")
+    return solve_l1(-math.inf, k, lam) if kind == "l1" else solve_exact(-math.inf, k, lam, kind)
 
 
-def regularize_stats(stats: CooccurrenceStats, spec: RegSpec) -> SparseMatrix:
+def regularize_stats(stats: CooccurrenceStats, kind: str, k: float, lam: float) -> SparseMatrix:
     """Regularized scores for every stored pair, as a sparse matrix.
 
     The normalization by expected negative mass makes the effective strength
     the same lam for every pair, so absent pairs share one finite score; it
-    becomes the matrix's implicit value.  Both closed forms cover every
+    becomes the matrix's implicit value, and is found, with every option
+    checked, before any pair is read.  Both closed forms cover every
     stored pair with a finite pmi, on either side of log k; `pair_matrix`
     refuses a score that is not finite (DomainError).
     """
+    implicit = absent_pair_solution(kind, k, lam)
     pmi = shifted_pmi(*stats.pair_counts(), stats.total)
-    solve = solve_l1 if spec.kind == "l1" else solve_l2
+    solve = solve_l1 if kind == "l1" else solve_l2
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite pmi scores NaN or inf
-        scores = solve(pmi, spec.k, spec.lam)
-    return stats.pair_matrix(scores, absent_pair_solution(spec), "score")
+        scores = solve(pmi, k, lam)
+    return stats.pair_matrix(scores, implicit, "score")

@@ -13,7 +13,6 @@ import pytest
 from coocvec import (
     LOSS_NAMES,
     ContextSpec,
-    RegSpec,
     TrainConfig,
     WindowSpec,
     consistency_report,
@@ -172,7 +171,7 @@ def test_criterion_06_l1_solution_exact_and_sparsifying():
     stats = random_stats(np.random.default_rng(66), n_words=8, density=0.6)
     zero_counts = []
     for lam in (0.01, 0.1, 1.0, 10.0):
-        mat = regularize_stats(stats, RegSpec(kind="l1", k=1.0, lam=lam))
+        mat = regularize_stats(stats, "l1", 1.0, lam)
         zero_counts.append(int(np.count_nonzero(mat.v == 0.0)))
     monotone = all(a <= b for a, b in zip(zero_counts, zero_counts[1:]))
     ok = worst <= 1e-10 and monotone

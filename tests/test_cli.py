@@ -225,6 +225,28 @@ class TestPmiAndSolve:
         assert len(err) == 1 and err[0].startswith("error domain-error:"), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("pairs, k", [
+        # log k = 709.2 puts the roots past the numeric references' brackets, and the
+        # negative mass k n_w n_c / |D| overflows
+        (None, "1e308"),
+        # |pmi - log k| of pair (0, 1) is about 708.5, which `solve` still scores
+        ("0 0 1\n0 1 1e-8\n1 0 1e-8\n1 1 1\n", "1e300"),
+    ], ids=["k-1e308", "root-past-the-references"])
+    def test_report_refuses_a_pair_it_cannot_check_with_one_domain_error(
+        self, tmp_path, corpus_path, capsys, pairs, k
+    ):
+        if pairs is None:
+            counts = counted(tmp_path, corpus_path)
+        else:
+            counts = str(tmp_path / "counts.txt")
+            (tmp_path / "counts.txt").write_text(f"2 2.00000002\n{pairs}")
+        out = tmp_path / "report.txt"
+        capsys.readouterr()
+        assert run("report", "--cooc", counts, "--k", k, "--output", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error domain-error:"), err
+        assert not out.exists()
+
     def test_l2_at_subnormal_lambda_gives_the_shifted_pmi(self, tmp_path, corpus_path):
         # (e^pmi - k) / (2 lam) overflows, so the chord takes its lam -> 0 limit
         counts = counted(tmp_path, corpus_path)

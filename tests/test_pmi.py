@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from coocvec import (
     LOSS_NAMES,
     DomainError,
+    InvalidOptionError,
     InvalidShiftError,
     MarkerContaminationError,
-    RegSpec,
     WindowSpec,
     build_matrix,
     count_encoded,
@@ -144,7 +144,7 @@ def test_property_builders_store_finite_values_or_refuse(exponents, k):
     stats = make_stats(pairs, 3)
     runs = [(build_matrix, (v, 1.0 if v in ("pmi", "ppmi") else k)) for v in VARIANTS]
     runs += [(solve_stats, (loss, k)) for loss in LOSS_NAMES]
-    runs += [(regularize_stats, (RegSpec(reg, k, 0.5),)) for reg in REG_KINDS]
+    runs += [(regularize_stats, (reg, k, 0.5)) for reg in REG_KINDS]
     for build, args in runs:
         try:
             out = build(stats, *args)
@@ -152,6 +152,16 @@ def test_property_builders_store_finite_values_or_refuse(exponents, k):
             continue
         for m in out if isinstance(out, tuple) else (out,):
             assert m is None or np.isfinite(m.v).all(), (build.__name__, args, m.v)
+
+
+@pytest.mark.parametrize("build, args", [
+    (build_matrix, ("bogus",)),
+    (solve_stats, ("bogus", 1.0)),
+    (regularize_stats, ("bogus", 1.0, 0.5)),
+], ids=["build_matrix", "solve_stats", "regularize_stats"])
+def test_builders_refuse_an_unknown_kind_as_an_invalid_option(abab_stats, build, args):
+    with pytest.raises(InvalidOptionError, match="bogus"):
+        build(abab_stats, *args)
 
 
 @settings(max_examples=40, deadline=None)

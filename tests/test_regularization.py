@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from coocvec import (
     DomainError,
+    InvalidOptionError,
     InvalidShiftError,
-    RegSpec,
     h_function,
     l2_chord,
     regularize_stats,
@@ -201,20 +201,24 @@ class TestSolveExact:
             )
 
 
-class TestRegSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RegSpec(kind="l3")
-        with pytest.raises(InvalidShiftError):
-            RegSpec(kind="l1", k=0.5)
-        with pytest.raises(ValueError):
-            RegSpec(kind="l1", lam=-1.0)
-
-
 class TestRegularizeStats:
+    def test_validation(self, abab_stats):
+        with pytest.raises(ValueError):
+            regularize_stats(abab_stats, "l3", 1.0, 0.1)
+        with pytest.raises(InvalidShiftError):
+            regularize_stats(abab_stats, "l1", 0.5, 0.1)
+        with pytest.raises(ValueError):
+            regularize_stats(abab_stats, "l1", 1.0, -1.0)
+        # kind, then k, then lam, and all before the lam = 0 refusal of absent pairs
+        with pytest.raises(InvalidOptionError):
+            regularize_stats(abab_stats, "l3", 0.5, -1.0)
+        with pytest.raises(InvalidShiftError):
+            regularize_stats(abab_stats, "l1", 0.5, -1.0)
+        with pytest.raises(InvalidShiftError):
+            regularize_stats(abab_stats, "l2", 0.5, 0.0)
+
     def test_absent_pairs_share_one_implicit_score(self, abab_stats):
-        spec = RegSpec(kind="l1", k=1.0, lam=0.1)
-        mat = regularize_stats(abab_stats, spec)
+        mat = regularize_stats(abab_stats, "l1", 1.0, 0.1)
         assert mat.implicit_value == pytest.approx(math.log(0.1 / 0.9), rel=1e-12)
         assert mat.pair(0) == (0, 1)
         assert mat.v[0] == pytest.approx(solve_l1(math.log(2.0), 1.0, 0.1), rel=1e-12)
@@ -228,7 +232,7 @@ class TestRegularizeStats:
         assert shifted_pmi(*far_below.pair_counts(), far_below.total).min() - math.log(2.0) < -15.0
         near = random_stats(rng, n_words=5, density=0.6)
         for stats, lam in ((near, 0.25), (far_below, 0.25), (far_below, 100.0)):
-            mat = regularize_stats(stats, RegSpec(kind="l2", k=2.0, lam=lam))
+            mat = regularize_stats(stats, "l2", 2.0, lam)
             pmi = shifted_pmi(*stats.pair_counts(), stats.total)
             assert mat.v.tobytes() == solve_l2(pmi, 2.0, lam).tobytes()
             exact = solve_exact(pmi, 2.0, lam, "l2")
@@ -241,20 +245,20 @@ class TestRegularizeStats:
             return -k * math.exp(x) / (1.0 + math.exp(x)) - lam * x
 
         want = scipy.optimize.brentq(g, -1000.0, 0.0, xtol=1e-14, rtol=8.9e-16)
-        got = absent_pair_solution(RegSpec(kind="l2", k=k, lam=lam))
+        got = absent_pair_solution("l2", k, lam)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_absent_pairs_need_positive_lambda(self, abab_stats):
         # the unregularized zero-count score is -inf, never a finite implicit value
         for kind in ("l1", "l2"):
             with pytest.raises(DomainError):
-                regularize_stats(abab_stats, RegSpec(kind=kind, k=1.0, lam=0.0))
+                regularize_stats(abab_stats, kind, 1.0, 0.0)
 
     def test_l1_sparsity_monotone_in_lambda(self, rng):
         stats = random_stats(rng, n_words=6, density=0.7)
         previous = -1
         for lam in (0.01, 0.1, 0.5, 1.0, 3.0, 10.0):
-            mat = regularize_stats(stats, RegSpec(kind="l1", k=1.5, lam=lam))
+            mat = regularize_stats(stats, "l1", 1.5, lam)
             zeros = int(np.count_nonzero(mat.v == 0.0))
             assert zeros >= previous
             previous = zeros
