@@ -15,15 +15,12 @@ __version__ = "0.1.0"
 # module -> the public names it defines; the one list of the package's API
 _EXPORTS = {
     "closed_form": (
-        "LOSS_NAMES", "PairSolution", "loss_derivative", "loss_second_derivative",
-        "loss_value", "minimize_pair_numeric", "objective_value", "pair_objective",
-        "solve_pair", "solve_stats",
+        "LOSS_NAMES", "PairSolution", "curvature_weights", "loss_derivative",
+        "loss_second_derivative", "loss_value", "minimize_pair_numeric", "objective_value",
+        "pair_objective", "solve_pair", "solve_stats",
     ),
     "convex_model": ("ContextSpec", "TrainConfig", "build_examples", "explain", "train"),
-    "corpus": (
-        "CooccurrenceStats", "Vocabulary", "WindowSpec", "check_symmetry", "count_encoded",
-        "encode_text",
-    ),
+    "corpus": ("WindowSpec", "check_symmetry", "count_encoded", "encode_text"),
     "errors": (
         "DegenerateMarginalError", "DimensionMismatchError", "DivergenceError",
         "DomainError", "EmptyVocabularyError", "FormatError", "InsufficientPairsError",
@@ -42,9 +39,10 @@ _EXPORTS = {
     ),
     "pmi": ("build_matrix", "shifted_pmi"),
     "regularization": (
-        "h_function", "l2_chord", "regularize_stats", "solve_exact", "solve_l1", "solve_l2",
+        "closed_form_report", "h_function", "l2_chord", "regularize_stats", "solve_exact",
+        "solve_l1", "solve_l2",
     ),
-    "vectors": ("Embedding", "SparseMatrix"),
+    "vectors": ("CooccurrenceStats", "Embedding", "SparseMatrix", "Vocabulary"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

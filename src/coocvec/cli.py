@@ -1,8 +1,8 @@
 """Command-line pipeline over the workbench modules.
 
-Every subcommand reads and writes the formats module's file types, embeds a
-provenance stamp in each output, and maps module errors to a one-line
-`error <category>: message` on stderr with a nonzero exit.  Outputs are
+Every subcommand reads its inputs through the formats module, makes one
+library call, stamps its output with provenance and writes it; module errors
+become one `error <category>: message` line on stderr and a nonzero exit.  Outputs are
 byte-identical across runs with the same configuration and seed.
 
 A command pays only for what it runs: it imports the modules it calls, and
@@ -13,13 +13,13 @@ BLAS on one thread before numpy first loads (see `_one_blas_thread`).
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from collections import namedtuple
 
 from .errors import (
     DimensionMismatchError,
-    DomainError,
     FormatError,
     InvalidOptionError,
     MixedProvenanceError,
@@ -27,7 +27,6 @@ from .errors import (
     check_min_count,
     check_seed,
     check_shards,
-    check_shift,
 )
 
 # the variables OpenBLAS reads for its thread count, in its order of precedence
@@ -133,12 +132,12 @@ def cmd_pmi(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     from . import formats
-    from .closed_form import solve_stats
+    from .closed_form import curvature_weights, solve_stats
 
     stats, cooc_prov = formats.read_cooc(args.cooc)
-    scores, alpha = solve_stats(stats, args.loss, args.k)
-    if args.alpha_out and alpha is None:
-        raise DomainError(f"{args.loss} loss has no curvature weights to export")
+    scores = solve_stats(stats, args.loss, args.k)
+    # the weights are built, and checked, only when they are written
+    alpha = curvature_weights(stats, args.loss, args.k) if args.alpha_out else None
     prov = formats.make_provenance("solve", _config_dict(args), {"cooc": cooc_prov})
     formats.write_matrix(
         scores, args.output, tag=f"solution:{args.loss}", k=args.k, prov=prov, binary=args.binary
@@ -156,15 +155,8 @@ def cmd_regularize(args: argparse.Namespace) -> int:
     stats, cooc_prov = formats.read_cooc(args.cooc)
     matrix = regularization.regularize_stats(stats, args.reg, args.k, args.lam)
     prov = formats.make_provenance("regularize", _config_dict(args), {"cooc": cooc_prov})
-    formats.write_matrix(
-        matrix,
-        args.output,
-        tag=f"reg:{args.reg}",
-        k=args.k,
-        lam=args.lam,
-        prov=prov,
-        binary=args.binary,
-    )
+    formats.write_matrix(matrix, args.output, tag=f"reg:{args.reg}", k=args.k, lam=args.lam,
+                         prov=prov, binary=args.binary)
     return 0
 
 
@@ -176,8 +168,6 @@ ALS_OPTIONS = {"alpha": None, "epochs": 200, "ridge": 1e-8, "tol": 1e-8, "contex
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from . import factorization, formats
     from .vectors import Embedding
 
@@ -207,40 +197,22 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     if args.weighted:
         if not args.alpha:
             raise FormatError("--weighted needs --alpha with curvature weights")
-        alpha_matrix, alpha_info = formats.read_matrix(args.alpha)
+        weights, alpha_info = formats.read_matrix(args.alpha)
         upstream["alpha"] = alpha_info.prov
-        if (alpha_matrix.rows, alpha_matrix.cols) != (matrix.rows, matrix.cols):
-            raise DimensionMismatchError(f"{args.alpha} and {args.matrix} differ in shape")
-        pos, found = alpha_matrix.find(matrix.i, matrix.j)
-        if not found.all():
-            first = matrix.pair(int(np.argmin(found)))
-            raise FormatError(f"alpha file lacks weight for stored pair {first}")
-        weights = alpha_matrix.v[pos]
-        bad = ~(np.isfinite(weights) & (weights >= 0.0))
-        if bad.any():
-            p = int(np.argmax(bad))
-            raise FormatError(f"{args.alpha}: weight {weights[p]} at {matrix.pair(p)} must be >= 0")
-        result = factorization.weighted_factorize(
-            matrix,
-            weights,
-            dim=args.dim,
-            seed=args.seed,
-            epochs=args.epochs,
-            ridge=args.ridge,
-            tol=args.tol,
-        )
+        try:
+            result = factorization.weighted_factorize(
+                matrix, weights, dim=args.dim, seed=args.seed, epochs=args.epochs,
+                ridge=args.ridge, tol=args.tol,
+            )
+        except FormatError as err:  # only a missing or bad weight makes one
+            raise FormatError(f"{args.alpha}: {err}") from None
         meta = {"method": "als", "converged": str(result.converged).lower()}
         emb = Embedding(words or [str(i) for i in range(matrix.rows)], result.W, meta)
         if args.context_out:
             ctx = Embedding(words or [str(i) for i in range(matrix.cols)], result.C, meta)
     else:
-        svd = factorization.truncated_svd(
-            matrix,
-            dim=args.dim,
-            seed=args.seed,
-            oversample=args.oversample,
-            power_iters=args.power_iters,
-        )
+        svd = factorization.truncated_svd(matrix, dim=args.dim, seed=args.seed,
+                                          oversample=args.oversample, power_iters=args.power_iters)
         emb = factorization.word_vectors(svd, args.flavor, words=words)
         emb.meta = {"method": "svd", "flavor": args.flavor}
     prov = formats.make_provenance("factorize", _config_dict(args), upstream)
@@ -306,15 +278,16 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_cell(value: float | bool) -> str:
+    """A report value as printed: a check's outcome as yes or NO, a number by repr."""
+    if isinstance(value, bool):
+        return "yes" if value else "NO"
+    return repr(value)
+
+
 def cmd_report(args: argparse.Namespace) -> int:
-    import math
-
-    import numpy as np
-
     from . import formats
-    from .closed_form import LOSS_NAMES, MAX_HALF_WIDTH, minimize_pair_numeric, solve_stats
-    from .pmi import build_matrix
-    from .regularization import REG_KINDS, regularize_stats, solve_exact
+    from .regularization import closed_form_report
 
     stats, cooc_prov = formats.read_cooc(args.cooc)
     upstream = {"cooc": cooc_prov}
@@ -327,63 +300,15 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise MixedProvenanceError(
             "inputs carry different provenance roots; rerun the pipeline end to end"
         )
-
-    if args.samples < 0:
-        raise InvalidOptionError(f"--samples must be >= 0, got {args.samples}")
-    check_seed(args.seed)
-    check_shift(args.k)
-    stats.pair_counts()  # refuses a bad stored pair, sampled or not, as the builders do
-    rng = np.random.default_rng(args.seed)
-    n = stats.counts.nnz
-    chosen = (np.sort(rng.choice(n, args.samples, replace=False)) if n > args.samples
-              else np.arange(n))
-    view = stats.restrict(chosen)  # the builders score each sampled pair as in the whole file
-    pmi = build_matrix(view, "pmi").v
-    shifted = pmi - math.log(args.k)
-    far = np.abs(shifted) + 1.0 > MAX_HALF_WIDTH
-    if far.any():
-        p = int(np.argmax(far))
-        gap = float(abs(shifted[p])) + 1.0
-        raise DomainError(
-            f"the numeric references cannot reach the root of pair {view.counts.pair(p)}: "
-            f"|pmi - log k| + 1 = {gap!r} exceeds {MAX_HALF_WIDTH:.1f}, their widest bracket"
-        )
-    joint, n_w, n_c = view.pair_counts()
-
-    lines = [formats.provenance_line(prov)]
-    for loss in LOSS_NAMES:
-        x = solve_stats(view, loss, args.k)[0].v
-        numeric = minimize_pair_numeric(loss, joint, n_w, n_c, stats.total, args.k)
-        worst = float(np.max(np.abs(x - numeric), initial=0.0))
-        if loss == "hinge":
-            agree = np.array_equal(x > 0, shifted >= 0)
-        else:
-            decided = (x != 0.0) & (shifted != 0.0)
-            agree = np.array_equal(x[decided] > 0, shifted[decided] > 0)
-        lines.append(f"closed_form_max_abs_err[{loss}]\t{worst!r}")
-        lines.append(f"sign_agreement[{loss}]\t{'yes' if agree else 'NO'}")
-
-    l1_worst = 0.0
-    l2_worst = 0.0
-    for lam in (0.01, 0.1, 1.0, 10.0):
-        l1, l2 = (regularize_stats(view, kind, args.k, lam).v for kind in REG_KINDS)
-        exact1, exact2 = (solve_exact(pmi, args.k, lam, kind) for kind in REG_KINDS)
-        l1_err = np.abs(l1 - exact1)
-        nonzero = exact2 != 0.0
-        l2_err = np.abs(l2 - exact2)[nonzero]
-        l1_worst = max(l1_worst, float(np.max(l1_err, initial=0.0)))
-        l2_worst = max(l2_worst, float(np.max(l2_err / np.abs(exact2[nonzero]), initial=0.0)))
-    lines.append(f"l1_closed_form_max_abs_err\t{l1_worst!r}")
-    lines.append(f"l2_closed_form_max_rel_err\t{l2_worst!r}")
-
+    rows = closed_form_report(stats, args.k, args.samples, args.seed)
     if matrix is not None:
         from . import factorization
 
         for flavor in factorization.FLAVORS:
             gap = factorization.consistency_report(matrix, flavor)
-            lines.append(f"consistency_max_abs_gap[{flavor}]\t{gap!r}")
-
-    _emit(lines, args.output)
+            rows.append((f"consistency_max_abs_gap[{flavor}]", gap))
+    lines = [f"{name}\t{_report_cell(value)}" for name, value in rows]
+    _emit([formats.provenance_line(prov), *lines], args.output)
     return 0
 
 
@@ -412,36 +337,33 @@ def _count_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--binary", action="store_true")
 
 
+def _per_pair_options(p: argparse.ArgumentParser, kind: str, choices: tuple) -> None:
+    """The options of a command that scores every stored pair: pmi, solve, regularize."""
+    p.add_argument("--cooc", required=True)
+    p.add_argument("--output", required=True)
+    p.add_argument(f"--{kind}", choices=choices, required=True)
+    p.add_argument("--k", type=float, default=1.0)
+    p.add_argument("--binary", action="store_true")
+
+
 def _pmi_options(p: argparse.ArgumentParser) -> None:
     from .pmi import VARIANTS
 
-    p.add_argument("--cooc", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--variant", choices=VARIANTS, required=True)
-    p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--binary", action="store_true")
+    _per_pair_options(p, "variant", VARIANTS)
 
 
 def _solve_options(p: argparse.ArgumentParser) -> None:
     from .closed_form import LOSS_NAMES
 
-    p.add_argument("--cooc", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--loss", choices=LOSS_NAMES, required=True)
-    p.add_argument("--k", type=float, default=1.0)
+    _per_pair_options(p, "loss", LOSS_NAMES)
     p.add_argument("--alpha-out", help="also write curvature weights")
-    p.add_argument("--binary", action="store_true")
 
 
 def _regularize_options(p: argparse.ArgumentParser) -> None:
     from .regularization import REG_KINDS
 
-    p.add_argument("--cooc", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--reg", choices=REG_KINDS, required=True)
-    p.add_argument("--k", type=float, default=1.0)
+    _per_pair_options(p, "reg", REG_KINDS)
     p.add_argument("--lam", type=float, required=True)
-    p.add_argument("--binary", action="store_true")
 
 
 def _factorize_options(p: argparse.ArgumentParser) -> None:
@@ -642,5 +564,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> None:
+    """The process entry: exit with main's status (`main` leaves the collector be)."""
+    status = main()
+    gc.freeze()  # so shutdown skips a collector pass over every live object, numpy's too
+    raise SystemExit(status)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

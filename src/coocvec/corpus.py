@@ -11,61 +11,24 @@ to the running count #(w, c).  P3 is either constant 1 or 1/|offset|.  P1 and
 P2 are frequency down-weights: with threshold tau set, an occurrence of word w
 is weighted by min(1, sqrt(tau / f_rel(w))) where f_rel is the relative corpus
 frequency.  A stochastic variant instead drops occurrences from the stream
-with the complementary probability, using the seed.
+with the complementary probability, using the seed.  The types counting makes
+live in vectors, so reading a file loads no counting code; their names stay here.
 """
 from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EmptyVocabularyError, FormatError, InvalidOptionError
+from .errors import EmptyVocabularyError, InvalidOptionError
 from .errors import check_choice, check_min_count, check_seed, check_shards
-from .vectors import SparseMatrix, sum_by_key, word_index
+from .vectors import CHARS_PER_PIECE, CooccurrenceStats, SparseMatrix, Vocabulary  # noqa: F401
+from .vectors import sum_by_key, text_pieces
 
 POSITIONAL_WEIGHTS = ("constant", "reciprocal")
-CHARS_PER_PIECE = 1 << 18  # text split into lines at a time, by text_pieces
-
-
-@dataclass
-class Vocabulary:
-    """Words ordered by descending raw count, ties broken lexicographically."""
-
-    words: list[str]
-    freq: np.ndarray
-    index: dict[str, int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.freq = np.asarray(self.freq, dtype=np.int64)
-        self.index = word_index(self.words)
-
-    @property
-    def total_tokens(self) -> int:
-        return int(self.freq.sum())
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.index
-
-    def id_of(self, word: str) -> int:
-        return self.index[word]
-
-
-def text_pieces(text: str, start: int) -> Iterator[str]:
-    """text[start:] in pieces of about CHARS_PER_PIECE characters, each cut just after a newline.
-
-    A cut after "\n" ends a line, so the pieces' splitlines() are the lines of
-    the whole.
-    """
-    while start < len(text):
-        end = text.find("\n", start + CHARS_PER_PIECE) + 1 or len(text)
-        yield text[start:end]
-        start = end
 
 
 def _records(text: str) -> Iterator[list[str]]:
@@ -197,90 +160,6 @@ class WindowSpec:
         if self.context_subsample_threshold is not None:
             return self.context_subsample_threshold
         return self.subsample_threshold if self.context_subsample else None
-
-
-@dataclass
-class CooccurrenceStats:
-    """Weighted pair counts with cached marginals.
-
-    counts is an n_words x n_words SparseMatrix of strictly positive weights
-    (word_id, context_id); zero entries are simply absent.  total is the sum
-    of all stored weights, the |D| that normalizes PMI.
-    """
-
-    counts: SparseMatrix
-    row_marginal: np.ndarray
-    col_marginal: np.ndarray
-    total: float
-
-    @classmethod
-    def from_counts(cls, counts: SparseMatrix) -> "CooccurrenceStats":
-        """Stats of a count matrix: checks the weights, drops zeros, sums the marginals."""
-        bad = ~(np.isfinite(counts.v) & (counts.v >= 0.0))
-        if bad.any():
-            p = int(np.argmax(bad))
-            raise FormatError(
-                f"pair {counts.pair(p)} has weight {float(counts.v[p])!r}, not a finite value >= 0"
-            )
-        keep = counts.v != 0.0
-        if not keep.all():
-            counts = SparseMatrix(
-                counts.rows, counts.cols, counts.i[keep], counts.j[keep], counts.v[keep]
-            )
-        row = np.bincount(counts.i, weights=counts.v, minlength=counts.rows)
-        col = np.bincount(counts.j, weights=counts.v, minlength=counts.cols)
-        return cls(counts, row, col, float(row.sum()))
-
-    @property
-    def n_words(self) -> int:
-        return self.counts.rows
-
-    def restrict(self, positions) -> "CooccurrenceStats":
-        """A view of the stored pairs at positions, each with the whole file's marginals and total.
-
-        Any per-pair builder (`build_matrix`, `solve_stats`, `regularize_stats`)
-        gives a kept pair the value it gives that pair in the whole file.  The
-        view's marginals and total are therefore not the sums of its counts.
-        """
-        c = self.counts
-        kept = SparseMatrix(c.rows, c.cols, c.i[positions], c.j[positions], c.v[positions])
-        return CooccurrenceStats(kept, self.row_marginal, self.col_marginal, self.total)
-
-    def pair_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(#(w,c), #(w,.), #(.,c)) of the stored pairs.
-
-        The one place a pair meets its marginals.  Every closed form is a
-        function of the pmi, so a pair whose #(w,c)|D| or #(w,.)#(.,c) leaves
-        the float range (inf, or 0 from positive factors) is refused.  The
-        negative mass's k#(w,.)#(.,c) is then nonzero too (k >= 1); a huge k
-        that overflows it makes a NaN score or weight, which `pair_matrix` refuses.
-        """
-        c = self.counts
-        n_w, n_c = self.row_marginal[c.i], self.col_marginal[c.j]
-        with np.errstate(over="ignore"):
-            for name, a, b in (("#(w,c)|D|", c.v, self.total), ("#(w,.)#(.,c)", n_w, n_c)):
-                product = a * b
-                _refuse_pair(~((product > 0.0) & (product < np.inf)), c.i, c.j, name,
-                             "leaves the float range")
-        return c.v, n_w, n_c
-
-    def pair_matrix(self, v, implicit_value: float | None, what: str, keep=None) -> SparseMatrix:
-        """The stored pairs, or those where keep is true, with values v; absent ones implicit_value.
-
-        The one home of per-pair matrices: it refuses a stored value that is
-        not finite, which only the edges of the float range make.
-        """
-        c = self.counts
-        i, j, v = (c.i, c.j, v) if keep is None else (c.i[keep], c.j[keep], v[keep])
-        _refuse_pair(~np.isfinite(v), i, j, what, "is not finite (NaN or inf)")
-        return SparseMatrix(c.rows, c.cols, i, j, v, implicit_value)
-
-
-def _refuse_pair(bad: np.ndarray, i: np.ndarray, j: np.ndarray, what: str, problem: str) -> None:
-    """Raise DomainError naming the first pair (i, j) where bad holds."""
-    if bad.any():
-        p = int(np.argmax(bad))
-        raise DomainError(f"{what} of pair ({int(i[p])}, {int(j[p])}) {problem}")
 
 
 def _reach(rec: np.ndarray, win: WindowSpec) -> Iterator[int]:

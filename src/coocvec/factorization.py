@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DivergenceError,
+    FormatError,
     InvalidOptionError,
     MarkerContaminationError,
     check_choice,
@@ -99,9 +100,7 @@ def truncated_svd(
     _check_finite(M)
     n_rows, n_cols = M.rows, M.cols
     if not 1 <= dim <= min(n_rows, n_cols):
-        raise DimensionMismatchError(
-            f"dim must lie in [1, {min(n_rows, n_cols)}], got {dim}"
-        )
+        raise DimensionMismatchError(f"dim must lie in [1, {min(n_rows, n_cols)}], got {dim}")
     if oversample < 0:
         raise InvalidOptionError(f"oversample must be >= 0, got {oversample}")
     if power_iters < 0:
@@ -109,11 +108,14 @@ def truncated_svd(
     check_seed(seed)
     rng = np.random.default_rng(seed)
     sketch = min(dim + oversample, min(n_rows, n_cols))
-    G = rng.standard_normal((n_cols, sketch))
-    Q, _ = np.linalg.qr(_times(M, n_rows, G))
+    # one sketch block is held beside its product: the Gaussian G is freed
+    # once M @ G exists, and each Q or Z once its successor does
+    Q = np.linalg.qr(_times(M, n_rows, rng.standard_normal((n_cols, sketch))))[0]
     for _ in range(power_iters):
-        Z, _ = np.linalg.qr(_times_transposed(M, n_cols, Q))
-        Q, _ = np.linalg.qr(_times(M, n_rows, Z))
+        Z = np.linalg.qr(_times_transposed(M, n_cols, Q))[0]
+        del Q
+        Q = np.linalg.qr(_times(M, n_rows, Z))[0]
+        del Z
     B = _times_transposed(M, n_cols, Q).T
     try:
         Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
@@ -135,9 +137,7 @@ def word_vectors(svd: SvdResult, flavor: str, words: list[str] | None = None) ->
     if words is None:
         words = [str(i) for i in range(vectors.shape[0])]
     if len(words) != vectors.shape[0]:
-        raise DimensionMismatchError(
-            f"{len(words)} labels for {vectors.shape[0]} vector rows"
-        )
+        raise DimensionMismatchError(f"{len(words)} labels for {vectors.shape[0]} vector rows")
     return Embedding(words=list(words), vectors=vectors)
 
 
@@ -174,7 +174,7 @@ class AlsResult:
 
 def weighted_factorize(
     targets: SparseMatrix,
-    weights: np.ndarray,
+    weights: SparseMatrix,
     dim: int,
     seed: int = 0,
     epochs: int = 200,
@@ -183,21 +183,28 @@ def weighted_factorize(
 ) -> AlsResult:
     """Alternate exact per-row ridge solves until the objective stalls.
 
-    weights holds one value per stored target, in the targets' (i, j) order;
-    targets must be finite (minus-infinity markers have no place here) and
-    weights finite and >= 0.  Absent entries play no part.  Each half-sweep
+    weights, a matrix of the targets' shape (`curvature_weights`), gives
+    each stored target the weight at its pair, which must be stored, finite
+    and >= 0 (FormatError).  Targets must be finite (minus-infinity markers
+    have no place here); absent entries play no part.  Each half-sweep
     minimizes the full objective over one factor exactly, so the objective
     can never increase; an increase beyond 1e-9 is reported as divergence.
     Stops after `epochs` sweeps or when one sweep improves the objective by
     less than `tol` relative.  A singular row or column system (at ridge 0, a
     line with fewer stored pairs of positive weight than dim) is divergence.
     """
-    weights = np.asarray(weights, dtype=float)
     n_rows, n_cols = targets.rows, targets.cols
-    if weights.shape != targets.v.shape:
-        raise DimensionMismatchError(
-            f"{weights.shape} weights for {targets.nnz} stored targets, need one each"
-        )
+    if (weights.rows, weights.cols) != (n_rows, n_cols):
+        raise DimensionMismatchError(f"{weights.rows} x {weights.cols} weights for "
+                                     f"{n_rows} x {n_cols} targets")
+    at, found = weights.find(targets.i, targets.j)
+    if not found.all():
+        raise FormatError(f"no weight for stored pair {targets.pair(int(np.argmin(found)))}")
+    alpha = weights.v[at]
+    bad = ~(np.isfinite(alpha) & (alpha >= 0.0))
+    if bad.any():
+        p = int(np.argmax(bad))
+        raise FormatError(f"weight {alpha[p]} at {targets.pair(p)} must be finite and >= 0")
     if not 1 <= dim <= min(n_rows, n_cols):
         raise DimensionMismatchError(f"dim must lie in [1, {min(n_rows, n_cols)}], got {dim}")
     for name, value in (("ridge", ridge), ("tol", tol)):
@@ -208,12 +215,6 @@ def weighted_factorize(
     if not np.isfinite(targets.v).all():
         p = int(np.argmin(np.isfinite(targets.v)))
         raise MarkerContaminationError(f"non-finite target at {targets.pair(p)}")
-    good = np.isfinite(weights) & (weights >= 0.0)
-    if not good.all():
-        p = int(np.argmin(good))
-        raise InvalidOptionError(
-            f"weight at {targets.pair(p)} must be finite and >= 0, got {weights[p]}"
-        )
     check_seed(seed)
     rng = np.random.default_rng(seed)
     factors = [0.1 * rng.standard_normal((n_rows, dim)), 0.1 * rng.standard_normal((n_cols, dim))]
@@ -239,7 +240,7 @@ def weighted_factorize(
             Wr = np.take(W, r, axis=0, out=gathered[0, : len(r)])
             Cc = np.take(C, c, axis=0, out=gathered[1, : len(c)])
             np.einsum("ij,ij->i", Wr, Cc, out=scores[a : a + len(r)])
-        residual = 0.5 * float(np.sum(weights * (scores - t_vals) ** 2))
+        residual = 0.5 * float(np.sum(alpha * (scores - t_vals) ** 2))
         return residual + ridge * (float(np.sum(W * W)) + float(np.sum(C * C)))
 
     def singular(name: str, r: int, a: np.ndarray) -> DivergenceError:
@@ -254,7 +255,7 @@ def weighted_factorize(
             pos = order[ptr[r] : ptr[r + 1]]
             if not len(pos):
                 continue
-            a = weights[pos]
+            a = alpha[pos]
             if ridge == 0.0 and np.count_nonzero(a) < dim:  # A's rank is below dim
                 raise singular(name, r, a)
             Fo = F_fixed[other[pos]]

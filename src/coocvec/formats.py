@@ -15,7 +15,7 @@ parser; any malformed content ends in one error that names the file.
 
 Text bodies are written and parsed in fixed blocks: a writer formats
 PAIRS_PER_WRITE stored pairs (or ROWS_PER_WRITE embedding rows) at a time,
-and the parser takes the lines of about corpus.CHARS_PER_PIECE characters at
+and the parser takes the lines of about vectors.CHARS_PER_PIECE characters at
 a time, so neither holds a Python string for every row of a file.
 """
 from __future__ import annotations
@@ -30,10 +30,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import CooccurrenceStats, Vocabulary, text_pieces
 from .errors import FormatError, WorkbenchError
 from .pmi import VARIANTS
-from .vectors import Embedding, SparseMatrix
+from .vectors import CooccurrenceStats, Embedding, SparseMatrix, Vocabulary, text_pieces
 
 BINARY_MAGIC = b"CWB1"
 STAMPS = ("# provenance ", "# meta ")

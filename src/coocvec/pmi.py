@@ -17,9 +17,8 @@ import math
 
 import numpy as np
 
-from .corpus import CooccurrenceStats
 from .errors import InvalidShiftError, check_choice, check_shift
-from .vectors import SparseMatrix
+from .vectors import CooccurrenceStats, SparseMatrix
 
 VARIANTS = ("pmi", "ppmi", "spmi", "sppmi")
 

@@ -19,7 +19,9 @@ the positive-side one with k' = 1, pmi' = log k - pmi and lam' = lam e^-pmi.
 The L1 case splits on the soft threshold at h(0).  Each closed form is one
 elementwise function over arrays or scalars (scalar inputs give floats).
 The reference `solve_exact` is one elementwise bisection of
-the stationarity condition, independent of the closed forms.  Zero-count
+the stationarity condition, independent of the closed forms;
+`closed_form_report` checks every loss's closed form and both regularizers
+against the numeric references on a sample of stored pairs.  Zero-count
 pairs are handled by letting e^pmi = 0, which keeps every regularized
 solution with lam > 0 finite.
 """
@@ -29,11 +31,11 @@ import math
 
 import numpy as np
 
-from .closed_form import MAX_HALF_WIDTH, _float_if_scalar, bisect_decreasing
-from .corpus import CooccurrenceStats
-from .errors import DomainError, InvalidOptionError, check_choice, check_shift
-from .pmi import shifted_pmi
-from .vectors import SparseMatrix
+from .closed_form import LOSS_NAMES, MAX_HALF_WIDTH, _float_if_scalar, bisect_decreasing
+from .closed_form import minimize_pair_numeric, solve_stats
+from .errors import DomainError, InvalidOptionError, check_choice, check_seed, check_shift
+from .pmi import build_matrix, shifted_pmi
+from .vectors import CooccurrenceStats, SparseMatrix
 
 REG_KINDS = ("l1", "l2")
 NEWTON_STEPS = 4
@@ -177,3 +179,62 @@ def regularize_stats(stats: CooccurrenceStats, kind: str, k: float, lam: float) 
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite pmi scores NaN or inf
         scores = solve(pmi, k, lam)
     return stats.pair_matrix(scores, implicit, "score")
+
+
+def closed_form_report(
+    stats: CooccurrenceStats, k: float, samples: int = 200, seed: int = 0
+) -> list[tuple[str, float | bool]]:
+    """The closed forms against the numeric references, as (name, value) rows.
+
+    Per loss: the largest |closed form - numeric minimizer| and whether the
+    scores' signs agree with pmi - log k.  Then, over lam in 0.01, 0.1, 1
+    and 10, the largest L1 error and the largest relative L2 error against
+    `solve_exact`.  Every stored pair is checked as the builders check it;
+    then `samples` pairs (all, if there are fewer) are drawn with `seed`, and
+    each keeps the whole file's marginals (`CooccurrenceStats.restrict`).  A
+    sampled pair with |pmi - log k| + 1 above MAX_HALF_WIDTH, the references'
+    widest bracket, is refused (DomainError).
+    """
+    if samples < 0:
+        raise InvalidOptionError(f"samples must be >= 0, got {samples}")
+    check_seed(seed)
+    check_shift(k)
+    stats.pair_counts()  # refuses a bad stored pair, sampled or not, as the builders do
+    n = stats.counts.nnz
+    rng = np.random.default_rng(seed)
+    chosen = np.sort(rng.choice(n, samples, replace=False)) if n > samples else np.arange(n)
+    view = stats.restrict(chosen)  # the builders score each sampled pair as in the whole file
+    pmi = build_matrix(view, "pmi").v
+    shifted = pmi - math.log(k)
+    far = np.abs(shifted) + 1.0 > MAX_HALF_WIDTH
+    if far.any():
+        p = int(np.argmax(far))
+        gap = float(abs(shifted[p])) + 1.0
+        raise DomainError(
+            f"the numeric references cannot reach the root of pair {view.counts.pair(p)}: "
+            f"|pmi - log k| + 1 = {gap!r} exceeds {MAX_HALF_WIDTH:.1f}, their widest bracket"
+        )
+    joint, n_w, n_c = view.pair_counts()
+
+    rows = []
+    for loss in LOSS_NAMES:
+        x = solve_stats(view, loss, k).v
+        numeric = minimize_pair_numeric(loss, joint, n_w, n_c, stats.total, k)
+        worst = float(np.max(np.abs(x - numeric), initial=0.0))
+        if loss == "hinge":
+            agree = np.array_equal(x > 0, shifted >= 0)
+        else:
+            decided = (x != 0.0) & (shifted != 0.0)
+            agree = np.array_equal(x[decided] > 0, shifted[decided] > 0)
+        rows += [(f"closed_form_max_abs_err[{loss}]", worst), (f"sign_agreement[{loss}]", agree)]
+
+    l1_worst = l2_worst = 0.0
+    for lam in (0.01, 0.1, 1.0, 10.0):
+        l1, l2 = (regularize_stats(view, kind, k, lam).v for kind in REG_KINDS)
+        exact1, exact2 = (solve_exact(pmi, k, lam, kind) for kind in REG_KINDS)
+        nonzero = exact2 != 0.0
+        l1_worst = max(l1_worst, float(np.max(np.abs(l1 - exact1), initial=0.0)))
+        l2_err = np.abs(l2 - exact2)[nonzero] / np.abs(exact2[nonzero])
+        l2_worst = max(l2_worst, float(np.max(l2_err, initial=0.0)))
+    return [*rows, ("l1_closed_form_max_abs_err", l1_worst),
+            ("l2_closed_form_max_rel_err", l2_worst)]

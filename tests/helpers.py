@@ -52,10 +52,9 @@ def weighted_problem(
     n_cols: int,
     targets: dict[tuple[int, int], float],
     weights: dict[tuple[int, int], float],
-) -> tuple[SparseMatrix, np.ndarray]:
-    """Targets and their weight column from (i, j) -> value dicts on one support."""
-    matrix = sparse(n_rows, n_cols, targets)
-    return matrix, np.array([weights[key] for key in zip(matrix.i.tolist(), matrix.j.tolist())])
+) -> tuple[SparseMatrix, SparseMatrix]:
+    """Targets and their weights from (i, j) -> value dicts."""
+    return sparse(n_rows, n_cols, targets), sparse(n_rows, n_cols, weights)
 
 
 def random_stats(

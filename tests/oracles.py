@@ -341,9 +341,11 @@ def randomized_svd_whole(A: np.ndarray, dim: int, seed: int, oversample: int = 8
 
 
 def als_residual(targets, weights, W, C) -> float:
-    """The weighted squared residual 0.5 * sum alpha (w_i . c_j - x_ij)^2 over the stored pairs."""
+    """The weighted squared residual 0.5 * sum alpha (w_i . c_j - x_ij)^2 over the stored
+    targets, with weights a matrix stored on the targets' support."""
+    assert np.array_equal(weights.i, targets.i) and np.array_equal(weights.j, targets.j)
     scores = np.einsum("ij,ij->i", W[targets.i], C[targets.j])
-    return 0.5 * float(np.sum(weights * (scores - targets.v) ** 2))
+    return 0.5 * float(np.sum(weights.v * (scores - targets.v) ** 2))
 
 
 def aggregate_by_unique(examples):

@@ -12,6 +12,7 @@ from coocvec import (
     TrainConfig,
     Vocabulary,
     WindowSpec,
+    closed_form_report,
     count_encoded,
     encode_text,
     read_cooc,
@@ -246,6 +247,28 @@ class TestPmiAndSolve:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error domain-error:"), err
         assert not out.exists()
+
+    def test_solve_builds_and_checks_weights_only_for_alpha_out(self, tmp_path, capsys):
+        # k n_w n_c / |D| overflows, so every curvature weight is NaN, while every
+        # logistic score pmi - log k is finite
+        counts = tmp_path / "counts.txt"
+        counts.write_text("2 40000000000.0\n" + "".join(
+            f"{i} {j} 1e10\n" for i in (0, 1) for j in (0, 1)))
+        sol, spmi, alpha = (str(tmp_path / name) for name in ("sol.txt", "spmi.txt", "a.txt"))
+        argv = ["solve", "--cooc", str(counts), "--output", sol, "--loss", "logistic",
+                "--k", "1e300"]
+        assert run(*argv) == 0
+        assert run("pmi", "--cooc", str(counts), "--output", spmi, "--variant", "spmi",
+                   "--k", "1e300") == 0
+        got, want = read_matrix(sol)[0], read_matrix(spmi)[0]
+        assert same_pairs(got, want) and got.v.tobytes() == want.v.tobytes()
+        os.remove(sol)
+        capsys.readouterr()
+        assert run(*argv, "--alpha-out", alpha) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error domain-error:"), err
+        assert "curvature weight of pair (0, 0)" in err[0]
+        assert not os.path.exists(sol) and not os.path.exists(alpha)
 
     def test_l2_at_subnormal_lambda_gives_the_shifted_pmi(self, tmp_path, corpus_path):
         # (e^pmi - k) / (2 lam) overflows, so the chord takes its lam -> 0 limit
@@ -876,6 +899,30 @@ class TestFactorizeTrainEval:
 
 
 class TestReport:
+    @pytest.mark.parametrize("counts_of, k", [
+        ("sweep", "5"), ("cli", "1"), ("cli", "5"), ("cli", "1e30"),
+    ])
+    def test_the_library_rows_are_the_printed_lines(
+        self, tmp_path, corpus_path, counts_of, k
+    ):
+        if counts_of == "sweep":  # the benchmark's closed-form-sweep counts at seed 1
+            gen = bench_gen()
+            corpus = tmp_path / "sweep.txt"
+            corpus.write_text(gen.corpus_text(gen.make_corpus(40_000, 1)))
+            counts = str(tmp_path / "counts.bin")
+            assert run("count", "--input", str(corpus), "--output", counts, "--left", "2",
+                       "--right", "2", "--min-count", "10", "--binary") == 0
+        else:
+            counts = counted(tmp_path, corpus_path)
+        out = tmp_path / "report.txt"
+        assert run("report", "--cooc", counts, "--k", k, "--samples", "200",
+                   "--output", str(out)) == 0
+        rows = closed_form_report(read_cooc(counts)[0], float(k), samples=200, seed=0)
+        cells = {True: "yes", False: "NO"}
+        want = [f"{name}\t{cells[v] if isinstance(v, bool) else repr(v)}" for name, v in rows]
+        assert out.read_text().splitlines()[1:] == want
+        assert len(want) == 12 and "\tyes" in want[1]
+
     def test_report_runs_and_prints_sweeps(self, tmp_path, corpus_path, capsys):
         counts = counted(tmp_path, corpus_path)
         mat = str(tmp_path / "ppmi.txt")

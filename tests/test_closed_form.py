@@ -10,7 +10,9 @@ from coocvec import (
     DimensionMismatchError,
     InvalidShiftError,
     LOSS_NAMES,
+    DomainError,
     MarkerContaminationError,
+    curvature_weights,
     l2_chord,
     loss_derivative,
     loss_second_derivative,
@@ -259,7 +261,7 @@ class TestObjectiveValue:
 
     def test_assembled_squared_solution_is_a_minimum(self, rng):
         stats = random_stats(rng, n_words=4, density=0.6)
-        W0 = solve_stats(stats, "squared", 1.0)[0].to_dense()
+        W0 = solve_stats(stats, "squared", 1.0).to_dense()
         C = np.eye(stats.n_words)
         base = objective_value(W0, C, stats, "squared", 1.0)
         for _ in range(30):
@@ -317,9 +319,16 @@ def test_property_sign_agreement_with_shifted_pmi(seed, kind):
 )
 def test_property_solve_stats_absent_value_and_dense_oracle(seed, kind, k):
     """solve_stats' implicit value is the closed form of an absent pair, and
-    its scores equal `solve_pair` over every dense pair with positive marginals."""
+    its scores equal `solve_pair` over every dense pair with positive marginals;
+    curvature_weights holds solve_pair's alpha, and refuses the hinge."""
     stats = random_stats(np.random.default_rng(seed), n_words=5, density=0.6)
-    scores, alpha = solve_stats(stats, kind, k)
+    scores = solve_stats(stats, kind, k)
+    if kind == "hinge":
+        with pytest.raises(DomainError, match="hinge loss has no curvature weights"):
+            curvature_weights(stats, kind, k)
+        alpha = None
+    else:
+        alpha = curvature_weights(stats, kind, k)
     n_w, n_c = float(stats.row_marginal.max()), float(stats.col_marginal.max())
     absent = solve_pair(kind, 0.0, n_w, n_c, stats.total, k)
     if kind == "logistic":

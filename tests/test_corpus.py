@@ -15,7 +15,6 @@ from coocvec import (
     count_encoded,
     encode_text,
 )
-from coocvec import corpus
 from helpers import (
     assert_marginals_match_counts,
     bench_gen,
@@ -117,7 +116,7 @@ class TestOnePassEncoder:
     @pytest.mark.parametrize("chars", [1, 2, 3, 5, 64])
     def test_text_split_in_pieces_keeps_the_lines(self, monkeypatch, chars):
         text = "a b\r\nc\r\n\r\nb\x85a\u2028 \u3000\nc\x0bq\x0c\x1ca  b\rzz \n\n"
-        monkeypatch.setattr(corpus, "CHARS_PER_PIECE", chars)
+        monkeypatch.setattr("coocvec.vectors.CHARS_PER_PIECE", chars)
         for min_count in (1, 2):
             self.assert_encodes_like_the_oracle(text, min_count)
         assert tokenize_whole(text) == [

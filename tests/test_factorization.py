@@ -7,6 +7,7 @@ import pytest
 from coocvec import (
     DimensionMismatchError,
     DivergenceError,
+    FormatError,
     InvalidOptionError,
     MarkerContaminationError,
     SparseMatrix,
@@ -191,13 +192,44 @@ class TestConsistencyReport:
                 tracemalloc.stop()
             assert peak < 1 << 20, n
 
+    def test_svd_holds_one_sketch_block_beside_its_product(self, rng):
+        # beyond the row-block buffer, the randomized SVD holds a few rows x sketch
+        # blocks: the Gaussian sketch and each Q or Z are freed once their successor exists
+        n, dim = 600, 20
+        flat = np.unique(rng.integers(0, n * n, size=30_000))
+        M = SparseMatrix(n, n, flat // n, flat % n, rng.random(len(flat)))
+        truncated_svd(M, dim)  # numpy's one-time allocations
+        tracemalloc.start()
+        try:
+            truncated_svd(M, dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = n * (dim + 8) * 8
+        assert peak < factorization.ROWS_PER_BLOCK * n * 8 + 4 * block, peak / block
+
 
 class TestWeightedProblemValidation:
-    def test_weights_length_mismatch(self):
+    def test_weights_of_another_shape(self):
         targets, _ = weighted_problem(2, 2, {(0, 0): 1.0, (1, 1): 2.0}, {(0, 0): 1.0, (1, 1): 1.0})
-        for weights in (np.ones(1), np.ones(3), np.ones((2, 1))):
-            with pytest.raises(DimensionMismatchError):
+        for rows, cols in ((2, 3), (3, 2), (1, 1)):
+            weights = sparse(rows, cols, {(0, 0): 1.0})
+            with pytest.raises(DimensionMismatchError, match=f"{rows} x {cols} weights"):
                 weighted_factorize(targets, weights, dim=1)
+
+    def test_a_stored_target_without_a_weight(self):
+        targets = sparse(2, 2, {(0, 0): 1.0, (1, 1): 2.0})
+        with pytest.raises(FormatError, match=r"no weight for stored pair \(1, 1\)"):
+            weighted_factorize(targets, sparse(2, 2, {(0, 0): 1.0, (1, 0): 1.0}), dim=1)
+
+    def test_weights_at_pairs_without_a_target_play_no_part(self, rng):
+        targets = {(i, j): float(rng.normal()) for i in range(4) for j in range(3) if i != j}
+        weights = {key: float(rng.uniform(0.5, 2.0)) for key in targets}
+        exact = weighted_factorize(*weighted_problem(4, 3, targets, weights), dim=2, seed=1)
+        extra = sparse(4, 3, {**weights, (0, 0): -1.0, (1, 1): math.nan})
+        wider = weighted_factorize(sparse(4, 3, targets), extra, dim=2, seed=1)
+        assert wider.objective_history == exact.objective_history
+        assert np.array_equal(wider.W, exact.W) and np.array_equal(wider.C, exact.C)
 
     def test_non_finite_target(self):
         with pytest.raises(MarkerContaminationError):
@@ -206,7 +238,7 @@ class TestWeightedProblemValidation:
     def test_negative_weight(self):
         for weight in (-1.0, math.nan, math.inf):
             problem = weighted_problem(2, 2, {(0, 0): 1.0}, {(0, 0): weight})
-            with pytest.raises(InvalidOptionError, match="weight at \\(0, 0\\)"):
+            with pytest.raises(FormatError, match=r"weight \S+ at \(0, 0\) must be finite"):
                 weighted_factorize(*problem, dim=1)
 
     def test_dim_bound(self):

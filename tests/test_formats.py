@@ -27,7 +27,6 @@ from coocvec import (
     write_matrix,
     write_vocab,
 )
-from coocvec import corpus
 from coocvec.formats import PAIRS_PER_WRITE, parse_provenance_line, provenance_line
 from helpers import make_stats, same_pairs, sparse
 from oracles import write_embedding_whole, write_triplets_whole
@@ -314,7 +313,7 @@ class TestBlockedTriplets:
 
         whole = outcome()
         for chars in (1, 2, 5, 9):
-            monkeypatch.setattr(corpus, "CHARS_PER_PIECE", chars)
+            monkeypatch.setattr("coocvec.vectors.CHARS_PER_PIECE", chars)
             assert outcome() == whole
 
 

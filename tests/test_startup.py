@@ -2,8 +2,10 @@
 
 Importing `coocvec.cli` loads no numpy, a command loads only the modules it
 calls, and `main` puts BLAS on one thread before numpy loads unless the user
-chose a count or numpy was loaded first.
+chose a count or numpy was loaded first.  The process entry `run` exits with
+main's status and freezes the collector only on its way out.
 """
+import gc
 import json
 import os
 import re
@@ -73,10 +75,16 @@ def probe(argv: list[str], before: str = "", **env_vars: str) -> dict:
 
 @pytest.fixture(scope="module")
 def counts(tmp_path_factory):
+    """A directory with the counts, a PPMI matrix, its vectors and a similarity dataset."""
     root = tmp_path_factory.mktemp("startup")
     corpus = root / "corpus.txt"
     corpus.write_text("the quick fox saw the slow fox\nthe slow fox saw the quick cat\n")
+    (root / "sim.tsv").write_text("fox\tcat\t7.0\nthe\tslow\t1.0\nquick\tsaw\t4.0\n")
     assert main(["count", "--input", str(corpus), "--output", str(root / "counts.txt")]) == 0
+    assert main(pmi_argv(root)) == 0
+    assert main(["factorize", "--matrix", str(root / "pmi.txt"), "--output",
+                 str(root / "vectors.txt"), "--dim", "2", "--vocab",
+                 str(root / "counts.txt.vocab")]) == 0
     return root
 
 
@@ -93,20 +101,73 @@ def test_importing_the_cli_loads_no_numpy_and_no_other_module():
     assert done.stdout.strip() == "['coocvec.cli', 'coocvec.errors']"
 
 
-@pytest.mark.parametrize("command", ["pmi", "solve", "regularize"])
+@pytest.mark.parametrize(
+    "command", ["pmi", "solve", "regularize", "report", "factorize", "eval", "neighbors"]
+)
 def test_a_command_loads_only_the_modules_it_calls(counts, command):
     cooc, out = str(counts / "counts.txt"), str(counts / f"{command}.out")
+    vectors = str(counts / "vectors.txt")
     argv = {
         "pmi": pmi_argv(counts),
         "solve": ["solve", "--cooc", cooc, "--output", out, "--loss", "logistic"],
         "regularize": ["regularize", "--cooc", cooc, "--output", out, "--reg", "l2",
                        "--lam", "0.5"],
+        "report": ["report", "--cooc", cooc, "--output", out],
+        "factorize": ["factorize", "--matrix", str(counts / "pmi.txt"), "--output", out,
+                      "--dim", "2"],
+        "eval": ["eval", "--embedding", vectors, "--dataset", str(counts / "sim.tsv"),
+                 "--output", out],
+        "neighbors": ["neighbors", "--embedding", vectors, "--word", "fox", "--output", out],
     }[command]
-    loaded = set(probe(argv)["modules"])
-    unused = {"coocvec.convex_model", "coocvec.evaluation", "coocvec.factorization"}
-    if command != "regularize":
-        unused.add("coocvec.regularization")
-    assert not loaded & unused
+    # the layers past formats (and pmi, which formats reads) that each command calls;
+    # counting code (corpus) is loaded only by the commands that read a corpus
+    calls = {"pmi": set(), "solve": {"closed_form"}, "factorize": {"factorization"},
+             "regularize": {"closed_form", "regularization"},
+             "report": {"closed_form", "regularization"},
+             "eval": {"evaluation"}, "neighbors": {"evaluation"}}[command]
+    layers = {"corpus", "convex_model", "closed_form", "regularization", "factorization",
+              "evaluation"}
+    loaded = {m.removeprefix("coocvec.") for m in probe(argv)["modules"]}
+    assert not loaded & (layers - calls)
+
+
+@pytest.mark.parametrize("command", ["count", "train-convex"])
+def test_the_commands_that_read_a_corpus_load_the_counting_code(counts, command):
+    argv = [command, "--input", str(counts / "corpus.txt"), "--output",
+            str(counts / f"{command}.out")]
+    assert "coocvec.corpus" in probe(argv)["modules"]
+
+
+def test_the_process_entry_exits_with_mains_status(counts):
+    ok = pmi_argv(counts)
+    missing = ["pmi", "--cooc", str(counts / "missing.txt"), "--output",
+               str(counts / "m.txt"), "--variant", "ppmi"]
+    for argv, status, first in ((ok, 0, None), (missing, 1, "error io:"),
+                                (["pmi", "--bogus"], 2, "usage:")):
+        done = python("-m", "coocvec.cli", *argv)
+        assert done.returncode == status, done.stderr
+        err = done.stderr.splitlines()
+        if first is None:
+            assert err == []
+        else:
+            assert err[0].startswith(first), err
+        if status == 1:
+            assert len(err) == 1, err
+
+
+def test_the_process_entry_freezes_the_collector_on_its_way_out(counts):
+    code = ("import atexit, gc, sys; from coocvec.cli import run; "
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+            "sys.argv[1:] = {argv!r}; run()")
+    done = python("-c", code.format(argv=pmi_argv(counts)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["frozen True"]
+
+
+def test_main_leaves_the_collector_alone(counts):
+    assert gc.get_freeze_count() == 0
+    assert main(pmi_argv(counts)) == 0
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
 
 
 def test_the_svd_loads_no_scipy(counts):
