@@ -24,9 +24,7 @@ from .errors import (
     InvalidOptionError,
     MixedProvenanceError,
     WorkbenchError,
-    check_min_count,
-    check_seed,
-    check_shards,
+    check_at_least,
 )
 
 # the variables OpenBLAS reads for its thread count, in its order of precedence
@@ -104,9 +102,9 @@ def cmd_count(args: argparse.Namespace) -> int:
         context_subsample_threshold=args.context_subsample_threshold,
         stochastic_subsample=args.stochastic,
     )
-    check_seed(args.seed)
-    check_shards(args.threads)
-    check_min_count(args.min_count)
+    check_at_least("seed", args.seed, 0)
+    check_at_least("shard count", args.threads, 1)
+    check_at_least("min_count", args.min_count, 1)
     # the corpus is read only once every option has passed its check
     vocab, tokens = encode_text(formats.read_text(args.input), min_count=args.min_count)
     stats = count_encoded(tokens, vocab, win, seed=args.seed, shards=args.threads)
@@ -240,7 +238,7 @@ def cmd_train_convex(args: argparse.Namespace) -> int:
         full_batch=args.full_batch,
         seed=args.seed,
     )
-    check_min_count(args.min_count)
+    check_at_least("min_count", args.min_count, 1)
     # the corpus is read only once every option has passed its check
     vocab, tokens = encode_text(formats.read_text(args.input), min_count=args.min_count)
     model = convex_model.train(tokens, vocab, spec, cfg)

@@ -221,18 +221,18 @@ def minimize_pair_numeric(kind: str, n_wc, n_w, n_c, total: float, k: float):
     """Minimize pair objectives numerically, elementwise, without the closed forms.
 
     Hinge objectives are piecewise linear with the optimum at a margin vertex,
-    so those are compared directly (a tie picks -1); the smooth losses are
-    solved by bisecting the sign change of the first derivative, which every
-    convex member has.  Each pair's minimizer lies between 0 and pmi - log k,
-    so its bracket is [-B, B] with B = 1 + |pmi - log k| clipped to
-    [60, MAX_HALF_WIDTH]; the gap is taken as log #(w,c) minus the log of
-    the negative mass, so a tiny count does not underflow to pmi = -inf.
-    The counts broadcast together.
+    so those are compared directly (a tie picks +1, as the closed form does);
+    the smooth losses are solved by bisecting the sign change of the first
+    derivative, which every convex member has.  Each pair's minimizer lies
+    between 0 and pmi - log k, so its bracket is [-B, B] with B = 1 +
+    |pmi - log k| clipped to [60, MAX_HALF_WIDTH]; the gap is taken as
+    log #(w,c) minus the log of the negative mass, so a tiny count does not
+    underflow to pmi = -inf.  The counts broadcast together.
     """
     check_choice("loss", kind, LOSS_NAMES)
     if kind == "hinge":
         up, down = (pair_objective(kind, n_wc, n_w, n_c, total, k, x) for x in (1.0, -1.0))
-        return _float_if_scalar(np.where(up < down, 1.0, -1.0))
+        return _float_if_scalar(np.where(up <= down, 1.0, -1.0))
     neg_mass = k * n_w * n_c / total
 
     def falling(x):

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Encoded, Vocabulary, WindowSpec, window_pairs
-from .errors import DimensionMismatchError, InvalidOptionError, check_choice, check_seed
+from .errors import DimensionMismatchError, check_at_least, check_choice
 from .vectors import Embedding, SparseMatrix
 
 CONTEXT_MODES = ("single", "bag", "positional")
@@ -129,15 +129,12 @@ class TrainConfig:
     def __post_init__(self) -> None:
         check_choice("objective", self.objective, OBJECTIVES)
         check_choice("noise", self.noise, NOISE_KINDS)
-        if not 0.0 <= self.l1 < np.inf:
-            raise InvalidOptionError(f"l1 strength must be a finite number >= 0, got {self.l1}")
-        if self.k_neg < 1 and self.objective == "negative_sampling":
-            raise InvalidOptionError(f"negative sampling needs k_neg >= 1, got {self.k_neg}")
-        if self.epochs < 0:
-            raise InvalidOptionError(f"epochs must be non-negative, got {self.epochs}")
-        if not 0.0 < self.step_initial < np.inf:
-            raise InvalidOptionError(f"step must be a finite number > 0, got {self.step_initial}")
-        check_seed(self.seed)
+        check_at_least("l1", self.l1, 0)
+        if self.objective == "negative_sampling":
+            check_at_least("k_neg", self.k_neg, 1)
+        check_at_least("epochs", self.epochs, 0)
+        check_at_least("step", self.step_initial, 0, strict=True)
+        check_at_least("seed", self.seed, 0)
 
 
 def noise_distribution(vocab: Vocabulary, kind: str) -> np.ndarray:

@@ -23,8 +23,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyVocabularyError, InvalidOptionError
-from .errors import check_choice, check_min_count, check_seed, check_shards
+from .errors import EmptyVocabularyError, InvalidOptionError, check_at_least, check_choice
 from .vectors import CHARS_PER_PIECE, CooccurrenceStats, SparseMatrix, Vocabulary  # noqa: F401
 from .vectors import sum_by_key, text_pieces
 
@@ -70,7 +69,7 @@ def _vocabulary(types: list[str], ids: np.ndarray, min_count: int) -> tuple[Voca
     total_tokens counts retained tokens only, so relative frequencies sum to 1
     over the vocabulary.
     """
-    check_min_count(min_count)
+    check_at_least("min_count", min_count, 1)
     counts = np.bincount(ids, minlength=len(types))
     count_of = counts.tolist()
     kept = [p for p, c in enumerate(count_of) if c >= min_count]
@@ -133,9 +132,9 @@ class WindowSpec:
                 f"window needs left, right >= 0 and left + right >= 1, got {self.left}, {self.right}"
             )
         check_choice("positional_weight", self.positional_weight, POSITIONAL_WEIGHTS)
-        for tau in (self.subsample_threshold, self.context_subsample_threshold):
-            if tau is not None and not tau > 0:
-                raise InvalidOptionError(f"subsample thresholds must be positive, got {tau}")
+        for name in ("subsample_threshold", "context_subsample_threshold"):
+            if getattr(self, name) is not None:
+                check_at_least(name, getattr(self, name), 0, strict=True)
         # each flag below would change nothing, so it is refused rather than ignored
         if self.stochastic_subsample and self.subsample_threshold is None:
             raise InvalidOptionError("stochastic drops need a subsample threshold")
@@ -243,8 +242,8 @@ def count_encoded(
     order, gives the stored values.  Only that order of addition depends on
     the shard count.
     """
-    check_shards(shards)
-    check_seed(seed)
+    check_at_least("shard count", shards, 1)
+    check_at_least("seed", seed, 0)
     n = len(vocab)
     target_w = context_w = np.ones(n)
     ids, rec = tokens.ids, tokens.rec

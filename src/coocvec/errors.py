@@ -24,28 +24,22 @@ class InvalidOptionError(WorkbenchError, ValueError):
     category = "invalid-option"
 
 
-def check_seed(seed: int) -> None:
-    """Raise InvalidOptionError unless seed is a valid generator seed (>= 0)."""
-    if seed < 0:
-        raise InvalidOptionError(f"seed must be >= 0, got {seed}")
+def check_at_least(name: str, value, low, strict: bool = False, error=InvalidOptionError) -> None:
+    """Raise error unless low <= value < inf, or low < value < inf when strict.
 
-
-def check_min_count(min_count: int) -> None:
-    """Raise InvalidOptionError unless min_count is a valid vocabulary cut-off (>= 1)."""
-    if min_count < 1:
-        raise InvalidOptionError(f"min_count must be >= 1, got {min_count}")
+    The one range check of a setting; name says which.  Comparisons refuse
+    NaN and take an int of any size.  An array value passes only if every
+    element does.
+    """
+    ok = (value > low if strict else value >= low) & (value < math.inf)
+    if not (ok.all() if hasattr(ok, "all") else ok):
+        raise error(f"{name} must be a finite number {'>' if strict else '>='} {low}, got {value}")
 
 
 def check_choice(name: str, value, choices: tuple) -> None:
     """Raise InvalidOptionError unless value is one of choices; name says which setting."""
     if value not in choices:
         raise InvalidOptionError(f"{name} must be one of {choices}, got {value!r}")
-
-
-def check_shards(shards: int) -> None:
-    """Raise InvalidOptionError unless shards is a valid shard (thread) count (>= 1)."""
-    if shards < 1:
-        raise InvalidOptionError(f"shard count must be >= 1, got {shards}")
 
 
 class InvalidShiftError(WorkbenchError):
@@ -56,8 +50,7 @@ class InvalidShiftError(WorkbenchError):
 
 def check_shift(k: float) -> None:
     """Raise InvalidShiftError unless k is a finite real >= 1."""
-    if not (k >= 1.0 and math.isfinite(k)):
-        raise InvalidShiftError(f"shift k must be a finite real >= 1, got {k}")
+    check_at_least("shift k", k, 1, error=InvalidShiftError)
 
 
 class DegenerateMarginalError(WorkbenchError, ValueError):

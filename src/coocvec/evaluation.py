@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientPairsError, InvalidOptionError, check_choice
+from .errors import DomainError, InsufficientPairsError, check_at_least, check_choice
 from .vectors import Embedding
 
 METRICS = ("cosine", "dot")
@@ -62,8 +62,7 @@ def neighbors(emb: Embedding, word: str, n: int, metric: str = "cosine") -> list
     has an empty answer.
     """
     check_choice("metric", metric, METRICS)
-    if n < 0:
-        raise InvalidOptionError(f"n must be non-negative, got {n}")
+    check_at_least("n", n, 0)
     qi = emb.index(word)
     _check_range(emb)
     sims = _similarities(emb, qi, metric)

@@ -19,12 +19,11 @@ from .errors import (
     DimensionMismatchError,
     DivergenceError,
     FormatError,
-    InvalidOptionError,
     MarkerContaminationError,
+    check_at_least,
     check_choice,
-    check_seed,
 )
-from .vectors import Embedding, SparseMatrix
+from .vectors import Embedding, SparseMatrix, _refuse_pair
 
 FLAVORS = ("plain", "symmetric")
 ROWS_PER_BLOCK = 128  # matrix rows the SVD's products hold dense at a time
@@ -101,11 +100,9 @@ def truncated_svd(
     n_rows, n_cols = M.rows, M.cols
     if not 1 <= dim <= min(n_rows, n_cols):
         raise DimensionMismatchError(f"dim must lie in [1, {min(n_rows, n_cols)}], got {dim}")
-    if oversample < 0:
-        raise InvalidOptionError(f"oversample must be >= 0, got {oversample}")
-    if power_iters < 0:
-        raise InvalidOptionError(f"power_iters must be >= 0, got {power_iters}")
-    check_seed(seed)
+    check_at_least("oversample", oversample, 0)
+    check_at_least("power_iters", power_iters, 0)
+    check_at_least("seed", seed, 0)
     rng = np.random.default_rng(seed)
     sketch = min(dim + oversample, min(n_rows, n_cols))
     # one sketch block is held beside its product: the Gaussian G is freed
@@ -197,29 +194,23 @@ def weighted_factorize(
     if (weights.rows, weights.cols) != (n_rows, n_cols):
         raise DimensionMismatchError(f"{weights.rows} x {weights.cols} weights for "
                                      f"{n_rows} x {n_cols} targets")
-    at, found = weights.find(targets.i, targets.j)
-    if not found.all():
-        raise FormatError(f"no weight for stored pair {targets.pair(int(np.argmin(found)))}")
+    rows, cols, t_vals = targets.i, targets.j, targets.v
+    at, found = weights.find(rows, cols)
+    _refuse_pair(~found, rows, cols, "no weight for stored pair {pair}", FormatError)
     alpha = weights.v[at]
-    bad = ~(np.isfinite(alpha) & (alpha >= 0.0))
-    if bad.any():
-        p = int(np.argmax(bad))
-        raise FormatError(f"weight {alpha[p]} at {targets.pair(p)} must be finite and >= 0")
+    _refuse_pair(~(np.isfinite(alpha) & (alpha >= 0.0)), rows, cols,
+                 "weight {value} at {pair} must be finite and >= 0", FormatError, alpha)
     if not 1 <= dim <= min(n_rows, n_cols):
         raise DimensionMismatchError(f"dim must lie in [1, {min(n_rows, n_cols)}], got {dim}")
-    for name, value in (("ridge", ridge), ("tol", tol)):
-        if not 0.0 <= value < np.inf:
-            raise InvalidOptionError(f"{name} must be a finite number >= 0, got {value}")
-    if epochs < 0:
-        raise InvalidOptionError(f"epochs must be non-negative, got {epochs}")
-    if not np.isfinite(targets.v).all():
-        p = int(np.argmin(np.isfinite(targets.v)))
-        raise MarkerContaminationError(f"non-finite target at {targets.pair(p)}")
-    check_seed(seed)
+    check_at_least("ridge", ridge, 0)
+    check_at_least("tol", tol, 0)
+    check_at_least("epochs", epochs, 0)
+    _refuse_pair(~np.isfinite(t_vals), rows, cols, "non-finite target at {pair}",
+                 MarkerContaminationError)
+    check_at_least("seed", seed, 0)
     rng = np.random.default_rng(seed)
     factors = [0.1 * rng.standard_normal((n_rows, dim)), 0.1 * rng.standard_normal((n_cols, dim))]
 
-    rows, cols, t_vals = targets.i, targets.j, targets.v
     # stored pairs are sorted by row, so each row is one run of positions;
     # a stable sort by column keeps each column's positions in row order
     by_col = np.argsort(cols, kind="stable")

@@ -33,9 +33,9 @@ import numpy as np
 
 from .closed_form import LOSS_NAMES, MAX_HALF_WIDTH, _float_if_scalar, bisect_decreasing
 from .closed_form import minimize_pair_numeric, solve_stats
-from .errors import DomainError, InvalidOptionError, check_choice, check_seed, check_shift
+from .errors import DomainError, check_at_least, check_choice, check_shift
 from .pmi import build_matrix, shifted_pmi
-from .vectors import CooccurrenceStats, SparseMatrix
+from .vectors import CooccurrenceStats, SparseMatrix, _refuse_pair
 
 REG_KINDS = ("l1", "l2")
 NEWTON_STEPS = 4
@@ -43,8 +43,7 @@ NEWTON_STEPS = 4
 
 def _check_params(k: float, lam) -> None:
     check_shift(k)
-    if not np.all((np.asarray(lam) >= 0.0) & np.isfinite(lam)):
-        raise InvalidOptionError(f"lam must be a finite real >= 0, got {lam}")
+    check_at_least("lam", np.asarray(lam), 0)
 
 
 def h_function(pmi, k: float, x):
@@ -134,19 +133,21 @@ def solve_exact(pmi, k: float, lam, kind: str):
     broadcast together.  A root lies between 0 and pmi - log k, or, at
     pmi = -inf, above min(-1, log lam - log k), so the bracket [-B, B] with
     B = |pmi - log k| clipped to [50, MAX_HALF_WIDTH], log lam standing in
-    for a pmi of -inf, covers every root a float can resolve.  L1 picks its
-    bracket from h(0): [0, B] above lam, [-B, 0] below -lam, and [0, 0]
-    (the score 0) in between.
+    for a pmi of -inf, covers every root a float can resolve.  Each kind
+    picks one side of it from h(0): L2 takes [0, B] above 0, [-B, 0] below,
+    and [0, 0] (the score 0, exact at a tie pmi = log k) at 0; L1 takes
+    [0, B] above lam, [-B, 0] below -lam, and [0, 0] in between.
     """
     check_choice("kind", kind, REG_KINDS)
     _check_params(k, lam)
     with np.errstate(divide="ignore"):
         edge = np.where(np.isneginf(pmi), np.log(lam), pmi)
     B = np.clip(np.abs(edge - math.log(k)), 50.0, MAX_HALF_WIDTH)
-    if kind == "l2":
-        # lam*x - h(x) is strictly increasing; its negation is decreasing
-        return bisect_decreasing(lambda x: h_function(pmi, k, x) - lam * x, -B, B)
     h0 = h_function(pmi, k, 0.0)
+    if kind == "l2":
+        # h(x) - lam*x is strictly decreasing and has h(0)'s sign at 0
+        lo, hi = np.where(h0 < 0.0, -B, 0.0), np.where(h0 > 0.0, B, 0.0)
+        return bisect_decreasing(lambda x: h_function(pmi, k, x) - lam * x, lo, hi)
     up = h0 > lam
     shift = np.where(up, lam, -lam)
     lo = np.where(up | (np.abs(h0) <= lam), 0.0, -B)
@@ -195,9 +196,8 @@ def closed_form_report(
     sampled pair with |pmi - log k| + 1 above MAX_HALF_WIDTH, the references'
     widest bracket, is refused (DomainError).
     """
-    if samples < 0:
-        raise InvalidOptionError(f"samples must be >= 0, got {samples}")
-    check_seed(seed)
+    check_at_least("samples", samples, 0)
+    check_at_least("seed", seed, 0)
     check_shift(k)
     stats.pair_counts()  # refuses a bad stored pair, sampled or not, as the builders do
     n = stats.counts.nnz
@@ -206,19 +206,16 @@ def closed_form_report(
     view = stats.restrict(chosen)  # the builders score each sampled pair as in the whole file
     pmi = build_matrix(view, "pmi").v
     shifted = pmi - math.log(k)
-    far = np.abs(shifted) + 1.0 > MAX_HALF_WIDTH
-    if far.any():
-        p = int(np.argmax(far))
-        gap = float(abs(shifted[p])) + 1.0
-        raise DomainError(
-            f"the numeric references cannot reach the root of pair {view.counts.pair(p)}: "
-            f"|pmi - log k| + 1 = {gap!r} exceeds {MAX_HALF_WIDTH:.1f}, their widest bracket"
-        )
+    gap = np.abs(shifted) + 1.0
+    _refuse_pair(gap > MAX_HALF_WIDTH, view.counts.i, view.counts.j,
+                 "the numeric references cannot reach the root of pair {pair}: |pmi - log k| + 1"
+                 f" = {{value!r}} exceeds {MAX_HALF_WIDTH:.1f}, their widest bracket", values=gap)
     joint, n_w, n_c = view.pair_counts()
 
+    # every builder refuses what it cannot score before a reference runs on it
+    scores = [solve_stats(view, loss, k).v for loss in LOSS_NAMES]
     rows = []
-    for loss in LOSS_NAMES:
-        x = solve_stats(view, loss, k).v
+    for loss, x in zip(LOSS_NAMES, scores):
         numeric = minimize_pair_numeric(loss, joint, n_w, n_c, stats.total, k)
         worst = float(np.max(np.abs(x - numeric), initial=0.0))
         if loss == "hinge":

@@ -15,8 +15,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, FormatError, MarkerContaminationError
-from .errors import UnknownWordError
+from .errors import DegenerateMarginalError, DimensionMismatchError, DomainError, FormatError
+from .errors import MarkerContaminationError, UnknownWordError
 
 CHARS_PER_PIECE = 1 << 18  # text split into lines at a time, by text_pieces
 
@@ -67,16 +67,13 @@ class SparseMatrix:
         if self.rows < 0 or self.cols < 0:
             raise DimensionMismatchError(f"negative matrix shape {self.rows} x {self.cols}")
         bad = (self.i < 0) | (self.i >= self.rows) | (self.j < 0) | (self.j >= self.cols)
-        if bad.any():
-            pair = self.pair(int(np.argmax(bad)))
-            raise DimensionMismatchError(f"pair {pair} outside a {self.rows} x {self.cols} matrix")
+        where = f"outside a {self.rows} x {self.cols} matrix"
+        _refuse_pair(bad, self.i, self.j, "pair {pair} " + where, DimensionMismatchError)
         keys = self._keys()
         if (np.diff(keys) < 0).any():
             order = np.argsort(keys, kind="stable")
             self.i, self.j, self.v, keys = self.i[order], self.j[order], self.v[order], keys[order]
-        repeated = np.diff(keys) == 0
-        if repeated.any():
-            raise FormatError(f"pair {self.pair(int(np.argmax(repeated)))} is stored twice")
+        _refuse_pair(np.diff(keys) == 0, self.i, self.j, "pair {pair} is stored twice", FormatError)
 
     @classmethod
     def summed(cls, rows: int, cols: int, key: np.ndarray, v: np.ndarray) -> "SparseMatrix":
@@ -128,12 +125,9 @@ class CooccurrenceStats:
     @classmethod
     def from_counts(cls, counts: SparseMatrix) -> "CooccurrenceStats":
         """Stats of a count matrix: checks the weights, drops zeros, sums the marginals."""
-        bad = ~(np.isfinite(counts.v) & (counts.v >= 0.0))
-        if bad.any():
-            p = int(np.argmax(bad))
-            raise FormatError(
-                f"pair {counts.pair(p)} has weight {float(counts.v[p])!r}, not a finite value >= 0"
-            )
+        _refuse_pair(~(np.isfinite(counts.v) & (counts.v >= 0.0)), counts.i, counts.j,
+                     "pair {pair} has weight {value!r}, not a finite value >= 0", FormatError,
+                     counts.v)
         keep = counts.v != 0.0
         if not keep.all():
             counts = SparseMatrix(
@@ -161,38 +155,49 @@ class CooccurrenceStats:
     def pair_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(#(w,c), #(w,.), #(.,c)) of the stored pairs.
 
-        The one place a pair meets its marginals.  Every closed form is a
-        function of the pmi, so a pair whose #(w,c)|D| or #(w,.)#(.,c) leaves
-        the float range (inf, or 0 from positive factors) is refused.  The
-        negative mass's k#(w,.)#(.,c) is then nonzero too (k >= 1); a huge k
-        that overflows it makes a NaN score or weight, which `pair_matrix` refuses.
+        The one place a pair meets its marginals, and the one gather of every
+        per-pair command.  Counts with no pair mass (|D| = 0) are refused
+        (DegenerateMarginalError).  Every closed form is a function of the
+        pmi, so a pair whose #(w,c)|D| or #(w,.)#(.,c) leaves the float range
+        (inf, or 0 from positive factors) is refused.  The negative mass's
+        k#(w,.)#(.,c) is then nonzero too (k >= 1); a huge k that overflows
+        it makes a NaN score or weight, which `pair_matrix` refuses.
         """
+        if not self.total > 0.0:
+            raise DegenerateMarginalError(f"total pair mass must be positive, got {self.total}")
         c = self.counts
         n_w, n_c = self.row_marginal[c.i], self.col_marginal[c.j]
         with np.errstate(over="ignore"):
             for name, a, b in (("#(w,c)|D|", c.v, self.total), ("#(w,.)#(.,c)", n_w, n_c)):
                 product = a * b
-                _refuse_pair(~((product > 0.0) & (product < np.inf)), c.i, c.j, name,
-                             "leaves the float range")
+                _refuse_pair(~((product > 0.0) & (product < np.inf)), c.i, c.j,
+                             name + " of pair {pair} leaves the float range")
         return c.v, n_w, n_c
 
     def pair_matrix(self, v, implicit_value: float | None, what: str, keep=None) -> SparseMatrix:
         """The stored pairs, or those where keep is true, with values v; absent ones implicit_value.
 
-        The one home of per-pair matrices: it refuses a stored value that is
-        not finite, which only the edges of the float range make.
+        The one home of per-pair matrices: it refuses a stored or implicit
+        value that is not finite, which only the edges of the float range make.
         """
+        if implicit_value is not None and not np.isfinite(implicit_value):
+            raise DomainError(f"{what} of absent pairs is not finite ({implicit_value!r})")
         c = self.counts
         i, j, v = (c.i, c.j, v) if keep is None else (c.i[keep], c.j[keep], v[keep])
-        _refuse_pair(~np.isfinite(v), i, j, what, "is not finite (NaN or inf)")
+        _refuse_pair(~np.isfinite(v), i, j, what + " of pair {pair} is not finite (NaN or inf)")
         return SparseMatrix(c.rows, c.cols, i, j, v, implicit_value)
 
 
-def _refuse_pair(bad: np.ndarray, i: np.ndarray, j: np.ndarray, what: str, problem: str) -> None:
-    """Raise DomainError naming the first pair (i, j) where bad holds."""
+def _refuse_pair(bad: np.ndarray, i, j, message: str, error=DomainError, values=None) -> None:
+    """Raise error for the first pair (i, j) where bad holds: the one first-bad-pair check.
+
+    message is formatted with that pair as {pair} and, given values, its
+    value as a float as {value}.
+    """
     if bad.any():
         p = int(np.argmax(bad))
-        raise DomainError(f"{what} of pair ({int(i[p])}, {int(j[p])}) {problem}")
+        value = None if values is None else float(values[p])
+        raise error(message.format(pair=(int(i[p]), int(j[p])), value=value))
 
 
 def word_index(words: list[str]) -> dict[str, int]:

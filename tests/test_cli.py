@@ -308,21 +308,25 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("command", ["pmi", "regularize", "solve", "report"])
     def test_cooc_file_without_entries(self, tmp_path, capsys, command):
-        empty = tmp_path / "empty.txt"
-        empty.write_text("3 0.0\n")
+        # count writes a file with no pair mass for one-token records; every per-pair
+        # command refuses it alike, and writes nothing
+        corpus, empty = tmp_path / "corpus.txt", tmp_path / "empty.txt"
+        corpus.write_text("the\nfox\nthe\n")
+        assert run("count", "--input", str(corpus), "--output", str(empty)) == 0
+        body = [line for line in empty.read_text().splitlines() if not line.startswith("#")]
+        assert body == ["2 0.0"]
+        inputs = sorted(tmp_path.iterdir())
         extra = {
-            "pmi": ["--variant", "ppmi", "--output", str(tmp_path / "m")],
-            "regularize": ["--reg", "l2", "--lam", "0.5", "--output", str(tmp_path / "m")],
-            "solve": ["--loss", "logistic", "--output", str(tmp_path / "m")],
+            "pmi": ["--variant", "ppmi"],
+            "regularize": ["--reg", "l2", "--lam", "0.5"],
+            "solve": ["--loss", "logistic", "--alpha-out", str(tmp_path / "a")],
             "report": [],
         }[command]
-        code = run(command, "--cooc", str(empty), *extra)
+        code = run(command, "--cooc", str(empty), "--output", str(tmp_path / "m"), *extra)
         err = capsys.readouterr().err.splitlines()
-        if command in ("pmi", "regularize"):
-            assert code == 0 and err == []
-        else:
-            assert code == 1
-            assert len(err) == 1 and err[0].startswith("error degenerate-marginal:"), err
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error degenerate-marginal:"), err
+        assert sorted(tmp_path.iterdir()) == inputs
 
     @pytest.mark.parametrize("weight", ["-1.0", "nan"])
     def test_bad_alpha_weight_is_one_format_error_naming_the_file(
@@ -454,6 +458,8 @@ class TestOptionErrors:
             ["train-convex", "--seed", "-1"],
             ["count", "--left", "-1"],
             ["count", "--subsample", "0"],
+            ["count", "--subsample", "inf"],
+            ["count", "--subsample", "1e-3", "--context-subsample-threshold", "inf"],
             ["train-convex", "--l1", "-1"],
             ["train-convex", "--epochs", "-1"],
             ["regularize", "--lam", "-1"],
@@ -922,6 +928,15 @@ class TestReport:
         want = [f"{name}\t{cells[v] if isinstance(v, bool) else repr(v)}" for name, v in rows]
         assert out.read_text().splitlines()[1:] == want
         assert len(want) == 12 and "\tyes" in want[1]
+
+    def test_an_exact_tie_reports_no_error(self, tmp_path, capsys):
+        # one pair with pmi = 0 = log k at k = 1: the hinge picks +1, the L2 root is exactly 0
+        counts = tmp_path / "tie.txt"
+        counts.write_text("3 1.0\n0 0 1.0\n")
+        assert run("report", "--cooc", str(counts), "--k", "1") == 0
+        rows = dict(line.split("\t") for line in capsys.readouterr().out.splitlines()[1:])
+        assert rows["closed_form_max_abs_err[hinge]"] == "0.0"
+        assert rows["l2_closed_form_max_rel_err"] == "0.0"
 
     def test_report_runs_and_prints_sweeps(self, tmp_path, corpus_path, capsys):
         counts = counted(tmp_path, corpus_path)

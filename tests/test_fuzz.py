@@ -1,20 +1,31 @@
-"""Fuzzing every file kind the workbench reads, through the command line.
+"""Fuzzing every file kind the workbench reads, and the per-pair commands, through the CLI.
 
-Each example starts from a file the program wrote (the config file and the
-similarity dataset are written by the fixture), damages it with byte edits,
-token swaps and truncations, and runs the command that consumes it in
-process.  The command must succeed or print exactly one `error <category>:`
-line; an uncaught exception fails the test.
+Each damaged-file example starts from a file the program wrote (the config
+file and the similarity dataset are written by the fixture), damages it with
+byte edits, token swaps and truncations, and runs the command that consumes
+it in process.  Each per-pair example draws a counts file (a seeded count of
+a benchmark corpus, or one at an edge of the float range) and one `pmi`,
+`solve`, `regularize` or `report` run over it.  Every command must succeed or
+print exactly one `error <category>:` line; an uncaught exception fails the
+test.  The per-pair tests are derandomized, so their examples are the same
+on every run.
 """
 import contextlib
 import io
+import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coocvec.cli import main
+from coocvec.closed_form import LOSS_NAMES
+from coocvec.formats import read_matrix
+from coocvec.pmi import VARIANTS
+from coocvec.regularization import REG_KINDS
+from helpers import bench_gen
 
 CORPUS = (
     "#tag the quick fox saw the slow fox\n"
@@ -130,3 +141,129 @@ def test_damaged_file_succeeds_or_is_one_error_line(written, tmp_path_factory, k
     assert code == 0 or (code == 1 and len(lines) == 1), (code, err)
     if code:
         assert re.match(r"error [a-z-]+: ", lines[0]), lines
+
+
+# ------------------------------------------------------------ per-pair commands
+
+PER_PAIR_EXAMPLES = 120  # examples of one command over one counts file
+PARITY_EXAMPLES = 25  # counts files each refused or accepted alike by three commands
+KS = ("1", "5", "1e30", "1e300")
+LAMS = tuple(f"1e{e}" for e in range(-310, 2))  # decades from 1e-310 to 10
+EDGE_COUNTS = {
+    "header-only": "3 0.0\n",
+    "tie": "3 1.0\n0 0 1.0\n",  # pmi = 0 = log k at k = 1
+    "four-at-1e10": "2 4e10\n0 0 1e10\n0 1 1e10\n1 0 1e10\n1 1 1e10\n",
+}
+
+
+@pytest.fixture(scope="module")
+def gen_counts(tmp_path_factory):
+    """Counts of two seeded benchmark corpora, one file text and one binary."""
+    gen = bench_gen()
+    d = tmp_path_factory.mktemp("gen-counts")
+    paths = {}
+    for seed, binary in ((1, []), (2, ["--binary"])):
+        corpus = d / f"corpus-{seed}.txt"
+        corpus.write_text(gen.corpus_text(gen.make_corpus(2000, seed)))
+        paths[f"gen-{seed}"] = str(d / f"counts-{seed}")
+        assert cli("count", "--input", str(corpus), "--output", paths[f"gen-{seed}"],
+                   "--min-count", "2", *binary)[0] == 0
+    return paths
+
+
+@st.composite
+def counts_files(draw) -> tuple[str, str | None]:
+    """(name, text): a seeded count (text None: the fixture wrote it), an edge file, or
+    one to four pairs of a 3-word matrix with weights near 1e-300 or 1e300."""
+    name = draw(st.sampled_from(["gen-1", "gen-2", *EDGE_COUNTS, "extreme-weights"]))
+    if name != "extreme-weights":
+        return name, EDGE_COUNTS.get(name)
+    pairs = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1,
+                          max_size=4, unique=True))
+    weights = [draw(st.sampled_from([1.0, 3.7, 9.9])) * 10.0 ** draw(st.sampled_from(
+        [-305, -300, -295, 295, 300, 305])) for _ in pairs]
+    body = "".join(f"{i} {j} {w!r}\n" for (i, j), w in sorted(zip(pairs, weights)))
+    return name, f"3 {math.fsum(weights)!r}\n{body}"
+
+
+@st.composite
+def per_pair_commands(draw) -> list[str]:
+    """One pmi, solve, regularize or report run, with its options but no paths."""
+    k = ["--k", draw(st.sampled_from(KS))]
+    command = draw(st.sampled_from(["pmi", "solve", "regularize", "report"]))
+    if command == "pmi":
+        return ["pmi", "--variant", draw(st.sampled_from(VARIANTS)), *k]
+    if command == "solve":
+        alpha = ["--alpha-out", "{alpha}"] if draw(st.booleans()) else []
+        return ["solve", "--loss", draw(st.sampled_from(LOSS_NAMES)), *k, *alpha]
+    if command == "regularize":
+        return ["regularize", "--reg", draw(st.sampled_from(REG_KINDS)),
+                "--lam", draw(st.sampled_from(LAMS)), *k]
+    return ["report", *k]
+
+
+def counts_path(counts: tuple[str, str | None], gen_counts, work) -> str:
+    name, text = counts
+    if text is None:
+        return gen_counts[name]
+    path = work / "counts.txt"
+    path.write_text(text)
+    return str(path)
+
+
+def run_per_pair(argv: list[str], cooc: str, out_dir) -> tuple[int, list[str], dict]:
+    """Run argv on cooc with its outputs in out_dir: the exit code, the stderr lines and
+    the bytes of every file in out_dir."""
+    argv = [a.format(alpha=out_dir / "alpha") for a in argv]
+    code, err = cli(*argv[:1], "--cooc", cooc, "--output", str(out_dir / "out"), *argv[1:])
+    return code, err.splitlines(), {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def assert_finite_on_reread(command: str, out_dir) -> None:
+    for path in sorted(out_dir.iterdir()):
+        if command == "report":
+            cells = [line.split("\t")[1] for line in path.read_text().splitlines()
+                     if not line.startswith("#")]
+            assert all(c in ("yes", "no") or math.isfinite(float(c)) for c in cells), cells
+        else:
+            matrix, _ = read_matrix(str(path))
+            assert np.isfinite(matrix.v).all(), path.name
+            assert matrix.implicit_value is None or math.isfinite(matrix.implicit_value)
+
+
+@settings(max_examples=PER_PAIR_EXAMPLES, deadline=None, derandomize=True)
+@given(counts=counts_files(), argv=per_pair_commands())
+def test_per_pair_command_writes_finite_repeatable_files_or_one_error_line(
+    gen_counts, tmp_path_factory, counts, argv
+):
+    work = tmp_path_factory.mktemp("per-pair")
+    cooc = counts_path(counts, gen_counts, work)
+    out_dir = work / "out"
+    out_dir.mkdir()
+    code, lines, written = run_per_pair(argv, cooc, out_dir)
+    if code:
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error "), (code, lines)
+        assert written == {}, sorted(written)
+        return
+    assert written, "a successful run wrote nothing"
+    assert_finite_on_reread(argv[0], out_dir)
+    for path in out_dir.iterdir():
+        path.unlink()
+    assert run_per_pair(argv, cooc, out_dir) == (0, lines, written)
+
+
+@settings(max_examples=PARITY_EXAMPLES, deadline=None, derandomize=True)
+@given(counts=counts_files())
+def test_ppmi_squared_and_l2_accept_or_refuse_a_counts_file_alike(
+    gen_counts, tmp_path_factory, counts
+):
+    work = tmp_path_factory.mktemp("parity")
+    cooc = counts_path(counts, gen_counts, work)
+    outcomes = {}
+    for argv in (["pmi", "--variant", "ppmi"], ["solve", "--loss", "squared"],
+                 ["regularize", "--reg", "l2", "--lam", "1"]):
+        out_dir = work / argv[0]
+        out_dir.mkdir()
+        code, lines, _ = run_per_pair(argv, cooc, out_dir)
+        outcomes[argv[0]] = (code, lines[0].split(":")[0] if code else None)
+    assert len(set(outcomes.values())) == 1, outcomes
