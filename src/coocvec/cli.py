@@ -158,26 +158,10 @@ def cmd_regularize(args: argparse.Namespace) -> int:
     return 0
 
 
-# factorize options that one mode reads and the other refuses, with the
-# defaults that fill them once they pass (the parser leaves them None, so
-# the refusal also catches a value equal to the default)
-SVD_OPTIONS = {"flavor": "plain", "oversample": 8, "power_iters": 4}
-ALS_OPTIONS = {"alpha": None, "epochs": 200, "ridge": 1e-8, "tol": 1e-8, "context_out": None}
-
-
 def cmd_factorize(args: argparse.Namespace) -> int:
     from . import factorization, formats
     from .vectors import Embedding
 
-    for dest in SVD_OPTIONS if args.weighted else ALS_OPTIONS:
-        if getattr(args, dest) is not None:
-            flag = "--" + dest.replace("_", "-")
-            raise InvalidOptionError(
-                f"{flag} {'is not used with' if args.weighted else 'needs'} --weighted"
-            )
-    for dest, default in {**SVD_OPTIONS, **ALS_OPTIONS}.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)  # the stamp records every option's value
     matrix, info = formats.read_matrix(args.matrix)
     upstream = {"matrix": info.prov}
     words = None
@@ -312,7 +296,29 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ options
 # Each adds one command's options; a `choices=` tuple comes from a module the
-# command loads anyway.
+# command loads anyway.  MODE_OPTIONS holds, per command, the options that
+# only some modes read: whether the mode reads them, the refusal, and the
+# defaults that fill them once they pass (the parser leaves them None, so a
+# value equal to the default is refused too).
+MODE_OPTIONS = {
+    "count": [(lambda a: a.stochastic, "needs --stochastic", {"seed": 0})],
+    "factorize": [(lambda a: not a.weighted, "is not used with --weighted",
+                   {"flavor": "plain", "oversample": 8, "power_iters": 4}),
+                  (lambda a: a.weighted, "needs --weighted",
+                   {"alpha": None, "epochs": 200, "ridge": 1e-8, "tol": 1e-8, "context_out": None})],
+    "train-convex": [(lambda a: a.objective != "softmax", "is not used with --objective softmax",
+                      {"k_neg": 5, "noise": "unigram"}),
+                     (lambda a: not a.full_batch, "is not used with --full-batch", {"seed": 0})],
+}
+
+
+def _fill_mode_options(args: argparse.Namespace) -> None:
+    for reads, refusal, options in MODE_OPTIONS.get(args.command, ()):
+        for dest, default in options.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)  # the stamp records every option's value
+            elif not reads(args):
+                raise InvalidOptionError(f"--{dest.replace('_', '-')} {refusal}")
 
 
 def _count_options(p: argparse.ArgumentParser) -> None:
@@ -329,7 +335,7 @@ def _count_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--context-subsample", action="store_true")
     p.add_argument("--context-subsample-threshold", type=float, default=None)
     p.add_argument("--stochastic", action="store_true", help="sampled drops instead of weights")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="stochastic mode")
     p.add_argument("--threads", type=int, default=1, help="record shards (>= 1), counted one "
                    "after another: same pairs, values equal up to rounding order")
     p.add_argument("--binary", action="store_true")
@@ -396,13 +402,13 @@ def _train_convex_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--right", type=int, default=2)
     p.add_argument("--weighting", choices=POSITIONAL_WEIGHTS, default="constant")
     p.add_argument("--objective", choices=OBJECTIVES, default="negative_sampling")
-    p.add_argument("--k-neg", type=int, default=5)
-    p.add_argument("--noise", choices=NOISE_KINDS, default="unigram")
+    p.add_argument("--k-neg", type=int, help="negative sampling")
+    p.add_argument("--noise", choices=NOISE_KINDS, help="negative sampling")
     p.add_argument("--l1", type=float, default=0.0)
     p.add_argument("--epochs", type=int, default=1)
     p.add_argument("--step", type=float, default=0.025)
     p.add_argument("--full-batch", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="SGD mode")
 
 
 def _eval_options(p: argparse.ArgumentParser) -> None:
@@ -550,6 +556,7 @@ def main(argv: list[str] | None = None) -> int:
             _apply_config_file(argv, command, sub)
         args = parser.parse_args(argv)
         _check_paths(args)
+        _fill_mode_options(args)
         return COMMANDS[args.command].run(args)
     except WorkbenchError as err:
         print(f"error {err.category}: {err}", file=sys.stderr)

@@ -200,7 +200,7 @@ def bisect_decreasing(g, lo, hi):
 
     An element with g(lo) <= 0 gives lo, one with g(hi) >= 0 gives hi; any
     other is halved (at most 200 times) until its bracket is below 1e-15
-    relative and gives the midpoint.  Scalar brackets and g give a float.
+    relative or g(mid) == 0, and gives the midpoint.  Scalars give a float.
     """
     lo, hi, g_lo, g_hi = np.broadcast_arrays(lo, hi, g(lo), g(hi))
     at_lo = g_lo <= 0.0
@@ -210,9 +210,9 @@ def bisect_decreasing(g, lo, hi):
         if not active.any():
             break
         mid = 0.5 * (lo + hi)
-        up = g(mid) > 0.0
-        lo = np.where(active & up, mid, lo)
-        hi = np.where(active & ~up, mid, hi)
+        g_mid = g(mid)  # a root at mid closes the bracket on it
+        lo = np.where(active & (g_mid >= 0.0), mid, lo)
+        hi = np.where(active & ~(g_mid > 0.0), mid, hi)
         active &= ~(hi - lo < 1e-15 * np.maximum(1.0, np.abs(lo)))
     return _float_if_scalar(np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi))))
 

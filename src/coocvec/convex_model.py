@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Encoded, Vocabulary, WindowSpec, window_pairs
-from .errors import DimensionMismatchError, check_at_least, check_choice
+from .errors import DimensionMismatchError, InvalidOptionError, check_at_least, check_choice
 from .vectors import Embedding, SparseMatrix
 
 CONTEXT_MODES = ("single", "bag", "positional")
@@ -36,7 +36,8 @@ class ContextSpec:
     """How window contents are turned into context input vectors.
 
     A context word at offset off counts window.positional(off): 1, or 1/|off|
-    with reciprocal positional weighting.
+    with reciprocal positional weighting.  No example reads a subsampling
+    setting, so a window with one is refused (InvalidOptionError).
     """
 
     mode: str = "bag"
@@ -44,6 +45,8 @@ class ContextSpec:
 
     def __post_init__(self) -> None:
         check_choice("mode", self.mode, CONTEXT_MODES)
+        if self.window.subsample_threshold is not None or self.window.context_threshold():
+            raise InvalidOptionError("the convex model's windows take no subsampling")
 
 
 def context_dim(spec: ContextSpec, n_words: int) -> int:

@@ -17,13 +17,11 @@ Newton steps on the log form of the stationarity condition.  Below log k it
 uses the mirror identity: x = -x' turns the problem, divided by e^pmi, into
 the positive-side one with k' = 1, pmi' = log k - pmi and lam' = lam e^-pmi.
 The L1 case splits on the soft threshold at h(0).  Each closed form is one
-elementwise function over arrays or scalars (scalar inputs give floats).
-The reference `solve_exact` is one elementwise bisection of
-the stationarity condition, independent of the closed forms;
-`closed_form_report` checks every loss's closed form and both regularizers
-against the numeric references on a sample of stored pairs.  Zero-count
-pairs are handled by letting e^pmi = 0, which keeps every regularized
-solution with lam > 0 finite.
+elementwise function over arrays or scalars (scalar inputs give floats),
+and scores a zero-count pair too, at e^pmi = 0: finite for every lam > 0.
+Their reference, `solve_exact`, bisects the stationarity condition without
+them; `closed_form_report` checks every loss's closed form and both
+regularizers against the numeric references on a sample of stored pairs.
 """
 from __future__ import annotations
 
@@ -80,7 +78,7 @@ def l2_chord(pmi, k: float, lam: float):
 
 
 def solve_l2(pmi, k: float, lam: float):
-    """Closed-form L2-regularized scores, elementwise over finite pmi on either side of log k.
+    """Closed-form L2-regularized scores, elementwise over pmi on either side of log k.
 
     Starts from the chord and takes NEWTON_STEPS Newton steps on the log form
     of lam * x = h(x), g(x) = log(e^pmi + k) - softplus(x) - log(k + lam * x),
@@ -88,8 +86,12 @@ def solve_l2(pmi, k: float, lam: float):
     h(x) overshoots far left of the root, the log form does not.  Exact at
     lam = 0.  Below log k, x = -x' and division by e^pmi give the positive
     side with k' = 1, pmi' = log k - pmi, lam' = lam e^-pmi: its chord is
-    the same |A| |B| / (|A| + |B|) and its g, with the log arguments scaled
-    by e^pmi, is g with e^pmi in place of k in the last term.
+    the same |A| |B| / (|A| + |B|) and its g is g with c = e^pmi in place of
+    k in the last term.  Where c = 0 (an absent pair), log(c + lam t) is
+    log lam + log t, so a subnormal lam keeps its digits; the chord is -inf
+    there, and the steps start at min(k / (2 lam), max(1, log k - log lam)),
+    two upper bounds of the root: lam t = k sigma(-t) <= k / 2, and once
+    t >= 1, e^t < k / (lam t) <= k / lam.
     """
     t = np.abs(l2_chord(pmi, k, lam))  # checks k and lam
     pmi = np.asarray(pmi, dtype=float)
@@ -98,12 +100,17 @@ def solve_l2(pmi, k: float, lam: float):
         gap = np.abs(pmi - math.log(k))
         log_top = np.logaddexp(pmi, math.log(k))
         c = np.where(mirror, np.exp(pmi), k)
-        for _ in range(NEWTON_STEPS):
-            e = np.exp(-t)
-            d = c + lam * t
-            g = log_top - (t + np.log1p(e)) - np.log(d)
-            dg = -1.0 / (1.0 + e) - lam / d
-            t = np.clip(t - g / dg, 0.0, gap)
+        a = math.log(k) - math.log(lam)
+        t = np.where(np.isneginf(pmi), math.exp(min(a - math.log(2.0), math.log(max(1.0, a)))), t)
+        zero = c == 0.0  # there g and its slope are divided through by lam
+        log_top, lam_c = np.where(zero, log_top - math.log(lam), log_top), np.where(zero, 1.0, lam)
+        with np.errstate(over="ignore"):  # a slope of -inf (t below 1 / max float) stops t
+            for _ in range(NEWTON_STEPS):
+                e = np.exp(-t)
+                d = c + lam_c * t
+                g = log_top - (t + np.log1p(e)) - np.log(d)
+                dg = -1.0 / (1.0 + e) - lam_c / d
+                t = np.clip(t - g / dg, 0.0, gap)
     return _float_if_scalar(np.where(mirror, -t, t))
 
 
@@ -113,15 +120,16 @@ def solve_l1(pmi, k: float, lam: float):
     h0 = (e^pmi - k) / 2 decides the case: |h0| <= lam pins the score at 0;
     otherwise the stationarity equation h(x) = +/- lam has the closed-form
     root below.  The negative branch needs h0 < -lam, so lam < k / 2 there
-    and its denominator stays positive.  Accepts pmi = -inf (zero joint
-    count) by e^pmi = 0.
+    and k - lam stays positive; it takes log(e^pmi + lam) - log(k - lam), so
+    a quotient below the float range still gives its log.  Accepts pmi = -inf
+    (zero joint count) by e^pmi = 0.
     """
     _check_params(k, lam)
     e_p = np.exp(pmi)
     h0 = (e_p - k) / 2.0
     with np.errstate(invalid="ignore", divide="ignore"):
         up = np.log((e_p - lam) / (k + lam))
-        down = np.log((e_p + lam) / (k - lam))
+        down = np.log(e_p + lam) - np.log(k - lam)
     return _float_if_scalar(np.where(h0 > lam, up, np.where(h0 < -lam, down, 0.0)))
 
 
@@ -131,12 +139,12 @@ def solve_exact(pmi, k: float, lam, kind: str):
     Serves as the ground-truth companion to the closed forms: the residual of
     each returned root is below 1e-12 on desk-scale inputs.  pmi and lam
     broadcast together.  A root lies between 0 and pmi - log k, or, at
-    pmi = -inf, above min(-1, log lam - log k), so the bracket [-B, B] with
-    B = |pmi - log k| clipped to [50, MAX_HALF_WIDTH], log lam standing in
-    for a pmi of -inf, covers every root a float can resolve.  Each kind
-    picks one side of it from h(0): L2 takes [0, B] above 0, [-B, 0] below,
-    and [0, 0] (the score 0, exact at a tie pmi = log k) at 0; L1 takes
-    [0, B] above lam, [-B, 0] below -lam, and [0, 0] in between.
+    pmi = -inf, above min(-1, log lam - log k).  The bracket [-B, B], B =
+    |pmi - log k| (log lam standing in for a pmi of -inf) clipped to [50,
+    MAX_HALF_WIDTH], reaches only |root| <= MAX_HALF_WIDTH; a root past it
+    gives the bracket's end.  Each kind picks a side from h(0): L2 takes
+    [0, B] above 0, [-B, 0] below and [0, 0] at 0 (the score 0, exact at a
+    tie pmi = log k); L1 [0, B] above lam, [-B, 0] below -lam, else [0, 0].
     """
     check_choice("kind", kind, REG_KINDS)
     _check_params(k, lam)
@@ -150,33 +158,25 @@ def solve_exact(pmi, k: float, lam, kind: str):
         return bisect_decreasing(lambda x: h_function(pmi, k, x) - lam * x, lo, hi)
     up = h0 > lam
     shift = np.where(up, lam, -lam)
-    lo = np.where(up | (np.abs(h0) <= lam), 0.0, -B)
-    hi = np.where(up, B, 0.0)
+    lo, hi = np.where(up | (np.abs(h0) <= lam), 0.0, -B), np.where(up, B, 0.0)
     return bisect_decreasing(lambda x: h_function(pmi, k, x) - shift, lo, hi)
-
-
-def absent_pair_solution(kind: str, k: float, lam: float) -> float:
-    """Regularized score shared by every pair with zero joint count; checks kind, k, lam first."""
-    check_choice("kind", kind, REG_KINDS)
-    _check_params(k, lam)
-    if lam == 0.0:
-        raise DomainError("absent pairs have no finite score without regularization (lam = 0)")
-    return solve_l1(-math.inf, k, lam) if kind == "l1" else solve_exact(-math.inf, k, lam, kind)
 
 
 def regularize_stats(stats: CooccurrenceStats, kind: str, k: float, lam: float) -> SparseMatrix:
     """Regularized scores for every stored pair, as a sparse matrix.
 
     The normalization by expected negative mass makes the effective strength
-    the same lam for every pair, so absent pairs share one finite score; it
-    becomes the matrix's implicit value, and is found, with every option
-    checked, before any pair is read.  Both closed forms cover every
-    stored pair with a finite pmi, on either side of log k; `pair_matrix`
-    refuses a score that is not finite (DomainError).
+    the same lam for every pair, so absent pairs share one score, the closed
+    form at pmi = -inf: the matrix's implicit value, found with every option
+    checked before any pair is read, and -inf at lam = 0 (DomainError).
+    `pair_matrix` refuses a stored score that is not finite (DomainError).
     """
-    implicit = absent_pair_solution(kind, k, lam)
-    pmi = shifted_pmi(*stats.pair_counts(), stats.total)
+    check_choice("kind", kind, REG_KINDS)
     solve = solve_l1 if kind == "l1" else solve_l2
+    implicit = solve(-math.inf, k, lam)  # checks k and lam
+    if lam == 0.0:
+        raise DomainError("absent pairs have no finite score without regularization (lam = 0)")
+    pmi = shifted_pmi(*stats.pair_counts(), stats.total)
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite pmi scores NaN or inf
         scores = solve(pmi, k, lam)
     return stats.pair_matrix(scores, implicit, "score")
@@ -229,9 +229,8 @@ def closed_form_report(
     for lam in (0.01, 0.1, 1.0, 10.0):
         l1, l2 = (regularize_stats(view, kind, k, lam).v for kind in REG_KINDS)
         exact1, exact2 = (solve_exact(pmi, k, lam, kind) for kind in REG_KINDS)
-        nonzero = exact2 != 0.0
         l1_worst = max(l1_worst, float(np.max(np.abs(l1 - exact1), initial=0.0)))
-        l2_err = np.abs(l2 - exact2)[nonzero] / np.abs(exact2[nonzero])
+        l2_err = np.abs(l2 - exact2)[exact2 != 0.0] / np.abs(exact2[exact2 != 0.0])
         l2_worst = max(l2_worst, float(np.max(l2_err, initial=0.0)))
     return [*rows, ("l1_closed_form_max_abs_err", l1_worst),
             ("l2_closed_form_max_rel_err", l2_worst)]

@@ -133,6 +133,23 @@ def reg_root(pmi: float, k: float, lam: float, kind: str) -> float:
     return float(scipy.optimize.brentq(g, -50.0, 0.0, xtol=1e-14, rtol=8.9e-16))
 
 
+def absent_pair_root(k: float, lam: float, kind: str) -> float:
+    """Reference regularized score of a pair with zero joint count (pmi = -inf), lam > 0.
+
+    L1: log lam - log(k - lam) below the threshold (lam < k / 2), else 0.
+    L2: -t, with t the root of the log form of the stationarity condition,
+    log k - softplus(t) - log lam - log t = 0, found by brentq in t: unlike
+    lam x = h(x), it takes no e^x, which underflows to 0 past x = -745.
+    """
+    if kind == "l1":
+        return math.log(lam) - math.log(k - lam) if lam < k / 2.0 else 0.0
+
+    def g(t: float) -> float:
+        return math.log(k) - (t + math.log1p(math.exp(-t))) - math.log(lam) - math.log(t)
+
+    return -float(scipy.optimize.brentq(g, 5e-324, 3000.0, xtol=1e-300, rtol=8.9e-16))
+
+
 def spearman_ref(model_sims, human_scores) -> float:
     """Rank-then-Pearson reference correlation via scipy."""
     rho, _ = scipy.stats.spearmanr(model_sims, human_scores)

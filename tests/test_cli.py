@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from coocvec import (
+    LOSS_NAMES,
     ContextSpec,
     SparseMatrix,
     TrainConfig,
@@ -541,6 +542,10 @@ class TestOptionErrors:
             ["train-convex", "--step", "0"],
             ["train-convex", "--k-neg", "0"],
             ["train-convex", "--seed", "-1"],
+            # an option the mode does not read, at its default too
+            ["count", "--seed", "0"],
+            ["train-convex", "--objective", "softmax", "--k-neg", "5", "--noise", "unigram"],
+            ["train-convex", "--full-batch", "--seed", "0"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -552,6 +557,27 @@ class TestOptionErrors:
         assert run(*argv, "--input", str(corpus), "--output", out) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error invalid-option:"), err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            (["count", "--seed", "3"], "--seed needs --stochastic"),
+            (["train-convex", "--objective", "softmax", "--k-neg", "3"],
+             "--k-neg is not used with --objective softmax"),
+            (["train-convex", "--objective", "softmax", "--noise", "uniform"],
+             "--noise is not used with --objective softmax"),
+            (["train-convex", "--full-batch", "--seed", "3"], "--seed is not used with --full-batch"),
+        ],
+        ids=["count --seed", "softmax --k-neg", "softmax --noise", "full-batch --seed"],
+    )
+    def test_option_the_mode_does_not_read_is_refused(
+        self, tmp_path, corpus_path, capsys, argv, refusal
+    ):
+        # each would change nothing, yet its value would be stamped
+        out = str(tmp_path / "out")
+        assert run(*argv, "--input", corpus_path, "--output", out) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error invalid-option: {refusal}"]
         assert not os.path.exists(out)
 
     def test_singular_als_system_is_one_divergence_line(self, tmp_path, capsys):
@@ -930,12 +956,14 @@ class TestReport:
         assert len(want) == 12 and "\tyes" in want[1]
 
     def test_an_exact_tie_reports_no_error(self, tmp_path, capsys):
-        # one pair with pmi = 0 = log k at k = 1: the hinge picks +1, the L2 root is exactly 0
+        # one pair with pmi = 0 = log k at k = 1: the hinge picks +1, every smooth
+        # loss's root and the L2 root are exactly 0, which the bisections stop at
         counts = tmp_path / "tie.txt"
         counts.write_text("3 1.0\n0 0 1.0\n")
         assert run("report", "--cooc", str(counts), "--k", "1") == 0
         rows = dict(line.split("\t") for line in capsys.readouterr().out.splitlines()[1:])
-        assert rows["closed_form_max_abs_err[hinge]"] == "0.0"
+        for loss in LOSS_NAMES:
+            assert rows[f"closed_form_max_abs_err[{loss}]"] == "0.0", loss
         assert rows["l2_closed_form_max_rel_err"] == "0.0"
 
     def test_report_runs_and_prints_sweeps(self, tmp_path, corpus_path, capsys):
@@ -1009,7 +1037,7 @@ class TestConfigFile:
 
     def test_config_parses_flag_values(self, tmp_path, corpus_path):
         cfg = tmp_path / "count.cfg"
-        cfg.write_text("binary=true\nseed=9\n")
+        cfg.write_text("binary=true\nstochastic=yes\nsubsample=0.01\nseed=9\n")
         out = str(tmp_path / "c.bin")
         assert run("count", "--input", corpus_path, "--output", out, "--config", str(cfg)) == 0
         assert open(out, "rb").read(4) == b"CWB1"
@@ -1082,10 +1110,11 @@ class TestProvenanceChain:
         assert read_provenance(emb).hash() != root
 
     def test_mixed_ancestry_stays_mixed_downstream(self, tmp_path, corpus_path):
-        # the same counts under two configurations: one shape, two roots
+        # one corpus counted under two configurations: one shape, two roots
         counts_a = counted(tmp_path, corpus_path)
         counts_b = str(tmp_path / "counts_b.txt")
-        assert run("count", "--input", corpus_path, "--output", counts_b, "--seed", "1") == 0
+        assert run("count", "--input", corpus_path, "--output", counts_b,
+                   "--weighting", "reciprocal") == 0
         assert read_provenance(counts_a).root != read_provenance(counts_b).root
         sol, alpha = str(tmp_path / "sol.txt"), str(tmp_path / "alpha.txt")
         assert run("solve", "--cooc", counts_a, "--output", sol, "--loss", "squared") == 0
@@ -1103,7 +1132,8 @@ class TestProvenanceChain:
     def test_vocab_from_another_run_mixes_the_root(self, tmp_path, corpus_path):
         counts_a = counted(tmp_path, corpus_path)
         counts_b = str(tmp_path / "counts_b.txt")
-        assert run("count", "--input", corpus_path, "--output", counts_b, "--seed", "1") == 0
+        assert run("count", "--input", corpus_path, "--output", counts_b,
+                   "--weighting", "reciprocal") == 0
         mat = str(tmp_path / "m.txt")
         assert run("pmi", "--cooc", counts_a, "--output", mat, "--variant", "ppmi") == 0
         own, foreign = str(tmp_path / "own.txt"), str(tmp_path / "foreign.txt")

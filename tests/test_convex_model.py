@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from coocvec import (
     ContextSpec,
     DimensionMismatchError,
+    InvalidOptionError,
     TrainConfig,
     WindowSpec,
     build_examples,
@@ -111,6 +112,17 @@ class TestContextConstruction:
             ContextSpec(mode="pile")
         with pytest.raises(ValueError):
             ContextSpec(window=WindowSpec(positional_weight="linear"))
+
+    @pytest.mark.parametrize("window", [
+        WindowSpec(subsample_threshold=1e-3),
+        WindowSpec(subsample_threshold=1e-3, context_subsample=True),
+        WindowSpec(context_subsample_threshold=0.5),
+        WindowSpec(subsample_threshold=1e-3, stochastic_subsample=True),
+    ])
+    def test_subsampling_window_rejected(self, window):
+        # no example reads a subsampling setting, so the model would train as without it
+        with pytest.raises(InvalidOptionError):
+            ContextSpec(window=window)
 
     def test_context_dim_by_mode(self):
         assert context_dim(spec11("single"), 7) == 7

@@ -7,8 +7,9 @@ it in process.  Each per-pair example draws a counts file (a seeded count of
 a benchmark corpus, or one at an edge of the float range) and one `pmi`,
 `solve`, `regularize` or `report` run over it.  Every command must succeed or
 print exactly one `error <category>:` line; an uncaught exception fails the
-test.  The per-pair tests are derandomized, so their examples are the same
-on every run.
+test.  A `regularize` run that succeeds must score absent pairs at the root
+of their stationarity condition, whatever k and lam.  The per-pair tests
+are derandomized, so their examples are the same on every run.
 """
 import contextlib
 import io
@@ -26,6 +27,7 @@ from coocvec.formats import read_matrix
 from coocvec.pmi import VARIANTS
 from coocvec.regularization import REG_KINDS
 from helpers import bench_gen
+from oracles import absent_pair_root
 
 CORPUS = (
     "#tag the quick fox saw the slow fox\n"
@@ -247,6 +249,12 @@ def test_per_pair_command_writes_finite_repeatable_files_or_one_error_line(
         return
     assert written, "a successful run wrote nothing"
     assert_finite_on_reread(argv[0], out_dir)
+    if argv[0] == "regularize":
+        options = dict(zip(argv[1::2], argv[2::2]))
+        k, lam = float(options["--k"]), float(options["--lam"])
+        implicit = read_matrix(str(out_dir / "out"))[0].implicit_value
+        want = absent_pair_root(k, lam, options["--reg"])
+        assert implicit == pytest.approx(want, rel=1e-12, abs=0.0), options
     for path in out_dir.iterdir():
         path.unlink()
     assert run_per_pair(argv, cooc, out_dir) == (0, lines, written)

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,9 +17,12 @@ from coocvec import (
     solve_l2,
 )
 from coocvec.pmi import shifted_pmi
-from coocvec.regularization import absent_pair_solution
+from coocvec.regularization import REG_KINDS
 from helpers import make_stats, random_stats
-from oracles import reg_objective, reg_root
+from oracles import absent_pair_root, reg_objective, reg_root
+
+# decades from 1e-310 to 10, and the smallest subnormal
+TINY_TO_TEN = (*(10.0 ** e for e in range(-310, 2)), 5e-324)
 
 
 class TestHFunction:
@@ -156,6 +158,11 @@ class TestSolveL1:
         assert got == pytest.approx(math.log(0.1 / 0.9), rel=1e-12)
         assert solve_l1(-math.inf, 1.0, 0.6) == 0.0
 
+    def test_zero_count_pair_whose_quotient_underflows(self):
+        # lam / (k - lam) = 1e-340 is below the float range; its log is a float
+        got = solve_l1(-math.inf, 1e30, 1e-310)
+        assert got == pytest.approx(math.log(1e-310) - math.log(1e30 - 1e-310), rel=1e-12)
+
     def test_huge_lambda_always_lands_in_case1(self):
         # the negative branch needs lam < k/2, so lam >= k can only yield 0
         for pmi in (-math.inf, -3.0, 0.0, 5.0):
@@ -238,15 +245,32 @@ class TestRegularizeStats:
             exact = solve_exact(pmi, 2.0, lam, "l2")
             np.testing.assert_allclose(mat.v, exact, rtol=0.0, atol=1e-10)
 
-    @pytest.mark.parametrize("k, lam", [(1.0, 1e-30), (5.0, 1e-30), (1.0, 1e-310)])
-    def test_absent_pair_l2_score_at_a_tiny_lambda(self, k, lam):
-        # the root of lam * x = -k e^x / (1 + e^x) lies near log lam - log k, far below -50
-        def g(x: float) -> float:
-            return -k * math.exp(x) / (1.0 + math.exp(x)) - lam * x
+    @pytest.mark.parametrize("k, lam", [(1.0, 1e-30), (5.0, 1e-30), (1.0, 1e-310),
+                                        (5.0, 1e-310), (1e30, 1e-310), (1e300, 1e-11),
+                                        (1e300, 5e-324)])
+    def test_absent_pair_l2_score_at_a_tiny_lambda(self, abab_stats, k, lam):
+        # the root of lam * x = -k e^x / (1 + e^x) lies near log lam - log k, far below
+        # -50 and past -708.4 for the last three; e^x underflows there, its log form does not
+        got = regularize_stats(abab_stats, "l2", k, lam).implicit_value
+        assert got == pytest.approx(absent_pair_root(k, lam, "l2"), rel=1e-12, abs=0.0)
 
-        want = scipy.optimize.brentq(g, -1000.0, 0.0, xtol=1e-14, rtol=8.9e-16)
-        got = absent_pair_solution("l2", k, lam)
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    def test_absent_pair_scores_over_the_float_range(self, abab_stats):
+        for k in (1.0, 5.0, 1e30, 1e300):
+            for lam in TINY_TO_TEN:
+                for kind in REG_KINDS:
+                    got = regularize_stats(abab_stats, kind, k, lam).implicit_value
+                    want = absent_pair_root(k, lam, kind)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), (kind, k, lam)
+
+    def test_scores_run_no_bisection(self, abab_stats, monkeypatch):
+        # the bisection is the closed forms' reference, never a path to a score
+        def refuse(*args):
+            raise AssertionError("bisect_decreasing called")
+
+        monkeypatch.setattr("coocvec.closed_form.bisect_decreasing", refuse)
+        monkeypatch.setattr("coocvec.regularization.bisect_decreasing", refuse)
+        for kind in REG_KINDS:
+            assert math.isfinite(regularize_stats(abab_stats, kind, 5.0, 0.5).implicit_value)
 
     def test_absent_pairs_need_positive_lambda(self, abab_stats):
         # the unregularized zero-count score is -inf, never a finite implicit value
