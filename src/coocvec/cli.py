@@ -130,12 +130,11 @@ def cmd_pmi(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     from . import formats
-    from .closed_form import curvature_weights, solve_stats
+    from .closed_form import solve_stats
 
     stats, cooc_prov = formats.read_cooc(args.cooc)
-    scores = solve_stats(stats, args.loss, args.k)
     # the weights are built, and checked, only when they are written
-    alpha = curvature_weights(stats, args.loss, args.k) if args.alpha_out else None
+    scores, alpha = solve_stats(stats, args.loss, args.k, weights=bool(args.alpha_out))
     prov = formats.make_provenance("solve", _config_dict(args), {"cooc": cooc_prov})
     formats.write_matrix(
         scores, args.output, tag=f"solution:{args.loss}", k=args.k, prov=prov, binary=args.binary

@@ -150,7 +150,7 @@ def solve_pair(kind: str, n_wc, n_w, n_c, total: float, k: float) -> PairSolutio
     has constant curvature delta.  Zero counts need no branch: they give the
     logistic score log 0 = -inf with alpha 0, and -1 for the squared family
     and the hinge.  A negative mass that overflows a float gives NaN without
-    a warning; `solve_stats` and `curvature_weights` refuse it.
+    a warning; `solve_stats` refuses it.
     """
     check_choice("loss", kind, LOSS_NAMES)
     _check_counts(n_wc, n_w, n_c, total, k)
@@ -169,30 +169,28 @@ def solve_pair(kind: str, n_wc, n_w, n_c, total: float, k: float) -> PairSolutio
     return PairSolution(_float_if_scalar(x), None if alpha is None else _float_if_scalar(alpha))
 
 
-def solve_stats(stats: CooccurrenceStats, kind: str, k: float) -> SparseMatrix:
-    """Closed-form scores of every stored pair.
+def solve_stats(
+    stats: CooccurrenceStats, kind: str, k: float, weights: bool = False
+) -> tuple[SparseMatrix, SparseMatrix | None]:
+    """Closed-form scores of every stored pair and, given weights, their curvature.
 
-    The matrix carries, as its implicit value, the closed form of an absent
-    pair (#(w,c) = 0): -1, or minus infinity for the logistic loss, which a
-    matrix records as undefined (None).  `pair_matrix` refuses a score that
-    is not finite (DomainError).
+    One gather and one `solve_pair` give both.  The scores carry, as their
+    implicit value, the closed form of an absent pair (#(w,c) = 0): -1, or
+    minus infinity for the logistic loss, which a matrix records as
+    undefined (None).  The weights, None unless asked for, are the weighted
+    factorization's: an absent pair's logistic curvature is 0, the squared
+    family's k n_w n_c / |D| differs per pair (None).  The hinge has no
+    curvature (DomainError); `pair_matrix` refuses a value that is not
+    finite, the scores first.
     """
-    x = solve_pair(kind, *stats.pair_counts(), stats.total, k).x_star
-    return stats.pair_matrix(x, None if kind == "logistic" else -1.0, "score")
-
-
-def curvature_weights(stats: CooccurrenceStats, kind: str, k: float) -> SparseMatrix:
-    """Each stored pair's curvature at its closed-form score: the weighted factorization's weights.
-
-    An absent pair's logistic curvature is 0; the squared family's is
-    k n_w n_c / |D|, one value per pair, so no single implicit value holds
-    (None).  The hinge has no curvature, and a weight that is not finite is
-    refused (DomainError).
-    """
-    alpha = solve_pair(kind, *stats.pair_counts(), stats.total, k).alpha
-    if alpha is None:
+    solution = solve_pair(kind, *stats.pair_counts(), stats.total, k)
+    logistic = kind == "logistic"
+    scores = stats.pair_matrix(solution.x_star, None if logistic else -1.0, "score")
+    if not weights:
+        return scores, None
+    if solution.alpha is None:
         raise DomainError(f"{kind} loss has no curvature weights")
-    return stats.pair_matrix(alpha, 0.0 if kind == "logistic" else None, "curvature weight")
+    return scores, stats.pair_matrix(solution.alpha, 0.0 if logistic else None, "curvature weight")
 
 
 def bisect_decreasing(g, lo, hi):

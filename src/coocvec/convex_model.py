@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Encoded, Vocabulary, WindowSpec, window_pairs
-from .errors import DimensionMismatchError, InvalidOptionError, check_at_least, check_choice
+from .errors import DimensionMismatchError, DivergenceError, InvalidOptionError, check_at_least
+from .errors import check_choice
 from .vectors import Embedding, SparseMatrix
 
 CONTEXT_MODES = ("single", "bag", "positional")
@@ -360,7 +361,7 @@ def train(tokens: Encoded, vocab: Vocabulary, spec: ContextSpec, cfg: TrainConfi
     step * l1.  Full-batch mode applies deterministic whole-gradient steps
     at constant step_initial with the full proximal map.  Neither mode
     evaluates the loss.  Single-threaded and reproducible for a fixed config
-    and seed.
+    and seed.  A weight that leaves the float range is refused (DivergenceError).
     """
     n = len(vocab)
     W = np.zeros((n, context_dim(spec, n)))
@@ -368,34 +369,38 @@ def train(tokens: Encoded, vocab: Vocabulary, spec: ContextSpec, cfg: TrainConfi
     noise = noise_distribution(vocab, cfg.noise)
     rng = np.random.default_rng(cfg.seed)
 
-    if cfg.full_batch and examples:
-        agg = _aggregate(examples)
-        eta, scale = cfg.step_initial, 1.0 / len(examples)
-        G = np.empty_like(W)
-        for _ in range(cfg.epochs):
-            G.fill(0.0)
-            _accumulate(W, agg, cfg, noise, G, loss=False)
-            G *= scale
-            # the new weights land in G's buffer; the old W's is the next gradient's
-            W, G = _prox_step(W, G, eta, cfg.l1), W
-    elif examples:
-        noise_cdf = np.cumsum(noise)
-        noise_cdf[-1] = 1.0
-        total_steps = cfg.epochs * len(examples)
-        step = 0
-        for _ in range(cfg.epochs):
-            order = rng.permutation(len(examples))
-            for a in range(0, len(order), BLOCK_STEPS):
-                block = order[a : a + BLOCK_STEPS]
-                rows, draws, at = _step_tables(examples.target[block], rng, noise_cdf, cfg)
-                lo, hi = examples.indptr[block].tolist(), examples.indptr[block + 1].tolist()
-                for r, d, t, i, j in zip(rows, draws, at, lo, hi):
-                    idx, val = examples.idx[i:j], examples.val[i:j]
-                    eta = cfg.step_initial * (1.0 - step / total_steps)
-                    step += 1
-                    Wr = W[r, idx]
-                    _, coef = _kernel(Wr @ val, 1.0, t, 1.0, d, loss=False)
-                    W[r, idx] = _prox_step(Wr, coef[:, None] * val, eta, cfg.l1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a weight out of range is refused below
+        if cfg.full_batch and examples:
+            agg = _aggregate(examples)
+            eta, scale = cfg.step_initial, 1.0 / len(examples)
+            G = np.empty_like(W)
+            for _ in range(cfg.epochs):
+                G.fill(0.0)
+                _accumulate(W, agg, cfg, noise, G, loss=False)
+                G *= scale
+                # the new weights land in G's buffer; the old W's is the next gradient's
+                W, G = _prox_step(W, G, eta, cfg.l1), W
+        elif examples:
+            noise_cdf = np.cumsum(noise)
+            noise_cdf[-1] = 1.0
+            total_steps = cfg.epochs * len(examples)
+            step = 0
+            for _ in range(cfg.epochs):
+                order = rng.permutation(len(examples))
+                for a in range(0, len(order), BLOCK_STEPS):
+                    block = order[a : a + BLOCK_STEPS]
+                    rows, draws, at = _step_tables(examples.target[block], rng, noise_cdf, cfg)
+                    lo, hi = examples.indptr[block].tolist(), examples.indptr[block + 1].tolist()
+                    for r, d, t, i, j in zip(rows, draws, at, lo, hi):
+                        idx, val = examples.idx[i:j], examples.val[i:j]
+                        eta = cfg.step_initial * (1.0 - step / total_steps)
+                        step += 1
+                        Wr = W[r, idx]
+                        _, coef = _kernel(Wr @ val, 1.0, t, 1.0, d, loss=False)
+                        W[r, idx] = _prox_step(Wr, coef[:, None] * val, eta, cfg.l1)
+    if not np.isfinite(W).all():
+        raise DivergenceError(f"weights left the float range at step {cfg.step_initial!r}; "
+                              "a lower step (--step) avoids it")
     return Embedding(
         words=list(vocab.words),
         vectors=W,

@@ -66,7 +66,7 @@ class MarkerContaminationError(WorkbenchError):
 
 
 class DivergenceError(WorkbenchError):
-    """An iterative solver increased its objective beyond tolerance."""
+    """An iterative solver diverged: a rising objective, an overflow or a singular system."""
 
     category = "divergence"
 

@@ -180,12 +180,12 @@ def weighted_factorize(
 ) -> AlsResult:
     """Alternate exact per-row ridge solves until the objective stalls.
 
-    weights, a matrix of the targets' shape (`curvature_weights`), gives
-    each stored target the weight at its pair, which must be stored, finite
-    and >= 0 (FormatError).  Targets must be finite (minus-infinity markers
-    have no place here); absent entries play no part.  Each half-sweep
-    minimizes the full objective over one factor exactly, so the objective
-    can never increase; an increase beyond 1e-9 is reported as divergence.
+    weights, a matrix of the targets' shape (`solve_stats(..., weights=True)`),
+    gives each stored target the weight at its pair, which must be stored,
+    finite and >= 0 (FormatError).  Targets must be finite (minus-infinity
+    markers have no place here); absent entries play no part.  Each
+    half-sweep minimizes the full objective over one factor exactly, so an
+    increase beyond 1e-9, or an objective out of the float range, is divergence.
     Stops after `epochs` sweeps or when one sweep improves the objective by
     less than `tol` relative.  A singular row or column system (at ridge 0, a
     line with fewer stored pairs of positive weight than dim) is divergence.
@@ -225,14 +225,19 @@ def weighted_factorize(
     scores = np.empty(len(rows))
     gathered = np.empty((2, min(PAIRS_PER_SCORE, len(rows)), dim))
 
-    def objective(W, C) -> float:
+    def objective(when: str) -> float:
+        W, C = factors
         for a in range(0, len(rows), PAIRS_PER_SCORE):
             r, c = rows[a : a + PAIRS_PER_SCORE], cols[a : a + PAIRS_PER_SCORE]
             Wr = np.take(W, r, axis=0, out=gathered[0, : len(r)])
             Cc = np.take(C, c, axis=0, out=gathered[1, : len(c)])
             np.einsum("ij,ij->i", Wr, Cc, out=scores[a : a + len(r)])
         residual = 0.5 * float(np.sum(alpha * (scores - t_vals) ** 2))
-        return residual + ridge * (float(np.sum(W * W)) + float(np.sum(C * C)))
+        total = residual + ridge * (float(np.sum(W * W)) + float(np.sum(C * C)))
+        if not np.isfinite(total):  # the monotone check is false for inf and NaN
+            raise DivergenceError(f"objective is {total!r} {when}; the targets or weights "
+                                  "are too large for the float range")
+        return total
 
     def singular(name: str, r: int, a: np.ndarray) -> DivergenceError:
         return DivergenceError(
@@ -259,22 +264,23 @@ def weighted_factorize(
         return out
 
     result = AlsResult(*factors)
-    prev_total = objective(*factors)
-    last_sweep_total = prev_total
-    for _ in range(epochs):
-        for side, (name, order, ptr, other) in enumerate(sweeps):
-            factors[side] = solve_side(name, factors[1 - side], order, ptr, other)
-            total = objective(*factors)
-            if total > prev_total + 1e-9:
-                raise DivergenceError(
-                    f"objective rose from {prev_total!r} to {total!r} after a {name} sweep"
-                )
-            result.objective_history.append(total)
-            prev_total = total
-        if last_sweep_total - total < tol * max(1.0, abs(last_sweep_total)):
-            result.converged = True
-            break
-        last_sweep_total = total
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused, not warned
+        prev_total = objective("at the start")
+        last_sweep_total = prev_total
+        for _ in range(epochs):
+            for side, (name, order, ptr, other) in enumerate(sweeps):
+                factors[side] = solve_side(name, factors[1 - side], order, ptr, other)
+                total = objective(f"after a {name} sweep")
+                if total > prev_total + 1e-9:
+                    raise DivergenceError(
+                        f"objective rose from {prev_total!r} to {total!r} after a {name} sweep"
+                    )
+                result.objective_history.append(total)
+                prev_total = total
+            if last_sweep_total - total < tol * max(1.0, abs(last_sweep_total)):
+                result.converged = True
+                break
+            last_sweep_total = total
 
     result.W, result.C = factors
     return result

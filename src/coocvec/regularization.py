@@ -213,7 +213,7 @@ def closed_form_report(
     joint, n_w, n_c = view.pair_counts()
 
     # every builder refuses what it cannot score before a reference runs on it
-    scores = [solve_stats(view, loss, k).v for loss in LOSS_NAMES]
+    scores = [solve_stats(view, loss, k)[0].v for loss in LOSS_NAMES]
     rows = []
     for loss, x in zip(LOSS_NAMES, scores):
         numeric = minimize_pair_numeric(loss, joint, n_w, n_c, stats.total, k)

@@ -66,14 +66,15 @@ class SparseMatrix:
             raise DimensionMismatchError("i, j and v must be 1-d arrays of one length")
         if self.rows < 0 or self.cols < 0:
             raise DimensionMismatchError(f"negative matrix shape {self.rows} x {self.cols}")
-        bad = (self.i < 0) | (self.i >= self.rows) | (self.j < 0) | (self.j >= self.cols)
-        where = f"outside a {self.rows} x {self.cols} matrix"
-        _refuse_pair(bad, self.i, self.j, "pair {pair} " + where, DimensionMismatchError)
-        keys = self._keys()
-        if (np.diff(keys) < 0).any():
+        where = f"pair {{pair}} outside a {self.rows} x {self.cols} matrix"
+        _refuse_pair((self.i < 0) | (self.i >= self.rows) | (self.j < 0) | (self.j >= self.cols),
+                     self.i, self.j, where, DimensionMismatchError)
+        keys = self._keys()  # adjacent keys compare as bool masks, each freed once checked
+        if (keys[1:] < keys[:-1]).any():
             order = np.argsort(keys, kind="stable")
             self.i, self.j, self.v, keys = self.i[order], self.j[order], self.v[order], keys[order]
-        _refuse_pair(np.diff(keys) == 0, self.i, self.j, "pair {pair} is stored twice", FormatError)
+        _refuse_pair(keys[1:] == keys[:-1], self.i, self.j, "pair {pair} is stored twice",
+                     FormatError)
 
     @classmethod
     def summed(cls, rows: int, cols: int, key: np.ndarray, v: np.ndarray) -> "SparseMatrix":

@@ -11,6 +11,14 @@ from coocvec import CooccurrenceStats, SparseMatrix, Vocabulary, encode_text
 from coocvec.corpus import Encoded
 from oracles import encode_by_lookup
 
+# counts files at the edges of the per-pair commands: no pair mass, a score on its
+# decision boundary, and products of counts near the float range
+EDGE_COUNTS = {
+    "header-only": "3 0.0\n",
+    "tie": "3 1.0\n0 0 1.0\n",  # pmi = 0 = log k at k = 1
+    "four-at-1e10": "2 4e10\n0 0 1e10\n0 1 1e10\n1 0 1e10\n1 1 1e10\n",
+}
+
 
 def encode_records(records, min_count: int = 1) -> tuple[Vocabulary, Encoded]:
     """Lists of tokens through encode_text, one line per record."""

@@ -386,3 +386,21 @@ def aggregate_by_unique(examples):
         "t_row": pairs[:, 1],
         "t_count": t_count.astype(float),
     }
+
+
+def two_pass_solve(stats, kind: str, k: float, weights: bool):
+    """Scores and, given weights, curvature weights as two passes built them: a gather
+    and a `solve_pair` for the scores, checked first, then another of each for the
+    weights.  Not an independent derivation but a byte pin on the one-pass
+    `solve_stats`: the same values and the same refusals, in the same order."""
+    from coocvec import DomainError, solve_pair
+
+    logistic = kind == "logistic"
+    x = solve_pair(kind, *stats.pair_counts(), stats.total, k).x_star
+    scores = stats.pair_matrix(x, None if logistic else -1.0, "score")
+    if not weights:
+        return scores, None
+    alpha = solve_pair(kind, *stats.pair_counts(), stats.total, k).alpha
+    if alpha is None:
+        raise DomainError(f"{kind} loss has no curvature weights")
+    return scores, stats.pair_matrix(alpha, 0.0 if logistic else None, "curvature weight")

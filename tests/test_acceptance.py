@@ -136,7 +136,7 @@ def test_criterion_05_one_hot_assembly_minimizes_squared_objective():
     stream = [words[int(rng.integers(0, 30))] for _ in range(600)]
     vocab, tokens = encode_records([stream[i : i + 60] for i in range(0, 600, 60)])
     stats = count_encoded(tokens, vocab, WindowSpec(left=2, right=2))
-    W0 = solve_stats(stats, "squared", 1.0).to_dense()
+    W0 = solve_stats(stats, "squared", 1.0)[0].to_dense()
     n = stats.n_words
     C = np.eye(n)
     base = objective_value(W0, C, stats, "squared", 1.0)

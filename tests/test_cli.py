@@ -27,6 +27,7 @@ from coocvec import (
     write_matrix,
     write_vocab,
 )
+from coocvec import closed_form
 from coocvec.cli import main
 from helpers import bench_gen, lookup_encoded, same_pairs
 from oracles import tokenize_whole, vocabulary_by_counter
@@ -172,6 +173,24 @@ class TestPmiAndSolve:
         assert ainfo.tag == "alpha:squared"
         assert np.array_equal(amat.i, sol.i) and np.array_equal(amat.j, sol.j)
         assert (amat.v > 0).all()
+
+    def test_solve_with_alpha_out_evaluates_the_closed_forms_once(
+        self, tmp_path, corpus_path, monkeypatch
+    ):
+        counts = counted(tmp_path, corpus_path)
+        calls = []
+        solve_pair = closed_form.solve_pair
+
+        def counting(*args):
+            calls.append(args[0])
+            return solve_pair(*args)
+
+        monkeypatch.setattr(closed_form, "solve_pair", counting)
+        out, alpha = str(tmp_path / "sol.txt"), str(tmp_path / "alpha.txt")
+        assert run("solve", "--cooc", counts, "--output", out, "--loss", "logistic",
+                   "--alpha-out", alpha) == 0
+        assert calls == ["logistic"]
+        assert read_matrix(alpha)[0].implicit_value == 0.0
 
     def test_logistic_solution_keeps_undefined_absences(self, tmp_path, corpus_path):
         counts = counted(tmp_path, corpus_path)
@@ -594,6 +613,42 @@ class TestOptionErrors:
         assert not os.path.exists(out)
         assert run("factorize", "--weighted", "--matrix", target, "--alpha", alpha,
                    "--output", out, "--dim", "2") == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("epochs", ["1", "20"])
+    def test_train_convex_step_past_the_float_range_is_one_divergence_line(
+        self, tmp_path, capsys, epochs
+    ):
+        # SGD steps of 1e308 overflow the weights to inf, then NaN
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("the cat sat on the mat\nthe dog sat on the rug\n")
+        out = tmp_path / "t.txt"
+        code = run("train-convex", "--input", str(corpus), "--output", str(out),
+                   "--epochs", epochs, "--step", "1e308")
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1 and len(err) == 1 and err[0].startswith("error divergence:"), err
+        assert "--step" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_weighted_factorize_overflowing_objective_is_one_divergence_line(
+        self, tmp_path, corpus_path, capsys
+    ):
+        # targets of 1e200 are finite, but their squares in the objective are not
+        counts = counted(tmp_path, corpus_path)
+        sol, alpha, big, out = (str(tmp_path / n) for n in ("s.txt", "a.txt", "big.txt", "f.txt"))
+        assert run("solve", "--cooc", counts, "--output", sol, "--loss", "squared",
+                   "--alpha-out", alpha) == 0
+        scores, info = read_matrix(sol)
+        scores.v *= 1e200
+        write_matrix(scores, big, tag=info.tag, k=info.k, prov=info.prov)
+        capsys.readouterr()
+        code = run("factorize", "--matrix", big, "--weighted", "--alpha", alpha,
+                   "--dim", "2", "--epochs", "5", "--output", out)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1 and len(err) == 1 and err[0].startswith("error divergence:"), err
+        assert "objective is inf at the start" in err[0], err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize(
         "extra",

@@ -12,7 +12,10 @@ from coocvec import (
     LOSS_NAMES,
     DomainError,
     MarkerContaminationError,
-    curvature_weights,
+    WindowSpec,
+    WorkbenchError,
+    count_encoded,
+    encode_text,
     l2_chord,
     loss_derivative,
     loss_second_derivative,
@@ -20,13 +23,14 @@ from coocvec import (
     minimize_pair_numeric,
     objective_value,
     pair_objective,
+    read_cooc,
     solve_l1,
     solve_l2,
     solve_pair,
     solve_stats,
 )
-from helpers import random_count_tuples, random_stats
-from oracles import minimize_rho, ref_rho
+from helpers import EDGE_COUNTS, bench_gen, random_count_tuples, random_stats
+from oracles import minimize_rho, ref_rho, two_pass_solve
 
 LOG2 = math.log(2.0)
 QUADRATIC = ("squared", "squared_hinge", "huber")
@@ -261,7 +265,7 @@ class TestObjectiveValue:
 
     def test_assembled_squared_solution_is_a_minimum(self, rng):
         stats = random_stats(rng, n_words=4, density=0.6)
-        W0 = solve_stats(stats, "squared", 1.0).to_dense()
+        W0 = solve_stats(stats, "squared", 1.0)[0].to_dense()
         C = np.eye(stats.n_words)
         base = objective_value(W0, C, stats, "squared", 1.0)
         for _ in range(30):
@@ -320,15 +324,15 @@ def test_property_sign_agreement_with_shifted_pmi(seed, kind):
 def test_property_solve_stats_absent_value_and_dense_oracle(seed, kind, k):
     """solve_stats' implicit value is the closed form of an absent pair, and
     its scores equal `solve_pair` over every dense pair with positive marginals;
-    curvature_weights holds solve_pair's alpha, and refuses the hinge."""
+    with weights=True it holds solve_pair's alpha too, and refuses the hinge."""
     stats = random_stats(np.random.default_rng(seed), n_words=5, density=0.6)
-    scores = solve_stats(stats, kind, k)
+    scores, alpha = solve_stats(stats, kind, k)
+    assert alpha is None
     if kind == "hinge":
         with pytest.raises(DomainError, match="hinge loss has no curvature weights"):
-            curvature_weights(stats, kind, k)
-        alpha = None
+            solve_stats(stats, kind, k, weights=True)
     else:
-        alpha = curvature_weights(stats, kind, k)
+        scores, alpha = solve_stats(stats, kind, k, weights=True)
     n_w, n_c = float(stats.row_marginal.max()), float(stats.col_marginal.max())
     absent = solve_pair(kind, 0.0, n_w, n_c, stats.total, k)
     if kind == "logistic":
@@ -409,3 +413,37 @@ def test_property_array_references_equal_stacked_scalar_calls(counts, total, k, 
             else:
                 stacked = [loss_second_derivative(kind, v, y) for v in xs]
                 assert curve.tobytes() == np.array(stacked).tobytes()
+
+
+@pytest.fixture(scope="module")
+def pinned_counts(tmp_path_factory):
+    """Seeded benchmark counts and the fuzz test's edge files, by name."""
+    gen = bench_gen()
+    vocab, tokens = encode_text(gen.corpus_text(gen.make_corpus(2000, 1)), min_count=2)
+    counts = {"gen-1": count_encoded(tokens, vocab, WindowSpec(left=2, right=2))}
+    work = tmp_path_factory.mktemp("edge-counts")
+    for name, text in EDGE_COUNTS.items():
+        (work / name).write_text(text)
+        counts[name] = read_cooc(str(work / name))[0]
+    return counts
+
+
+def outcome(build):
+    """build()'s matrices as (i, j, v) bytes and implicit values, or its refusal."""
+    try:
+        mats = build()
+    except WorkbenchError as exc:  # the refusal itself is compared
+        return type(exc), str(exc)
+    return [None if m is None else (m.i.tobytes(), m.j.tobytes(), m.v.tobytes(), m.implicit_value)
+            for m in mats]
+
+
+@pytest.mark.parametrize("weights", [False, True])
+@pytest.mark.parametrize("k", [1.0, 5.0, 1e30, 1e300])
+@pytest.mark.parametrize("kind", LOSS_NAMES)
+def test_one_pass_solve_stats_matches_the_two_pass_builders(pinned_counts, kind, k, weights):
+    """One gather and one closed-form evaluation give the bytes, implicit values and
+    refusals that separate score and weight passes gave."""
+    for name, stats in pinned_counts.items():
+        got = outcome(lambda: solve_stats(stats, kind, k, weights=weights))
+        assert got == outcome(lambda: two_pass_solve(stats, kind, k, weights)), name

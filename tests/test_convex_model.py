@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from coocvec import (
     ContextSpec,
     DimensionMismatchError,
+    DivergenceError,
     InvalidOptionError,
     TrainConfig,
     WindowSpec,
@@ -514,6 +515,22 @@ class TestFullBatchTraining:
 
 
 class TestStochasticTraining:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("objective", ["negative_sampling", "softmax"])
+    def test_step_past_the_float_range_is_divergence_without_a_warning(self, objective):
+        vocab, tokens = encode_records(TWO_BLOCK)
+        cfg = TrainConfig(objective=objective, k_neg=2, epochs=1, step_initial=1e308)
+        with pytest.raises(DivergenceError, match=r"float range at step 1e\+308; .*--step"):
+            train(tokens, vocab, spec11("bag"), cfg)
+
+    def test_full_batch_weights_pass_the_same_end_check(self, monkeypatch):
+        vocab, tokens = encode_records(TWO_BLOCK)
+        prox_step = convex_model._prox_step
+        monkeypatch.setattr(convex_model, "_prox_step", lambda *a: prox_step(*a) * np.nan)
+        cfg = TrainConfig(epochs=1, full_batch=True)
+        with pytest.raises(DivergenceError, match="float range"):
+            train(tokens, vocab, spec11("bag"), cfg)
+
     def test_seed_reproducibility(self):
         vocab, tokens = encode_records(TWO_BLOCK)
         cfg = TrainConfig(objective="negative_sampling", k_neg=2, epochs=3, seed=7)

@@ -325,6 +325,15 @@ class TestWeightedFactorize:
         with pytest.raises(DivergenceError, match=r"^row 0's system is singular .*positive ridge"):
             weighted_factorize(*problem, dim=2, ridge=0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_objective_past_the_float_range_is_divergence_without_a_warning(self):
+        # finite targets whose squared residuals overflow: the check `total > prev_total`
+        # alone is false for inf and NaN
+        problem = weighted_problem(2, 2, {(0, 0): 1e200, (0, 1): -1e200, (1, 1): 1e200},
+                                   {(0, 0): 1.0, (0, 1): 1.0, (1, 1): 1.0})
+        with pytest.raises(DivergenceError, match=r"^objective is inf at the start; "):
+            weighted_factorize(*problem, dim=1, epochs=5)
+
     def test_convergence_flag_set_when_stalled(self, rng):
         targets = {(0, 0): 1.0, (1, 1): 2.0}
         weights = {(0, 0): 1.0, (1, 1): 1.0}

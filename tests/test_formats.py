@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from coocvec import (
     CooccurrenceStats,
+    DimensionMismatchError,
     Embedding,
     FormatError,
     Provenance,
@@ -544,3 +545,29 @@ def test_property_sparse_matrix_sorts_and_round_trips(tmp_path_factory, case):
     if order:
         with pytest.raises(FormatError):
             SparseMatrix(rows, cols, i + i[:1], j + j[:1], v + v[:1], None)
+
+
+def test_sparse_matrix_checks_sorted_columns_in_12_bytes_per_pair():
+    """Sorted, distinct, in-range columns pass with one int64 key and one bool mask
+    per pair above the inputs; the range and repeat checks add no int64 array."""
+    n = 500
+    flat = np.arange(0, n * n, 2, dtype=np.int64)  # 125,000 pairs, each row's columns ascending
+    i, j, v = flat // n, flat % n, np.ones(len(flat))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        mat = SparseMatrix(n, n, i, j, v)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert mat.i is i and mat.j is j and mat.v is v  # sorted columns are kept, not copied
+    assert peak < 12 * len(flat), peak / len(flat)
+
+
+def test_sparse_matrix_refuses_range_before_repeats_naming_the_first_bad_pair():
+    i, j = [0, 1, 1, 2, 3, 3], [1, 0, 0, 1, 5, 7]
+    with pytest.raises(DimensionMismatchError, match=r"^pair \(3, 5\) outside a 4 x 4 matrix$"):
+        SparseMatrix(4, 4, i, j, np.ones(6))
+    with pytest.raises(FormatError, match=r"^pair \(1, 0\) is stored twice$"):
+        SparseMatrix(4, 4, i[:4], j[:4], np.ones(4))

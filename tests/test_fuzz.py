@@ -26,7 +26,7 @@ from coocvec.closed_form import LOSS_NAMES
 from coocvec.formats import read_matrix
 from coocvec.pmi import VARIANTS
 from coocvec.regularization import REG_KINDS
-from helpers import bench_gen
+from helpers import EDGE_COUNTS, bench_gen
 from oracles import absent_pair_root
 
 CORPUS = (
@@ -151,11 +151,6 @@ PER_PAIR_EXAMPLES = 120  # examples of one command over one counts file
 PARITY_EXAMPLES = 25  # counts files each refused or accepted alike by three commands
 KS = ("1", "5", "1e30", "1e300")
 LAMS = tuple(f"1e{e}" for e in range(-310, 2))  # decades from 1e-310 to 10
-EDGE_COUNTS = {
-    "header-only": "3 0.0\n",
-    "tie": "3 1.0\n0 0 1.0\n",  # pmi = 0 = log k at k = 1
-    "four-at-1e10": "2 4e10\n0 0 1e10\n0 1 1e10\n1 0 1e10\n1 1 1e10\n",
-}
 
 
 @pytest.fixture(scope="module")

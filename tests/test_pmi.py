@@ -14,7 +14,6 @@ from coocvec import (
     WindowSpec,
     build_matrix,
     count_encoded,
-    curvature_weights,
     encode_text,
     regularize_stats,
     solve_stats,
@@ -145,22 +144,24 @@ def test_property_builders_store_finite_values_or_refuse(exponents, k):
     stats = make_stats(pairs, 3)
     runs = [(build_matrix, (v, 1.0 if v in ("pmi", "ppmi") else k)) for v in VARIANTS]
     runs += [(solve_stats, (loss, k)) for loss in LOSS_NAMES]
-    runs += [(curvature_weights, (loss, k)) for loss in LOSS_NAMES if loss != "hinge"]
+    runs += [(solve_stats, (loss, k, True)) for loss in LOSS_NAMES if loss != "hinge"]
     runs += [(regularize_stats, (reg, k, 0.5)) for reg in REG_KINDS]
     for build, args in runs:
         try:
             out = build(stats, *args)
         except DomainError:
             continue
-        assert np.isfinite(out.v).all(), (build.__name__, args, out.v)
+        # solve_stats gives the scores and, with weights, their curvature
+        for m in out if isinstance(out, tuple) else (out,):
+            assert m is None or np.isfinite(m.v).all(), (build.__name__, args, m.v)
 
 
 @pytest.mark.parametrize("build, args", [
     (build_matrix, ("bogus",)),
     (solve_stats, ("bogus", 1.0)),
-    (curvature_weights, ("bogus", 1.0)),
+    (solve_stats, ("bogus", 1.0, True)),
     (regularize_stats, ("bogus", 1.0, 0.5)),
-], ids=["build_matrix", "solve_stats", "curvature_weights", "regularize_stats"])
+], ids=["build_matrix", "solve_stats", "solve_stats_weights", "regularize_stats"])
 def test_builders_refuse_an_unknown_kind_as_an_invalid_option(abab_stats, build, args):
     with pytest.raises(InvalidOptionError, match="bogus"):
         build(abab_stats, *args)
@@ -199,7 +200,7 @@ def test_spmi_is_the_logistic_solution_bit_for_bit(k):
     vocab, tokens = encode_text(gen.corpus_text(gen.make_corpus(40_000, 1)), min_count=10)
     stats = count_encoded(tokens, vocab, WindowSpec(left=2, right=2))
     spmi = build_matrix(stats, "spmi", k=k)
-    scores = solve_stats(stats, "logistic", k)
+    scores = solve_stats(stats, "logistic", k)[0]
     assert spmi.nnz == scores.nnz > 10_000
     assert spmi.v.tobytes() == scores.v.tobytes()
     assert spmi.implicit_value is scores.implicit_value is None
